@@ -44,7 +44,7 @@ from .models import (
     MultinomialNaiveBayes,
     Word2vecFfnnClassifier,
     load_hsv_input,
-    load_model,
+    model_from_container,
 )
 from .nn import NetSpec, TrainConfig
 from .persist import load_container
@@ -293,11 +293,9 @@ def cmd_predict(cfg: RunConfig, model_path: str) -> int:
     ds, path = _load_dataset(cfg)
     if len(ds) == 0:
         raise DataFormatError(f"{cfg.dataset}: no usable records")
-    header, _ = load_container(model_path)
-    if header.get("kind") == "ffnn-w2v":
-        model = load_model(model_path, table=_load_table(cfg, ds))
-    else:
-        model = load_model(model_path)
+    header, arrays = load_container(model_path)
+    table = _load_table(cfg, ds) if header.get("kind") == "ffnn-w2v" else None
+    model = model_from_container(header, arrays, model_path, table)
     probs = _model_proba(model, ds, path.parent)
     out = _out_dir(cfg)
     target = out / "predictions.csv"

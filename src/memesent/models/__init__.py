@@ -62,13 +62,14 @@ __all__ = [
     "nb_predict",
     "nb_train",
     "load_model",
+    "model_from_container",
 ]
 
-_LOADERS = {
-    "naive-bayes": MultinomialNaiveBayes.load,
-    "ffnn-bow": BowFfnnClassifier.load,
-    "cnn-hsv": HsvCnnClassifier.load,
-    "fusion-bimodal": BimodalFusionClassifier.load,
+_BUILDERS = {
+    "naive-bayes": MultinomialNaiveBayes._from_payload,
+    "ffnn-bow": BowFfnnClassifier._from_payload,
+    "cnn-hsv": HsvCnnClassifier._from_payload,
+    "fusion-bimodal": BimodalFusionClassifier._from_payload,
 }
 
 
@@ -78,7 +79,17 @@ def load_model(path, table: EmbeddingTable | None = None):
     Embedding-based models do not serialize their table; pass the
     ``table`` they were trained with.
     """
-    header, _ = load_container(path)
+    header, arrays = load_container(path)
+    return model_from_container(header, arrays, path, table)
+
+
+def model_from_container(header: dict, arrays: dict, path,
+                         table: EmbeddingTable | None = None):
+    """Build the classifier held by an already-read container.
+
+    ``path`` only names the file in error messages; the errors are those
+    of :func:`load_model`.
+    """
     kind = header.get("kind")
     if kind == "ffnn-w2v":
         if table is None:
@@ -86,12 +97,12 @@ def load_model(path, table: EmbeddingTable | None = None):
                 f"{path} holds an embedding-based model; "
                 "pass the embedding table it was trained with"
             )
-        return Word2vecFfnnClassifier.load(path, table)
+        return Word2vecFfnnClassifier._from_payload(header, arrays, path, table)
     try:
-        loader = _LOADERS[kind]
+        build = _BUILDERS[kind]
     except KeyError:
         raise DataFormatError(
             f"{path}: unknown model kind {kind!r} "
-            f"(expected one of {sorted(_LOADERS) + ['ffnn-w2v']})"
+            f"(expected one of {sorted(_BUILDERS) + ['ffnn-w2v']})"
         ) from None
-    return loader(path)
+    return build(header, arrays, path)

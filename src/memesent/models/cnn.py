@@ -6,6 +6,17 @@ convolutions are valid (no padding), pooling uses stride 2 and drops an
 odd trailing row/column, and max-pool ties resolve to the first element
 in window order so gradients are deterministic. Training reuses the
 dense core's loss, optimizer, and seeded shuffling.
+
+Convolutions are im2col GEMMs (Chellapilla, Puri & Simard 2006): the
+input's 3x3 patches are copied once into a patch matrix, which is
+multiplied by the kernel reshaped to (out channels, C*3*3). The forward
+pass keeps the patch matrices for the backward pass, where the kernel
+gradient is a GEMM against them per sample, summed over the batch, and
+the input gradient a GEMM followed by a col2im scatter-add, one strided
+add per kernel offset. The first layer's input gradient is not
+computed. Prediction runs the forward pass in blocks of
+``_PREDICT_BLOCK`` rows, so its memory does not grow with the number of
+rows.
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..base import Estimator, as_label_array, check_consistent_length, check_fitted
 from ..errors import DataFormatError, TrainingError
@@ -28,6 +40,10 @@ _CONV2 = (16, 8, 3, 3)
 _FLAT = 16 * 6 * 6  # after two conv+pool stages on 32x32 input
 _DENSE = 64
 _CLASSES = 3
+# Rows per forward pass in predict_proba. A pass holds about 0.5 MB per
+# row, most of it conv1's patch matrix (27/8 the size of conv1's output),
+# so prediction memory does not grow with the number of rows.
+_PREDICT_BLOCK = 32
 
 
 @dataclass
@@ -69,33 +85,55 @@ def init_cnn_params(seed: int) -> CnnParams:
     )
 
 
+def _im2col(X, kh, kw):
+    """Patch matrix of a valid kh x kw convolution: (n, C*kh*kw, OH*OW).
+
+    Rows run in ``(c, u, v)`` order, the order of ``K.reshape(OC, -1)``;
+    columns are output pixels in row-major order, so the product with
+    the reshaped kernel is already channel-first.
+    """
+    n, C = X.shape[:2]
+    win = sliding_window_view(X, (kh, kw), axis=(2, 3))  # (n, C, OH, OW, kh, kw)
+    OH, OW = win.shape[2:4]
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, C * kh * kw, OH * OW)
+
+
+def _conv_gemm(cols, K, b, in_shape):
+    """Valid convolution from the input's patch matrix ``cols``."""
+    n, _, H, W = in_shape
+    OC, _, kh, kw = K.shape
+    out = np.matmul(K.reshape(OC, -1), cols)
+    out += b[:, None]
+    return out.reshape(n, OC, H - kh + 1, W - kw + 1)
+
+
 def _conv_forward(X, K, b):
     """Valid convolution; X (n, C, H, W), K (OC, C, kh, kw)."""
-    n, C, H, W = X.shape
-    OC, _, kh, kw = K.shape
-    OH, OW = H - kh + 1, W - kw + 1
-    out = np.zeros((n, OC, OH, OW))
-    for u in range(kh):
-        for v in range(kw):
-            patch = X[:, :, u : u + OH, v : v + OW]
-            out += np.einsum("ncij,oc->noij", patch, K[:, :, u, v])
-    return out + b[None, :, None, None]
+    return _conv_gemm(_im2col(X, K.shape[2], K.shape[3]), K, b, X.shape)
 
 
-def _conv_backward(dout, X, K):
-    n, C, H, W = X.shape
-    OC, _, kh, kw = K.shape
-    OH, OW = dout.shape[2], dout.shape[3]
-    dK = np.zeros_like(K)
-    dX = np.zeros_like(X)
+def _conv_backward(dout, cols, K, in_shape=None):
+    """Gradients of a valid convolution, given its input's patch matrix.
+
+    Returns ``(dX, dK, db)``. ``dX`` is computed only when ``in_shape``
+    is given, and is None otherwise (the first layer needs none): a GEMM
+    gives the patch gradients, which col2im folds back onto the input
+    with one strided add per kernel offset.
+    """
+    n, OC, OH, OW = dout.shape
+    d2 = dout.reshape(n, OC, OH * OW)
+    # per-sample GEMMs summed over the batch: a single (OC, n*P) x
+    # (n*P, C*kh*kw) GEMM needs two transposed copies and measured slower
+    dK = np.matmul(d2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(K.shape)
+    db = d2.sum(axis=(0, 2))
+    if in_shape is None:
+        return None, dK, db
+    _, C, kh, kw = K.shape
+    dcols = np.matmul(K.reshape(OC, -1).T, d2).reshape(n, C, kh, kw, OH, OW)
+    dX = np.zeros(in_shape)
     for u in range(kh):
         for v in range(kw):
-            patch = X[:, :, u : u + OH, v : v + OW]
-            dK[:, :, u, v] = np.einsum("noij,ncij->oc", dout, patch)
-            dX[:, :, u : u + OH, v : v + OW] += np.einsum(
-                "noij,oc->ncij", dout, K[:, :, u, v]
-            )
-    db = dout.sum(axis=(0, 2, 3))
+            dX[:, :, u : u + OH, v : v + OW] += dcols[:, :, u, v]
     return dX, dK, db
 
 
@@ -143,18 +181,20 @@ def cnn_forward(params: CnnParams, T: np.ndarray) -> tuple[np.ndarray, dict]:
     """Logits for a batch of HSV tensors plus the backward cache."""
     T = _check_tensors(T)
     X = T.transpose(0, 3, 1, 2)  # to channel-first
-    z1 = _conv_forward(X, params.K1, params.b1)
+    cols1 = _im2col(X, _CONV1[2], _CONV1[3])
+    z1 = _conv_gemm(cols1, params.K1, params.b1, X.shape)
     a1 = np.maximum(z1, 0.0)
     p1, idx1 = _pool_forward(a1)
-    z2 = _conv_forward(p1, params.K2, params.b2)
+    cols2 = _im2col(p1, _CONV2[2], _CONV2[3])
+    z2 = _conv_gemm(cols2, params.K2, params.b2, p1.shape)
     a2 = np.maximum(z2, 0.0)
     p2, idx2 = _pool_forward(a2)
     flat = p2.reshape(len(T), -1)
     z3 = flat @ params.W3.T + params.b3
     a3 = np.maximum(z3, 0.0)
     logits = a3 @ params.W4.T + params.b4
-    cache = dict(X=X, z1=z1, a1=a1, idx1=idx1, p1=p1, z2=z2, a2=a2,
-                 idx2=idx2, p2=p2, flat=flat, z3=z3, a3=a3)
+    cache = dict(cols1=cols1, z1=z1, a1=a1, idx1=idx1, p1=p1, cols2=cols2,
+                 z2=z2, a2=a2, idx2=idx2, p2=p2, flat=flat, z3=z3, a3=a3)
     return logits, cache
 
 
@@ -169,10 +209,11 @@ def cnn_backward(params: CnnParams, cache: dict, dlogits: np.ndarray) -> CnnPara
     dp2 = dflat.reshape(cache["p2"].shape)
     da2 = _pool_backward(dp2, cache["idx2"], cache["a2"].shape)
     dz2 = da2 * (cache["z2"] > 0.0)
-    dp1, dK2, db2 = _conv_backward(dz2, cache["p1"], params.K2)
+    dp1, dK2, db2 = _conv_backward(dz2, cache["cols2"], params.K2,
+                                   cache["p1"].shape)
     da1 = _pool_backward(dp1, cache["idx1"], cache["a1"].shape)
     dz1 = da1 * (cache["z1"] > 0.0)
-    _, dK1, db1 = _conv_backward(dz1, cache["X"], params.K1)
+    _, dK1, db1 = _conv_backward(dz1, cache["cols1"], params.K1)
     return CnnParams(K1=dK1, b1=db1, K2=dK2, b2=db2,
                      W3=dW3, b3=db3, W4=dW4, b4=db4)
 
@@ -290,8 +331,13 @@ class HsvCnnClassifier(Estimator):
 
     def predict_proba(self, T) -> np.ndarray:
         check_fitted(self, "params_")
-        logits, _ = cnn_forward(self.params_, T)
-        return softmax(logits)
+        T = _check_tensors(T)
+        probs = np.empty((len(T), _CLASSES))
+        for start in range(0, len(T), _PREDICT_BLOCK):
+            # [0] drops the backward cache before the next block is built
+            logits = cnn_forward(self.params_, T[start : start + _PREDICT_BLOCK])[0]
+            probs[start : start + _PREDICT_BLOCK] = softmax(logits)
+        return probs
 
     def predict(self, T) -> np.ndarray:
         return np.argmax(self.predict_proba(T), axis=1)

@@ -225,6 +225,12 @@ class Word2vecFfnnClassifier(Estimator):
         header, arrays = load_container(path)
         if header.get("kind") != "ffnn-w2v":
             raise DataFormatError(f"{path}: not an embedding-classifier file")
+        return cls._from_payload(header, arrays, path, table)
+
+    @classmethod
+    def _from_payload(
+        cls, header, arrays, path, table: EmbeddingTable
+    ) -> "Word2vecFfnnClassifier":
         spec = NetSpec.from_dict(header["spec"])
         if table.dim != spec.input_dim:
             raise DataFormatError(

@@ -272,6 +272,10 @@ class BimodalFusionClassifier(Estimator):
         header, arrays = load_container(path)
         if header.get("kind") != "fusion-bimodal":
             raise DataFormatError(f"{path}: not a fusion-model file")
+        return cls._from_payload(header, arrays, path)
+
+    @classmethod
+    def _from_payload(cls, header, arrays, path) -> "BimodalFusionClassifier":
         if header["text"].get("kind") != "ffnn-bow":
             raise DataFormatError(
                 f"{path}: unsupported text branch {header['text'].get('kind')!r}"

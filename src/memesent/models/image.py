@@ -147,9 +147,10 @@ def read_hsv_tensor(path: str | Path) -> np.ndarray:
         raise DataFormatError(
             f"{path}: expected {expected} data bytes, found {len(raw)}"
         )
-    return (
-        np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(h, w, 3)
-    )
+    tensor = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(h, w, 3)
+    if not np.all(np.isfinite(tensor)):
+        raise DataFormatError(f"{path}: tensor contains NaN or infinite values")
+    return tensor
 
 
 def load_hsv_input(path: str | Path) -> np.ndarray:

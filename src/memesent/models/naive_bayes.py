@@ -97,6 +97,10 @@ class MultinomialNaiveBayes(Estimator):
         header, arrays = load_container(path)
         if header.get("kind") != "naive-bayes":
             raise DataFormatError(f"{path}: not a Naive Bayes model file")
+        return cls._from_payload(header, arrays, path)
+
+    @classmethod
+    def _from_payload(cls, header, arrays, path) -> "MultinomialNaiveBayes":
         model = cls(alpha=float(header["alpha"]))
         model.vocabulary_ = tuple(header["vocabulary"])
         model._index = {t: i for i, t in enumerate(model.vocabulary_)}

@@ -4,6 +4,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +166,25 @@ class TestPredictEvaluate:
             ) == 0
             outs.append((out / "predictions.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("kind", ["nb", "ffnn_w2v"])
+    def test_model_file_read_once(self, workspace, monkeypatch, kind):
+        model = workspace["dir"] / "model"
+        flags = ["--embeddings", workspace["emb"]] if kind == "ffnn_w2v" else []
+        assert run("train", "--model", kind, "--dataset", workspace["data"],
+                   *flags, "--out", model) == 0
+        reads = []
+        original = Path.read_bytes
+
+        def counting(self):
+            if self.name == "model.bin":
+                reads.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Path, "read_bytes", counting)
+        assert run("predict", "--model", model / "model.bin", "--dataset",
+                   workspace["data"], *flags, "--out", workspace["dir"] / "p") == 0
+        assert len(reads) == 1
 
     def test_unlabeled_input_accepted(self, workspace):
         model = self.train_nb(workspace)

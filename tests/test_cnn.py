@@ -1,5 +1,7 @@
 """Convolutional image branch: gradients, pooling, training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,11 @@ from _util import hue_band_tensors
 from memesent.errors import DataFormatError
 from memesent.models import HsvCnnClassifier, cnn_grad_check, cnn_train
 from memesent.models.cnn import (
+    _PREDICT_BLOCK,
     CnnParams,
+    _conv_backward,
     _conv_forward,
+    _im2col,
     _pool_backward,
     _pool_forward,
     cnn_backward,
@@ -39,6 +44,63 @@ class TestConvOracle:
         K = np.zeros((8, 3, 3, 3))
         out = _conv_forward(X, K, np.zeros(8))
         assert out.shape == (2, 8, 30, 30)
+
+
+def einsum_conv_forward(X, K, b):
+    """Reference convolution: one einsum per kernel offset."""
+    n, C, H, W = X.shape
+    OC, _, kh, kw = K.shape
+    OH, OW = H - kh + 1, W - kw + 1
+    out = np.zeros((n, OC, OH, OW))
+    for u in range(kh):
+        for v in range(kw):
+            patch = X[:, :, u : u + OH, v : v + OW]
+            out += np.einsum("ncij,oc->noij", patch, K[:, :, u, v])
+    return out + b[None, :, None, None]
+
+
+def einsum_conv_backward(dout, X, K):
+    n, C, H, W = X.shape
+    OC, _, kh, kw = K.shape
+    OH, OW = dout.shape[2], dout.shape[3]
+    dK = np.zeros_like(K)
+    dX = np.zeros_like(X)
+    for u in range(kh):
+        for v in range(kw):
+            patch = X[:, :, u : u + OH, v : v + OW]
+            dK[:, :, u, v] = np.einsum("noij,ncij->oc", dout, patch)
+            dX[:, :, u : u + OH, v : v + OW] += np.einsum(
+                "noij,oc->ncij", dout, K[:, :, u, v]
+            )
+    db = dout.sum(axis=(0, 2, 3))
+    return dX, dK, db
+
+
+class TestIm2colKernels:
+    # (n, C, H, W, OC): batch 1, odd and even sizes, both layers' shapes
+    SHAPES = [(1, 3, 32, 32, 8), (5, 8, 15, 15, 16), (1, 2, 7, 9, 3),
+              (4, 1, 3, 3, 2), (3, 3, 10, 5, 4)]
+
+    @pytest.mark.parametrize("n,C,H,W,OC", SHAPES)
+    def test_matches_einsum_oracle(self, n, C, H, W, OC):
+        rng = np.random.default_rng(n * 1000 + H * 10 + W)
+        X = rng.standard_normal((n, C, H, W))
+        K = rng.standard_normal((OC, C, 3, 3))
+        b = rng.standard_normal(OC)
+        out = _conv_forward(X, K, b)
+        ref = einsum_conv_forward(X, K, b)
+        assert out.shape == ref.shape
+        assert np.abs(out - ref).max() < 1e-12
+        dout = rng.standard_normal(out.shape)
+        cols = _im2col(X, 3, 3)
+        dX, dK, db = _conv_backward(dout, cols, K, X.shape)
+        rdX, rdK, rdb = einsum_conv_backward(dout, X, K)
+        assert np.abs(dX - rdX).max() < 1e-12
+        assert np.abs(dK - rdK).max() < 1e-12
+        assert np.abs(db - rdb).max() < 1e-12
+        no_dX, dK_again, _ = _conv_backward(dout, cols, K)
+        assert no_dX is None
+        assert np.array_equal(dK_again, dK)
 
 
 class TestPooling:
@@ -128,6 +190,36 @@ class TestTraining:
         model.save(path)
         back = HsvCnnClassifier.load(path)
         assert np.array_equal(back.predict_proba(T), model.predict_proba(T))
+
+
+class TestBlockedPrediction:
+    def test_blocks_survive_save_load(self, tmp_path):
+        T, y = hue_band_tensors(n=2 * _PREDICT_BLOCK + 7, seed=5)
+        model = cnn_train(T, y, TrainConfig(epochs=1, batch_size=50))
+        path = tmp_path / "cnn.bin"
+        model.save(path)
+        back = HsvCnnClassifier.load(path)
+        probs = model.predict_proba(T)
+        assert np.array_equal(back.predict_proba(T), probs)
+        logits, _ = cnn_forward(model.params_, T)  # one full-batch pass
+        full = np.exp(logits - logits.max(axis=1, keepdims=True))
+        full /= full.sum(axis=1, keepdims=True)
+        assert np.abs(probs - full).max() < 1e-12
+
+    def test_memory_bounded_by_block(self):
+        n = 512
+        model = HsvCnnClassifier()
+        model.params_ = init_cnn_params(seed=0)
+        T = np.random.default_rng(6).random((n, 32, 32, 3))
+        full_patch_bytes = n * 3 * 3 * 3 * 30 * 30 * 8  # conv1 patch matrix, ~100 MB
+        tracemalloc.start()
+        try:
+            probs = model.predict_proba(T)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert probs.shape == (n, 3)
+        assert peak < full_patch_bytes / 4
 
 
 class TestValidation:

@@ -19,7 +19,11 @@ from memesent.models import (
     write_hsv_tensor,
 )
 
-Image = pytest.importorskip("PIL.Image", reason="image decoding needs Pillow")
+
+@pytest.fixture
+def Image():
+    """PIL.Image; only the tests that encode or decode a raster need it."""
+    return pytest.importorskip("PIL.Image", reason="image decoding needs Pillow")
 
 
 def hsv_of(r, g, b):
@@ -114,16 +118,25 @@ class TestTensorFile:
         with pytest.raises(DataFormatError):
             read_hsv_tensor(tmp_path / "absent.hsv")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_values_rejected(self, tmp_path, bad):
+        tensor = np.zeros((32, 32, 3))
+        tensor[5, 7, 1] = bad
+        path = tmp_path / "t.hsv"
+        write_hsv_tensor(tensor, path)
+        with pytest.raises(DataFormatError, match="NaN or infinite"):
+            read_hsv_tensor(path)
+
 
 class TestImagePipeline:
-    def save_png(self, tmp_path, color, size=(48, 40)):
+    def save_png(self, Image, tmp_path, color, size=(48, 40)):
         img = Image.new("RGB", size, color)
         path = tmp_path / "img.png"
         img.save(path)
         return path
 
-    def test_decode_and_convert_solid_color(self, tmp_path):
-        path = self.save_png(tmp_path, (255, 0, 0))
+    def test_decode_and_convert_solid_color(self, Image, tmp_path):
+        path = self.save_png(Image, tmp_path, (255, 0, 0))
         rgb = load_image_rgb(path)
         assert rgb.shape == (40, 48, 3)
         tensor = hsv_from_image(rgb)
@@ -132,8 +145,8 @@ class TestImagePipeline:
         assert np.allclose(tensor[..., 1], 1.0)
         assert np.allclose(tensor[..., 2], 1.0)
 
-    def test_load_hsv_input_dispatches_on_suffix(self, tmp_path):
-        png = self.save_png(tmp_path, (0, 0, 255))
+    def test_load_hsv_input_dispatches_on_suffix(self, Image, tmp_path):
+        png = self.save_png(Image, tmp_path, (0, 0, 255))
         via_image = load_hsv_input(png)
         assert via_image.shape == (IMAGE_SIZE, IMAGE_SIZE, 3)
         tensor_path = tmp_path / "direct.hsv"
@@ -147,7 +160,7 @@ class TestImagePipeline:
         with pytest.raises(DataFormatError):
             load_hsv_input(path)
 
-    def test_undecodable_image_rejected(self, tmp_path):
+    def test_undecodable_image_rejected(self, Image, tmp_path):
         path = tmp_path / "img.png"
         path.write_bytes(b"this is not a png")
         with pytest.raises(DataFormatError):
