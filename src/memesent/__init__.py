@@ -26,7 +26,6 @@ from .corpus import (
 )
 from .embeddings import (
     EmbeddingTable,
-    MeanEmbeddingVectorizer,
     caption_embedding,
     corpus_coverage,
     embed_corpus,
@@ -72,7 +71,6 @@ __all__ = [
     "stratified_split",
     "upsample",
     "EmbeddingTable",
-    "MeanEmbeddingVectorizer",
     "caption_embedding",
     "corpus_coverage",
     "embed_corpus",

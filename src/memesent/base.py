@@ -5,6 +5,10 @@ stored verbatim as attributes of the same name, ``fit`` returns self,
 learned state uses a trailing underscore, and ``get_params`` /
 ``set_params`` allow composition with the wider ecosystem without
 requiring scikit-learn itself.
+
+``SavedModel`` is the one persistence protocol of the model classes: a
+``KIND`` tag, ``save``/``load`` through the checksummed container, and
+one place that turns a malformed payload into :class:`DataFormatError`.
 """
 
 from __future__ import annotations
@@ -13,10 +17,12 @@ import inspect
 
 import numpy as np
 
-from .errors import NotFittedError
+from .errors import DataFormatError, NotFittedError
+from .persist import load_container, save_container
 
 __all__ = [
     "Estimator",
+    "SavedModel",
     "check_fitted",
     "check_consistent_length",
     "as_float_matrix",
@@ -26,16 +32,23 @@ __all__ = [
 
 
 class Estimator:
-    """Minimal scikit-learn-compatible parameter handling."""
+    """Minimal scikit-learn-compatible parameter handling, and ``predict``
+    as the argmax of the subclass's ``predict_proba``."""
 
     @classmethod
     def _param_names(cls):
-        sig = inspect.signature(cls.__init__)
-        return [
-            name
-            for name, p in sig.parameters.items()
-            if name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
-        ]
+        """Constructor parameter names. An ``__init__`` that takes
+        ``**kwargs`` passes them up the MRO, so the names of the next
+        ``__init__`` there follow its own."""
+        names = []
+        for klass in cls.__mro__:
+            if "__init__" not in vars(klass):
+                continue
+            params = list(inspect.signature(klass.__init__).parameters.values())[1:]
+            names += [p.name for p in params if p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)]
+            if all(p.kind != p.VAR_KEYWORD for p in params):
+                break
+        return names
 
     def get_params(self, deep: bool = True) -> dict:
         return {name: getattr(self, name) for name in self._param_names()}
@@ -51,9 +64,50 @@ class Estimator:
             setattr(self, name, value)
         return self
 
+    def predict(self, *inputs) -> np.ndarray:
+        # argmax takes the first maximum, so ties go to the lower index
+        return np.argmax(self.predict_proba(*inputs), axis=1)
+
     def __repr__(self) -> str:
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({args})"
+
+
+class SavedModel:
+    """Save and load through the model container (:mod:`memesent.persist`).
+
+    A subclass sets ``KIND``, the container's ``kind`` field, and
+    implements ``_payload() -> (header, arrays)``, whose header carries
+    that kind, and the classmethod ``_from_payload(header, arrays, path,
+    *context)``, where ``context`` is what the file does not hold (the
+    embedding table of a Word2Vec model).
+    """
+
+    KIND = ""
+
+    def save(self, path) -> None:
+        save_container(path, *self._payload())
+
+    @classmethod
+    def load(cls, path, *context):
+        header, arrays = load_container(path)
+        if header.get("kind") != cls.KIND:
+            raise DataFormatError(
+                f"{path}: not a {cls.KIND} model file (kind {header.get('kind')!r})"
+            )
+        return cls.from_container(header, arrays, path, *context)
+
+    @classmethod
+    def from_container(cls, header: dict, arrays: dict, path, *context):
+        """The model held by an already-read container; a missing or
+        mistyped field or array raises :class:`DataFormatError` naming
+        ``path``."""
+        try:
+            return cls._from_payload(header, arrays, path, *context)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise DataFormatError(
+                f"{path}: malformed {cls.KIND} model ({type(exc).__name__}: {exc})"
+            ) from exc
 
 
 def check_fitted(estimator, attribute: str) -> None:

@@ -24,7 +24,6 @@ from .config import (
     write_resolved,
 )
 from .corpus import (
-    CANONICAL_SCHEMA,
     CsvSchema,
     Dataset,
     Sentiment,
@@ -38,6 +37,7 @@ from .embeddings import EmbeddingTable, load_embeddings
 from .errors import ConfigError, DataFormatError, MemesentError
 from .eval import EvalReport, compare_report, macro_f1, stability_study
 from .models import (
+    MODEL_CLASSES,
     BimodalFusionClassifier,
     BowFfnnClassifier,
     HsvCnnClassifier,
@@ -46,7 +46,6 @@ from .models import (
     load_hsv_input,
     model_from_container,
 )
-from .nn import NetSpec, TrainConfig
 from .persist import load_container
 from .textprep import preprocess
 
@@ -127,62 +126,50 @@ def _int_labels(ds: Dataset) -> list[int]:
     return [int(label) for label in ds.labels()]
 
 
-def _fit_model(cfg: RunConfig, ds: Dataset, base_dir: Path, seed: int,
-               table: EmbeddingTable | None = None):
-    """Train the configured model kind on a dataset; returns the model."""
-    captions = ds.captions()
-    labels = _int_labels(ds)
-    if cfg.model == "nb":
-        return MultinomialNaiveBayes(alpha=cfg.alpha).fit(
-            [preprocess(c) for c in captions], labels
-        )
-    dense = dict(
-        hidden=cfg.hidden,
-        activation=cfg.activation,
-        init_mode=cfg.init_mode,
-        init_sigma=cfg.init_sigma,
-        batch_size=cfg.batch_size,
-        epochs=cfg.epochs,
-        lr=cfg.lr,
-        shuffle=cfg.shuffle,
-        seed=seed,
+def _estimator(cls, cfg: RunConfig, seed: int, **given):
+    """An unfitted ``cls`` whose constructor parameters come from
+    ``given``, else from the config field of the same name (``seed`` from
+    the argument), else from their defaults."""
+    values = dict(vars(cfg), seed=seed, **given)
+    return cls(**{name: values[name] for name in cls._param_names() if name in values})
+
+
+def _fusion(cls, cfg: RunConfig, seed: int, **given):
+    return _estimator(
+        cls, cfg, seed, **given,
+        text=_estimator(BowFfnnClassifier, cfg, seed),
+        image=_estimator(HsvCnnClassifier, cfg, seed),
     )
-    if cfg.model == "ffnn_w2v":
-        if table is None:
-            table = _load_table(cfg, ds)
-        return Word2vecFfnnClassifier(table=table, **dense).fit(captions, labels)
-    if cfg.model == "ffnn_bow":
-        return BowFfnnClassifier(vocab_size=cfg.vocab_size, **dense).fit(
-            captions, labels
-        )
-    if cfg.model == "cnn_hsv":
-        return HsvCnnClassifier(
-            batch_size=cfg.batch_size, epochs=cfg.epochs, lr=cfg.lr,
-            shuffle=cfg.shuffle, seed=seed,
-        ).fit(_tensors_for(ds, base_dir), labels)
-    if cfg.model == "fusion":
-        return BimodalFusionClassifier(
-            text=BowFfnnClassifier(vocab_size=cfg.vocab_size, **dense),
-            image=HsvCnnClassifier(
-                batch_size=cfg.batch_size, epochs=cfg.epochs, lr=cfg.lr,
-                shuffle=cfg.shuffle, seed=seed,
-            ),
-            folds=cfg.folds,
-            in_sample=cfg.in_sample,
-            seed=seed,
-        ).fit(captions, _tensors_for(ds, base_dir), labels)
-    raise ConfigError(f"unknown model kind {cfg.model!r}")
+
+
+# config model kind -> (class, build(cls, cfg, seed, table=...), inputs(ds,
+# base_dir)); inputs are the positional arguments of fit and predict_proba
+_MODELS = {
+    "nb": (MultinomialNaiveBayes, _estimator,
+           lambda ds, base_dir: ([preprocess(c) for c in ds.captions()],)),
+    "ffnn_w2v": (Word2vecFfnnClassifier, _estimator, lambda ds, base_dir: (ds.captions(),)),
+    "ffnn_bow": (BowFfnnClassifier, _estimator, lambda ds, base_dir: (ds.captions(),)),
+    "cnn_hsv": (HsvCnnClassifier, _estimator,
+                lambda ds, base_dir: (_tensors_for(ds, base_dir),)),
+    "fusion": (BimodalFusionClassifier, _fusion,
+               lambda ds, base_dir: (ds.captions(), _tensors_for(ds, base_dir))),
+}
+
+
+def _table_for(cls, cfg: RunConfig, ds: Dataset) -> EmbeddingTable | None:
+    return _load_table(cfg, ds) if cls is Word2vecFfnnClassifier else None
+
+
+def _fit_model(cfg: RunConfig, ds: Dataset, base_dir: Path, seed: int, table):
+    """Train the configured model kind on a dataset; returns the model."""
+    cls, build, inputs = _MODELS[cfg.model]
+    model = build(cls, cfg, seed, table=table)
+    return model.fit(*inputs(ds, base_dir), _int_labels(ds))
 
 
 def _model_proba(model, ds: Dataset, base_dir: Path) -> np.ndarray:
-    captions = ds.captions()
-    if isinstance(model, MultinomialNaiveBayes):
-        return model.predict_proba([preprocess(c) for c in captions])
-    if isinstance(model, HsvCnnClassifier):
-        return model.predict_proba(_tensors_for(ds, base_dir))
-    if isinstance(model, BimodalFusionClassifier):
-        return model.predict_proba(captions, _tensors_for(ds, base_dir))
-    return model.predict_proba(captions)
+    inputs = next(inputs for cls, _, inputs in _MODELS.values() if type(model) is cls)
+    return model.predict_proba(*inputs(ds, base_dir))
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -262,7 +249,8 @@ def cmd_train(cfg: RunConfig) -> int:
     ds, path = _load_dataset(cfg)
     if cfg.upsample:
         ds = upsample(ds, seed=cfg.seed)
-    model = _fit_model(cfg, ds, path.parent, cfg.seed)
+    table = _table_for(_MODELS[cfg.model][0], cfg, ds)
+    model = _fit_model(cfg, ds, path.parent, cfg.seed, table)
     out = _out_dir(cfg)
     model.save(out / "model.bin")
     report = {
@@ -294,7 +282,7 @@ def cmd_predict(cfg: RunConfig, model_path: str) -> int:
     if len(ds) == 0:
         raise DataFormatError(f"{cfg.dataset}: no usable records")
     header, arrays = load_container(model_path)
-    table = _load_table(cfg, ds) if header.get("kind") == "ffnn-w2v" else None
+    table = _table_for(MODEL_CLASSES.get(header.get("kind")), cfg, ds)
     model = model_from_container(header, arrays, model_path, table)
     probs = _model_proba(model, ds, path.parent)
     out = _out_dir(cfg)
@@ -355,12 +343,12 @@ def cmd_eval(cfg: RunConfig, predictions_path: str) -> int:
 
 def cmd_stability(cfg: RunConfig) -> int:
     ds, path = _load_dataset(cfg)
-    table = _load_table(cfg, ds) if cfg.model == "ffnn_w2v" else None
+    table = _table_for(_MODELS[cfg.model][0], cfg, ds)
     base_dir = path.parent
 
     def train_fn(train_ds, val_ds, seed):
         fit_ds = upsample(train_ds, seed=seed) if cfg.upsample else train_ds
-        model = _fit_model(cfg, fit_ds, base_dir, seed, table=table)
+        model = _fit_model(cfg, fit_ds, base_dir, seed, table)
         return np.argmax(_model_proba(model, val_ds, base_dir), axis=1)
 
     report = stability_study(

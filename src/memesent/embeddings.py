@@ -23,13 +23,11 @@ the zero vector.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .base import Estimator, check_fitted
 from .errors import DataFormatError
 
 __all__ = [
@@ -44,10 +42,7 @@ __all__ = [
     "caption_embedding",
     "embed_corpus",
     "corpus_coverage",
-    "MeanEmbeddingVectorizer",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -197,7 +192,10 @@ def load_word2vec_text(
         vocab_size, dim = _parse_header(fh.readline(), path)
         count = 0
         for lineno, raw_line in enumerate(fh, start=2):
-            line = raw_line.decode("utf-8").rstrip("\r\n")
+            try:
+                line = raw_line.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as exc:
+                raise DataFormatError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
             if not line:
                 continue
             parts = line.split(" ")
@@ -282,34 +280,5 @@ def embed_corpus(captions: list[list[str]], table: EmbeddingTable) -> np.ndarray
     out = np.zeros((len(captions), table.dim), dtype=np.float64)
     for i, tokens in enumerate(captions):
         out[i] = caption_embedding(tokens, table).vector
-    cov = corpus_coverage(captions, table)
-    logger.info(
-        "embedded %d captions: %.1f%% token coverage, %d all-OOV captions (%.1f%%)",
-        cov.n_captions,
-        100.0 * cov.token_coverage,
-        cov.n_all_oov,
-        100.0 * cov.all_oov_fraction,
-    )
     return out
 
-
-class MeanEmbeddingVectorizer(Estimator):
-    """Transformer turning token lists into mean-pooled embedding rows.
-
-    Stateless apart from the table; ``fit`` exists for pipeline
-    compatibility. After ``transform`` the vocabulary coverage of the
-    last corpus is available as ``coverage_``.
-    """
-
-    def __init__(self, table: EmbeddingTable):
-        self.table = table
-
-    def fit(self, X, y=None) -> "MeanEmbeddingVectorizer":
-        return self
-
-    def transform(self, X: list[list[str]]) -> np.ndarray:
-        self.coverage_ = corpus_coverage(X, self.table)
-        return embed_corpus(X, self.table)
-
-    def fit_transform(self, X, y=None) -> np.ndarray:
-        return self.fit(X, y).transform(X)

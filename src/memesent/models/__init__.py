@@ -5,13 +5,12 @@ from __future__ import annotations
 from ..embeddings import EmbeddingTable
 from ..errors import DataFormatError
 from ..persist import load_container
-from .bow import BowVectorizer, BowVocab, bow_vectorize, build_bow_vocab
-from .cnn import CnnParams, HsvCnnClassifier, cnn_grad_check, cnn_train
+from .bow import BowVocab, bow_vectorize, build_bow_vocab
+from .cnn import CnnParams, HsvCnnClassifier, cnn_grad_check
 from .ffnn import (
     BowFfnnClassifier,
     MlpClassifier,
     Word2vecFfnnClassifier,
-    ffnn_w2v_predict,
     ffnn_w2v_train,
 )
 from .fusion import (
@@ -30,21 +29,18 @@ from .image import (
     rgb_to_hsv,
     write_hsv_tensor,
 )
-from .naive_bayes import MultinomialNaiveBayes, nb_predict, nb_train
+from .naive_bayes import MultinomialNaiveBayes, nb_train
 
 __all__ = [
-    "BowVectorizer",
     "BowVocab",
     "bow_vectorize",
     "build_bow_vocab",
     "CnnParams",
     "HsvCnnClassifier",
     "cnn_grad_check",
-    "cnn_train",
     "BowFfnnClassifier",
     "MlpClassifier",
     "Word2vecFfnnClassifier",
-    "ffnn_w2v_predict",
     "ffnn_w2v_train",
     "BimodalFusionClassifier",
     "FusionStacker",
@@ -59,17 +55,22 @@ __all__ = [
     "rgb_to_hsv",
     "write_hsv_tensor",
     "MultinomialNaiveBayes",
-    "nb_predict",
     "nb_train",
+    "MODEL_CLASSES",
     "load_model",
     "model_from_container",
 ]
 
-_BUILDERS = {
-    "naive-bayes": MultinomialNaiveBayes._from_payload,
-    "ffnn-bow": BowFfnnClassifier._from_payload,
-    "cnn-hsv": HsvCnnClassifier._from_payload,
-    "fusion-bimodal": BimodalFusionClassifier._from_payload,
+# container kind -> model class
+MODEL_CLASSES = {
+    cls.KIND: cls
+    for cls in (
+        MultinomialNaiveBayes,
+        Word2vecFfnnClassifier,
+        BowFfnnClassifier,
+        HsvCnnClassifier,
+        BimodalFusionClassifier,
+    )
 }
 
 
@@ -91,18 +92,17 @@ def model_from_container(header: dict, arrays: dict, path,
     of :func:`load_model`.
     """
     kind = header.get("kind")
-    if kind == "ffnn-w2v":
-        if table is None:
-            raise ValueError(
-                f"{path} holds an embedding-based model; "
-                "pass the embedding table it was trained with"
-            )
-        return Word2vecFfnnClassifier._from_payload(header, arrays, path, table)
-    try:
-        build = _BUILDERS[kind]
-    except KeyError:
+    if kind not in MODEL_CLASSES:
         raise DataFormatError(
             f"{path}: unknown model kind {kind!r} "
-            f"(expected one of {sorted(_BUILDERS) + ['ffnn-w2v']})"
-        ) from None
-    return build(header, arrays, path)
+            f"(expected one of {sorted(MODEL_CLASSES)})"
+        )
+    cls = MODEL_CLASSES[kind]
+    if cls is not Word2vecFfnnClassifier:
+        return cls.from_container(header, arrays, path)
+    if table is None:
+        raise ValueError(
+            f"{path} holds an embedding-based model; "
+            "pass the embedding table it was trained with"
+        )
+    return cls.from_container(header, arrays, path, table)

@@ -7,9 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..base import Estimator, check_fitted
-
-__all__ = ["BowVocab", "build_bow_vocab", "bow_vectorize", "BowVectorizer"]
+__all__ = ["BowVocab", "build_bow_vocab", "bow_vectorize"]
 
 
 @dataclass(frozen=True)
@@ -57,27 +55,3 @@ def bow_vectorize(tokens: list[str], vocab: BowVocab) -> np.ndarray:
             vec[j] = 1.0
     return vec
 
-
-class BowVectorizer(Estimator):
-    """fit builds the vocabulary, transform emits presence rows."""
-
-    def __init__(self, max_size: int = 5000):
-        self.max_size = max_size
-
-    def fit(self, X: list[list[str]], y=None) -> "BowVectorizer":
-        self.vocab_ = build_bow_vocab(X, self.max_size)
-        return self
-
-    def transform(self, X: list[list[str]]) -> np.ndarray:
-        check_fitted(self, "vocab_")
-        out = np.zeros((len(X), len(self.vocab_)), dtype=np.float64)
-        index = self.vocab_.index
-        for i, tokens in enumerate(X):
-            for t in tokens:
-                j = index.get(t)
-                if j is not None:
-                    out[i, j] = 1.0
-        return out
-
-    def fit_transform(self, X, y=None) -> np.ndarray:
-        return self.fit(X, y).transform(X)

@@ -4,8 +4,9 @@ Fixed architecture: conv 3x3x8 -> ReLU -> 2x2 max-pool -> conv 3x3x16
 -> ReLU -> 2x2 max-pool -> flatten -> dense 64 (ReLU) -> dense 3. All
 convolutions are valid (no padding), pooling uses stride 2 and drops an
 odd trailing row/column, and max-pool ties resolve to the first element
-in window order so gradients are deterministic. Training reuses the
-dense core's loss, optimizer, and seeded shuffling.
+in window order so gradients are deterministic. Training is the dense
+core's loop (``nn.fit_adam``: loss, Adam, seeded shuffling) and the
+gradient check its checker (``nn.check_gradients``).
 
 Convolutions are im2col GEMMs (Chellapilla, Puri & Simard 2006): the
 input's 3x3 patches are copied once into a patch matrix, which is
@@ -21,19 +22,25 @@ rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..base import Estimator, as_label_array, check_consistent_length, check_fitted
-from ..errors import DataFormatError, TrainingError
-from ..nn import TrainConfig, adam_step, init_adam, softmax, softmax_xent
-from ..persist import load_container, save_container
+from ..base import (
+    Estimator,
+    SavedModel,
+    as_label_array,
+    check_consistent_length,
+    check_fitted,
+)
+from ..errors import DataFormatError
+from ..nn import TrainConfig, check_gradients, fit_adam, softmax, softmax_xent
+from ..nn import adam_step  # noqa: F401 - perfbench's span test reads it here
 from ..rng import substream
 from .image import IMAGE_SIZE
 
-__all__ = ["CnnParams", "HsvCnnClassifier", "cnn_train", "cnn_grad_check"]
+__all__ = ["CnnParams", "HsvCnnClassifier", "cnn_grad_check"]
 
 _CONV1 = (8, 3, 3, 3)  # out channels, in channels, kernel h, kernel w
 _CONV2 = (16, 8, 3, 3)
@@ -58,8 +65,7 @@ class CnnParams:
     b4: np.ndarray
 
     def flat(self) -> list[np.ndarray]:
-        return [self.K1, self.b1, self.K2, self.b2,
-                self.W3, self.b3, self.W4, self.b4]
+        return [getattr(self, f.name) for f in fields(self)]
 
     @classmethod
     def from_flat(cls, arrays: list[np.ndarray]) -> "CnnParams":
@@ -218,19 +224,6 @@ def cnn_backward(params: CnnParams, cache: dict, dlogits: np.ndarray) -> CnnPara
                      W3=dW3, b3=db3, W4=dW4, b4=db4)
 
 
-def _loss_and_pattern(params, T, y):
-    logits, cache = cnn_forward(params, T)
-    loss, _ = softmax_xent(logits, y)
-    pattern = (
-        (cache["z1"] > 0.0).tobytes(),
-        cache["idx1"].tobytes(),
-        (cache["z2"] > 0.0).tobytes(),
-        cache["idx2"].tobytes(),
-        (cache["z3"] > 0.0).tobytes(),
-    )
-    return loss, pattern
-
-
 def cnn_grad_check(
     params: CnnParams,
     T: np.ndarray,
@@ -240,48 +233,28 @@ def cnn_grad_check(
     seed: int = 0,
     min_grad: float = 1e-5,
 ) -> float:
-    """Central-difference check over a seeded coordinate sample.
-
-    Coordinates that straddle a ReLU kink or a pooling-winner change,
-    and coordinates where both gradients sit below ``min_grad`` (float64
-    noise floor), are excluded — same policy as the dense-core checker.
-    """
+    """``nn.check_gradients`` for the CNN at ``params`` on the batch
+    (T, y); the pattern is every ReLU's on/off state and every pooling
+    winner."""
     y = as_label_array(y)
     logits, cache = cnn_forward(params, T)
     _, dlogits = softmax_xent(logits, y)
     grads = cnn_backward(params, cache, dlogits)
-    rng = substream(seed, "gradcheck")
-    worst = 0.0
-    n_tested = 0
-    for arr, g in zip(params.flat(), grads.flat()):
-        size = arr.size
-        if size <= max_per_tensor:
-            coords = np.arange(size)
-        else:
-            coords = rng.choice(size, size=max_per_tensor, replace=False)
-        for c in coords:
-            orig = arr.flat[c]
-            arr.flat[c] = orig + eps
-            f_plus, pat_plus = _loss_and_pattern(params, T, y)
-            arr.flat[c] = orig - eps
-            f_minus, pat_minus = _loss_and_pattern(params, T, y)
-            arr.flat[c] = orig
-            if pat_plus != pat_minus:
-                continue
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            analytic = g.flat[c]
-            if abs(analytic) < min_grad and abs(numeric) < min_grad:
-                continue
-            n_tested += 1
-            denom = max(1e-8, abs(analytic) + abs(numeric))
-            worst = max(worst, abs(analytic - numeric) / denom)
-    if n_tested == 0:
-        raise ValueError("no measurable coordinates")
-    return worst
+
+    def loss_and_pattern():
+        logits, cache = cnn_forward(params, T)
+        loss, _ = softmax_xent(logits, y)
+        relus = [(cache[z] > 0.0).tobytes() for z in ("z1", "z2", "z3")]
+        return loss, (*relus, cache["idx1"].tobytes(), cache["idx2"].tobytes())
+
+    return check_gradients(params.flat(), grads.flat(), loss_and_pattern,
+                           eps, max_per_tensor, seed, min_grad)
 
 
-class HsvCnnClassifier(Estimator):
+class HsvCnnClassifier(SavedModel, Estimator):
     """Softmax CNN on (n, 32, 32, 3) HSV tensors."""
+
+    KIND = "cnn-hsv"
 
     def __init__(
         self,
@@ -301,32 +274,16 @@ class HsvCnnClassifier(Estimator):
         T = _check_tensors(T)
         y = as_label_array(y)
         n = check_consistent_length(T, y)
-        cfg = TrainConfig(batch_size=self.batch_size, epochs=self.epochs,
-                          lr=self.lr, seed=self.seed, shuffle=self.shuffle)
-        params = init_cnn_params(self.seed)
-        flat = params.flat()
-        state = init_adam(flat, lr=cfg.lr)
-        shuffle_rng = substream(cfg.seed, "shuffle")
-        history: list[float] = []
-        for epoch in range(cfg.epochs):
-            order = shuffle_rng.permutation(n) if cfg.shuffle else np.arange(n)
-            total = 0.0
-            for start in range(0, n, cfg.batch_size):
-                batch = order[start : start + cfg.batch_size]
-                current = CnnParams.from_flat(flat)
-                logits, cache = cnn_forward(current, T[batch])
-                loss, dlogits = softmax_xent(logits, y[batch])
-                if not np.isfinite(loss):
-                    raise TrainingError(
-                        f"non-finite loss at epoch {epoch + 1}, "
-                        f"batch {start // cfg.batch_size + 1}"
-                    )
-                grads = cnn_backward(current, cache, dlogits)
-                state, flat = adam_step(state, flat, grads.flat())
-                total += loss * len(batch)
-            history.append(total / n)
+
+        def loss_and_grad(flat, batch):
+            params = CnnParams.from_flat(flat)
+            logits, cache = cnn_forward(params, T[batch])
+            loss, dlogits = softmax_xent(logits, y[batch])
+            return loss, cnn_backward(params, cache, dlogits).flat()
+
+        flat, self.history_ = fit_adam(init_cnn_params(self.seed).flat(),
+                                       loss_and_grad, n, TrainConfig.of(self))
         self.params_ = CnnParams.from_flat(flat)
-        self.history_ = history
         return self
 
     def predict_proba(self, T) -> np.ndarray:
@@ -339,48 +296,15 @@ class HsvCnnClassifier(Estimator):
             probs[start : start + _PREDICT_BLOCK] = softmax(logits)
         return probs
 
-    def predict(self, T) -> np.ndarray:
-        return np.argmax(self.predict_proba(T), axis=1)
-
     def _payload(self) -> tuple[dict, dict[str, np.ndarray]]:
         check_fitted(self, "params_")
-        arrays = {
-            name: arr
-            for name, arr in zip(
-                ("K1", "b1", "K2", "b2", "W3", "b3", "W4", "b4"),
-                self.params_.flat(),
-            )
-        }
-        return {"kind": "cnn-hsv", "seed": self.seed}, arrays
-
-    def save(self, path) -> None:
-        header, arrays = self._payload()
-        save_container(path, header, arrays)
-
-    @classmethod
-    def load(cls, path) -> "HsvCnnClassifier":
-        header, arrays = load_container(path)
-        if header.get("kind") != "cnn-hsv":
-            raise DataFormatError(f"{path}: not an image-classifier file")
-        return cls._from_payload(header, arrays, path)
+        arrays = {f.name: getattr(self.params_, f.name) for f in fields(CnnParams)}
+        return {"kind": self.KIND, "seed": self.seed}, arrays
 
     @classmethod
     def _from_payload(cls, header, arrays, path) -> "HsvCnnClassifier":
         model = cls(seed=int(header.get("seed", 0)))
-        try:
-            model.params_ = CnnParams(
-                **{k: arrays[k] for k in
-                   ("K1", "b1", "K2", "b2", "W3", "b3", "W4", "b4")}
-            )
-        except KeyError as exc:
-            raise DataFormatError(f"{path}: missing parameter array {exc}") from exc
+        model.params_ = CnnParams(**{f.name: arrays[f.name] for f in fields(CnnParams)})
         if model.params_.K1.shape != _CONV1 or model.params_.K2.shape != _CONV2:
             raise DataFormatError(f"{path}: kernel shapes do not match architecture")
         return model
-
-
-def cnn_train(T, y, cfg: TrainConfig | None = None) -> HsvCnnClassifier:
-    cfg = cfg if cfg is not None else TrainConfig()
-    model = HsvCnnClassifier(batch_size=cfg.batch_size, epochs=cfg.epochs,
-                             lr=cfg.lr, shuffle=cfg.shuffle, seed=cfg.seed)
-    return model.fit(T, y)

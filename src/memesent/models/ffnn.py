@@ -1,11 +1,14 @@
 """Feed-forward caption classifiers.
 
 ``MlpClassifier`` wraps the numeric core behind fit/predict on feature
-matrices. ``Word2vecFfnnClassifier`` composes preprocessing, mean-pooled
-embeddings, and the dense network; ``BowFfnnClassifier`` swaps the
-embedding front end for bag-of-words presence vectors. All three use
-scaled initialization by default: the literal standard-normal init
-saturates the 6-hidden-layer stack and does not train at desk scale.
+matrices and declares the dense hyperparameters. The caption
+classifiers are featurizers in front of it: ``Word2vecFfnnClassifier``
+mean-pools embeddings of the preprocessed tokens,
+``BowFfnnClassifier`` builds bag-of-words presence vectors. They differ
+only in ``_features`` and in the extra header fields they save; fit,
+predict and persistence are shared. All use scaled initialization by
+default: the literal standard-normal init saturates the 6-hidden-layer
+stack and does not train at desk scale.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 
 from ..base import (
     Estimator,
+    SavedModel,
     as_float_matrix,
     as_label_array,
     check_consistent_length,
@@ -32,7 +36,6 @@ from ..nn import (
     softmax,
     train,
 )
-from ..persist import load_container, save_container
 from ..textprep import PrepConfig, preprocess
 from .bow import BowVocab, build_bow_vocab, bow_vectorize
 
@@ -41,7 +44,6 @@ __all__ = [
     "Word2vecFfnnClassifier",
     "BowFfnnClassifier",
     "ffnn_w2v_train",
-    "ffnn_w2v_predict",
 ]
 
 logger = logging.getLogger(__name__)
@@ -83,21 +85,12 @@ class MlpClassifier(Estimator):
             init_mode=self.init_mode,
         )
 
-    def _cfg(self) -> TrainConfig:
-        return TrainConfig(
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-            lr=self.lr,
-            seed=self.seed,
-            shuffle=self.shuffle,
-        )
-
     def fit(self, X, y) -> "MlpClassifier":
         X = as_float_matrix(X)
         y = as_label_array(y)
         check_consistent_length(X, y)
         self.spec_ = self._spec(X.shape[1])
-        self.params_, self.history_ = train(self.spec_, X, y, self._cfg())
+        self.params_, self.history_ = train(self.spec_, X, y, TrainConfig.of(self))
         return self
 
     def predict_proba(self, X) -> np.ndarray:
@@ -106,254 +99,133 @@ class MlpClassifier(Estimator):
         logits, _ = forward(self.params_, X, self.spec_.activation)
         return softmax(logits)
 
-    def predict(self, X) -> np.ndarray:
-        # argmax takes the first maximum, so ties go to the lower index
-        return np.argmax(self.predict_proba(X), axis=1)
 
+class _CaptionMlp(SavedModel, MlpClassifier):
+    """preprocess -> ``_features`` -> :class:`MlpClassifier`.
 
-def _params_arrays(params: MlpParams) -> dict[str, np.ndarray]:
-    out = {}
-    for i, (W, b) in enumerate(zip(params.weights, params.biases)):
-        out[f"W{i}"] = W
-        out[f"b{i}"] = b
-    return out
+    A subclass implements ``_features(captions, fitting)``, which may
+    learn state when ``fitting``, and saves its extra header fields
+    through ``_header()`` and ``_from_header(header, spec, path,
+    *context)``; the latter returns the unfitted model to restore into.
+    """
 
+    def _prep(self) -> PrepConfig:
+        return self.prep if self.prep is not None else PrepConfig()
 
-def _params_from_arrays(arrays: dict, n_layers: int, path) -> MlpParams:
-    try:
-        return MlpParams(
-            weights=[arrays[f"W{i}"] for i in range(n_layers)],
-            biases=[arrays[f"b{i}"] for i in range(n_layers)],
+    def fit(self, captions: list[str], y):
+        return super().fit(self._features(captions, fitting=True), y)
+
+    def predict_proba(self, captions: list[str]) -> np.ndarray:
+        check_fitted(self, "params_")
+        # the features are finite and as wide as the net by construction,
+        # so MlpClassifier's input checks (a pass over every row) are skipped
+        X = self._features(captions, fitting=False)
+        return softmax(forward(self.params_, X, self.spec_.activation)[0])
+
+    def _payload(self) -> tuple[dict, dict[str, np.ndarray]]:
+        check_fitted(self, "params_")
+        header = {
+            "kind": self.KIND,
+            "spec": self.spec_.to_dict(),
+            "prep": self._prep().to_dict(),
+            **self._header(),
+        }
+        return header, self.params_.arrays()
+
+    @classmethod
+    def _from_payload(cls, header, arrays, path, *context):
+        spec = NetSpec.from_dict(header["spec"])
+        model = cls._from_header(header, spec, path, *context)
+        model.set_params(
+            prep=PrepConfig.from_dict(header["prep"]),
+            hidden=spec.hidden,
+            activation=spec.activation,
+            init_mode=spec.init_mode,
+            init_sigma=spec.init_sigma,
+            seed=spec.seed,
         )
-    except KeyError as exc:
-        raise DataFormatError(f"{path}: missing parameter array {exc}") from exc
+        model.spec_ = spec
+        model.params_ = MlpParams.from_arrays(arrays, len(spec.widths) - 1, path)
+        return model
 
 
-class Word2vecFfnnClassifier(Estimator):
+class Word2vecFfnnClassifier(_CaptionMlp):
     """preprocess -> mean-pooled embeddings -> dense softmax classifier.
 
     The embedding table is a constructor argument and is not serialized
     with the model; ``save`` records the table's dimension and source so
     ``load`` can check that the caller supplies a compatible one.
+    ``coverage_`` is the table's coverage of the training captions.
     """
 
-    def __init__(
-        self,
-        table: EmbeddingTable,
-        prep: PrepConfig | None = None,
-        hidden: tuple[int, ...] = DEFAULT_HIDDEN,
-        activation: str = "relu",
-        init_mode: str = "scaled",
-        init_sigma: float = 1.0,
-        batch_size: int = 50,
-        epochs: int = 10,
-        lr: float = 1e-3,
-        shuffle: bool = True,
-        seed: int = 0,
-    ):
+    KIND = "ffnn-w2v"
+    # bound in this class body too, where perfbench's trace looks for them
+    fit = _CaptionMlp.fit
+    predict_proba = _CaptionMlp.predict_proba
+
+    def __init__(self, table: EmbeddingTable, prep: PrepConfig | None = None, **dense):
         self.table = table
         self.prep = prep
-        self.hidden = hidden
-        self.activation = activation
-        self.init_mode = init_mode
-        self.init_sigma = init_sigma
-        self.batch_size = batch_size
-        self.epochs = epochs
-        self.lr = lr
-        self.shuffle = shuffle
-        self.seed = seed
+        super().__init__(**dense)
 
-    def _prep(self) -> PrepConfig:
-        return self.prep if self.prep is not None else PrepConfig()
-
-    def _mlp(self) -> MlpClassifier:
-        return MlpClassifier(
-            hidden=self.hidden,
-            activation=self.activation,
-            init_mode=self.init_mode,
-            init_sigma=self.init_sigma,
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-            lr=self.lr,
-            shuffle=self.shuffle,
-            seed=self.seed,
-        )
-
-    def _embed(self, captions: list[str]) -> np.ndarray:
+    def _features(self, captions: list[str], fitting: bool) -> np.ndarray:
         prep = self._prep()
         tokenized = [preprocess(c, prep) for c in captions]
-        self.coverage_ = corpus_coverage(tokenized, self.table)
-        if self.coverage_.n_all_oov:
-            logger.warning(
-                "%d of %d captions have no in-vocabulary tokens; "
-                "their embeddings are zero vectors",
-                self.coverage_.n_all_oov,
-                self.coverage_.n_captions,
-            )
+        coverage = corpus_coverage(tokenized, self.table)
+        logger.log(
+            logging.WARNING if coverage.n_all_oov else logging.INFO,
+            "embedded %d captions: %.1f%% token coverage; %d have no "
+            "in-vocabulary tokens and embed as zero vectors",
+            coverage.n_captions,
+            100.0 * coverage.token_coverage,
+            coverage.n_all_oov,
+        )
+        if fitting:
+            self.coverage_ = coverage
         return embed_corpus(tokenized, self.table)
 
-    def fit(self, captions: list[str], y) -> "Word2vecFfnnClassifier":
-        core = self._mlp().fit(self._embed(captions), y)
-        self.spec_ = core.spec_
-        self.params_ = core.params_
-        self.history_ = core.history_
-        return self
-
-    def predict_proba(self, captions: list[str]) -> np.ndarray:
-        check_fitted(self, "params_")
-        logits, _ = forward(self.params_, self._embed(captions), self.spec_.activation)
-        return softmax(logits)
-
-    def predict(self, captions: list[str]) -> np.ndarray:
-        return np.argmax(self.predict_proba(captions), axis=1)
-
-    def save(self, path) -> None:
-        check_fitted(self, "params_")
-        save_container(
-            path,
-            {
-                "kind": "ffnn-w2v",
-                "spec": self.spec_.to_dict(),
-                "prep": self._prep().to_dict(),
-                "table": {"dim": self.table.dim, "source": self.table.source},
-            },
-            _params_arrays(self.params_),
-        )
+    def _header(self) -> dict:
+        return {"table": {"dim": self.table.dim, "source": self.table.source}}
 
     @classmethod
-    def load(cls, path, table: EmbeddingTable) -> "Word2vecFfnnClassifier":
-        header, arrays = load_container(path)
-        if header.get("kind") != "ffnn-w2v":
-            raise DataFormatError(f"{path}: not an embedding-classifier file")
-        return cls._from_payload(header, arrays, path, table)
-
-    @classmethod
-    def _from_payload(
-        cls, header, arrays, path, table: EmbeddingTable
-    ) -> "Word2vecFfnnClassifier":
-        spec = NetSpec.from_dict(header["spec"])
+    def _from_header(cls, header, spec, path, table: EmbeddingTable):
         if table.dim != spec.input_dim:
             raise DataFormatError(
                 f"{path}: model expects {spec.input_dim}-dimensional embeddings, "
                 f"table has dim {table.dim}"
             )
-        model = cls(
-            table=table,
-            prep=PrepConfig.from_dict(header["prep"]),
-            hidden=spec.hidden,
-            activation=spec.activation,
-            init_mode=spec.init_mode,
-            init_sigma=spec.init_sigma,
-            seed=spec.seed,
-        )
-        model.spec_ = spec
-        model.params_ = _params_from_arrays(arrays, len(spec.widths) - 1, path)
-        return model
+        return cls(table)
 
 
-class BowFfnnClassifier(Estimator):
+class BowFfnnClassifier(_CaptionMlp):
     """preprocess -> bag-of-words presence -> dense softmax classifier."""
 
-    def __init__(
-        self,
-        prep: PrepConfig | None = None,
-        vocab_size: int = 5000,
-        hidden: tuple[int, ...] = DEFAULT_HIDDEN,
-        activation: str = "relu",
-        init_mode: str = "scaled",
-        init_sigma: float = 1.0,
-        batch_size: int = 50,
-        epochs: int = 10,
-        lr: float = 1e-3,
-        shuffle: bool = True,
-        seed: int = 0,
-    ):
+    KIND = "ffnn-bow"
+    # bound in this class body too, where perfbench's trace looks for them
+    fit = _CaptionMlp.fit
+    predict_proba = _CaptionMlp.predict_proba
+
+    def __init__(self, prep: PrepConfig | None = None, vocab_size: int = 5000, **dense):
         self.prep = prep
         self.vocab_size = vocab_size
-        self.hidden = hidden
-        self.activation = activation
-        self.init_mode = init_mode
-        self.init_sigma = init_sigma
-        self.batch_size = batch_size
-        self.epochs = epochs
-        self.lr = lr
-        self.shuffle = shuffle
-        self.seed = seed
+        super().__init__(**dense)
 
-    def _prep(self) -> PrepConfig:
-        return self.prep if self.prep is not None else PrepConfig()
-
-    def _vectors(self, captions: list[str], vocab: BowVocab) -> np.ndarray:
-        prep = self._prep()
-        return np.stack(
-            [bow_vectorize(preprocess(c, prep), vocab) for c in captions]
-        ) if captions else np.zeros((0, len(vocab)))
-
-    def fit(self, captions: list[str], y) -> "BowFfnnClassifier":
+    def _features(self, captions: list[str], fitting: bool) -> np.ndarray:
         prep = self._prep()
         tokenized = [preprocess(c, prep) for c in captions]
-        self.vocab_ = build_bow_vocab(tokenized, self.vocab_size)
-        core = MlpClassifier(
-            hidden=self.hidden,
-            activation=self.activation,
-            init_mode=self.init_mode,
-            init_sigma=self.init_sigma,
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-            lr=self.lr,
-            shuffle=self.shuffle,
-            seed=self.seed,
-        ).fit(self._vectors(captions, self.vocab_), y)
-        self.spec_ = core.spec_
-        self.params_ = core.params_
-        self.history_ = core.history_
-        return self
+        if fitting:
+            self.vocab_ = build_bow_vocab(tokenized, self.vocab_size)
+        if not tokenized:
+            return np.zeros((0, len(self.vocab_)))
+        return np.stack([bow_vectorize(tokens, self.vocab_) for tokens in tokenized])
 
-    def predict_proba(self, captions: list[str]) -> np.ndarray:
-        check_fitted(self, "params_")
-        X = self._vectors(captions, self.vocab_)
-        logits, _ = forward(self.params_, X, self.spec_.activation)
-        return softmax(logits)
-
-    def predict(self, captions: list[str]) -> np.ndarray:
-        return np.argmax(self.predict_proba(captions), axis=1)
-
-    def _payload(self) -> tuple[dict, dict[str, np.ndarray]]:
-        check_fitted(self, "params_")
-        header = {
-            "kind": "ffnn-bow",
-            "spec": self.spec_.to_dict(),
-            "prep": self._prep().to_dict(),
-            "vocab": list(self.vocab_.words),
-        }
-        return header, _params_arrays(self.params_)
-
-    def save(self, path) -> None:
-        header, arrays = self._payload()
-        save_container(path, header, arrays)
+    def _header(self) -> dict:
+        return {"vocab": list(self.vocab_.words)}
 
     @classmethod
-    def load(cls, path) -> "BowFfnnClassifier":
-        header, arrays = load_container(path)
-        if header.get("kind") != "ffnn-bow":
-            raise DataFormatError(f"{path}: not a bag-of-words classifier file")
-        return cls._from_payload(header, arrays, path)
-
-    @classmethod
-    def _from_payload(cls, header, arrays, path) -> "BowFfnnClassifier":
-        spec = NetSpec.from_dict(header["spec"])
-        model = cls(
-            prep=PrepConfig.from_dict(header["prep"]),
-            vocab_size=len(header["vocab"]),
-            hidden=spec.hidden,
-            activation=spec.activation,
-            init_mode=spec.init_mode,
-            init_sigma=spec.init_sigma,
-            seed=spec.seed,
-        )
+    def _from_header(cls, header, spec, path):
+        model = cls(vocab_size=len(header["vocab"]))
         model.vocab_ = BowVocab(words=tuple(header["vocab"]))
-        model.spec_ = spec
-        model.params_ = _params_from_arrays(arrays, len(spec.widths) - 1, path)
         return model
 
 
@@ -386,15 +258,6 @@ def ffnn_w2v_train(
         activation=spec.activation,
         init_mode=spec.init_mode,
         init_sigma=spec.init_sigma,
-        batch_size=cfg.batch_size,
-        epochs=cfg.epochs,
-        lr=cfg.lr,
-        shuffle=cfg.shuffle,
-        seed=cfg.seed,
+        **vars(cfg),
     )
     return model.fit(captions, y)
-
-
-def ffnn_w2v_predict(model: Word2vecFfnnClassifier, caption: str) -> np.ndarray:
-    """Class-probability row for one raw caption."""
-    return model.predict_proba([caption])[0]

@@ -19,13 +19,13 @@ import numpy as np
 
 from ..base import (
     Estimator,
+    SavedModel,
     as_label_array,
     check_fitted,
     check_prob_rows,
 )
 from ..errors import DataFormatError
 from ..nn import softmax
-from ..persist import load_container, save_container
 from ..rng import substream
 from .cnn import HsvCnnClassifier, _check_tensors
 from .ffnn import BowFfnnClassifier
@@ -130,7 +130,7 @@ def fusion_predict(stacker: FusionStacker, text_row, image_row) -> int:
     return int(np.argmax(stacker.scores(X)[0]))
 
 
-class BimodalFusionClassifier(Estimator):
+class BimodalFusionClassifier(SavedModel, Estimator):
     """Text branch + image branch + stacker, as one estimator.
 
     ``fit`` takes parallel captions, HSV tensors, and labels. With
@@ -139,6 +139,8 @@ class BimodalFusionClassifier(Estimator):
     each row's features come from branches trained without it. The
     final branch models are always refit on all rows.
     """
+
+    KIND = "fusion-bimodal"
 
     def __init__(
         self,
@@ -244,49 +246,18 @@ class BimodalFusionClassifier(Estimator):
         """
         return softmax(self._scores(captions, tensors))
 
-    def save(self, path) -> None:
+    def _payload(self) -> tuple[dict, dict[str, np.ndarray]]:
         check_fitted(self, "stacker_")
-        text_header, text_arrays = self.text_._payload()
-        image_header, image_arrays = self.image_._payload()
-        header = {
-            "kind": "fusion-bimodal",
-            "folds": self.folds,
-            "in_sample": self.in_sample,
-            "lam": self.lam,
-            "stacker_epochs": self.stacker_epochs,
-            "stacker_lr": self.stacker_lr,
-            "seed": self.seed,
-            "text": text_header,
-            "image": image_header,
-        }
-        arrays: dict[str, np.ndarray] = {
-            "stacker_W": self.stacker_.weights,
-            "stacker_b": self.stacker_.biases,
-        }
-        arrays.update({f"text.{k}": v for k, v in text_arrays.items()})
-        arrays.update({f"image.{k}": v for k, v in image_arrays.items()})
-        save_container(path, header, arrays)
-
-    @classmethod
-    def load(cls, path) -> "BimodalFusionClassifier":
-        header, arrays = load_container(path)
-        if header.get("kind") != "fusion-bimodal":
-            raise DataFormatError(f"{path}: not a fusion-model file")
-        return cls._from_payload(header, arrays, path)
+        header = {k: v for k, v in self.get_params().items() if k not in ("text", "image")}
+        header["kind"] = self.KIND
+        arrays = {"stacker_W": self.stacker_.weights, "stacker_b": self.stacker_.biases}
+        for branch, fitted in (("text", self.text_), ("image", self.image_)):
+            header[branch], branch_arrays = fitted._payload()
+            arrays.update({f"{branch}.{k}": v for k, v in branch_arrays.items()})
+        return header, arrays
 
     @classmethod
     def _from_payload(cls, header, arrays, path) -> "BimodalFusionClassifier":
-        if header["text"].get("kind") != "ffnn-bow":
-            raise DataFormatError(
-                f"{path}: unsupported text branch {header['text'].get('kind')!r}"
-            )
-        if header["image"].get("kind") != "cnn-hsv":
-            raise DataFormatError(
-                f"{path}: unsupported image branch {header['image'].get('kind')!r}"
-            )
-        split = lambda prefix: {
-            k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)
-        }
         model = cls(
             folds=int(header.get("folds", 5)),
             in_sample=bool(header.get("in_sample", False)),
@@ -295,16 +266,18 @@ class BimodalFusionClassifier(Estimator):
             stacker_lr=float(header.get("stacker_lr", 0.1)),
             seed=int(header.get("seed", 0)),
         )
-        model.text_ = BowFfnnClassifier._from_payload(
-            header["text"], split("text."), path
+        for branch, branch_cls in (("text", BowFfnnClassifier), ("image", HsvCnnClassifier)):
+            if header[branch].get("kind") != branch_cls.KIND:
+                raise DataFormatError(
+                    f"{path}: unsupported {branch} branch {header[branch].get('kind')!r}"
+                )
+            prefix = branch + "."
+            branch_arrays = {
+                k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)
+            }
+            setattr(model, branch + "_",
+                    branch_cls._from_payload(header[branch], branch_arrays, path))
+        model.stacker_ = FusionStacker(
+            weights=arrays["stacker_W"], biases=arrays["stacker_b"]
         )
-        model.image_ = HsvCnnClassifier._from_payload(
-            header["image"], split("image."), path
-        )
-        try:
-            model.stacker_ = FusionStacker(
-                weights=arrays["stacker_W"], biases=arrays["stacker_b"]
-            )
-        except KeyError as exc:
-            raise DataFormatError(f"{path}: missing parameter array {exc}") from exc
         return model

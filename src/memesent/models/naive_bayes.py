@@ -12,21 +12,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..base import Estimator, as_label_array, check_consistent_length, check_fitted
+from ..base import (
+    Estimator,
+    SavedModel,
+    as_label_array,
+    check_consistent_length,
+    check_fitted,
+)
 from ..errors import DataFormatError, TrainingError
-from ..persist import load_container, save_container
 
-__all__ = ["MultinomialNaiveBayes", "nb_train", "nb_predict"]
+__all__ = ["MultinomialNaiveBayes", "nb_train"]
 
 N_CLASSES = 3
 
 
-class MultinomialNaiveBayes(Estimator):
+class MultinomialNaiveBayes(SavedModel, Estimator):
     """Token-count Naive Bayes with Laplace smoothing.
 
     Fitted attributes: ``vocabulary_`` (sorted token tuple),
     ``class_log_prior_`` (3,), ``token_log_likelihood_`` (3, |V|).
     """
+
+    KIND = "naive-bayes"
 
     def __init__(self, alpha: float = 1.0):
         self.alpha = alpha
@@ -74,30 +81,18 @@ class MultinomialNaiveBayes(Estimator):
             out[i] = e / e.sum()
         return out
 
-    def predict(self, X: list[list[str]]) -> np.ndarray:
-        return np.argmax(self.predict_proba(X), axis=1)
-
-    def save(self, path) -> None:
+    def _payload(self) -> tuple[dict, dict[str, np.ndarray]]:
         check_fitted(self, "class_log_prior_")
-        save_container(
-            path,
-            {
-                "kind": "naive-bayes",
-                "alpha": self.alpha,
-                "vocabulary": list(self.vocabulary_),
-            },
-            {
-                "class_log_prior": self.class_log_prior_,
-                "token_log_likelihood": self.token_log_likelihood_,
-            },
-        )
-
-    @classmethod
-    def load(cls, path) -> "MultinomialNaiveBayes":
-        header, arrays = load_container(path)
-        if header.get("kind") != "naive-bayes":
-            raise DataFormatError(f"{path}: not a Naive Bayes model file")
-        return cls._from_payload(header, arrays, path)
+        header = {
+            "kind": self.KIND,
+            "alpha": self.alpha,
+            "vocabulary": list(self.vocabulary_),
+        }
+        arrays = {
+            "class_log_prior": self.class_log_prior_,
+            "token_log_likelihood": self.token_log_likelihood_,
+        }
+        return header, arrays
 
     @classmethod
     def _from_payload(cls, header, arrays, path) -> "MultinomialNaiveBayes":
@@ -113,8 +108,3 @@ class MultinomialNaiveBayes(Estimator):
 
 def nb_train(X: list[list[str]], y, alpha: float = 1.0) -> MultinomialNaiveBayes:
     return MultinomialNaiveBayes(alpha=alpha).fit(X, y)
-
-
-def nb_predict(model: MultinomialNaiveBayes, tokens: list[str]) -> np.ndarray:
-    """Posterior distribution for a single token list."""
-    return model.predict_proba([tokens])[0]

@@ -1,21 +1,25 @@
 """From-scratch dense-network core: forward/backward passes, softmax
-cross-entropy, Adam, and the seeded mini-batch training loop.
+cross-entropy, Adam, the seeded mini-batch training loop and the
+finite-difference gradient checker.
 
 Everything runs in float64 and is deterministic given the seeds: weight
 initialization draws from the "init" substream of the net seed, epoch
-shuffling from the "shuffle" substream of the training seed. The
-`grad_check` oracle compares analytic gradients against central finite
-differences on a seeded sample of coordinates.
+shuffling from the "shuffle" substream of the training seed.
+
+Two pieces serve every model, not only the dense net: :func:`fit_adam`
+is the training loop (the CNN passes it its own loss and gradients), and
+:func:`check_gradients` compares analytic gradients against central
+finite differences on a seeded sample of coordinates (:func:`grad_check`
+and the CNN's ``cnn_grad_check`` are thin adapters over it).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import DataFormatError, TrainingError
-from .persist import load_container, save_container
 from .rng import substream
 
 __all__ = [
@@ -30,10 +34,10 @@ __all__ = [
     "backward",
     "init_adam",
     "adam_step",
+    "fit_adam",
+    "check_gradients",
     "grad_check",
     "train",
-    "save_params",
-    "load_params",
 ]
 
 DEFAULT_HIDDEN = (256, 128, 64, 64, 32, 16)
@@ -70,15 +74,7 @@ class NetSpec:
         return (self.input_dim, *self.hidden, self.output_dim)
 
     def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden": list(self.hidden),
-            "output_dim": self.output_dim,
-            "activation": self.activation,
-            "seed": self.seed,
-            "init_sigma": self.init_sigma,
-            "init_mode": self.init_mode,
-        }
+        return {**vars(self), "hidden": list(self.hidden)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetSpec":
@@ -114,8 +110,24 @@ class MlpParams:
     def from_flat(cls, arrays: list[np.ndarray]) -> "MlpParams":
         return cls(weights=list(arrays[0::2]), biases=list(arrays[1::2]))
 
-    def copy(self) -> "MlpParams":
-        return MlpParams([W.copy() for W in self.weights], [b.copy() for b in self.biases])
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Named arrays for a model container: W0, b0, W1, b1, ..."""
+        out = {}
+        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
+            out[f"W{i}"] = W
+            out[f"b{i}"] = b
+        return out
+
+    @classmethod
+    def from_arrays(cls, arrays: dict, n_layers: int, path) -> "MlpParams":
+        """Inverse of :meth:`arrays`; ``path`` names the file in errors."""
+        try:
+            return cls(
+                weights=[arrays[f"W{i}"] for i in range(n_layers)],
+                biases=[arrays[f"b{i}"] for i in range(n_layers)],
+            )
+        except KeyError as exc:
+            raise DataFormatError(f"{path}: missing parameter array {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -129,6 +141,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
+
+    @classmethod
+    def of(cls, estimator) -> "TrainConfig":
+        """The config held by an estimator's attributes of the same names."""
+        return cls(**{f.name: getattr(estimator, f.name) for f in fields(cls)})
 
 
 def init_params(spec: NetSpec) -> MlpParams:
@@ -288,31 +305,23 @@ def adam_step(
     return replace(state, m=new_m, v=new_v, t=t), new_p
 
 
-def _loss_and_pattern(
-    params: MlpParams, X: np.ndarray, y: np.ndarray, activation: str
-) -> tuple[float, tuple]:
-    """Loss plus the on/off pattern of every hidden ReLU."""
-    logits, cache = forward(params, X, activation)
-    loss, _ = softmax_xent(logits, y)
-    if activation != "relu":
-        return loss, ()
-    return loss, tuple((z > 0.0).tobytes() for _, z in cache[:-1])
-
-
-def grad_check(
-    spec: NetSpec,
-    X: np.ndarray,
-    y: np.ndarray,
+def check_gradients(
+    flat: list[np.ndarray],
+    grads: list[np.ndarray],
+    loss_and_pattern,
     eps: float = 1e-5,
     max_per_tensor: int = 150,
     seed: int = 0,
     min_grad: float = 1e-5,
     order: int = 2,
 ) -> float:
-    """Max relative error between analytic and central-difference
-    gradients over a seeded coordinate sample.
+    """Max relative error between the analytic gradients ``grads`` and
+    central differences over a seeded coordinate sample of ``flat``.
 
-    Relative error per coordinate is
+    Sampled coordinates are perturbed in place (and restored) before
+    each ``loss_and_pattern()`` call, which returns the loss and a
+    comparable pattern of the forward pass's piecewise-linear choices,
+    such as which ReLUs are on. Relative error per coordinate is
     |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
 
     ``order`` selects the stencil: 2 is the classic two-point central
@@ -321,24 +330,20 @@ def grad_check(
     truncation allows thresholds near the float64 noise floor.
 
     Two kinds of coordinate are excluded because the stencil cannot
-    measure them: ones whose perturbations land on different sides of
-    a ReLU kink (the quotient mixes two slopes there), and ones where
-    analytic and numeric are both below ``min_grad`` (the quotient is
-    float64 evaluation noise). A bug that zeroes or rescales a gradient
-    tensor still surfaces: the numeric side stays large, so the
-    coordinate is kept and mismatches.
+    measure them: ones whose perturbations change the pattern (the
+    quotient mixes two slopes there), and ones where analytic and
+    numeric are both below ``min_grad`` (the quotient is float64
+    evaluation noise). A bug that zeroes or rescales a gradient tensor
+    still surfaces: the numeric side stays large, so the coordinate is
+    kept and mismatches.
     """
     if order not in (2, 4):
         raise ValueError("order must be 2 or 4")
-    params = init_params(spec)
-    logits, cache = forward(params, X, spec.activation)
-    _, dlogits = softmax_xent(logits, y)
-    grads = backward(params, cache, dlogits, spec.activation)
     rng = substream(seed, "gradcheck")
     steps = (eps,) if order == 2 else (eps, 2.0 * eps)
     worst = 0.0
     n_tested = 0
-    for arr, g in zip(params.flat(), grads.flat()):
+    for arr, g in zip(flat, grads):
         size = arr.size
         if size <= max_per_tensor:
             coords = np.arange(size)
@@ -349,9 +354,9 @@ def grad_check(
             diffs, patterns = [], []
             for h in steps:
                 arr.flat[c] = orig + h
-                f_plus, pat_plus = _loss_and_pattern(params, X, y, spec.activation)
+                f_plus, pat_plus = loss_and_pattern()
                 arr.flat[c] = orig - h
-                f_minus, pat_minus = _loss_and_pattern(params, X, y, spec.activation)
+                f_minus, pat_minus = loss_and_pattern()
                 diffs.append(f_plus - f_minus)
                 patterns.extend((pat_plus, pat_minus))
             arr.flat[c] = orig
@@ -372,26 +377,47 @@ def grad_check(
     return worst
 
 
-def train(
+def grad_check(
     spec: NetSpec,
     X: np.ndarray,
     y: np.ndarray,
-    cfg: TrainConfig,
-) -> tuple[MlpParams, list[float]]:
-    """Seeded mini-batch training; returns final params and the mean
-    per-example loss of each epoch.
-
-    Batches are sequential slices of a fresh seeded permutation per
-    epoch; the last batch may be short. Raises :class:`TrainingError`
-    if the loss becomes non-finite.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    n = X.shape[0]
-    if n < 1 or y.shape != (n,):
-        raise ValueError("X and y must be nonempty and aligned")
+    eps: float = 1e-5,
+    max_per_tensor: int = 150,
+    seed: int = 0,
+    min_grad: float = 1e-5,
+    order: int = 2,
+) -> float:
+    """:func:`check_gradients` for a freshly initialized net of ``spec``
+    on the batch (X, y); the pattern is the on/off state of every hidden
+    ReLU."""
     params = init_params(spec)
-    flat = params.flat()
+    logits, cache = forward(params, X, spec.activation)
+    _, dlogits = softmax_xent(logits, y)
+    grads = backward(params, cache, dlogits, spec.activation)
+
+    def loss_and_pattern():
+        logits, cache = forward(params, X, spec.activation)
+        loss, _ = softmax_xent(logits, y)
+        if spec.activation != "relu":
+            return loss, ()
+        return loss, tuple((z > 0.0).tobytes() for _, z in cache[:-1])
+
+    return check_gradients(params.flat(), grads.flat(), loss_and_pattern,
+                           eps, max_per_tensor, seed, min_grad, order)
+
+
+def fit_adam(
+    flat: list[np.ndarray], loss_and_grad, n: int, cfg: TrainConfig
+) -> tuple[list[np.ndarray], list[float]]:
+    """Seeded mini-batch Adam over a flat parameter list.
+
+    ``loss_and_grad(flat, batch)`` returns the mean loss over the rows
+    whose indices are in ``batch`` and its gradient, as a list in the
+    order of ``flat``. Batches are sequential slices of a fresh seeded
+    permutation of ``range(n)`` per epoch; the last batch may be short.
+    Returns the final parameters and the mean per-example loss of each
+    epoch. Raises :class:`TrainingError` if the loss becomes non-finite.
+    """
     state = init_adam(flat, lr=cfg.lr)
     shuffle_rng = substream(cfg.seed, "shuffle")
     history: list[float] = []
@@ -400,48 +426,38 @@ def train(
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            Xb, yb = X[batch], y[batch]
-            current = MlpParams.from_flat(flat)
-            logits, cache = forward(current, Xb, spec.activation)
-            loss, dlogits = softmax_xent(logits, yb)
+            loss, grads = loss_and_grad(flat, batch)
             if not np.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch + 1}, "
                     f"batch {start // cfg.batch_size + 1}"
                 )
-            grads = backward(current, cache, dlogits, spec.activation)
-            state, flat = adam_step(state, flat, grads.flat())
+            state, flat = adam_step(state, flat, grads)
             total += loss * len(batch)
         history.append(total / n)
+    return flat, history
+
+
+def train(
+    spec: NetSpec,
+    X: np.ndarray,
+    y: np.ndarray,
+    cfg: TrainConfig,
+) -> tuple[MlpParams, list[float]]:
+    """Seeded mini-batch training of a net of ``spec`` with
+    :func:`fit_adam`; returns final params and the mean per-example
+    loss of each epoch."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n = X.shape[0]
+    if n < 1 or y.shape != (n,):
+        raise ValueError("X and y must be nonempty and aligned")
+
+    def loss_and_grad(flat, batch):
+        params = MlpParams.from_flat(flat)
+        logits, cache = forward(params, X[batch], spec.activation)
+        loss, dlogits = softmax_xent(logits, y[batch])
+        return loss, backward(params, cache, dlogits, spec.activation).flat()
+
+    flat, history = fit_adam(init_params(spec).flat(), loss_and_grad, n, cfg)
     return MlpParams.from_flat(flat), history
-
-
-_PARAMS_KIND = "mlp-params"
-
-
-def save_params(path, spec: NetSpec, params: MlpParams) -> None:
-    """Persist spec + weights as float64 in the checksummed container."""
-    arrays = {}
-    for i, (W, b) in enumerate(zip(params.weights, params.biases)):
-        arrays[f"W{i}"] = W
-        arrays[f"b{i}"] = b
-    save_container(path, {"kind": _PARAMS_KIND, "spec": spec.to_dict()}, arrays)
-
-
-def load_params(path) -> tuple[NetSpec, MlpParams]:
-    header, arrays = load_container(path)
-    if header.get("kind") != _PARAMS_KIND:
-        raise DataFormatError(f"{path}: not an MLP parameter file")
-    spec = NetSpec.from_dict(header["spec"])
-    n_layers = len(spec.widths) - 1
-    try:
-        weights = [arrays[f"W{i}"] for i in range(n_layers)]
-        biases = [arrays[f"b{i}"] for i in range(n_layers)]
-    except KeyError as exc:
-        raise DataFormatError(f"{path}: missing parameter array {exc}") from exc
-    params = MlpParams(weights=weights, biases=biases)
-    expected = list(zip(spec.widths[1:], spec.widths[:-1]))
-    actual = [W.shape for W in weights]
-    if actual != expected:
-        raise DataFormatError(f"{path}: weight shapes {actual} do not match spec")
-    return spec, params

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -77,9 +78,18 @@ def load_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     blob, digest = data[:-32], data[-32:]
     if hashlib.sha256(blob).digest() != digest:
         raise DataFormatError(f"{path}: checksum mismatch (corrupted file)")
-    off = 0
     if blob[:4] != MAGIC:
         raise DataFormatError(f"{path}: bad magic {blob[:4]!r}")
+    try:
+        return _parse(blob, path)
+    except (struct.error, ValueError) as exc:  # truncated fields, bad bytes
+        raise DataFormatError(
+            f"{path}: malformed container ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
+def _parse(blob: bytes, path: Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Header and arrays of a container whose checksum and magic hold."""
     off = 4
     (version,) = struct.unpack_from("<I", blob, off)
     off += 4
@@ -87,10 +97,9 @@ def load_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         raise DataFormatError(f"{path}: unsupported container version {version}")
     (hlen,) = struct.unpack_from("<Q", blob, off)
     off += 8
-    try:
-        header = json.loads(blob[off : off + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"{path}: bad JSON header: {exc}") from exc
+    header = json.loads(blob[off : off + hlen].decode("utf-8"))
+    if not isinstance(header, dict):
+        raise DataFormatError(f"{path}: JSON header is not an object")
     off += hlen
     (narr,) = struct.unpack_from("<I", blob, off)
     off += 4
@@ -107,8 +116,10 @@ def load_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         shape = struct.unpack_from(f"<{ndim}Q", blob, off)
         off += 8 * ndim
         dtype = np.dtype(_TAG_DTYPES[tag])
-        count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+        count = math.prod(shape)
         nbytes = count * dtype.itemsize
+        if nbytes > len(blob) - off:
+            raise DataFormatError(f"{path}: array {name!r} runs past the end of the file")
         arr = np.frombuffer(blob, dtype=dtype, count=count, offset=off).reshape(shape)
         arrays[name] = arr.copy()  # decouple from the file buffer
         off += nbytes

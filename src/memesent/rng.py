@@ -1,10 +1,12 @@
 """Deterministic random-number streams.
 
 All randomness in the toolkit flows from a single integer seed fanned
-out into named substreams ("split", "init", "shuffle", "upsample", ...).
-Each substream is an independent Philox counter-based generator keyed by
-SHA-256(seed ":" name), so results are reproducible across runs and do
-not depend on the order in which streams are consumed.
+out into named substreams ("split", "init", "shuffle", "upsample",
+"oof", "stacker", "gradcheck"). Each substream is an independent Philox
+counter-based generator keyed by SHA-256(seed ":" name), so results are
+reproducible across runs and do not depend on the order in which
+streams are consumed. Every consumer, ``corpus.stratified_split``
+included, takes its generator from :func:`substream`.
 """
 
 from __future__ import annotations
@@ -13,11 +15,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["substream", "subseed"]
-
-
-def _digest(seed: int, name: str) -> bytes:
-    return hashlib.sha256(f"{int(seed)}:{name}".encode("utf-8")).digest()
+__all__ = ["substream"]
 
 
 def substream(seed: int, name: str) -> np.random.Generator:
@@ -26,14 +24,7 @@ def substream(seed: int, name: str) -> np.random.Generator:
     Calling this twice with the same (seed, name) yields generators that
     produce identical output.
     """
-    key = int.from_bytes(_digest(seed, name)[:16], "little")
+    digest = hashlib.sha256(f"{int(seed)}:{name}".encode("utf-8")).digest()
+    key = int.from_bytes(digest[:16], "little")
     return np.random.Generator(np.random.Philox(key=key))
 
-
-def subseed(seed: int, name: str) -> int:
-    """Derive a 63-bit integer seed for the named substream.
-
-    Used when an operation takes a plain integer seed rather than a
-    generator (e.g. ``corpus.stratified_split``).
-    """
-    return int.from_bytes(_digest(seed, name)[16:24], "little") >> 1

@@ -48,13 +48,8 @@ def read_wordlist(path: str | Path) -> frozenset[str]:
 
 
 def _bundled(name: str) -> frozenset[str]:
-    text = resources.files("memesent.data").joinpath(name).read_text("utf-8")
-    words = set()
-    for line in text.splitlines():
-        entry = line.split("#", 1)[0].strip()
-        if entry:
-            words.add(entry.lower())
-    return frozenset(words)
+    with resources.as_file(resources.files("memesent.data").joinpath(name)) as path:
+        return read_wordlist(path)
 
 
 @lru_cache(maxsize=None)

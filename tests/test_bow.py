@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memesent.errors import NotFittedError
-from memesent.models import BowVectorizer, BowVocab, bow_vectorize, build_bow_vocab
+from memesent.models import BowFfnnClassifier, BowVocab, bow_vectorize, build_bow_vocab
 
 
 class TestBuildVocab:
@@ -62,20 +62,23 @@ class TestVectorize:
 
 
 class TestVectorizer:
+    """The presence rows the bag-of-words classifier feeds its dense net."""
+
     def test_fit_transform(self):
-        lists = [["a", "b"], ["b", "c"], ["b"]]
-        vec = BowVectorizer(max_size=2)
-        X = vec.fit_transform(lists)
-        assert vec.vocab_.words == ("b", "a")
+        model = BowFfnnClassifier(vocab_size=2)
+        X = model._features(["cat dog", "dog fish", "dog"], fitting=True)
+        assert model.vocab_.words == ("dog", "cat")
         assert X.shape == (3, 2)
         assert X.tolist() == [[1.0, 1.0], [1.0, 0.0], [1.0, 0.0]]
 
     def test_vocab_frozen_after_fit(self):
-        vec = BowVectorizer().fit([["a"], ["b"]])
-        before = vec.vocab_.words
-        vec.transform([["новый", "c", "d"]])
-        assert vec.vocab_.words == before
+        model = BowFfnnClassifier()
+        model._features(["cat", "dog"], fitting=True)
+        before = model.vocab_.words
+        X = model._features(["новый fish zebra"], fitting=False)
+        assert model.vocab_.words == before
+        assert X.tolist() == [[0.0, 0.0]]
 
     def test_transform_before_fit_raises(self):
         with pytest.raises(NotFittedError):
-            BowVectorizer().transform([["a"]])
+            BowFfnnClassifier().predict_proba(["cat"])

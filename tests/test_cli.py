@@ -1,6 +1,7 @@
 """Command-line workflow: prepare -> train -> predict -> evaluate -> compare."""
 
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from memesent.cli import main
 from memesent.corpus import load_dataset, save_dataset
 from memesent.embeddings import write_word2vec_binary
 from memesent.eval import macro_f1
+from memesent.textprep import PrepConfig
 
 
 @pytest.fixture()
@@ -237,6 +239,47 @@ class TestPredictEvaluate:
             "--out", workspace["dir"] / "x",
         ) == 2
         assert "ids do not match" in capsys.readouterr().err
+
+
+def _truncated_dims(path):
+    from memesent.persist import save_container
+
+    save_container(path, {"kind": "naive-bayes"}, {"x": np.zeros((2, 3))})
+    blob = path.read_bytes()[:-32]
+    blob = blob[: blob.index(b"x") + 1 + 2 + 8 + 4]  # mid second dim
+    path.write_bytes(blob + hashlib.sha256(blob).digest())
+
+
+def _container(header, arrays):
+    from memesent.persist import save_container
+
+    return lambda path: save_container(path, header, arrays)
+
+
+_PREP = PrepConfig().to_dict()
+MALFORMED_MODELS = {
+    "header_is_a_list": _container(["naive-bayes"], {}),
+    "truncated_dims": _truncated_dims,
+    "missing_spec": _container({"kind": "ffnn-bow", "prep": _PREP, "vocab": []}, {}),
+    "missing_class_log_prior": _container(
+        {"kind": "naive-bayes", "alpha": 1.0, "vocabulary": []},
+        {"token_log_likelihood": np.zeros((3, 0))},
+    ),
+    "missing_text": _container(
+        {"kind": "fusion-bimodal", "image": {"kind": "cnn-hsv"}}, {}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_MODELS))
+def test_malformed_model_file_exit_2(workspace, capsys, name):
+    path = workspace["dir"] / f"{name}.bin"
+    MALFORMED_MODELS[name](path)
+    rc = run("predict", "--model", path, "--dataset", workspace["data"],
+             "--out", workspace["dir"] / "p")
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("error: ") and f"{name}.bin" in err
 
 
 class TestStability:

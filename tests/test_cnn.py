@@ -7,7 +7,7 @@ import pytest
 
 from _util import hue_band_tensors
 from memesent.errors import DataFormatError
-from memesent.models import HsvCnnClassifier, cnn_grad_check, cnn_train
+from memesent.models import HsvCnnClassifier, cnn_grad_check
 from memesent.models.cnn import (
     _PREDICT_BLOCK,
     CnnParams,
@@ -21,6 +21,10 @@ from memesent.models.cnn import (
     init_cnn_params,
 )
 from memesent.nn import TrainConfig, softmax_xent
+
+
+def cnn_train(T, y, cfg=TrainConfig()):
+    return HsvCnnClassifier(**vars(cfg)).fit(T, y)
 
 
 def small_batch(n=4, seed=0):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from memesent.embeddings import (
     CoverageStats,
     EmbeddingTable,
-    MeanEmbeddingVectorizer,
     caption_embedding,
     corpus_coverage,
     embed_corpus,
@@ -150,6 +149,13 @@ def test_text_bad_float(tmp_path):
         load_word2vec_text(path)
 
 
+def test_text_non_utf8_token(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"2 3\nok 1 2 3\n\xff\xfeab 1 2 3\n")
+    with pytest.raises(DataFormatError, match=r"bad\.txt:3: not UTF-8"):
+        load_word2vec_text(path)
+
+
 def test_text_binary_agree_within_f32(tmp_path, toy_table):
     bin_path, txt_path = tmp_path / "t.bin", tmp_path / "t.txt"
     write_word2vec_binary(toy_table, bin_path)
@@ -222,12 +228,14 @@ def test_corpus_coverage(toy_table):
 
 
 def test_vectorizer_matches_function(toy_table):
-    vec = MeanEmbeddingVectorizer(toy_table)
-    captions = [["king", "queen"], []]
-    np.testing.assert_array_equal(vec.fit_transform(captions),
-                                  embed_corpus(captions, toy_table))
-    assert vec.coverage_.n_captions == 2
-    assert "table" in vec.get_params()
+    # the Word2Vec classifier's features are embed_corpus of the tokens
+    from memesent.models import Word2vecFfnnClassifier
+
+    model = Word2vecFfnnClassifier(toy_table)
+    X = model._features(["king queen", ""], fitting=True)
+    np.testing.assert_array_equal(X, embed_corpus([["king", "queen"], []], toy_table))
+    assert model.coverage_.n_captions == 2
+    assert "table" in model.get_params()
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,7 +12,6 @@ from memesent.models import (
     BowFfnnClassifier,
     MlpClassifier,
     Word2vecFfnnClassifier,
-    ffnn_w2v_predict,
     ffnn_w2v_train,
 )
 from memesent.nn import NetSpec, TrainConfig
@@ -46,10 +45,9 @@ class TestWord2vecFfnn:
 
     def test_single_caption_prediction(self):
         model, *_ = fit_synthetic(n=60)
-        row = ffnn_w2v_predict(model, "delta echo echo")
+        row = model.predict_proba(["delta echo echo"])[0]
         assert row.shape == (3,)
-        assert np.array_equal(row, model.predict_proba(["delta echo echo"])[0])
-        twice = ffnn_w2v_predict(model, "delta echo echo")
+        twice = model.predict_proba(["delta echo echo"])[0]
         assert np.array_equal(row, twice)
 
     def test_same_seed_same_predictions(self):
@@ -63,10 +61,14 @@ class TestWord2vecFfnn:
         b, *_ = fit_synthetic(seed=2, n=60)
         assert not np.array_equal(a.params_.weights[0], b.params_.weights[0])
 
-    def test_all_oov_caption_flagged(self):
-        model, *_ = fit_synthetic(n=60)
-        row = model.predict_proba(["zzz qqq www"])[0]
-        assert model.coverage_.n_all_oov == 1
+    def test_all_oov_caption_flagged(self, caplog):
+        model, _, train, _ = fit_synthetic(n=60)
+        fitted = model.coverage_
+        with caplog.at_level("WARNING", logger="memesent.models.ffnn"):
+            row = model.predict_proba(["zzz qqq www"])[0]
+        assert "1 have no in-vocabulary tokens" in caplog.text
+        assert model.coverage_ is fitted  # prediction leaves fitted state alone
+        assert fitted.n_captions == len(train) and fitted.n_all_oov == 0
         assert np.abs(row.sum() - 1.0) < 1e-6  # zero vector still scores
 
     def test_spec_table_dim_mismatch(self):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memesent.errors import DataFormatError, NotFittedError, TrainingError
-from memesent.models import MultinomialNaiveBayes, nb_predict, nb_train
+from memesent.models import MultinomialNaiveBayes, nb_train
 
 TOY_X = [["good", "good", "fun"], ["bad", "sad"], ["fun", "bad"]]
 TOY_Y = [2, 0, 1]
@@ -16,6 +16,11 @@ TOY_Y = [2, 0, 1]
 
 def toy_model():
     return nb_train(TOY_X, TOY_Y, alpha=1.0)
+
+
+def nb_predict(model, tokens):
+    """Posterior distribution for a single token list."""
+    return model.predict_proba([tokens])[0]
 
 
 def hand_posterior(tokens):

@@ -17,8 +17,6 @@ from memesent.nn import (
     grad_check,
     init_adam,
     init_params,
-    load_params,
-    save_params,
     softmax,
     softmax_xent,
     train,
@@ -358,12 +356,17 @@ def test_train_empty_rejected():
 
 # ---------------------------------------------------------------- persistence
 def test_params_roundtrip_bit_exact(tmp_path):
+    from memesent.persist import load_container, save_container
+
     X, y = toy_problem()
     spec = small_spec()
     params, _ = train(spec, X, y, TrainConfig(epochs=1))
     path = tmp_path / "net.msnt"
-    save_params(path, spec, params)
-    spec2, params2 = load_params(path)
+    save_container(path, {"spec": spec.to_dict()}, params.arrays())
+    header, arrays = load_container(path)
+    assert list(arrays) == ["W0", "b0", "W1", "b1", "W2", "b2"]
+    spec2 = NetSpec.from_dict(header["spec"])
+    params2 = MlpParams.from_arrays(arrays, len(spec2.widths) - 1, path)
     assert spec2 == spec
     for a, b in zip(params.flat(), params2.flat()):
         np.testing.assert_array_equal(a, b)
@@ -372,6 +375,8 @@ def test_params_roundtrip_bit_exact(tmp_path):
 
 
 def test_params_same_seed_same_file(tmp_path):
+    from memesent.persist import save_container
+
     X, y = toy_problem()
     spec = small_spec()
     cfg = TrainConfig(epochs=2, seed=4)
@@ -379,27 +384,14 @@ def test_params_same_seed_same_file(tmp_path):
     for name in ("one.msnt", "two.msnt"):
         params, _ = train(spec, X, y, cfg)
         path = tmp_path / name
-        save_params(path, spec, params)
+        save_container(path, {"spec": spec.to_dict()}, params.arrays())
         paths.append(path.read_bytes())
     assert paths[0] == paths[1]
 
 
-def test_load_params_wrong_kind(tmp_path):
-    from memesent.persist import save_container
-
-    path = tmp_path / "bad.msnt"
-    save_container(path, {"kind": "other"}, {})
-    with pytest.raises(DataFormatError, match="not an MLP"):
-        load_params(path)
-
-
 def test_load_params_missing_array(tmp_path):
-    spec = small_spec()
-    params = init_params(spec)
-    from memesent.persist import save_container
-
-    arrays = {f"W{i}": w for i, w in enumerate(params.weights)}
-    path = tmp_path / "міssing.msnt"
-    save_container(path, {"kind": "mlp-params", "spec": spec.to_dict()}, arrays)
-    with pytest.raises(DataFormatError, match="missing parameter array"):
-        load_params(path)
+    params = init_params(small_spec())
+    arrays = params.arrays()
+    del arrays["b1"]
+    with pytest.raises(DataFormatError, match="міssing.msnt: missing parameter array 'b1'"):
+        MlpParams.from_arrays(arrays, params.n_layers, "міssing.msnt")

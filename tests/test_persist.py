@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from memesent.errors import DataFormatError
 from memesent.persist import load_container, save_container
@@ -90,3 +92,63 @@ def test_header_canonicalization(tmp_path):
     save_container(p1, {"a": 1, "b": 2}, {})
     save_container(p2, {"b": 2, "a": 1}, {})
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _with_checksum(blob: bytes) -> bytes:
+    import hashlib
+
+    return blob + hashlib.sha256(blob).digest()
+
+
+def test_header_must_be_an_object(tmp_path):
+    path = tmp_path / "m.msnt"
+    save_container(path, [1, 2], {})
+    with pytest.raises(DataFormatError, match="not an object"):
+        load_container(path)
+
+
+def test_truncated_dims_fail_typed(tmp_path):
+    path = tmp_path / "m.msnt"
+    save_container(path, {"kind": "demo"}, {"x": np.zeros((2, 3))})
+    blob = path.read_bytes()[:-32]
+    dims_end = blob.index(b"x") + 1 + 2 + 8  # name, tag + ndim, first dim
+    path.write_bytes(_with_checksum(blob[:dims_end + 4]))
+    with pytest.raises(DataFormatError, match="m.msnt: malformed container"):
+        load_container(path)
+
+
+def _valid_body() -> bytes:
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.msnt"
+        save_container(path, {"kind": "naive-bayes", "alpha": 1.0, "vocabulary": ["a"]},
+                       {"class_log_prior": np.zeros(3), "token_log_likelihood": np.zeros((3, 1))})
+        return path.read_bytes()[:-32]
+
+
+_BODY = _valid_body()
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.integers(0, len(_BODY) - 1), st.integers(0, 255)),
+                      max_size=4),
+       cut=st.integers(4, len(_BODY)),
+       tail=st.binary(max_size=12))
+def test_fuzzed_body_fails_typed(tmp_path, edits, cut, tail):
+    """A body changed anywhere after the magic, with a valid checksum,
+    either loads or raises DataFormatError; so does building a model."""
+    from memesent.models import model_from_container
+
+    body = bytearray(_BODY)
+    for pos, value in edits:
+        body[max(pos, 4)] = value
+    path = tmp_path / "fuzz.msnt"
+    path.write_bytes(_with_checksum(bytes(body[:cut]) + tail))
+    try:
+        header, arrays = load_container(path)
+        model_from_container(header, arrays, path)
+    except DataFormatError:
+        pass

@@ -1,0 +1,118 @@
+"""The model registry, the persistence protocol and the public API surface."""
+
+import importlib
+import inspect
+import pkgutil
+
+import numpy as np
+import pytest
+
+import memesent
+from _util import hue_band_tensors, synthetic_corpus
+from memesent import cli
+from memesent.base import Estimator, SavedModel
+from memesent.config import MODEL_KINDS, RunConfig
+from memesent.corpus import Dataset, MemeRecord
+from memesent.models import MODEL_CLASSES, load_model, write_hsv_tensor
+
+
+@pytest.fixture(scope="module")
+def captioned_images(tmp_path_factory):
+    """30 labeled captions, each with an HSV tensor file, plus a table."""
+    base = tmp_path_factory.mktemp("registry")
+    ds, table = synthetic_corpus(n=30)
+    T, _ = hue_band_tensors(n=30, seed=1)
+    records = []
+    for rec, tensor in zip(ds.records, T):
+        write_hsv_tensor(tensor, base / f"{rec.id}.hsv")
+        records.append(MemeRecord(id=rec.id, caption=rec.caption,
+                                  label=rec.label, image_path=f"{rec.id}.hsv"))
+    return Dataset(records=tuple(records)), base, table
+
+
+def test_registry_covers_every_model_kind():
+    assert set(cli._MODELS) == set(MODEL_KINDS)
+    classes = [cls for cls, _, _ in cli._MODELS.values()]
+    assert sorted(cls.KIND for cls in classes) == sorted(MODEL_CLASSES)
+    assert all(MODEL_CLASSES[cls.KIND] is cls for cls in classes)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_train_save_load_predict_identical(kind, captioned_images, tmp_path):
+    ds, base, table = captioned_images
+    cfg = RunConfig(model=kind, epochs=2, batch_size=10, folds=2, hidden=(8,))
+    model = cli._fit_model(cfg, ds, base, 3, table)
+    assert type(model) is cli._MODELS[kind][0]
+    path = tmp_path / "model.bin"
+    model.save(path)
+    back = load_model(path, table)
+    assert type(back) is type(model)
+    probs = cli._model_proba(model, ds, base)
+    assert probs.shape == (len(ds), 3)
+    assert np.array_equal(cli._model_proba(back, ds, base), probs)
+    back.save(tmp_path / "again.bin")
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+
+def test_config_fields_reach_the_estimators(captioned_images):
+    ds, _, table = captioned_images
+    cfg = RunConfig(model="fusion", hidden=(5, 4), lr=0.01, vocab_size=7, folds=3,
+                    in_sample=True, epochs=1, batch_size=9, shuffle=False)
+    cls, build, _ = cli._MODELS["fusion"]
+    model = build(cls, cfg, 11, table=table)
+    assert (model.folds, model.in_sample, model.seed) == (3, True, 11)
+    assert model.text.get_params() == dict(
+        prep=None, vocab_size=7, hidden=(5, 4), activation="relu", init_mode="scaled",
+        init_sigma=1.0, batch_size=9, epochs=1, lr=0.01, shuffle=False, seed=11,
+    )
+    assert model.image.get_params() == dict(
+        batch_size=9, epochs=1, lr=0.01, shuffle=False, seed=11,
+    )
+    w2v = cli._MODELS["ffnn_w2v"][1](cli._MODELS["ffnn_w2v"][0], cfg, 2, table=table)
+    assert w2v.table is table and w2v.hidden == (5, 4) and w2v.seed == 2
+
+
+def _estimator_classes():
+    found = set()
+    for info in pkgutil.walk_packages(memesent.__path__, "memesent."):
+        module = importlib.import_module(info.name)
+        for _, obj in inspect.getmembers(module, inspect.isclass):
+            if issubclass(obj, Estimator) and obj is not Estimator:
+                found.add(obj)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("cls", _estimator_classes(), ids=lambda cls: cls.__name__)
+def test_get_params_are_the_constructor_parameters(cls):
+    required = {"table": synthetic_corpus(n=3)[1]}
+    est = cls(**{k: v for k, v in required.items() if k in cls._param_names()})
+    params = est.get_params()
+    # each key is a constructor parameter that is stored under its name
+    for name in params:
+        marker = object()
+        clone = cls(**dict(params, **{name: marker}))
+        assert clone.get_params()[name] is marker
+    # and the constructor takes nothing else
+    with pytest.raises(TypeError):
+        cls(**params, not_a_parameter=1)
+
+
+def test_saved_models_are_registered():
+    # every concrete (KIND-tagged) saved model is in the loader's registry
+    saved = [cls for cls in _estimator_classes() if issubclass(cls, SavedModel) and cls.KIND]
+    assert sorted(cls.KIND for cls in saved) == sorted(MODEL_CLASSES)
+
+
+def _memesent_modules():
+    names = ["memesent"] + [
+        info.name for info in pkgutil.walk_packages(memesent.__path__, "memesent.")
+    ]
+    return [importlib.import_module(name) for name in names]
+
+
+@pytest.mark.parametrize("module", _memesent_modules(), ids=lambda m: m.__name__)
+def test_every_export_resolves(module):
+    exports = getattr(module, "__all__", [])
+    assert [name for name in exports if not hasattr(module, name)] == []
+    assert len(set(exports)) == len(exports)
+
