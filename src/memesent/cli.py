@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import multiprocessing
+import os
 import sys
 from pathlib import Path
 
@@ -341,6 +343,46 @@ def cmd_eval(cfg: RunConfig, predictions_path: str) -> int:
     return 0
 
 
+def _env_threads(environ, name: str) -> int | None:
+    """A positive integer thread count from ``environ[name]``, else None
+    (unset, empty, zero or not a number: BLAS then uses its default)."""
+    try:
+        value = int(environ.get(name, ""))
+    except ValueError:
+        return None
+    return value if value > 0 else None
+
+
+def _stability_workers(runs: int, cpus: int, environ, can_fork: bool) -> int:
+    """Stability seeds to run at once: one per ``blas_threads`` of the
+    ``cpus`` this process may use, so workers never oversubscribe them.
+
+    ``blas_threads`` is ``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``,
+    else ``cpus`` (OpenBLAS's own default), so a run with unpinned BLAS
+    stays serial. Without ``fork`` the study is serial too.
+    """
+    if not can_fork:
+        return 1
+    blas_threads = (_env_threads(environ, "OPENBLAS_NUM_THREADS")
+                    or _env_threads(environ, "OMP_NUM_THREADS") or cpus)
+    return max(1, min(runs, cpus // blas_threads))
+
+
+def _workers_here(runs: int) -> int:
+    """:func:`_stability_workers` for this process and its environment."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    can_fork = "fork" in multiprocessing.get_all_start_methods()
+    return _stability_workers(runs, cpus, os.environ, can_fork)
+
+
+def _print_seed(seed: int, score: float, seconds: float) -> None:
+    print(f"seed {seed}: macro-F1 {score:.4f} ({seconds:.1f} s)",
+          file=sys.stderr, flush=True)
+
+
 def cmd_stability(cfg: RunConfig) -> int:
     ds, path = _load_dataset(cfg)
     table = _table_for(_MODELS[cfg.model][0], cfg, ds)
@@ -354,6 +396,7 @@ def cmd_stability(cfg: RunConfig) -> int:
     report = stability_study(
         train_fn, ds, fraction=cfg.split, n_runs=cfg.runs,
         seed0=cfg.seed, resplit=cfg.resplit,
+        workers=_workers_here(cfg.runs), progress=_print_seed,
     )
     out = _out_dir(cfg)
     (out / "stability.json").write_text(report.to_json() + "\n", encoding="utf-8")

@@ -9,6 +9,11 @@ absent from both gold and predictions still contributes a 0.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -199,6 +204,69 @@ class StabilityReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
+# (train_fn, dataset, fraction, seed0, resplit, started) of the study a
+# forked worker serves; set by _init_worker, inherited rather than pickled
+_STUDY = None
+
+
+def _run_seed(seed: int, study=None) -> tuple[float, float]:
+    """Split, train and score one seed of ``study`` (the worker's own by
+    default); returns its macro-F1 and the seconds it took."""
+    train_fn, dataset, fraction, seed0, resplit, started = study or _STUDY
+    if started is not None:
+        started[seed - seed0] = 1
+    start = time.perf_counter()
+    try:
+        split_seed = seed if resplit else seed0
+        train_ds, val_ds = stratified_split(dataset, fraction, seed=split_seed)
+        preds = train_fn(train_ds, val_ds, seed)
+        golds = [int(label) for label in val_ds.labels()]
+        score = macro_f1(preds, golds, seed=seed).macro_f1
+    except Exception as exc:
+        raise TrainingError(f"stability run with seed {seed} failed: {exc}") from exc
+    finally:
+        if started is not None:
+            started[seed - seed0] = 2
+    return score, time.perf_counter() - start
+
+
+def _init_worker(*study) -> None:
+    global _STUDY
+    _STUDY = study
+
+
+def _run_parallel(study, seeds, workers, collect) -> None:
+    """``collect(seed, result)`` for each seed's ``_run_seed`` result, in
+    seed order, computed by ``workers`` forked processes.
+
+    The first failure in seed order is raised and the seeds not yet
+    started are cancelled. A worker that dies (``os._exit``, a kill
+    signal) breaks the pool; that becomes a :class:`TrainingError`
+    naming the seeds that were running, one of which was its own.
+    """
+    started = multiprocessing.RawArray("b", len(seeds))  # 0 queued, 1 running, 2 done
+    sys.stdout.flush()  # a forked worker must not write buffered output again
+    sys.stderr.flush()
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker, initargs=(*study, started),
+    )
+    try:
+        futures = [pool.submit(_run_seed, seed) for seed in seeds]
+        for seed, future in zip(seeds, futures):
+            try:
+                result = future.result()
+            except BrokenProcessPool as exc:
+                running = [str(s) for i, s in enumerate(seeds) if started[i] == 1]
+                raise TrainingError(
+                    "a stability worker process died while running seed "
+                    + (" or ".join(running) or str(seed))
+                ) from exc
+            collect(seed, result)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def stability_study(
     train_fn,
     dataset: Dataset,
@@ -206,6 +274,8 @@ def stability_study(
     n_runs: int = 50,
     seed0: int = 0,
     resplit: bool = True,
+    workers: int = 1,
+    progress=None,
 ) -> StabilityReport:
     """Repeat train-and-score over seeds seed0 .. seed0 + n_runs - 1.
 
@@ -214,22 +284,34 @@ def stability_study(
     default, attributing spread to both the split and training
     randomness; ``resplit=False`` pins one split (seed0) so spread comes
     from training alone. A failing run aborts the study with its seed.
+
+    With ``workers`` > 1 the seeds run in up to that many forked worker
+    processes. They inherit ``train_fn`` and the dataset, so closures
+    work and only results are pickled; a run's side effects stay in its
+    worker. Results are collected in seed order, so the report equals
+    the serial one, bit for bit, at the same BLAS thread count.
+    ``progress(seed, score, seconds)`` is called for each run, in seed
+    order, as its result arrives; ``seconds`` is the run's own time.
     """
     if n_runs < 2:
         raise ValueError(f"a stability study needs n_runs >= 2, got {n_runs}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    seeds = list(range(seed0, seed0 + n_runs))
+    study = (train_fn, dataset, fraction, seed0, resplit)
     scores = []
-    seeds = []
-    for seed in range(seed0, seed0 + n_runs):
-        split_seed = seed if resplit else seed0
-        train_ds, val_ds = stratified_split(dataset, fraction, seed=split_seed)
-        try:
-            preds = train_fn(train_ds, val_ds, seed)
-            golds = [int(label) for label in val_ds.labels()]
-            score = macro_f1(preds, golds, seed=seed).macro_f1
-        except Exception as exc:
-            raise TrainingError(f"stability run with seed {seed} failed: {exc}") from exc
+
+    def collect(seed, result):
+        score, seconds = result
         scores.append(score)
-        seeds.append(seed)
+        if progress is not None:
+            progress(seed, score, seconds)
+
+    if workers == 1:
+        for seed in seeds:
+            collect(seed, _run_seed(seed, (*study, None)))
+    else:
+        _run_parallel(study, seeds, min(workers, n_runs), collect)
     return StabilityReport.from_scores(scores, seeds)
 
 

@@ -17,7 +17,9 @@ the input gradient a GEMM followed by a col2im scatter-add, one strided
 add per kernel offset. The first layer's input gradient is not
 computed. Prediction runs the forward pass in blocks of
 ``_PREDICT_BLOCK`` rows, so its memory does not grow with the number of
-rows.
+rows. Training passes a :class:`Workspace`, so every step reuses the
+first step's patch matrices, activations and pooling buffers instead of
+allocating them again.
 """
 
 from __future__ import annotations
@@ -91,7 +93,33 @@ def init_cnn_params(seed: int) -> CnnParams:
     )
 
 
-def _im2col(X, kh, kw):
+def _fresh(name, shape):
+    """A new float64 array for an intermediate; see :class:`Workspace`."""
+    return np.empty(shape)
+
+
+class Workspace:
+    """The intermediates of a training step, kept for the next step.
+
+    Called like :func:`_fresh`: returns the first ``shape[0]`` rows of
+    the array of that name, made on first use, so every step of a fit
+    (the short last batch too) works in the same memory. Fresh arrays
+    of these sizes (3.1 MB for conv1's patch matrix at batch 16, about
+    10 MB in all) let the C heap shrink back at the end of each step and
+    fault its pages in again on the next one.
+    """
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def __call__(self, name, shape):
+        arr = self._arrays.get(name)
+        if arr is None or len(arr) < shape[0] or arr.shape[1:] != tuple(shape[1:]):
+            arr = self._arrays[name] = np.empty(shape)
+        return arr[: shape[0]]
+
+
+def _im2col(X, kh, kw, new=_fresh, tag=""):
     """Patch matrix of a valid kh x kw convolution: (n, C*kh*kw, OH*OW).
 
     Rows run in ``(c, u, v)`` order, the order of ``K.reshape(OC, -1)``;
@@ -101,14 +129,17 @@ def _im2col(X, kh, kw):
     n, C = X.shape[:2]
     win = sliding_window_view(X, (kh, kw), axis=(2, 3))  # (n, C, OH, OW, kh, kw)
     OH, OW = win.shape[2:4]
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(n, C * kh * kw, OH * OW)
+    patches = win.transpose(0, 1, 4, 5, 2, 3)
+    cols = new("cols" + tag, (n, C * kh * kw, OH * OW))
+    cols.reshape(patches.shape)[...] = patches
+    return cols
 
 
-def _conv_gemm(cols, K, b, in_shape):
+def _conv_gemm(cols, K, b, in_shape, new=_fresh, tag=""):
     """Valid convolution from the input's patch matrix ``cols``."""
     n, _, H, W = in_shape
     OC, _, kh, kw = K.shape
-    out = np.matmul(K.reshape(OC, -1), cols)
+    out = np.matmul(K.reshape(OC, -1), cols, out=new("z" + tag, (n, OC, cols.shape[2])))
     out += b[:, None]
     return out.reshape(n, OC, H - kh + 1, W - kw + 1)
 
@@ -118,7 +149,7 @@ def _conv_forward(X, K, b):
     return _conv_gemm(_im2col(X, K.shape[2], K.shape[3]), K, b, X.shape)
 
 
-def _conv_backward(dout, cols, K, in_shape=None):
+def _conv_backward(dout, cols, K, in_shape=None, new=_fresh, tag=""):
     """Gradients of a valid convolution, given its input's patch matrix.
 
     Returns ``(dX, dK, db)``. ``dX`` is computed only when ``in_shape``
@@ -135,40 +166,41 @@ def _conv_backward(dout, cols, K, in_shape=None):
     if in_shape is None:
         return None, dK, db
     _, C, kh, kw = K.shape
-    dcols = np.matmul(K.reshape(OC, -1).T, d2).reshape(n, C, kh, kw, OH, OW)
-    dX = np.zeros(in_shape)
+    dcols = np.matmul(K.reshape(OC, -1).T, d2, out=new("dcols" + tag, cols.shape))
+    dcols = dcols.reshape(n, C, kh, kw, OH, OW)
+    dX = new("dX" + tag, in_shape)
+    dX.fill(0.0)
     for u in range(kh):
         for v in range(kw):
             dX[:, :, u : u + OH, v : v + OW] += dcols[:, :, u, v]
     return dX, dK, db
 
 
-def _pool_forward(X):
+def _pool_forward(X, new=_fresh, tag=""):
     """2x2 stride-2 max pool; returns (out, winner index per window)."""
     n, C, H, W = X.shape
     OH, OW = H // 2, W // 2
-    win = (
+    win = new("win" + tag, (n, C, OH, OW, 4))
+    win.reshape(n, C, OH, OW, 2, 2)[...] = (
         X[:, :, : OH * 2, : OW * 2]
         .reshape(n, C, OH, 2, OW, 2)
         .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, C, OH, OW, 4)
     )
     idx = win.argmax(axis=-1)  # first maximum wins ties
     out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
     return out, idx
 
 
-def _pool_backward(dout, idx, in_shape):
+def _pool_backward(dout, idx, in_shape, new=_fresh, tag=""):
     n, C, H, W = in_shape
     OH, OW = H // 2, W // 2
-    dwin = np.zeros((n, C, OH, OW, 4))
+    dwin = new("dwin" + tag, (n, C, OH, OW, 4))
+    dwin.fill(0.0)
     np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=-1)
-    dX = np.zeros(in_shape)
-    dX[:, :, : OH * 2, : OW * 2] = (
-        dwin.reshape(n, C, OH, OW, 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, C, OH * 2, OW * 2)
-    )
+    dX = new("dpool" + tag, in_shape)
+    dX.fill(0.0)
+    for k, (u, v) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        dX[:, :, u : OH * 2 : 2, v : OW * 2 : 2] = dwin[..., k]
     return dX
 
 
@@ -183,18 +215,24 @@ def _check_tensors(T) -> np.ndarray:
     return T
 
 
-def cnn_forward(params: CnnParams, T: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Logits for a batch of HSV tensors plus the backward cache."""
+def cnn_forward(
+    params: CnnParams, T: np.ndarray, new=_fresh
+) -> tuple[np.ndarray, dict]:
+    """Logits for a batch of HSV tensors plus the backward cache.
+
+    ``new`` makes the large intermediates; pass a :class:`Workspace` to
+    reuse them across calls (the cache then refers to its arrays).
+    """
     T = _check_tensors(T)
     X = T.transpose(0, 3, 1, 2)  # to channel-first
-    cols1 = _im2col(X, _CONV1[2], _CONV1[3])
-    z1 = _conv_gemm(cols1, params.K1, params.b1, X.shape)
-    a1 = np.maximum(z1, 0.0)
-    p1, idx1 = _pool_forward(a1)
-    cols2 = _im2col(p1, _CONV2[2], _CONV2[3])
-    z2 = _conv_gemm(cols2, params.K2, params.b2, p1.shape)
-    a2 = np.maximum(z2, 0.0)
-    p2, idx2 = _pool_forward(a2)
+    cols1 = _im2col(X, _CONV1[2], _CONV1[3], new, "1")
+    z1 = _conv_gemm(cols1, params.K1, params.b1, X.shape, new, "1")
+    a1 = np.maximum(z1, 0.0, out=new("a1", z1.shape))
+    p1, idx1 = _pool_forward(a1, new, "1")
+    cols2 = _im2col(p1, _CONV2[2], _CONV2[3], new, "2")
+    z2 = _conv_gemm(cols2, params.K2, params.b2, p1.shape, new, "2")
+    a2 = np.maximum(z2, 0.0, out=new("a2", z2.shape))
+    p2, idx2 = _pool_forward(a2, new, "2")
     flat = p2.reshape(len(T), -1)
     z3 = flat @ params.W3.T + params.b3
     a3 = np.maximum(z3, 0.0)
@@ -204,7 +242,10 @@ def cnn_forward(params: CnnParams, T: np.ndarray) -> tuple[np.ndarray, dict]:
     return logits, cache
 
 
-def cnn_backward(params: CnnParams, cache: dict, dlogits: np.ndarray) -> CnnParams:
+def cnn_backward(
+    params: CnnParams, cache: dict, dlogits: np.ndarray, new=_fresh
+) -> CnnParams:
+    """Gradients for the cached pass; ``new`` as in :func:`cnn_forward`."""
     dW4 = dlogits.T @ cache["a3"]
     db4 = dlogits.sum(axis=0)
     da3 = dlogits @ params.W4
@@ -213,12 +254,12 @@ def cnn_backward(params: CnnParams, cache: dict, dlogits: np.ndarray) -> CnnPara
     db3 = dz3.sum(axis=0)
     dflat = dz3 @ params.W3
     dp2 = dflat.reshape(cache["p2"].shape)
-    da2 = _pool_backward(dp2, cache["idx2"], cache["a2"].shape)
-    dz2 = da2 * (cache["z2"] > 0.0)
+    dz2 = _pool_backward(dp2, cache["idx2"], cache["a2"].shape, new, "2")
+    dz2 *= cache["z2"] > 0.0
     dp1, dK2, db2 = _conv_backward(dz2, cache["cols2"], params.K2,
-                                   cache["p1"].shape)
-    da1 = _pool_backward(dp1, cache["idx1"], cache["a1"].shape)
-    dz1 = da1 * (cache["z1"] > 0.0)
+                                   cache["p1"].shape, new, "2")
+    dz1 = _pool_backward(dp1, cache["idx1"], cache["a1"].shape, new, "1")
+    dz1 *= cache["z1"] > 0.0
     _, dK1, db1 = _conv_backward(dz1, cache["cols1"], params.K1)
     return CnnParams(K1=dK1, b1=db1, K2=dK2, b2=db2,
                      W3=dW3, b3=db3, W4=dW4, b4=db4)
@@ -275,11 +316,13 @@ class HsvCnnClassifier(SavedModel, Estimator):
         y = as_label_array(y)
         n = check_consistent_length(T, y)
 
+        workspace = Workspace()
+
         def loss_and_grad(flat, batch):
             params = CnnParams.from_flat(flat)
-            logits, cache = cnn_forward(params, T[batch])
+            logits, cache = cnn_forward(params, T[batch], workspace)
             loss, dlogits = softmax_xent(logits, y[batch])
-            return loss, cnn_backward(params, cache, dlogits).flat()
+            return loss, cnn_backward(params, cache, dlogits, workspace).flat()
 
         flat, self.history_ = fit_adam(init_cnn_params(self.seed).flat(),
                                        loss_and_grad, n, TrainConfig.of(self))

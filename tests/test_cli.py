@@ -3,6 +3,8 @@
 import csv
 import hashlib
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 from _util import synthetic_corpus
+from memesent import cli
 from memesent.cli import main
 from memesent.corpus import load_dataset, save_dataset
 from memesent.embeddings import write_word2vec_binary
@@ -309,6 +312,67 @@ class TestStability:
                 + (out / "stability_runs.csv").read_bytes()
             )
         assert blobs[0] == blobs[1]
+
+    def test_progress_line_per_seed(self, workspace, capsys):
+        assert run(
+            "stability", "--model", "nb", "--dataset", workspace["data"],
+            "--runs", 3, "--seed", 4, "--out", workspace["dir"] / "sp",
+        ) == 0
+        pattern = re.compile(r"seed (\d+): macro-F1 (\d\.\d{4}) \(\d+\.\d s\)")
+        lines = [pattern.fullmatch(ln) for ln in capsys.readouterr().err.splitlines()
+                 if ln.startswith("seed ")]
+        report = json.loads((workspace["dir"] / "sp" / "stability.json").read_text())
+        assert all(lines)
+        assert [int(m[1]) for m in lines] == report["seeds"] == [4, 5, 6]
+        assert [m[2] for m in lines] == [f"{s:.4f}" for s in report["scores"]]
+
+    def test_w2v_bytes_equal_at_one_and_two_workers(self, workspace, monkeypatch):
+        config = workspace["dir"] / "short.ini"
+        config.write_text("[train]\nepochs = 2\n", encoding="utf-8")
+        blobs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "_workers_here", lambda runs, w=workers: w)
+            out = workspace["dir"] / f"w{workers}"
+            assert run(
+                "stability", "--config", config, "--model", "ffnn_w2v",
+                "--dataset", workspace["data"], "--embeddings", workspace["emb"],
+                "--runs", 3, "--out", out,
+            ) == 0
+            blobs.append([(out / name).read_bytes()
+                          for name in ("stability.json", "stability_runs.csv")])
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("cpus, env, can_fork, runs, expected", [
+        (2, {}, True, 50, 1),  # BLAS defaults to one thread per CPU
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, True, 50, 2),
+        (2, {"OMP_NUM_THREADS": "1"}, True, 50, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, True, 50, 1),
+        (8, {"OPENBLAS_NUM_THREADS": "2"}, True, 50, 4),
+        (8, {"OPENBLAS_NUM_THREADS": "1"}, True, 3, 3),  # never more than runs
+        (4, {"OPENBLAS_NUM_THREADS": "8"}, True, 50, 1),
+        (4, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, True, 50, 4),
+        (4, {"OPENBLAS_NUM_THREADS": "0"}, True, 50, 1),  # 0 means BLAS's default
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, True, 50, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, False, 50, 1),  # no fork, serial
+    ])
+    def test_worker_count_rule(self, cpus, env, can_fork, runs, expected):
+        assert cli._stability_workers(runs, cpus, env, can_fork) == expected
+
+    def test_dying_worker_exit_1(self, workspace, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_workers_here", lambda runs: 2)
+        fit = cli._fit_model
+
+        def dies_on_seed_1(cfg, ds, base_dir, seed, table):
+            if seed == 1:
+                os._exit(9)
+            return fit(cfg, ds, base_dir, seed, table)
+
+        monkeypatch.setattr(cli, "_fit_model", dies_on_seed_1)
+        assert run(
+            "stability", "--model", "nb", "--dataset", workspace["data"],
+            "--runs", 3, "--out", workspace["dir"] / "sd",
+        ) == 1
+        assert "worker process died while running seed" in capsys.readouterr().err
 
     def test_runs_below_two_exit_2(self, workspace):
         assert run(

@@ -11,11 +11,13 @@ from memesent.models import HsvCnnClassifier, cnn_grad_check
 from memesent.models.cnn import (
     _PREDICT_BLOCK,
     CnnParams,
+    _fresh,
     _conv_backward,
     _conv_forward,
     _im2col,
     _pool_backward,
     _pool_forward,
+    Workspace,
     cnn_backward,
     cnn_forward,
     init_cnn_params,
@@ -159,6 +161,42 @@ class TestGradients:
         grads = cnn_backward(params, cache, dlogits)
         for p, g in zip(params.flat(), grads.flat()):
             assert p.shape == g.shape
+
+
+class TestWorkspace:
+    @staticmethod
+    def step(params, T, y, new):
+        logits, cache = cnn_forward(params, T, new)
+        _, dlogits = softmax_xent(logits, y)
+        return logits, cnn_backward(params, cache, dlogits, new)
+
+    def test_same_bits_as_fresh_arrays(self):
+        params = init_cnn_params(seed=2)
+        workspace = Workspace()
+        # 5 rows make the arrays; the 3-row step (a short last batch)
+        # and the next 5-row step reuse them
+        for n, seed in ((5, 0), (3, 1), (5, 2)):
+            T, y = small_batch(n=n, seed=seed)
+            logits, grads = self.step(params, T, y, workspace)
+            ref_logits, ref_grads = self.step(params, T, y, _fresh)
+            assert np.array_equal(logits, ref_logits)
+            for g, ref in zip(grads.flat(), ref_grads.flat()):
+                assert np.array_equal(g, ref)
+
+    def test_reused_step_allocates_little(self):
+        T, y = small_batch(n=16)
+        params = init_cnn_params(seed=0)
+        peaks = []
+        for new in (_fresh, Workspace()):
+            self.step(params, T, y, new)
+            tracemalloc.start()
+            try:
+                self.step(params, T, y, new)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # measured 10.7 MB fresh, 1.3 MB with the workspace
+        assert peaks[1] < peaks[0] / 4
 
 
 class TestTraining:

@@ -1,5 +1,7 @@
 """Scoring against brute-force oracles, baselines, stability studies."""
 
+import os
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -215,6 +217,78 @@ class TestStability:
     def test_too_few_runs(self):
         with pytest.raises(ValueError):
             stability_study(lambda *a: [], self.DATASET, n_runs=1)
+
+
+class TestParallelStability:
+    DATASET = TestStability.DATASET
+
+    @staticmethod
+    def random_preds(train_ds, val_ds, seed):
+        rng = np.random.default_rng(seed)
+        return rng.integers(0, 3, size=len(val_ds.records))
+
+    def test_workers_give_the_serial_report(self):
+        serial = stability_study(self.random_preds, self.DATASET, n_runs=5, seed0=3)
+        parallel = stability_study(self.random_preds, self.DATASET, n_runs=5,
+                                   seed0=3, workers=2)
+        assert parallel == serial
+        assert parallel.to_json() == serial.to_json()
+
+    def test_closure_state_reaches_workers(self):
+        offset = {"value": 1}  # read in the forked worker, never pickled
+
+        def train_fn(train_ds, val_ds, seed):
+            return [(seed + offset["value"]) % 3] * len(val_ds.records)
+
+        report = stability_study(train_fn, self.DATASET, n_runs=3, workers=2)
+        assert report == stability_study(train_fn, self.DATASET, n_runs=3)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_progress_in_seed_order(self, workers):
+        calls = []
+        report = stability_study(
+            self.random_preds, self.DATASET, n_runs=4, seed0=6, workers=workers,
+            progress=lambda seed, score, seconds: calls.append((seed, score, seconds)),
+        )
+        assert [c[0] for c in calls] == [6, 7, 8, 9]
+        assert tuple(c[1] for c in calls) == report.scores
+        assert all(c[2] >= 0.0 for c in calls)
+
+    def test_failing_run_reports_seed_in_workers(self):
+        def train_fn(train_ds, val_ds, seed):
+            if seed in (7, 8):
+                raise RuntimeError("boom")
+            return [0] * len(val_ds.records)
+
+        with pytest.raises(TrainingError, match="seed 7 failed: boom"):
+            stability_study(train_fn, self.DATASET, n_runs=5, seed0=5, workers=2)
+
+    def test_failure_cancels_seeds_not_started(self, tmp_path):
+        def train_fn(train_ds, val_ds, seed):
+            (tmp_path / f"seed{seed}").touch()
+            if seed == 0:
+                raise RuntimeError("boom")
+            time.sleep(0.2)
+            return [0] * len(val_ds.records)
+
+        with pytest.raises(TrainingError, match="seed 0"):
+            stability_study(train_fn, self.DATASET, n_runs=12, workers=2)
+        # seed 0 fails at once; only the seeds already handed to the two
+        # workers (one running, a few queued) run after it
+        assert len(list(tmp_path.iterdir())) <= 6
+
+    def test_dying_worker_reports_seed(self):
+        def train_fn(train_ds, val_ds, seed):
+            if seed == 6:
+                os._exit(3)
+            return [0] * len(val_ds.records)
+
+        with pytest.raises(TrainingError, match=r"worker process died while running seed .*\b6\b"):
+            stability_study(train_fn, self.DATASET, n_runs=5, seed0=5, workers=2)
+
+    def test_workers_must_be_positive(self):
+        with pytest.raises(ValueError, match="workers"):
+            stability_study(self.random_preds, self.DATASET, n_runs=2, workers=0)
 
 
 class TestCompare:

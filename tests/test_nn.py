@@ -249,10 +249,62 @@ def test_adam_bitwise_reproducible():
     np.testing.assert_array_equal(run(), run())
 
 
+def list_adam(params, grad_steps, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
+    """The list-based Adam rule, a fresh array per operation: the oracle
+    of the in-place step."""
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grad_steps, start=1):
+        bc1 = 1.0 - b1**t
+        bc2 = 1.0 - b2**t
+        for i, g in enumerate(grads):
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * g * g
+            m_hat = m[i] / bc1
+            v_hat = v[i] / bc2
+            params[i] = params[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return params
+
+
+def test_adam_in_place_matches_list_rule():
+    shapes = [(1,), (200, 200), (7, 3), (5,)]  # 40,000 > one block
+    assert 200 * 200 > nn._ADAM_BLOCK
+    start = [np.random.default_rng(1).standard_normal(s) for s in shapes]
+
+    def grad_steps():
+        rng = np.random.default_rng(2)
+        for step in range(300):
+            scale = 0.0 if step % 50 == 7 else 10.0 ** rng.integers(-4, 3)
+            yield [rng.standard_normal(s) * scale for s in shapes]
+
+    expected = list_adam([p.copy() for p in start], grad_steps(), lr=0.01)
+    state = init_adam(start, lr=0.01)
+    params = state.params
+    for grads in grad_steps():
+        state, params = adam_step(state, params, grads)
+    assert state.t == 300
+    for got, want in zip(params, expected):
+        assert np.array_equal(got, want)
+
+
+def test_adam_updates_own_buffer_only():
+    params = [np.ones((2, 3)), np.zeros(4)]
+    grads = [np.full((2, 3), 0.5), np.full(4, -0.25)]
+    state = init_adam(params)
+    _, new = adam_step(state, params, grads)
+    assert np.array_equal(params[0], np.ones((2, 3)))
+    assert np.array_equal(grads[1], np.full(4, -0.25))
+    assert all(a is b for a, b in zip(new, state.params))
+    assert all(np.shares_memory(a, state.p) for a in new)
+    assert state.p.size == 10 and state.p.flags.c_contiguous
+
+
 def test_adam_shape_mismatch():
     state = init_adam([np.zeros(2)])
     with pytest.raises(ValueError, match="optimizer state"):
         adam_step(state, [np.zeros(2), np.zeros(3)], [np.zeros(2), np.zeros(3)])
+    with pytest.raises(ValueError, match="optimizer state"):
+        adam_step(state, [np.zeros(2)], [np.zeros(3)])
 
 
 # ---------------------------------------------------------------- grad check
