@@ -6,22 +6,28 @@ learned state uses a trailing underscore, and ``get_params`` /
 ``set_params`` allow composition with the wider ecosystem without
 requiring scikit-learn itself.
 
-``SavedModel`` is the one persistence protocol of the model classes: a
-``KIND`` tag, ``save``/``load`` through the checksummed container, and
-one place that turns a malformed payload into :class:`DataFormatError`.
+``AdamEstimator`` declares the five training parameters of every model
+that ``nn.fit_adam`` trains, with :class:`~memesent.nn.TrainConfig`'s
+defaults. ``SavedModel`` is the one persistence protocol of the model
+classes: a ``KIND`` tag, ``save``/``load`` through the checksummed
+container, and one place that turns a malformed payload into
+:class:`DataFormatError`.
 """
 
 from __future__ import annotations
 
 import inspect
+from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import DataFormatError, NotFittedError
+from .nn import TrainConfig
 from .persist import load_container, save_container
 
 __all__ = [
     "Estimator",
+    "AdamEstimator",
     "SavedModel",
     "check_fitted",
     "check_consistent_length",
@@ -73,6 +79,25 @@ class Estimator:
         return f"{type(self).__name__}({args})"
 
 
+class AdamEstimator(Estimator):
+    """An estimator trained by ``nn.fit_adam``: its training parameters,
+    read back by ``TrainConfig.of``."""
+
+    def __init__(
+        self,
+        batch_size: int = TrainConfig.batch_size,
+        epochs: int = TrainConfig.epochs,
+        lr: float = TrainConfig.lr,
+        shuffle: bool = TrainConfig.shuffle,
+        seed: int = TrainConfig.seed,
+    ):
+        self.batch_size = batch_size
+        self.epochs = epochs
+        self.lr = lr
+        self.shuffle = shuffle
+        self.seed = seed
+
+
 class SavedModel:
     """Save and load through the model container (:mod:`memesent.persist`).
 
@@ -102,8 +127,15 @@ class SavedModel:
         """The model held by an already-read container; a missing or
         mistyped field or array raises :class:`DataFormatError` naming
         ``path``."""
-        try:
+        with cls._reading(path):
             return cls._from_payload(header, arrays, path, *context)
+
+    @classmethod
+    @contextmanager
+    def _reading(cls, path):
+        """Raise the errors of a malformed payload as :class:`DataFormatError`."""
+        try:
+            yield
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise DataFormatError(
                 f"{path}: malformed {cls.KIND} model ({type(exc).__name__}: {exc})"

@@ -36,7 +36,7 @@ from .corpus import (
     upsample,
 )
 from .embeddings import EmbeddingTable, load_embeddings
-from .errors import ConfigError, DataFormatError, MemesentError
+from .errors import ConfigError, DataFormatError
 from .eval import EvalReport, compare_report, macro_f1, stability_study
 from .models import (
     MODEL_CLASSES,
@@ -49,7 +49,7 @@ from .models import (
     model_from_container,
 )
 from .persist import load_container
-from .textprep import preprocess
+from .textprep import PrepConfig, preprocess
 
 __all__ = [
     "main",
@@ -77,6 +77,8 @@ def _schema_for(cfg: RunConfig, path: Path) -> CsvSchema:
             header = next(csv.reader(fh), [])
     except OSError as exc:
         raise DataFormatError(f"dataset file not found: {path}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataFormatError(f"{path}: malformed CSV header: {exc}") from exc
     return CsvSchema(
         id="id",
         caption="caption",
@@ -108,20 +110,6 @@ def _tensors_for(ds: Dataset, base_dir: Path) -> np.ndarray:
             p = base_dir / p
         tensors.append(load_hsv_input(p))
     return np.stack(tensors)
-
-
-def _load_table(cfg: RunConfig, ds: Dataset) -> EmbeddingTable:
-    if not cfg.embeddings:
-        raise ConfigError(
-            f"model {cfg.model!r} requires an embeddings path "
-            "(set [model] embeddings or --embeddings)"
-        )
-    vocab = None
-    if cfg.filter_embeddings:
-        vocab = set()
-        for caption in ds.captions():
-            vocab.update(preprocess(caption))
-    return load_embeddings(cfg.embeddings, cfg.embeddings_format, vocab_filter=vocab)
 
 
 def _int_labels(ds: Dataset) -> list[int]:
@@ -158,8 +146,24 @@ _MODELS = {
 }
 
 
-def _table_for(cls, cfg: RunConfig, ds: Dataset) -> EmbeddingTable | None:
-    return _load_table(cfg, ds) if cls is Word2vecFfnnClassifier else None
+def _table_for(cls, cfg: RunConfig, ds: Dataset,
+               prep: PrepConfig | None = None) -> EmbeddingTable | None:
+    """The embedding table a model of ``cls`` needs, if any. With
+    ``filter_embeddings`` it keeps only the dataset's tokens under
+    ``prep``, the model's preprocessing."""
+    if cls is not Word2vecFfnnClassifier:
+        return None
+    if not cfg.embeddings:
+        raise ConfigError(
+            f"model {cls.KIND!r} requires an embeddings path "
+            "(set [model] embeddings or --embeddings)"
+        )
+    vocab = None
+    if cfg.filter_embeddings:
+        vocab = set()
+        for caption in ds.captions():
+            vocab.update(preprocess(caption, prep))
+    return load_embeddings(cfg.embeddings, cfg.embeddings_format, vocab_filter=vocab)
 
 
 def _fit_model(cfg: RunConfig, ds: Dataset, base_dir: Path, seed: int, table):
@@ -284,7 +288,9 @@ def cmd_predict(cfg: RunConfig, model_path: str) -> int:
     if len(ds) == 0:
         raise DataFormatError(f"{cfg.dataset}: no usable records")
     header, arrays = load_container(model_path)
-    table = _table_for(MODEL_CLASSES.get(header.get("kind")), cfg, ds)
+    cls = MODEL_CLASSES.get(header.get("kind"))
+    prep = cls.saved_prep(header, model_path) if cls is Word2vecFfnnClassifier else None
+    table = _table_for(cls, cfg, ds, prep)
     model = model_from_container(header, arrays, model_path, table)
     probs = _model_proba(model, ds, path.parent)
     out = _out_dir(cfg)
@@ -304,16 +310,19 @@ def _read_predictions(path: str | Path) -> dict[str, Sentiment]:
     path = Path(path)
     if not path.is_file():
         raise DataFormatError(f"predictions file not found: {path}")
+    preds = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"id", "label"} <= set(reader.fieldnames):
-            raise DataFormatError(f"{path}: expected columns id,label")
-        preds = {}
-        for rownum, row in enumerate(reader, start=2):
-            rec_id = (row["id"] or "").strip()
-            if rec_id in preds:
-                raise DataFormatError(f"{path}: duplicate id {rec_id!r} at row {rownum}")
-            preds[rec_id] = normalize_label(row["label"] or "")
+        try:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or not {"id", "label"} <= set(reader.fieldnames):
+                raise DataFormatError(f"{path}: expected columns id,label")
+            for rownum, row in enumerate(reader, start=2):
+                rec_id = (row["id"] or "").strip()
+                if rec_id in preds:
+                    raise DataFormatError(f"{path}: duplicate id {rec_id!r} at row {rownum}")
+                preds[rec_id] = normalize_label(row["label"] or "")
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataFormatError(f"{path}: malformed CSV: {exc}") from exc
     if not preds:
         raise DataFormatError(f"{path}: no predictions")
     return preds
@@ -465,17 +474,11 @@ def _add_common(sub, *names):
         "out": dict(help="output directory"),
         "runs": dict(type=int, help="number of seeded runs"),
         "split": dict(type=float, help="training fraction for splits"),
+        "upsample": dict(action=argparse.BooleanOptionalAction,
+                         help="oversample minority classes before training"),
     }
     for name in names:
-        if name == "upsample":
-            sub.add_argument(
-                "--upsample",
-                action=argparse.BooleanOptionalAction,
-                default=None,
-                help="oversample minority classes before training",
-            )
-        else:
-            sub.add_argument(f"--{name}", **flags[name])
+        sub.add_argument(f"--{name}", **flags[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -516,17 +519,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OVERRIDE_FLAGS = ("seed", "model", "dataset", "embeddings", "out", "runs", "split")
-
-
 def _resolve(args) -> RunConfig:
+    """The config file's RunConfig, with each flag of a field's name set over it."""
     cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    for name in _OVERRIDE_FLAGS:
+    for name in vars(cfg):
         value = getattr(args, name, None)
         if value is not None:
             setattr(cfg, name, value)
-    if getattr(args, "upsample", None) is not None:
-        cfg.upsample = args.upsample
     return cfg.validate()
 
 
@@ -552,10 +551,7 @@ def main(argv=None) -> int:
     except (ConfigError, DataFormatError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemesentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # pragma: no cover - unexpected failure
+    except Exception as exc:  # TrainingError and unexpected failures
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

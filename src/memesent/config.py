@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .nn import DEFAULT_HIDDEN
+from .nn import DEFAULT_HIDDEN, TrainConfig
 
 __all__ = [
     "MODEL_KINDS",
@@ -72,10 +72,10 @@ class RunConfig:
     folds: int = 5
     in_sample: bool = False
     # [train]
-    batch_size: int = 50
-    epochs: int = 10
-    lr: float = 1e-3
-    shuffle: bool = True
+    batch_size: int = TrainConfig.batch_size
+    epochs: int = TrainConfig.epochs
+    lr: float = TrainConfig.lr
+    shuffle: bool = TrainConfig.shuffle
     # [run]
     seed: int = 0
     out: str = "runs"
@@ -148,14 +148,14 @@ def _parse_value(name: str, raw: str):
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Read an INI config; unknown sections or keys are errors."""
+    """Read a UTF-8 INI config; unknown sections or keys are errors."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     cfg = RunConfig()
     for section in parser.sections():

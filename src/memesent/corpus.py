@@ -186,7 +186,8 @@ def load_dataset(path: str | Path, schema: CsvSchema = CsvSchema()) -> Dataset:
     schema maps a label column) are skipped and reported with their
     1-based row numbers in ``provenance.rejected_rows``. Structural
     problems -- missing file, missing mapped column, duplicate id,
-    malformed quoting -- raise :class:`DataFormatError`.
+    malformed quoting, bytes that are not UTF-8 -- raise
+    :class:`DataFormatError`.
     """
     path = Path(path)
     if not path.is_file():
@@ -196,23 +197,23 @@ def load_dataset(path: str | Path, schema: CsvSchema = CsvSchema()) -> Dataset:
     rejected: list[tuple[int, str]] = []
     seen_ids: set[str] = set()
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataFormatError(f"empty dataset file: {path}")
-        columns = set(reader.fieldnames)
-        required = {schema.id, schema.caption}
-        if schema.label is not None:
-            required.add(schema.label)
-        if schema.image is not None:
-            required.add(schema.image)
-        missing = sorted(required - columns)
-        if missing:
-            raise DataFormatError(
-                f"{path}: missing mapped column(s) {missing}; file has {sorted(columns)}"
-            )
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise DataFormatError(f"empty dataset file: {path}")
+            columns = set(reader.fieldnames)
+            required = {schema.id, schema.caption}
+            if schema.label is not None:
+                required.add(schema.label)
+            if schema.image is not None:
+                required.add(schema.image)
+            missing = sorted(required - columns)
+            if missing:
+                raise DataFormatError(
+                    f"{path}: missing mapped column(s) {missing}; file has {sorted(columns)}"
+                )
 
-        try:
             for rownum, row in enumerate(reader, start=2):  # row 1 is the header
                 if None in row:
                     raise DataFormatError(
@@ -243,8 +244,8 @@ def load_dataset(path: str | Path, schema: CsvSchema = CsvSchema()) -> Dataset:
                         label=label,
                     )
                 )
-        except csv.Error as exc:
-            raise DataFormatError(f"{path}: malformed CSV: {exc}") from exc
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"{path}: malformed CSV: {exc}") from exc
 
     return Dataset(
         records=tuple(records),

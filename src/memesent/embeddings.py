@@ -23,6 +23,7 @@ the zero vector.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -128,6 +129,8 @@ def load_word2vec_binary(
     with open(path, "rb") as fh:
         vocab_size, dim = _parse_header(fh.readline(), path)
         vec_bytes = 4 * dim
+        # read() allocates what it is asked for before it finds the end
+        file_bytes = os.fstat(fh.fileno()).st_size
         for index in range(vocab_size):
             token_bytes = bytearray()
             while True:
@@ -147,7 +150,7 @@ def load_word2vec_binary(
                 raise DataFormatError(
                     f"{path}: non-UTF-8 token bytes at word index {index}: {exc}"
                 ) from exc
-            raw = fh.read(vec_bytes)
+            raw = fh.read(min(vec_bytes, file_bytes))
             if len(raw) != vec_bytes:
                 raise DataFormatError(
                     f"{path}: truncated file at word index {index} "

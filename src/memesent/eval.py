@@ -15,7 +15,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -111,10 +110,6 @@ class EvalReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
 def macro_f1(preds, golds, seed: int | None = None,
              config_hash: str | None = None) -> EvalReport:
     """Score predictions against golds; see module docstring for rules.
@@ -124,7 +119,7 @@ def macro_f1(preds, golds, seed: int | None = None,
     """
     cm = ConfusionMatrix.from_pairs(preds, golds)
     precision, recall, f1 = _prf_from_confusion(cm)
-    meta = {"timestamp": _utc_now()}
+    meta = {}
     if seed is not None:
         meta["seed"] = int(seed)
     if config_hash is not None:

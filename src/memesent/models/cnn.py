@@ -17,9 +17,9 @@ the input gradient a GEMM followed by a col2im scatter-add, one strided
 add per kernel offset. The first layer's input gradient is not
 computed. Prediction runs the forward pass in blocks of
 ``_PREDICT_BLOCK`` rows, so its memory does not grow with the number of
-rows. Training passes a :class:`Workspace`, so every step reuses the
-first step's patch matrices, activations and pooling buffers instead of
-allocating them again.
+rows. A fit, a prediction and a gradient check each allocate through one
+:class:`Workspace`, so every step or block reuses the first one's patch
+matrices, activations and pooling buffers instead of allocating them again.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..base import (
-    Estimator,
+    AdamEstimator,
     SavedModel,
     as_label_array,
     check_consistent_length,
@@ -93,20 +93,15 @@ def init_cnn_params(seed: int) -> CnnParams:
     )
 
 
-def _fresh(name, shape):
-    """A new float64 array for an intermediate; see :class:`Workspace`."""
-    return np.empty(shape)
-
-
 class Workspace:
-    """The intermediates of a training step, kept for the next step.
+    """The intermediates of a forward and backward pass, kept for the next.
 
-    Called like :func:`_fresh`: returns the first ``shape[0]`` rows of
-    the array of that name, made on first use, so every step of a fit
-    (the short last batch too) works in the same memory. Fresh arrays
-    of these sizes (3.1 MB for conv1's patch matrix at batch 16, about
-    10 MB in all) let the C heap shrink back at the end of each step and
-    fault its pages in again on the next one.
+    ``workspace(name, shape)`` returns the first ``shape[0]`` rows of the
+    float64 array of that name, made on first use, so every step of a fit
+    (the short last batch too) works in the same memory. Fresh arrays of
+    these sizes (3.1 MB for conv1's patch matrix at batch 16, about 10 MB
+    in all) let the C heap shrink back at the end of each step and fault
+    its pages in again on the next one.
     """
 
     def __init__(self):
@@ -119,7 +114,7 @@ class Workspace:
         return arr[: shape[0]]
 
 
-def _im2col(X, kh, kw, new=_fresh, tag=""):
+def _im2col(X, kh, kw, new, tag=""):
     """Patch matrix of a valid kh x kw convolution: (n, C*kh*kw, OH*OW).
 
     Rows run in ``(c, u, v)`` order, the order of ``K.reshape(OC, -1)``;
@@ -135,7 +130,7 @@ def _im2col(X, kh, kw, new=_fresh, tag=""):
     return cols
 
 
-def _conv_gemm(cols, K, b, in_shape, new=_fresh, tag=""):
+def _conv_gemm(cols, K, b, in_shape, new, tag=""):
     """Valid convolution from the input's patch matrix ``cols``."""
     n, _, H, W = in_shape
     OC, _, kh, kw = K.shape
@@ -144,12 +139,7 @@ def _conv_gemm(cols, K, b, in_shape, new=_fresh, tag=""):
     return out.reshape(n, OC, H - kh + 1, W - kw + 1)
 
 
-def _conv_forward(X, K, b):
-    """Valid convolution; X (n, C, H, W), K (OC, C, kh, kw)."""
-    return _conv_gemm(_im2col(X, K.shape[2], K.shape[3]), K, b, X.shape)
-
-
-def _conv_backward(dout, cols, K, in_shape=None, new=_fresh, tag=""):
+def _conv_backward(dout, cols, K, new, in_shape=None, tag=""):
     """Gradients of a valid convolution, given its input's patch matrix.
 
     Returns ``(dX, dK, db)``. ``dX`` is computed only when ``in_shape``
@@ -176,7 +166,7 @@ def _conv_backward(dout, cols, K, in_shape=None, new=_fresh, tag=""):
     return dX, dK, db
 
 
-def _pool_forward(X, new=_fresh, tag=""):
+def _pool_forward(X, new, tag=""):
     """2x2 stride-2 max pool; returns (out, winner index per window)."""
     n, C, H, W = X.shape
     OH, OW = H // 2, W // 2
@@ -191,7 +181,7 @@ def _pool_forward(X, new=_fresh, tag=""):
     return out, idx
 
 
-def _pool_backward(dout, idx, in_shape, new=_fresh, tag=""):
+def _pool_backward(dout, idx, in_shape, new, tag=""):
     n, C, H, W = in_shape
     OH, OW = H // 2, W // 2
     dwin = new("dwin" + tag, (n, C, OH, OW, 4))
@@ -216,14 +206,12 @@ def _check_tensors(T) -> np.ndarray:
 
 
 def cnn_forward(
-    params: CnnParams, T: np.ndarray, new=_fresh
+    params: CnnParams, T: np.ndarray, new: Workspace | None = None
 ) -> tuple[np.ndarray, dict]:
-    """Logits for a batch of HSV tensors plus the backward cache.
-
-    ``new`` makes the large intermediates; pass a :class:`Workspace` to
-    reuse them across calls (the cache then refers to its arrays).
-    """
-    T = _check_tensors(T)
+    """Logits for a batch of float64 (n, 32, 32, 3) HSV tensors plus the
+    backward cache, whose arrays belong to the :class:`Workspace` ``new``
+    (a fresh one when None) until its next pass."""
+    new = new if new is not None else Workspace()
     X = T.transpose(0, 3, 1, 2)  # to channel-first
     cols1 = _im2col(X, _CONV1[2], _CONV1[3], new, "1")
     z1 = _conv_gemm(cols1, params.K1, params.b1, X.shape, new, "1")
@@ -243,9 +231,11 @@ def cnn_forward(
 
 
 def cnn_backward(
-    params: CnnParams, cache: dict, dlogits: np.ndarray, new=_fresh
+    params: CnnParams, cache: dict, dlogits: np.ndarray, new: Workspace | None = None
 ) -> CnnParams:
-    """Gradients for the cached pass; ``new`` as in :func:`cnn_forward`."""
+    """Gradients for the cached pass; ``new`` as in :func:`cnn_forward`.
+    The gradients are new arrays, not the workspace's."""
+    new = new if new is not None else Workspace()
     dW4 = dlogits.T @ cache["a3"]
     db4 = dlogits.sum(axis=0)
     da3 = dlogits @ params.W4
@@ -256,11 +246,11 @@ def cnn_backward(
     dp2 = dflat.reshape(cache["p2"].shape)
     dz2 = _pool_backward(dp2, cache["idx2"], cache["a2"].shape, new, "2")
     dz2 *= cache["z2"] > 0.0
-    dp1, dK2, db2 = _conv_backward(dz2, cache["cols2"], params.K2,
-                                   cache["p1"].shape, new, "2")
+    dp1, dK2, db2 = _conv_backward(dz2, cache["cols2"], params.K2, new,
+                                   cache["p1"].shape, "2")
     dz1 = _pool_backward(dp1, cache["idx1"], cache["a1"].shape, new, "1")
     dz1 *= cache["z1"] > 0.0
-    _, dK1, db1 = _conv_backward(dz1, cache["cols1"], params.K1)
+    _, dK1, db1 = _conv_backward(dz1, cache["cols1"], params.K1, new)
     return CnnParams(K1=dK1, b1=db1, K2=dK2, b2=db2,
                      W3=dW3, b3=db3, W4=dW4, b4=db4)
 
@@ -277,13 +267,15 @@ def cnn_grad_check(
     """``nn.check_gradients`` for the CNN at ``params`` on the batch
     (T, y); the pattern is every ReLU's on/off state and every pooling
     winner."""
+    T = _check_tensors(T)
     y = as_label_array(y)
-    logits, cache = cnn_forward(params, T)
+    workspace = Workspace()
+    logits, cache = cnn_forward(params, T, workspace)
     _, dlogits = softmax_xent(logits, y)
-    grads = cnn_backward(params, cache, dlogits)
+    grads = cnn_backward(params, cache, dlogits, workspace)
 
     def loss_and_pattern():
-        logits, cache = cnn_forward(params, T)
+        logits, cache = cnn_forward(params, T, workspace)
         loss, _ = softmax_xent(logits, y)
         relus = [(cache[z] > 0.0).tobytes() for z in ("z1", "z2", "z3")]
         return loss, (*relus, cache["idx1"].tobytes(), cache["idx2"].tobytes())
@@ -292,24 +284,10 @@ def cnn_grad_check(
                            eps, max_per_tensor, seed, min_grad)
 
 
-class HsvCnnClassifier(SavedModel, Estimator):
+class HsvCnnClassifier(SavedModel, AdamEstimator):
     """Softmax CNN on (n, 32, 32, 3) HSV tensors."""
 
     KIND = "cnn-hsv"
-
-    def __init__(
-        self,
-        batch_size: int = 50,
-        epochs: int = 10,
-        lr: float = 1e-3,
-        shuffle: bool = True,
-        seed: int = 0,
-    ):
-        self.batch_size = batch_size
-        self.epochs = epochs
-        self.lr = lr
-        self.shuffle = shuffle
-        self.seed = seed
 
     def fit(self, T, y) -> "HsvCnnClassifier":
         T = _check_tensors(T)
@@ -332,10 +310,10 @@ class HsvCnnClassifier(SavedModel, Estimator):
     def predict_proba(self, T) -> np.ndarray:
         check_fitted(self, "params_")
         T = _check_tensors(T)
+        workspace = Workspace()
         probs = np.empty((len(T), _CLASSES))
         for start in range(0, len(T), _PREDICT_BLOCK):
-            # [0] drops the backward cache before the next block is built
-            logits = cnn_forward(self.params_, T[start : start + _PREDICT_BLOCK])[0]
+            logits = cnn_forward(self.params_, T[start : start + _PREDICT_BLOCK], workspace)[0]
             probs[start : start + _PREDICT_BLOCK] = softmax(logits)
         return probs
 
@@ -346,7 +324,7 @@ class HsvCnnClassifier(SavedModel, Estimator):
 
     @classmethod
     def _from_payload(cls, header, arrays, path) -> "HsvCnnClassifier":
-        model = cls(seed=int(header.get("seed", 0)))
+        model = cls(seed=int(header["seed"]))
         model.params_ = CnnParams(**{f.name: arrays[f.name] for f in fields(CnnParams)})
         if model.params_.K1.shape != _CONV1 or model.params_.K2.shape != _CONV2:
             raise DataFormatError(f"{path}: kernel shapes do not match architecture")

@@ -1,14 +1,17 @@
 """Feed-forward caption classifiers.
 
 ``MlpClassifier`` wraps the numeric core behind fit/predict on feature
-matrices and declares the dense hyperparameters. The caption
-classifiers are featurizers in front of it: ``Word2vecFfnnClassifier``
-mean-pools embeddings of the preprocessed tokens,
-``BowFfnnClassifier`` builds bag-of-words presence vectors. They differ
-only in ``_features`` and in the extra header fields they save; fit,
-predict and persistence are shared. All use scaled initialization by
-default: the literal standard-normal init saturates the 6-hidden-layer
-stack and does not train at desk scale.
+matrices. It declares the four architecture parameters, which
+``_net_params`` maps to and from a :class:`NetSpec` under the same
+names, and inherits the five training parameters from
+:class:`~memesent.base.AdamEstimator`. The caption classifiers are
+featurizers in front of it: ``Word2vecFfnnClassifier`` mean-pools
+embeddings of the preprocessed tokens, ``BowFfnnClassifier`` builds
+bag-of-words presence vectors. They differ only in ``_features`` and in
+the extra header fields they save; fit, predict and persistence are
+shared. All use scaled initialization by default: the literal
+standard-normal init saturates the 6-hidden-layer stack and does not
+train at desk scale.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import logging
 import numpy as np
 
 from ..base import (
-    Estimator,
+    AdamEstimator,
     SavedModel,
     as_float_matrix,
     as_label_array,
@@ -49,7 +52,14 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-class MlpClassifier(Estimator):
+def _net_params(source) -> dict:
+    """The parameters that a :class:`NetSpec` and an :class:`MlpClassifier`
+    share, read from ``source`` (either of the two)."""
+    return {name: getattr(source, name)
+            for name in ("hidden", "activation", "init_mode", "init_sigma", "seed")}
+
+
+class MlpClassifier(AdamEstimator):
     """Dense softmax classifier on ready-made feature rows."""
 
     def __init__(
@@ -58,32 +68,16 @@ class MlpClassifier(Estimator):
         activation: str = "relu",
         init_mode: str = "scaled",
         init_sigma: float = 1.0,
-        batch_size: int = 50,
-        epochs: int = 10,
-        lr: float = 1e-3,
-        shuffle: bool = True,
-        seed: int = 0,
+        **train,
     ):
         self.hidden = hidden
         self.activation = activation
         self.init_mode = init_mode
         self.init_sigma = init_sigma
-        self.batch_size = batch_size
-        self.epochs = epochs
-        self.lr = lr
-        self.shuffle = shuffle
-        self.seed = seed
+        super().__init__(**train)
 
     def _spec(self, input_dim: int) -> NetSpec:
-        return NetSpec(
-            input_dim=input_dim,
-            hidden=tuple(self.hidden),
-            output_dim=3,
-            activation=self.activation,
-            seed=self.seed,
-            init_sigma=self.init_sigma,
-            init_mode=self.init_mode,
-        )
+        return NetSpec(input_dim=input_dim, **_net_params(self))
 
     def fit(self, X, y) -> "MlpClassifier":
         X = as_float_matrix(X)
@@ -133,17 +127,16 @@ class _CaptionMlp(SavedModel, MlpClassifier):
         return header, self.params_.arrays()
 
     @classmethod
+    def saved_prep(cls, header: dict, path) -> PrepConfig:
+        """The preprocessing recorded in a saved model's header."""
+        with cls._reading(path):
+            return PrepConfig.from_dict(header["prep"])
+
+    @classmethod
     def _from_payload(cls, header, arrays, path, *context):
         spec = NetSpec.from_dict(header["spec"])
         model = cls._from_header(header, spec, path, *context)
-        model.set_params(
-            prep=PrepConfig.from_dict(header["prep"]),
-            hidden=spec.hidden,
-            activation=spec.activation,
-            init_mode=spec.init_mode,
-            init_sigma=spec.init_sigma,
-            seed=spec.seed,
-        )
+        model.set_params(prep=cls.saved_prep(header, path), **_net_params(spec))
         model.spec_ = spec
         model.params_ = MlpParams.from_arrays(arrays, len(spec.widths) - 1, path)
         return model
@@ -251,13 +244,5 @@ def ffnn_w2v_train(
             f"network input width {spec.input_dim} does not match "
             f"embedding dim {table.dim}"
         )
-    model = Word2vecFfnnClassifier(
-        table=table,
-        prep=prep,
-        hidden=spec.hidden,
-        activation=spec.activation,
-        init_mode=spec.init_mode,
-        init_sigma=spec.init_sigma,
-        **vars(cfg),
-    )
-    return model.fit(captions, y)
+    dense = {**_net_params(spec), **vars(cfg)}
+    return Word2vecFfnnClassifier(table=table, prep=prep, **dense).fit(captions, y)

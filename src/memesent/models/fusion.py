@@ -258,14 +258,10 @@ class BimodalFusionClassifier(SavedModel, Estimator):
 
     @classmethod
     def _from_payload(cls, header, arrays, path) -> "BimodalFusionClassifier":
-        model = cls(
-            folds=int(header.get("folds", 5)),
-            in_sample=bool(header.get("in_sample", False)),
-            lam=float(header.get("lam", 1e-3)),
-            stacker_epochs=int(header.get("stacker_epochs", 200)),
-            stacker_lr=float(header.get("stacker_lr", 0.1)),
-            seed=int(header.get("seed", 0)),
-        )
+        # every parameter but the branches, as saved, in its default's type
+        model = cls(**{name: type(default)(header[name])
+                       for name, default in cls().get_params().items()
+                       if default is not None})
         for branch, branch_cls in (("text", BowFfnnClassifier), ("image", HsvCnnClassifier)):
             if header[branch].get("kind") != branch_cls.KIND:
                 raise DataFormatError(

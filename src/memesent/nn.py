@@ -67,6 +67,7 @@ class NetSpec:
     init_mode: str = "normal"  # "normal" or "scaled"
 
     def __post_init__(self):
+        object.__setattr__(self, "hidden", tuple(self.hidden))
         if self.input_dim < 1 or self.output_dim < 1 or any(w < 1 for w in self.hidden):
             raise ValueError("all layer widths must be >= 1")
         if self.activation not in ("relu", "linear"):
@@ -288,7 +289,7 @@ class AdamState:
     g: np.ndarray
     scratch: np.ndarray
     t: int = 0
-    lr: float = 1e-3
+    lr: float = TrainConfig.lr
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
@@ -296,7 +297,7 @@ class AdamState:
 
 def init_adam(
     params: list[np.ndarray],
-    lr: float = 1e-3,
+    lr: float = TrainConfig.lr,
     beta1: float = 0.9,
     beta2: float = 0.999,
     epsilon: float = 1e-8,

@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from memesent.corpus import Dataset, MemeRecord, Sentiment
 from memesent.embeddings import EmbeddingTable
@@ -64,3 +66,28 @@ def hue_band_tensors(n=30, seed=0):
         T[i, ..., 1] = 1.0
         T[i, ..., 2] = 0.8 + rng.random((32, 32)) * 0.05
     return T, y
+
+
+def _edit(seed: bytes, edits, cut: int, tail: bytes) -> bytes:
+    body = bytearray(seed)
+    for pos, value in edits:
+        body[pos] = value
+    return bytes(body[:cut]) + tail
+
+
+def mutated(seed: bytes):
+    """Hypothesis strategy for a parser's input file: ``seed`` (a valid
+    file) with up to four bytes replaced, cut short and given a short
+    tail, or a few arbitrary bytes."""
+    edits = st.lists(st.tuples(st.integers(0, len(seed) - 1), st.integers(0, 255)),
+                     max_size=4)
+    return st.one_of(
+        st.builds(_edit, st.just(seed), edits, st.integers(0, len(seed)),
+                  st.binary(max_size=12)),
+        st.binary(max_size=48),
+    )
+
+
+# the fuzz tests write each example to the same file under tmp_path
+fuzz_settings = settings(max_examples=200, deadline=None,
+                         suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -16,8 +16,9 @@ from _util import synthetic_corpus
 from memesent import cli
 from memesent.cli import main
 from memesent.corpus import load_dataset, save_dataset
-from memesent.embeddings import write_word2vec_binary
+from memesent.embeddings import EmbeddingTable, load_embeddings, write_word2vec_binary
 from memesent.eval import macro_f1
+from memesent.models import Word2vecFfnnClassifier
 from memesent.textprep import PrepConfig
 
 
@@ -234,6 +235,52 @@ class TestPredictEvaluate:
         expected = macro_f1(preds, golds).macro_f1
         assert abs(report["macro_f1"] - expected) < 1e-12
 
+    def test_w2v_without_embeddings_names_the_model(self, workspace, capsys):
+        model = workspace["dir"] / "model"
+        assert run("train", "--model", "ffnn_w2v", "--dataset", workspace["data"],
+                   "--embeddings", workspace["emb"], "--out", model) == 0
+        capsys.readouterr()
+        assert run("predict", "--model", model / "model.bin", "--dataset",
+                   workspace["data"], "--out", workspace["dir"] / "p") == 2
+        assert "model 'ffnn-w2v' requires an embeddings path" in capsys.readouterr().err
+
+    def test_w2v_filter_uses_the_saved_prep(self, tmp_path):
+        # unlemmatized, the model looks up 'memes' and 'cats', which a
+        # filter built with the default preprocessing ('meme', 'cat') drops
+        rng = np.random.default_rng(0)
+        words = ("memes", "meme", "cats", "cat", "dogs")
+        emb = tmp_path / "vectors.bin"
+        write_word2vec_binary(
+            EmbeddingTable(dim=4, vectors={w: rng.standard_normal(4) for w in words}), emb)
+        captions = ["memes cats", "meme dogs", "cats", "memes", "dogs cat", "meme"]
+        data = tmp_path / "data.csv"
+        data.write_text("id,caption,label\n" + "".join(
+            f"m{i},{c},{('negative', 'neutral', 'positive')[i % 3]}\n"
+            for i, c in enumerate(captions)))
+        model = Word2vecFfnnClassifier(load_embeddings(emb), prep=PrepConfig(lemmatize=False),
+                                       epochs=2, seed=1).fit(captions, [0, 1, 2, 0, 1, 2])
+        model.save(tmp_path / "model.bin")
+        assert run("predict", "--model", tmp_path / "model.bin", "--dataset", data,
+                   "--embeddings", emb, "--out", tmp_path / "p") == 0
+        with open(tmp_path / "p" / "predictions.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        got = [[float(row[k]) for k in ("p_neg", "p_neu", "p_pos")] for row in rows]
+        assert np.array_equal(got, model.predict_proba(captions))
+
+    def test_non_utf8_inputs_exit_2(self, workspace, capsys):
+        bad_csv = workspace["dir"] / "latin1.csv"
+        bad_csv.write_bytes(b"id,caption,label\nm1,caf\xe9,positive\n")
+        bad_ini = workspace["dir"] / "latin1.ini"
+        bad_ini.write_bytes(b"[data]\ndataset = caf\xff.csv\n")
+        for argv, name in (
+            (("prepare", "--dataset", bad_csv), "latin1.csv"),
+            (("prepare", "--config", bad_ini), "latin1.ini"),
+            (("evaluate", bad_csv, "--dataset", workspace["data"]), "latin1.csv"),
+        ):
+            assert run(*argv, "--out", workspace["dir"] / "x") == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and name in err
+
     def test_evaluate_id_mismatch_exit_2(self, workspace, capsys):
         preds = workspace["dir"] / "preds.csv"
         preds.write_text("id,label\nnot_a_real_id,positive\n")
@@ -268,6 +315,7 @@ MALFORMED_MODELS = {
         {"kind": "naive-bayes", "alpha": 1.0, "vocabulary": []},
         {"token_log_likelihood": np.zeros((3, 0))},
     ),
+    "w2v_missing_prep": _container({"kind": "ffnn-w2v", "spec": {}}, {}),
     "missing_text": _container(
         {"kind": "fusion-bimodal", "image": {"kind": "cnn-hsv"}}, {}
     ),

@@ -11,9 +11,8 @@ from memesent.models import HsvCnnClassifier, cnn_grad_check
 from memesent.models.cnn import (
     _PREDICT_BLOCK,
     CnnParams,
-    _fresh,
     _conv_backward,
-    _conv_forward,
+    _conv_gemm,
     _im2col,
     _pool_backward,
     _pool_forward,
@@ -29,6 +28,16 @@ def cnn_train(T, y, cfg=TrainConfig()):
     return HsvCnnClassifier(**vars(cfg)).fit(T, y)
 
 
+def fresh(name, shape):
+    """A new array for every intermediate: what a workspace saves."""
+    return np.empty(shape)
+
+
+def conv_forward(X, K, b):
+    """Valid convolution; X (n, C, H, W), K (OC, C, kh, kw)."""
+    return _conv_gemm(_im2col(X, K.shape[2], K.shape[3], fresh), K, b, X.shape, fresh)
+
+
 def small_batch(n=4, seed=0):
     rng = np.random.default_rng(seed)
     T = rng.random((n, 32, 32, 3))
@@ -41,14 +50,14 @@ class TestConvOracle:
         # 1 sample, 1 channel, 3x3 input, one 3x3 kernel -> 1x1 output
         X = np.arange(9, dtype=np.float64).reshape(1, 1, 3, 3)
         K = np.ones((1, 1, 3, 3))
-        out = _conv_forward(X, K, np.array([0.5]))
+        out = conv_forward(X, K, np.array([0.5]))
         assert out.shape == (1, 1, 1, 1)
         assert out[0, 0, 0, 0] == 36.5  # sum(0..8) + bias
 
     def test_valid_output_size(self):
         X = np.zeros((2, 3, 32, 32))
         K = np.zeros((8, 3, 3, 3))
-        out = _conv_forward(X, K, np.zeros(8))
+        out = conv_forward(X, K, np.zeros(8))
         assert out.shape == (2, 8, 30, 30)
 
 
@@ -93,18 +102,18 @@ class TestIm2colKernels:
         X = rng.standard_normal((n, C, H, W))
         K = rng.standard_normal((OC, C, 3, 3))
         b = rng.standard_normal(OC)
-        out = _conv_forward(X, K, b)
+        out = conv_forward(X, K, b)
         ref = einsum_conv_forward(X, K, b)
         assert out.shape == ref.shape
         assert np.abs(out - ref).max() < 1e-12
         dout = rng.standard_normal(out.shape)
-        cols = _im2col(X, 3, 3)
-        dX, dK, db = _conv_backward(dout, cols, K, X.shape)
+        cols = _im2col(X, 3, 3, fresh)
+        dX, dK, db = _conv_backward(dout, cols, K, fresh, X.shape)
         rdX, rdK, rdb = einsum_conv_backward(dout, X, K)
         assert np.abs(dX - rdX).max() < 1e-12
         assert np.abs(dK - rdK).max() < 1e-12
         assert np.abs(db - rdb).max() < 1e-12
-        no_dX, dK_again, _ = _conv_backward(dout, cols, K)
+        no_dX, dK_again, _ = _conv_backward(dout, cols, K, fresh)
         assert no_dX is None
         assert np.array_equal(dK_again, dK)
 
@@ -113,19 +122,19 @@ class TestPooling:
     def test_first_max_wins_ties(self):
         X = np.zeros((1, 1, 2, 2))
         X[0, 0] = [[5.0, 5.0], [3.0, 1.0]]
-        out, idx = _pool_forward(X)
+        out, idx = _pool_forward(X, fresh)
         assert out[0, 0, 0, 0] == 5.0
         assert idx[0, 0, 0, 0] == 0  # window order: (0,0),(0,1),(1,0),(1,1)
-        grad = _pool_backward(np.ones((1, 1, 1, 1)), idx, X.shape)
+        grad = _pool_backward(np.ones((1, 1, 1, 1)), idx, X.shape, fresh)
         assert grad[0, 0].tolist() == [[1.0, 0.0], [0.0, 0.0]]
 
     def test_odd_edge_dropped(self):
         X = np.arange(25, dtype=np.float64).reshape(1, 1, 5, 5)
-        out, idx = _pool_forward(X)
+        out, idx = _pool_forward(X, fresh)
         assert out.shape == (1, 1, 2, 2)
         # last row/col (indices 4) never contribute
         assert out.max() == 18.0
-        grad = _pool_backward(np.ones((1, 1, 2, 2)), idx, X.shape)
+        grad = _pool_backward(np.ones((1, 1, 2, 2)), idx, X.shape, fresh)
         assert grad[0, 0, 4, :].tolist() == [0.0] * 5
         assert grad[0, 0, :, 4].tolist() == [0.0] * 5
 
@@ -142,8 +151,8 @@ class TestGradients:
 
         original = cnn_mod.cnn_backward
 
-        def broken(params, cache, dlogits):
-            grads = original(params, cache, dlogits)
+        def broken(params, cache, dlogits, new=None):
+            grads = original(params, cache, dlogits, new)
             grads.K2[:] = 0.0
             return grads
 
@@ -178,7 +187,7 @@ class TestWorkspace:
         for n, seed in ((5, 0), (3, 1), (5, 2)):
             T, y = small_batch(n=n, seed=seed)
             logits, grads = self.step(params, T, y, workspace)
-            ref_logits, ref_grads = self.step(params, T, y, _fresh)
+            ref_logits, ref_grads = self.step(params, T, y, fresh)
             assert np.array_equal(logits, ref_logits)
             for g, ref in zip(grads.flat(), ref_grads.flat()):
                 assert np.array_equal(g, ref)
@@ -187,7 +196,7 @@ class TestWorkspace:
         T, y = small_batch(n=16)
         params = init_cnn_params(seed=0)
         peaks = []
-        for new in (_fresh, Workspace()):
+        for new in (fresh, Workspace()):
             self.step(params, T, y, new)
             tracemalloc.start()
             try:

@@ -1,6 +1,7 @@
 """Run configuration: INI parsing, overrides, resolved copies."""
 
 import pytest
+from hypothesis import given
 
 from memesent.config import (
     RunConfig,
@@ -10,6 +11,8 @@ from memesent.config import (
     write_resolved,
 )
 from memesent.errors import ConfigError
+
+from _util import fuzz_settings, mutated
 
 
 def write_ini(tmp_path, text):
@@ -81,6 +84,24 @@ class TestLoad:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.ini")
+
+
+    def test_non_utf8(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_bytes(b"[data]\ndataset = \xff.csv\n")
+        with pytest.raises(ConfigError, match="cfg.ini"):
+            load_config(path)
+
+    @fuzz_settings
+    @given(data=mutated(b"[data]\nsplit = 0.5\nupsample = on\n[model]\nhidden = 8, 4\n"
+                        b"[train]\nlr = 0.01\n[run]\nseed = 3\n"))
+    def test_fuzzed_file_fails_typed(self, tmp_path, data):
+        path = tmp_path / "fuzz.ini"
+        path.write_bytes(data)
+        try:
+            load_config(path).validate()
+        except ConfigError:
+            pass
 
 
 class TestValidate:

@@ -16,7 +16,7 @@ from memesent.corpus import (
 )
 from memesent.errors import DataFormatError
 
-from _util import make_dataset
+from _util import fuzz_settings, make_dataset, mutated
 
 # Class counts of the real training data (positive/neutral/negative).
 TASK_COUNTS = {
@@ -102,6 +102,29 @@ def test_load_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(DataFormatError, match="empty"):
         load_dataset(path)
+
+
+def test_load_non_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"id,caption,label\nm1,caf\xe9,positive\n")
+    with pytest.raises(DataFormatError, match="latin1.csv"):
+        load_dataset(path)
+
+
+_CSV_SEED = (b'id,caption,label,image\nm1,"a, b",positive,m1.hsv\n'
+             b"m2,c,very negative,\n")
+
+
+@fuzz_settings
+@given(data=mutated(_CSV_SEED))
+def test_fuzzed_file_fails_typed(tmp_path, data):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(data)
+    for schema in (CsvSchema(), CsvSchema(image="image")):
+        try:
+            load_dataset(path, schema)
+        except DataFormatError:
+            pass
 
 
 def test_custom_schema(tmp_path):

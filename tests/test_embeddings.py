@@ -17,6 +17,8 @@ from memesent.embeddings import (
 )
 from memesent.errors import DataFormatError
 
+from _util import fuzz_settings, mutated
+
 
 def write_binary_fixture(path):
     """Two words, dim 3, classic layout."""
@@ -113,6 +115,41 @@ def test_binary_non_utf8_token(tmp_path):
         load_word2vec_binary(path)
     table = load_word2vec_binary(path, encoding_errors="replace")
     assert len(table) == 1  # token kept with the replacement character
+
+
+def test_binary_header_dim_larger_than_file(tmp_path):
+    # read() would first allocate the 40 TB vector the header declares
+    path = tmp_path / "vecs.bin"
+    path.write_bytes(b"1 10000000000000\nw ")
+    with pytest.raises(DataFormatError, match="word index 0"):
+        load_word2vec_binary(path)
+
+
+_BINARY_SEED = (b"2 3\nking " + np.array([0.25, -1.5, 3.0], dtype="<f4").tobytes()
+                + b"\nqueen " + np.array([1.0, 2.0, -0.125], dtype="<f4").tobytes() + b"\n")
+_TEXT_SEED = b"2 3\nking 0.25 -1.5 3\nqueen 1 2 -0.125\n"
+
+
+@fuzz_settings
+@given(data=mutated(_BINARY_SEED))
+def test_binary_fuzz_fails_typed(tmp_path, data):
+    path = tmp_path / "fuzz.bin"
+    path.write_bytes(data)
+    try:
+        load_word2vec_binary(path)
+    except DataFormatError:
+        pass
+
+
+@fuzz_settings
+@given(data=mutated(_TEXT_SEED))
+def test_text_fuzz_fails_typed(tmp_path, data):
+    path = tmp_path / "fuzz.txt"
+    path.write_bytes(data)
+    try:
+        load_word2vec_text(path)
+    except DataFormatError:
+        pass
 
 
 def test_missing_file(tmp_path):

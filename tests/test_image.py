@@ -19,6 +19,8 @@ from memesent.models import (
     write_hsv_tensor,
 )
 
+from _util import fuzz_settings, mutated
+
 
 @pytest.fixture
 def Image():
@@ -126,6 +128,17 @@ class TestTensorFile:
         write_hsv_tensor(tensor, path)
         with pytest.raises(DataFormatError, match="NaN or infinite"):
             read_hsv_tensor(path)
+
+
+    @fuzz_settings
+    @given(data=mutated(b"2 2 3\n" + np.linspace(0, 1, 12, dtype="<f4").tobytes()))
+    def test_fuzzed_file_fails_typed(self, tmp_path, data):
+        path = tmp_path / "fuzz.hsv"
+        path.write_bytes(data)
+        try:
+            read_hsv_tensor(path)
+        except DataFormatError:
+            pass
 
 
 class TestImagePipeline:

@@ -11,9 +11,10 @@ import memesent
 from _util import hue_band_tensors, synthetic_corpus
 from memesent import cli
 from memesent.base import Estimator, SavedModel
-from memesent.config import MODEL_KINDS, RunConfig
+from memesent.config import _SECTIONS, MODEL_KINDS, RunConfig
 from memesent.corpus import Dataset, MemeRecord
 from memesent.models import MODEL_CLASSES, load_model, write_hsv_tensor
+from memesent.nn import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +96,19 @@ def test_get_params_are_the_constructor_parameters(cls):
     # and the constructor takes nothing else
     with pytest.raises(TypeError):
         cls(**params, not_a_parameter=1)
+
+
+def test_training_defaults_are_train_config_defaults():
+    train = vars(TrainConfig())
+    adam_trained = [cls for cls in _estimator_classes() if set(train) <= set(cls._param_names())]
+    assert {cls.__name__ for cls in adam_trained} >= {
+        "MlpClassifier", "Word2vecFfnnClassifier", "BowFfnnClassifier", "HsvCnnClassifier"}
+    for cls in adam_trained:
+        params = cls(**{"table": None} if "table" in cls._param_names() else {}).get_params()
+        assert {name: params[name] for name in train} == train, cls.__name__
+    run = RunConfig()
+    assert {name: getattr(run, name) for name in _SECTIONS["train"]} == {
+        name: train[name] for name in _SECTIONS["train"]}
 
 
 def test_saved_models_are_registered():
