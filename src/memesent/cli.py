@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import itertools
 import json
 import multiprocessing
 import os
@@ -320,7 +322,10 @@ def _read_predictions(path: str | Path) -> dict[str, Sentiment]:
                 rec_id = (row["id"] or "").strip()
                 if rec_id in preds:
                     raise DataFormatError(f"{path}: duplicate id {rec_id!r} at row {rownum}")
-                preds[rec_id] = normalize_label(row["label"] or "")
+                try:
+                    preds[rec_id] = normalize_label(row["label"] or "")
+                except DataFormatError as exc:
+                    raise DataFormatError(f"{path}: row {rownum}: {exc}") from None
         except (UnicodeDecodeError, csv.Error) as exc:
             raise DataFormatError(f"{path}: malformed CSV: {exc}") from exc
     if not preds:
@@ -352,39 +357,32 @@ def cmd_eval(cfg: RunConfig, predictions_path: str) -> int:
     return 0
 
 
-def _env_threads(environ, name: str) -> int | None:
-    """A positive integer thread count from ``environ[name]``, else None
-    (unset, empty, zero or not a number: BLAS then uses its default)."""
+def _pin_blas() -> bool:
+    """Set each OpenBLAS this process loaded to one thread; True if all now
+    report one. Large GEMMs give other bytes at other thread counts, and an
+    environment variable would be read too late: NumPy is already loaded."""
     try:
-        value = int(environ.get(name, ""))
-    except ValueError:
-        return None
-    return value if value > 0 else None
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line}
+        libs = [ctypes.CDLL(path) for path in sorted(paths)]
+    except OSError:
+        return False
+    getters = []
+    for lib, prefix, suffix in itertools.product(libs, ("scipy_", ""), ("64_", "")):
+        setter = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+        getter = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+        if setter and getter:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            setter(1)
+            getters.append(getter)
+    return bool(getters) and all(getter() == 1 for getter in getters)
 
 
-def _stability_workers(runs: int, cpus: int, environ, can_fork: bool) -> int:
-    """Stability seeds to run at once: one per ``blas_threads`` of the
-    ``cpus`` this process may use, so workers never oversubscribe them.
-
-    ``blas_threads`` is ``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``,
-    else ``cpus`` (OpenBLAS's own default), so a run with unpinned BLAS
-    stays serial. Without ``fork`` the study is serial too.
-    """
-    if not can_fork:
-        return 1
-    blas_threads = (_env_threads(environ, "OPENBLAS_NUM_THREADS")
-                    or _env_threads(environ, "OMP_NUM_THREADS") or cpus)
-    return max(1, min(runs, cpus // blas_threads))
-
-
-def _workers_here(runs: int) -> int:
-    """:func:`_stability_workers` for this process and its environment."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    can_fork = "fork" in multiprocessing.get_all_start_methods()
-    return _stability_workers(runs, cpus, os.environ, can_fork)
+def _stability_workers(runs: int, cpus: int, can_fork: bool, pinned: bool) -> int:
+    """Seeds to run at once: one per CPU and at most one per seed when they
+    can run in forked workers at one BLAS thread each; else 1."""
+    return min(runs, cpus) if can_fork and pinned else 1
 
 
 def _print_seed(seed: int, score: float, seconds: float) -> None:
@@ -392,10 +390,12 @@ def _print_seed(seed: int, score: float, seconds: float) -> None:
           file=sys.stderr, flush=True)
 
 
-def cmd_stability(cfg: RunConfig) -> int:
+def cmd_stability(cfg: RunConfig, pinned: bool = False) -> int:
     ds, path = _load_dataset(cfg)
     table = _table_for(_MODELS[cfg.model][0], cfg, ds)
     base_dir = path.parent
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    can_fork = "fork" in multiprocessing.get_all_start_methods()
 
     def train_fn(train_ds, val_ds, seed):
         fit_ds = upsample(train_ds, seed=seed) if cfg.upsample else train_ds
@@ -405,7 +405,7 @@ def cmd_stability(cfg: RunConfig) -> int:
     report = stability_study(
         train_fn, ds, fraction=cfg.split, n_runs=cfg.runs,
         seed0=cfg.seed, resplit=cfg.resplit,
-        workers=_workers_here(cfg.runs), progress=_print_seed,
+        workers=_stability_workers(cfg.runs, cpus, can_fork, pinned), progress=_print_seed,
     )
     out = _out_dir(cfg)
     (out / "stability.json").write_text(report.to_json() + "\n", encoding="utf-8")
@@ -531,6 +531,9 @@ def _resolve(args) -> RunConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if not (pinned := _pin_blas()):
+        print("warning: could not set BLAS to one thread: output bytes may depend on "
+              "its thread count, and stability runs serially", file=sys.stderr)
     try:
         cfg = _resolve(args)
         if args.command == "prepare":
@@ -544,7 +547,7 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             return cmd_eval(cfg, args.predictions)
         if args.command == "stability":
-            return cmd_stability(cfg)
+            return cmd_stability(cfg, pinned)
         if args.command == "compare":
             return cmd_compare(cfg, args.reports)
         raise ConfigError(f"unknown command {args.command!r}")

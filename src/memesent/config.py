@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -97,8 +98,10 @@ class RunConfig:
         if not 0.0 < self.split < 1.0:
             raise ConfigError(f"split must be in (0, 1), got {self.split}")
         for name in ("alpha", "init_sigma", "lr"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(
+                    f"{name} must be finite and positive, got {getattr(self, name)}"
+                )
         for name in ("vocab_size", "batch_size", "epochs", "folds"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")

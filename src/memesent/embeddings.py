@@ -61,7 +61,9 @@ class EmbeddingTable:
                     f"vector for {word!r} has shape {vec.shape}, expected ({self.dim},)"
                 )
             if not np.all(np.isfinite(vec)):
-                raise DataFormatError(f"vector for {word!r} contains non-finite values")
+                raise DataFormatError(
+                    f"{self.source}: vector for {word!r} contains non-finite values"
+                )
 
     def __len__(self) -> int:
         return len(self.vectors)

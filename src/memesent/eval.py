@@ -284,7 +284,9 @@ def stability_study(
     processes. They inherit ``train_fn`` and the dataset, so closures
     work and only results are pickled; a run's side effects stay in its
     worker. Results are collected in seed order, so the report equals
-    the serial one, bit for bit, at the same BLAS thread count.
+    the serial one, bit for bit, at the same BLAS thread count. Workers
+    inherit the caller's BLAS setting: the CLI sets one thread before a
+    study, a library caller keeps its own.
     ``progress(seed, score, seconds)`` is called for each run, in seed
     order, as its result arrives; ``seconds`` is the run's own time.
     """

@@ -39,8 +39,8 @@ class MultinomialNaiveBayes(SavedModel, Estimator):
         self.alpha = alpha
 
     def fit(self, X: list[list[str]], y) -> "MultinomialNaiveBayes":
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         y = as_label_array(y, N_CLASSES)
         check_consistent_length(X, y)
         if len(X) == 0:

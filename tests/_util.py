@@ -1,3 +1,10 @@
+import ctypes
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -91,3 +98,38 @@ def mutated(seed: bytes):
 # the fuzz tests write each example to the same file under tmp_path
 fuzz_settings = settings(max_examples=200, deadline=None,
                          suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(*args, env=None):
+    """``python *args`` in a subprocess under ``env`` (default: this
+    process's environment) with ``src`` first on ``PYTHONPATH``; the
+    completed process, its output captured as text."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def run_cli(*argv, env=None):
+    """``python -m memesent.cli *argv`` through :func:`run_python`."""
+    return run_python("-m", "memesent.cli", *argv, env=env)
+
+
+def blas_threads() -> list[int]:
+    """The thread count of each OpenBLAS this process has loaded; empty
+    where there is none or ``/proc/self/maps`` cannot be read."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line}
+    except OSError:
+        return []
+    counts = []
+    for path, prefix, suffix in itertools.product(sorted(paths), ("scipy_", ""), ("64_", "")):
+        getter = getattr(ctypes.CDLL(path), f"{prefix}openblas_get_num_threads{suffix}", None)
+        if getter:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            counts.append(getter())
+    return counts

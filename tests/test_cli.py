@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _util import synthetic_corpus
+from _util import blas_threads, run_cli, run_python, synthetic_corpus
 from memesent import cli
 from memesent.cli import main
 from memesent.corpus import load_dataset, save_dataset
@@ -281,6 +281,16 @@ class TestPredictEvaluate:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and name in err
 
+    def test_evaluate_bad_label_names_file_and_row(self, workspace, capsys):
+        preds = workspace["dir"] / "preds.csv"
+        preds.write_text("id,label\ns0,happy\n")
+        assert run(
+            "evaluate", preds, "--dataset", workspace["data"],
+            "--out", workspace["dir"] / "x",
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {preds}: row 2: ") and "'happy'" in err
+
     def test_evaluate_id_mismatch_exit_2(self, workspace, capsys):
         preds = workspace["dir"] / "preds.csv"
         preds.write_text("id,label\nnot_a_real_id,positive\n")
@@ -379,7 +389,7 @@ class TestStability:
         config.write_text("[train]\nepochs = 2\n", encoding="utf-8")
         blobs = []
         for workers in (1, 2):
-            monkeypatch.setattr(cli, "_workers_here", lambda runs, w=workers: w)
+            monkeypatch.setattr(cli, "_stability_workers", lambda *args, w=workers: w)
             out = workspace["dir"] / f"w{workers}"
             assert run(
                 "stability", "--config", config, "--model", "ffnn_w2v",
@@ -390,24 +400,39 @@ class TestStability:
                           for name in ("stability.json", "stability_runs.csv")])
         assert blobs[0] == blobs[1]
 
-    @pytest.mark.parametrize("cpus, env, can_fork, runs, expected", [
-        (2, {}, True, 50, 1),  # BLAS defaults to one thread per CPU
-        (2, {"OPENBLAS_NUM_THREADS": "1"}, True, 50, 2),
-        (2, {"OMP_NUM_THREADS": "1"}, True, 50, 2),
-        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, True, 50, 1),
-        (8, {"OPENBLAS_NUM_THREADS": "2"}, True, 50, 4),
-        (8, {"OPENBLAS_NUM_THREADS": "1"}, True, 3, 3),  # never more than runs
-        (4, {"OPENBLAS_NUM_THREADS": "8"}, True, 50, 1),
-        (4, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, True, 50, 4),
-        (4, {"OPENBLAS_NUM_THREADS": "0"}, True, 50, 1),  # 0 means BLAS's default
-        (1, {"OPENBLAS_NUM_THREADS": "1"}, True, 50, 1),
-        (2, {"OPENBLAS_NUM_THREADS": "1"}, False, 50, 1),  # no fork, serial
+    @pytest.mark.parametrize("cpus, can_fork, pinned, runs, expected", [
+        (2, True, True, 50, 2),
+        (8, True, True, 50, 8),
+        (8, True, True, 3, 3),  # never more than runs
+        (1, True, True, 50, 1),
+        (2, False, True, 50, 1),  # no fork: serial
+        (2, True, False, 50, 1),  # BLAS not pinned: serial
+        (8, False, False, 50, 1),
     ])
-    def test_worker_count_rule(self, cpus, env, can_fork, runs, expected):
-        assert cli._stability_workers(runs, cpus, env, can_fork) == expected
+    def test_worker_count_rule(self, cpus, can_fork, pinned, runs, expected):
+        assert cli._stability_workers(runs, cpus, can_fork, pinned) == expected
+
+    def test_unpinned_blas_warns_once_and_runs_serially(self, workspace, monkeypatch,
+                                                        capsys):
+        study, workers = cli.stability_study, []
+
+        def spy(*args, **kw):
+            workers.append(kw["workers"])
+            return study(*args, **kw)
+
+        monkeypatch.setattr(cli, "_pin_blas", lambda: False)
+        monkeypatch.setattr(cli, "stability_study", spy)
+        assert run(
+            "stability", "--model", "nb", "--dataset", workspace["data"],
+            "--runs", 3, "--out", workspace["dir"] / "su",
+        ) == 0
+        warnings = [ln for ln in capsys.readouterr().err.splitlines()
+                    if ln.startswith("warning:")]
+        assert workers == [1]
+        assert len(warnings) == 1 and "one thread" in warnings[0]
 
     def test_dying_worker_exit_1(self, workspace, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_workers_here", lambda runs: 2)
+        monkeypatch.setattr(cli, "_stability_workers", lambda *args: 2)
         fit = cli._fit_model
 
         def dies_on_seed_1(cfg, ds, base_dir, seed, table):
@@ -452,6 +477,73 @@ class TestCompare:
         bad = workspace["dir"] / "bad.json"
         bad.write_text("not json at all")
         assert run("compare", bad) == 2
+
+
+@pytest.mark.parametrize("section, field", [
+    ("model", "alpha"), ("model", "init_sigma"), ("train", "lr"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_config_exit_2(workspace, capsys, section, field, value):
+    config = workspace["dir"] / "bad.ini"
+    config.write_text(f"[{section}]\n{field} = {value}\n", encoding="utf-8")
+    assert run(
+        "train", "--config", config, "--model", "nb", "--dataset", workspace["data"],
+        "--out", workspace["dir"] / "x",
+    ) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be finite"), err
+
+
+def _caption_csv(path, n=200, vocab=3000, seed=3):
+    """``n`` labelled captions over ``vocab`` made-up words with Zipf
+    frequencies: enough distinct words that the BoW net's first GEMM is
+    large enough for OpenBLAS to split across threads."""
+    rng = np.random.default_rng(seed)
+    syllables = [c + v for c in "bdfgklmnprtvz" for v in "aiou"]
+    words = ["".join(rng.choice(syllables, 4)) for _ in range(vocab)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "caption", "label"])
+        for i in range(n):
+            ranks = rng.zipf(1.3, rng.integers(4, 16)) % vocab
+            caption = " ".join(words[r] for r in ranks)
+            writer.writerow([f"r{i}", caption, ("negative", "neutral", "positive")[i % 3]])
+
+
+class TestBlasThreads:
+    def test_bytes_do_not_depend_on_the_environment(self, tmp_path):
+        if not blas_threads():
+            pytest.skip("needs OpenBLAS")
+        data, config = tmp_path / "data.csv", tmp_path / "one_epoch.ini"
+        _caption_csv(data)
+        config.write_text("[train]\nepochs = 1\n", encoding="utf-8")
+        base = {k: v for k, v in os.environ.items()
+                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        blobs = []
+        for threads in (None, "1", "2"):
+            env = base if threads is None else dict(base, OPENBLAS_NUM_THREADS=threads)
+            out = tmp_path / f"t{threads}"
+            for argv in (("train", "--config", config, "--model", "ffnn_bow"),
+                         ("predict", "--model", out / "model.bin")):
+                proc = run_cli(*argv, "--dataset", data, "--out", out, env=env)
+                assert proc.returncode == 0, proc.stderr
+                assert "warning" not in proc.stderr
+            blobs.append([(out / name).read_bytes()
+                          for name in ("model.bin", "predictions.csv")])
+        assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_import_leaves_threads_and_pin_sets_one(self):
+        if not blas_threads() or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs OpenBLAS and two CPUs")
+        code = (
+            f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from memesent import cli\n"
+            "from _util import blas_threads\n"
+            "print(blas_threads(), cli._pin_blas(), blas_threads())\n"
+        )
+        proc = run_python("-c", code, env=dict(os.environ, OPENBLAS_NUM_THREADS="2"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[2]", "True", "[1]"]
 
 
 class TestEntryPoint:

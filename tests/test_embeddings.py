@@ -186,6 +186,21 @@ def test_text_bad_float(tmp_path):
         load_word2vec_text(path)
 
 
+def test_text_non_finite_vector_names_the_file(tmp_path):
+    path = tmp_path / "nan.txt"
+    path.write_text("2 3\nab 1 1 1\ncd nan 1 1\n")
+    with pytest.raises(DataFormatError, match=r"nan\.txt.*'cd' contains non-finite"):
+        load_word2vec_text(path)
+
+
+def test_binary_non_finite_vector_names_the_file(tmp_path):
+    path = tmp_path / "inf.bin"
+    vec = np.array([1.0, np.inf, 1.0], dtype="<f4")
+    path.write_bytes(b"1 3\ncd " + vec.tobytes() + b"\n")
+    with pytest.raises(DataFormatError, match=r"inf\.bin.*'cd' contains non-finite"):
+        load_word2vec_binary(path)
+
+
 def test_text_non_utf8_token(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"2 3\nok 1 2 3\n\xff\xfeab 1 2 3\n")

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _util import make_dataset
+from _util import blas_threads, make_dataset
+from memesent import cli
 from memesent.corpus import Sentiment
 from memesent.errors import TrainingError
 from memesent.eval import (
@@ -234,6 +235,19 @@ class TestParallelStability:
                                    seed0=3, workers=2)
         assert parallel == serial
         assert parallel.to_json() == serial.to_json()
+
+    def test_forked_workers_see_one_blas_thread(self):
+        if not blas_threads():
+            pytest.skip("no OpenBLAS to pin")
+        assert cli._pin_blas()  # as the CLI does before a study
+
+        def train_fn(train_ds, val_ds, seed):
+            if blas_threads() != [1]:
+                raise RuntimeError(f"BLAS threads in worker: {blas_threads()}")
+            return self.random_preds(train_ds, val_ds, seed)
+
+        report = stability_study(train_fn, self.DATASET, n_runs=4, workers=2)
+        assert report == stability_study(self.random_preds, self.DATASET, n_runs=4)
 
     def test_closure_state_reaches_workers(self):
         offset = {"value": 1}  # read in the forked worker, never pickled

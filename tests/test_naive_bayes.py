@@ -126,6 +126,11 @@ class TestApi:
         with pytest.raises(ValueError):
             MultinomialNaiveBayes(alpha=0.0).fit(TOY_X, TOY_Y)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
+    def test_alpha_must_be_finite(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            MultinomialNaiveBayes(alpha=alpha).fit(TOY_X, TOY_Y)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             nb_train(TOY_X, [0, 1])
