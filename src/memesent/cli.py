@@ -69,31 +69,14 @@ _HIST_BINS = ((0, 0), (1, 5), (6, 10), (11, 20), (21, 50), (51, None))
 # ---------------------------------------------------------------- helpers
 
 
-def _schema_for(cfg: RunConfig, path: Path) -> CsvSchema:
-    """Explicit mapping from the config, else canonical names with the
-    optional columns (label, image) included only when present."""
-    if cfg.schema and cfg.schema != "auto":
-        return CsvSchema.parse(cfg.schema)
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            header = next(csv.reader(fh), [])
-    except OSError as exc:
-        raise DataFormatError(f"dataset file not found: {path}") from exc
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise DataFormatError(f"{path}: malformed CSV header: {exc}") from exc
-    return CsvSchema(
-        id="id",
-        caption="caption",
-        label="label" if "label" in header else None,
-        image="image" if "image" in header else None,
-    )
-
-
 def _load_dataset(cfg: RunConfig) -> tuple[Dataset, Path]:
+    """The configured dataset: an explicit schema mapping from the config,
+    else canonical names with the optional columns that the header has."""
     if not cfg.dataset:
         raise ConfigError("no dataset path configured (set [data] dataset or --dataset)")
     path = Path(cfg.dataset)
-    return load_dataset(path, _schema_for(cfg, path)), path
+    schema = CsvSchema.parse(cfg.schema) if cfg.schema and cfg.schema != "auto" else None
+    return load_dataset(path, schema), path
 
 
 def _tensors_for(ds: Dataset, base_dir: Path) -> np.ndarray:
@@ -233,7 +216,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
     report = {
         "class_stats": stats.to_dict(),
         "caption_length_histogram": hist,
-        "rejected_rows": len(ds.provenance.rejected_rows),
+        "rejected_rows": len(ds.rejected_rows),
     }
     (out / "prepare_report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -245,8 +228,8 @@ def cmd_prepare(cfg: RunConfig) -> int:
             f"  {s.canonical_name:<8} {stats.counts[s]:>6}"
             f"  ({100.0 * stats.percentages[s]:.1f}%)"
         )
-    if ds.provenance.rejected_rows:
-        print(f"rejected rows: {len(ds.provenance.rejected_rows)}")
+    if ds.rejected_rows:
+        print(f"rejected rows: {len(ds.rejected_rows)}")
     print("caption length (tokens):")
     for row in hist:
         print(f"  {row['bucket']:>5}  {row['count']:>6}")
@@ -357,26 +340,28 @@ def cmd_eval(cfg: RunConfig, predictions_path: str) -> int:
     return 0
 
 
-def _pin_blas() -> bool:
-    """Set each OpenBLAS this process loaded to one thread; True if all now
-    report one. Large GEMMs give other bytes at other thread counts, and an
-    environment variable would be read too late: NumPy is already loaded."""
+def _pin_blas() -> tuple[bool, list]:
+    """Set each OpenBLAS this process loaded to one thread. Returns whether
+    all now report one, and the (setter, earlier count) pairs that undo it.
+    Large GEMMs give other bytes at other thread counts, and an environment
+    variable would be read too late: NumPy is already loaded."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = {line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line}
         libs = [ctypes.CDLL(path) for path in sorted(paths)]
     except OSError:
-        return False
-    getters = []
+        return False, []
+    getters, undo = [], []
     for lib, prefix, suffix in itertools.product(libs, ("scipy_", ""), ("64_", "")):
         setter = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
         getter = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
         if setter and getter:
             setter.argtypes, setter.restype = [ctypes.c_int], None
             getter.argtypes, getter.restype = [], ctypes.c_int
+            undo.append((setter, getter()))
             setter(1)
             getters.append(getter)
-    return bool(getters) and all(getter() == 1 for getter in getters)
+    return bool(getters) and all(getter() == 1 for getter in getters), undo
 
 
 def _stability_workers(runs: int, cpus: int, can_fork: bool, pinned: bool) -> int:
@@ -530,8 +515,11 @@ def _resolve(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    """Run one command; the BLAS thread counts are set back as they were
+    when it returns."""
     args = build_parser().parse_args(argv)
-    if not (pinned := _pin_blas()):
+    pinned, undo = _pin_blas()
+    if not pinned:
         print("warning: could not set BLAS to one thread: output bytes may depend on "
               "its thread count, and stability runs serially", file=sys.stderr)
     try:
@@ -557,6 +545,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # TrainingError and unexpected failures
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        for setter, count in undo:
+            setter(count)
 
 
 if __name__ == "__main__":

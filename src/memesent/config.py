@@ -88,8 +88,6 @@ class RunConfig:
             raise ConfigError(
                 f"unknown model kind {self.model!r}; expected one of {MODEL_KINDS}"
             )
-        if self.model == "ffnn_w2v" and not self.embeddings:
-            raise ConfigError("model 'ffnn_w2v' requires an embeddings path")
         if self.embeddings_format not in ("binary", "text"):
             raise ConfigError(
                 f"embeddings_format must be 'binary' or 'text', "

@@ -2,15 +2,17 @@
 
 A dataset is an immutable ordered list of meme records (id, caption,
 optional image path, optional sentiment label) loaded from a UTF-8 CSV
-with a header row and RFC-4180 quoting. Column names are supplied via a
-schema mapping so arbitrary exports of the source data can be read.
+with a header row and RFC-4180 quoting, together with the rows the load
+rejected. Column names are supplied via a schema mapping so arbitrary
+exports of the source data can be read; without one, the loader takes
+the canonical names from the header it reads.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 
@@ -20,11 +22,9 @@ from .rng import substream
 __all__ = [
     "Sentiment",
     "MemeRecord",
-    "Provenance",
     "Dataset",
     "ClassStats",
     "CsvSchema",
-    "SCHEMA_VERSION",
     "normalize_label",
     "load_dataset",
     "save_dataset",
@@ -32,9 +32,6 @@ __all__ = [
     "stratified_split",
     "upsample",
 ]
-
-SCHEMA_VERSION = "1"
-
 
 class Sentiment(IntEnum):
     """Three-way sentiment with fixed class indices used everywhere
@@ -88,22 +85,17 @@ class MemeRecord:
 
 
 @dataclass(frozen=True)
-class Provenance:
-    source: str
-    schema_version: str = SCHEMA_VERSION
-    rejected_rows: tuple[tuple[int, str], ...] = ()
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Immutable ordered collection of records.
 
     Record ids are unique when loaded from file; datasets produced by
     :func:`upsample` contain repeated ids by construction.
+    ``rejected_rows`` holds the (1-based row number, reason) of each row
+    :func:`load_dataset` skipped.
     """
 
     records: tuple[MemeRecord, ...]
-    provenance: Provenance = field(default_factory=lambda: Provenance("memory"))
+    rejected_rows: tuple[tuple[int, str], ...] = ()
 
     def __len__(self) -> int:
         return len(self.records)
@@ -179,15 +171,16 @@ class CsvSchema:
         )
 
 
-def load_dataset(path: str | Path, schema: CsvSchema = CsvSchema()) -> Dataset:
+def load_dataset(path: str | Path, schema: CsvSchema | None = CsvSchema()) -> Dataset:
     """Load a CSV file into a :class:`Dataset`.
 
-    One record per data row. Rows whose label cannot be parsed (when the
+    One record per data row. With ``schema`` None the columns are the
+    canonical ``id`` and ``caption``, plus ``label`` and ``image`` when
+    the header has them. Rows whose label cannot be parsed (when the
     schema maps a label column) are skipped and reported with their
-    1-based row numbers in ``provenance.rejected_rows``. Structural
-    problems -- missing file, missing mapped column, duplicate id,
-    malformed quoting, bytes that are not UTF-8 -- raise
-    :class:`DataFormatError`.
+    1-based row numbers in ``rejected_rows``. Structural problems --
+    missing file, missing mapped column, duplicate id, malformed
+    quoting, bytes that are not UTF-8 -- raise :class:`DataFormatError`.
     """
     path = Path(path)
     if not path.is_file():
@@ -203,6 +196,9 @@ def load_dataset(path: str | Path, schema: CsvSchema = CsvSchema()) -> Dataset:
             if reader.fieldnames is None:
                 raise DataFormatError(f"empty dataset file: {path}")
             columns = set(reader.fieldnames)
+            if schema is None:
+                schema = CsvSchema(label="label" if "label" in columns else None,
+                                   image="image" if "image" in columns else None)
             required = {schema.id, schema.caption}
             if schema.label is not None:
                 required.add(schema.label)
@@ -247,10 +243,7 @@ def load_dataset(path: str | Path, schema: CsvSchema = CsvSchema()) -> Dataset:
     except (csv.Error, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: malformed CSV: {exc}") from exc
 
-    return Dataset(
-        records=tuple(records),
-        provenance=Provenance(source=str(path), rejected_rows=tuple(rejected)),
-    )
+    return Dataset(tuple(records), tuple(rejected))
 
 
 CANONICAL_SCHEMA = CsvSchema(id="id", caption="caption", label="label", image="image")
@@ -324,11 +317,7 @@ def stratified_split(
 
     train_recs = tuple(r for i, r in enumerate(ds.records) if i in train_idx)
     val_recs = tuple(r for i, r in enumerate(ds.records) if i not in train_idx)
-    prov = ds.provenance
-    return (
-        Dataset(train_recs, replace(prov, source=prov.source + "#train")),
-        Dataset(val_recs, replace(prov, source=prov.source + "#val")),
-    )
+    return Dataset(train_recs), Dataset(val_recs)
 
 
 def upsample(ds: Dataset, seed: int) -> Dataset:
@@ -351,8 +340,4 @@ def upsample(ds: Dataset, seed: int) -> Dataset:
             continue
         picks = rng.integers(0, len(indices), size=deficit)
         extra.extend(ds.records[indices[int(p)]] for p in picks)
-    prov = ds.provenance
-    return Dataset(
-        ds.records + tuple(extra),
-        replace(prov, source=prov.source + "#upsampled"),
-    )
+    return Dataset(ds.records + tuple(extra))

@@ -10,9 +10,8 @@ line "<vocab_size> <dim>\\n":
 * text: per word, one line "token v1 v2 ... v<dim>" with decimal
   floats.
 
-Vectors are widened to float64 in memory so downstream training is
-reproducible; writers narrow back to float32, which makes a
-load -> save round trip byte-identical for files using the newline
+Loaded vectors stay float32, as stored; pooling widens them to float64.
+A load -> save round trip is byte-identical for files using the newline
 convention.
 
 A caption embedding is the arithmetic mean of the vectors of its
@@ -48,7 +47,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EmbeddingTable:
-    """word -> float64 vector map with a fixed dimensionality."""
+    """word -> vector map with a fixed dimensionality."""
 
     dim: int
     vectors: dict[str, np.ndarray]
@@ -163,8 +162,7 @@ def load_word2vec_binary(
                     raise DataFormatError(
                         f"{path}: duplicate word {word!r} at index {index}"
                     )
-                vec = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-                vectors[word] = vec
+                vectors[word] = np.frombuffer(raw, dtype="<f4")
         trailer = fh.read()
     if trailer.strip(b"\n\r "):
         raise DataFormatError(
@@ -220,10 +218,9 @@ def load_word2vec_text(
             if word in vectors:
                 raise DataFormatError(f"{path}:{lineno}: duplicate word {word!r}")
             try:
-                vec = np.array(parts[1:], dtype="<f4").astype(np.float64)
+                vectors[word] = np.array(parts[1:], dtype="<f4")
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: bad float: {exc}") from exc
-            vectors[word] = vec
     if count != vocab_size:
         raise DataFormatError(
             f"{path}: header declares {vocab_size} words but file has {count}"

@@ -173,13 +173,6 @@ class BimodalFusionClassifier(SavedModel, Estimator):
 
     def _oof_features(self, captions, tensors, y, text, image):
         n = len(y)
-        if self.folds < 2:
-            raise ValueError("out-of-fold features need folds >= 2")
-        if n < self.folds:
-            raise ValueError(
-                f"need at least {self.folds} rows for {self.folds}-fold "
-                f"out-of-fold features, got {n}"
-            )
         order = substream(self.seed, "oof").permutation(n)
         text_probs = np.zeros((n, 3))
         image_probs = np.zeros((n, 3))
@@ -204,6 +197,13 @@ class BimodalFusionClassifier(SavedModel, Estimator):
             raise ValueError(
                 f"captions, tensors, and labels disagree on row count: "
                 f"{len(captions)}, {len(tensors)}, {len(y)}"
+            )
+        if not self.in_sample and self.folds < 2:
+            raise ValueError("out-of-fold features need folds >= 2")
+        if not self.in_sample and len(y) < self.folds:
+            raise ValueError(
+                f"need at least {self.folds} rows for {self.folds}-fold "
+                f"out-of-fold features, got {len(y)}"
             )
         text, image = self._branches()
         self.text_ = self._clone(text).fit(list(captions), y)

@@ -5,7 +5,8 @@ finite-difference gradient checker.
 Adam keeps the parameters, both moments and the gradients each in one
 contiguous buffer and updates them in place, in blocks, in the textbook
 order of operations (Kingma & Ba 2015, arXiv 1412.6980); the bits are
-those of the per-tensor rule with fresh arrays.
+those of the per-tensor rule with fresh arrays. Only the learning rate
+is a parameter: beta1, beta2 and epsilon are the paper's defaults.
 
 Everything runs in float64 and is deterministic given the seeds: weight
 initialization draws from the "init" substream of the net seed, epoch
@@ -257,6 +258,7 @@ def backward(
 # Elements per pass of the in-place Adam update: two block-sized scratch
 # rows stay in cache, and a 125k-parameter net takes 4 passes.
 _ADAM_BLOCK = 32768
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
 def _views(buf: np.ndarray, shapes) -> list[np.ndarray]:
@@ -290,18 +292,9 @@ class AdamState:
     scratch: np.ndarray
     t: int = 0
     lr: float = TrainConfig.lr
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
-def init_adam(
-    params: list[np.ndarray],
-    lr: float = TrainConfig.lr,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-) -> AdamState:
+def init_adam(params: list[np.ndarray], lr: float = TrainConfig.lr) -> AdamState:
     """Zero moments and a packed copy of ``params``; train on
     ``state.params`` so that :func:`adam_step` needs no copy-in."""
     shapes = [np.shape(a) for a in params]
@@ -316,9 +309,6 @@ def init_adam(
         g=g,
         scratch=np.empty((2, min(_ADAM_BLOCK, size))),
         lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
     )
     for view, a in zip(state.params, params):
         view[...] = a
@@ -348,7 +338,7 @@ def adam_step(
         if g is not own_g:
             own_g[...] = g
     state.t += 1
-    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.epsilon
+    b1, b2, lr, eps = _ADAM_BETA1, _ADAM_BETA2, state.lr, _ADAM_EPSILON
     c1, c2 = 1.0 - b1, 1.0 - b2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t

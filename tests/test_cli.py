@@ -1,5 +1,6 @@
 """Command-line workflow: prepare -> train -> predict -> evaluate -> compare."""
 
+import builtins
 import csv
 import hashlib
 import json
@@ -120,6 +121,22 @@ class TestTrain:
         assert rc == 2
         assert "embeddings" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, code", [
+        ("prepare", 0), ("evaluate", 0), ("train", 2), ("stability", 2),
+    ])
+    def test_only_commands_that_load_a_table_need_embeddings(self, workspace, capsys,
+                                                             command, code):
+        cfg = workspace["dir"] / "w2v.ini"
+        cfg.write_text("[model]\nmodel = ffnn_w2v\n")
+        preds = workspace["dir"] / "preds.csv"
+        preds.write_text("id,label\n" + "".join(
+            f"{rec.id},{rec.label.canonical_name}\n" for rec in workspace["ds"]))
+        args = [preds] if command == "evaluate" else []
+        assert run(command, *args, "--config", cfg, "--dataset", workspace["data"],
+                   "--out", workspace["dir"] / "o") == code
+        if code:
+            assert "model 'ffnn-w2v' requires an embeddings path" in capsys.readouterr().err
+
     def test_unknown_kind_exit_2(self, workspace):
         assert run(
             "train", "--model", "svm", "--dataset", workspace["data"],
@@ -191,6 +208,21 @@ class TestPredictEvaluate:
         assert run("predict", "--model", model / "model.bin", "--dataset",
                    workspace["data"], *flags, "--out", workspace["dir"] / "p") == 0
         assert len(reads) == 1
+
+    @pytest.mark.parametrize("command", ["prepare", "train"])
+    def test_dataset_file_opened_once(self, workspace, monkeypatch, command):
+        opened = []
+        original = builtins.open
+
+        def counting(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file) == workspace["data"]:
+                opened.append(file)
+            return original(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting)
+        assert run(command, "--dataset", workspace["data"],
+                   "--out", workspace["dir"] / "o") == 0
+        assert len(opened) == 1
 
     def test_unlabeled_input_accepted(self, workspace):
         model = self.train_nb(workspace)
@@ -420,7 +452,7 @@ class TestStability:
             workers.append(kw["workers"])
             return study(*args, **kw)
 
-        monkeypatch.setattr(cli, "_pin_blas", lambda: False)
+        monkeypatch.setattr(cli, "_pin_blas", lambda: (False, []))
         monkeypatch.setattr(cli, "stability_study", spy)
         assert run(
             "stability", "--model", "nb", "--dataset", workspace["data"],
@@ -539,11 +571,24 @@ class TestBlasThreads:
             f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
             "from memesent import cli\n"
             "from _util import blas_threads\n"
-            "print(blas_threads(), cli._pin_blas(), blas_threads())\n"
+            "print(blas_threads(), cli._pin_blas()[0], blas_threads())\n"
         )
         proc = run_python("-c", code, env=dict(os.environ, OPENBLAS_NUM_THREADS="2"))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["[2]", "True", "[1]"]
+
+    def test_main_restores_the_thread_count(self):
+        if not blas_threads() or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs OpenBLAS and two CPUs")
+        code = (
+            f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from memesent import cli\n"
+            "from _util import blas_threads\n"
+            "print(cli.main(['compare', 'x=nonexistent.json']), blas_threads())\n"
+        )
+        proc = run_python("-c", code, env=dict(os.environ, OPENBLAS_NUM_THREADS="2"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["2", "[2]"]
 
 
 class TestEntryPoint:

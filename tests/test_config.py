@@ -112,11 +112,6 @@ class TestValidate:
         with pytest.raises(ConfigError, match="model kind"):
             RunConfig(model="svm").validate()
 
-    def test_w2v_needs_embeddings(self):
-        with pytest.raises(ConfigError, match="embeddings"):
-            RunConfig(model="ffnn_w2v").validate()
-        RunConfig(model="ffnn_w2v", embeddings="v.bin").validate()
-
     def test_split_bounds(self):
         with pytest.raises(ConfigError, match="split"):
             RunConfig(split=1.0).validate()

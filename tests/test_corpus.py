@@ -54,7 +54,7 @@ def test_load_three_rows(tiny_csv):
     assert ds[0] == MemeRecord(id="m1", caption="When the wifi drops",
                                label=Sentiment.POSITIVE)
     assert ds[1].caption == "Me, pretending to work"  # quoted comma survives
-    assert ds.provenance.rejected_rows == ()
+    assert ds.rejected_rows == ()
 
 
 def test_load_missing_file(tmp_path):
@@ -86,7 +86,7 @@ def test_load_rejects_bad_labels_with_row_numbers(tmp_path):
     )
     ds = load_dataset(path)
     assert [r.id for r in ds] == ["a", "c"]
-    (rownum, reason), = ds.provenance.rejected_rows
+    (rownum, reason), = ds.rejected_rows
     assert rownum == 3 and "funny" in reason
 
 
@@ -120,11 +120,27 @@ _CSV_SEED = (b'id,caption,label,image\nm1,"a, b",positive,m1.hsv\n'
 def test_fuzzed_file_fails_typed(tmp_path, data):
     path = tmp_path / "fuzz.csv"
     path.write_bytes(data)
-    for schema in (CsvSchema(), CsvSchema(image="image")):
+    for schema in (CsvSchema(), CsvSchema(image="image"), None):
         try:
             load_dataset(path, schema)
         except DataFormatError:
             pass
+
+
+@pytest.mark.parametrize("header, label, image", [
+    ("id,caption", None, None),
+    ("id,caption,label", Sentiment.POSITIVE, None),
+    ("caption,image,id", None, "m1.hsv"),
+    ("image,label,caption,id", Sentiment.POSITIVE, "m1.hsv"),
+])
+def test_no_schema_reads_the_canonical_columns_the_header_has(tmp_path, header, label,
+                                                              image):
+    values = {"id": "m1", "caption": "a b", "label": "positive", "image": "m1.hsv"}
+    columns = header.split(",")
+    path = tmp_path / "data.csv"
+    path.write_text(header + "\n" + ",".join(values[c] for c in columns) + "\n")
+    ds = load_dataset(path, None)
+    assert ds.records == (MemeRecord("m1", "a b", image_path=image, label=label),)
 
 
 def test_custom_schema(tmp_path):

@@ -221,6 +221,33 @@ def test_text_binary_agree_within_f32(tmp_path, toy_table):
         )
 
 
+def test_readers_keep_float32(tmp_path, toy_table):
+    bin_path, txt_path = tmp_path / "t.bin", tmp_path / "t.txt"
+    write_word2vec_binary(toy_table, bin_path)
+    write_word2vec_text(toy_table, txt_path)
+    for table in (load_word2vec_binary(bin_path), load_word2vec_text(txt_path)):
+        assert len(table) == len(toy_table)
+        assert all(vec.dtype == np.float32 for vec in table.vectors.values())
+
+
+def test_pooling_a_loaded_table_equals_pooling_its_float64_copy(tmp_path):
+    rng = np.random.default_rng(3)
+    words = [f"w{i}" for i in range(300)]
+    path = tmp_path / "v.bin"
+    write_word2vec_binary(EmbeddingTable(dim=50, vectors={
+        w: rng.standard_normal(50) * 10.0 ** rng.integers(-3, 4) for w in words}), path)
+    loaded = load_word2vec_binary(path)
+    wide = EmbeddingTable(dim=50, vectors={w: v.astype(np.float64)
+                                           for w, v in loaded.vectors.items()})
+    # repeated words from a small vocabulary, two out-of-vocabulary words
+    # and empty captions
+    captions = [rng.choice(words + ["oov_a", "oov_b"], size=rng.integers(0, 80)).tolist()
+                for _ in range(1200)]
+    pooled = embed_corpus(captions, loaded)
+    assert pooled.dtype == np.float64
+    assert np.array_equal(pooled, embed_corpus(captions, wide))
+
+
 def test_load_embeddings_unknown_format(tmp_path):
     with pytest.raises(DataFormatError, match="unknown embedding format"):
         load_embeddings(tmp_path / "x", fmt="parquet")

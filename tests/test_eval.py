@@ -239,14 +239,19 @@ class TestParallelStability:
     def test_forked_workers_see_one_blas_thread(self):
         if not blas_threads():
             pytest.skip("no OpenBLAS to pin")
-        assert cli._pin_blas()  # as the CLI does before a study
+        pinned, undo = cli._pin_blas()  # as the CLI does before a study
 
         def train_fn(train_ds, val_ds, seed):
             if blas_threads() != [1]:
                 raise RuntimeError(f"BLAS threads in worker: {blas_threads()}")
             return self.random_preds(train_ds, val_ds, seed)
 
-        report = stability_study(train_fn, self.DATASET, n_runs=4, workers=2)
+        try:
+            assert pinned
+            report = stability_study(train_fn, self.DATASET, n_runs=4, workers=2)
+        finally:
+            for setter, count in undo:  # as the CLI does when it returns
+                setter(count)
         assert report == stability_study(self.random_preds, self.DATASET, n_runs=4)
 
     def test_closure_state_reaches_workers(self):

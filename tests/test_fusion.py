@@ -157,6 +157,24 @@ class TestBimodal:
         with pytest.raises(ValueError):
             model.fit(captions, T, y)
 
+    @pytest.mark.parametrize("folds", [1, 31])  # 31 folds > 30 rows
+    def test_bad_folds_raise_before_any_branch_fit(self, monkeypatch, folds):
+        fits = []
+        for cls in (BowFfnnClassifier, HsvCnnClassifier):
+            def counting(model, *args, _fit=cls.fit):
+                fits.append(type(model))
+                return _fit(model, *args)
+            monkeypatch.setattr(cls, "fit", counting)
+        captions, T, y = self.make_inputs()
+        model = self.model()
+        model.folds = folds
+        with pytest.raises(ValueError, match="fold"):
+            model.fit(captions, T, y)
+        assert fits == []
+        model.in_sample = True  # no out-of-fold features: the folds are unused
+        model.fit(captions, T, y)
+        assert fits == [BowFfnnClassifier, HsvCnnClassifier]
+
     def test_load_rejects_other_kinds(self, tmp_path):
         from memesent.persist import save_container
 
