@@ -151,11 +151,14 @@ def _table_for(cls, cfg: RunConfig, ds: Dataset,
     return load_embeddings(cfg.embeddings, cfg.embeddings_format, vocab_filter=vocab)
 
 
-def _fit_model(cfg: RunConfig, ds: Dataset, base_dir: Path, seed: int, table):
-    """Train the configured model kind on a dataset; returns the model."""
+def _fit_model(cfg: RunConfig, ds: Dataset, base_dir: Path, seed: int, table,
+               workers: int = 1):
+    """Train the configured model kind on a dataset; returns the model.
+    A fusion fit runs its rounds in up to ``workers`` processes."""
     cls, build, inputs = _MODELS[cfg.model]
     model = build(cls, cfg, seed, table=table)
-    return model.fit(*inputs(ds, base_dir), _int_labels(ds))
+    extra = {"workers": workers} if cls is BimodalFusionClassifier else {}
+    return model.fit(*inputs(ds, base_dir), _int_labels(ds), **extra)
 
 
 def _model_proba(model, ds: Dataset, base_dir: Path) -> np.ndarray:
@@ -236,12 +239,12 @@ def cmd_prepare(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(cfg: RunConfig, workers: int = 1) -> int:
     ds, path = _load_dataset(cfg)
     if cfg.upsample:
         ds = upsample(ds, seed=cfg.seed)
     table = _table_for(_MODELS[cfg.model][0], cfg, ds)
-    model = _fit_model(cfg, ds, path.parent, cfg.seed, table)
+    model = _fit_model(cfg, ds, path.parent, cfg.seed, table, workers)
     out = _out_dir(cfg)
     model.save(out / "model.bin")
     report = {
@@ -364,10 +367,11 @@ def _pin_blas() -> tuple[bool, list]:
     return bool(getters) and all(getter() == 1 for getter in getters), undo
 
 
-def _stability_workers(runs: int, cpus: int, can_fork: bool, pinned: bool) -> int:
-    """Seeds to run at once: one per CPU and at most one per seed when they
-    can run in forked workers at one BLAS thread each; else 1."""
-    return min(runs, cpus) if can_fork and pinned else 1
+def _workers(cpus: int, can_fork: bool, pinned: bool) -> int:
+    """Worker processes for a parallel map (stability seeds, fusion rounds):
+    one per CPU when they can be forked at one BLAS thread each; else 1.
+    The map itself starts no more than one per item."""
+    return cpus if can_fork and pinned else 1
 
 
 def _print_seed(seed: int, score: float, seconds: float) -> None:
@@ -375,22 +379,19 @@ def _print_seed(seed: int, score: float, seconds: float) -> None:
           file=sys.stderr, flush=True)
 
 
-def cmd_stability(cfg: RunConfig, pinned: bool = False) -> int:
+def cmd_stability(cfg: RunConfig, workers: int = 1) -> int:
     ds, path = _load_dataset(cfg)
     table = _table_for(_MODELS[cfg.model][0], cfg, ds)
     base_dir = path.parent
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    can_fork = "fork" in multiprocessing.get_all_start_methods()
 
     def train_fn(train_ds, val_ds, seed):
         fit_ds = upsample(train_ds, seed=seed) if cfg.upsample else train_ds
-        model = _fit_model(cfg, fit_ds, base_dir, seed, table)
+        model = _fit_model(cfg, fit_ds, base_dir, seed, table, workers)
         return np.argmax(_model_proba(model, val_ds, base_dir), axis=1)
 
     report = stability_study(
         train_fn, ds, fraction=cfg.split, n_runs=cfg.runs,
-        seed0=cfg.seed, resplit=cfg.resplit,
-        workers=_stability_workers(cfg.runs, cpus, can_fork, pinned), progress=_print_seed,
+        seed0=cfg.seed, resplit=cfg.resplit, workers=workers, progress=_print_seed,
     )
     out = _out_dir(cfg)
     (out / "stability.json").write_text(report.to_json() + "\n", encoding="utf-8")
@@ -516,18 +517,23 @@ def _resolve(args) -> RunConfig:
 
 def main(argv=None) -> int:
     """Run one command; the BLAS thread counts are set back as they were
-    when it returns."""
+    when it returns. Stability seeds and fusion rounds run in
+    :func:`_workers` forked processes."""
     args = build_parser().parse_args(argv)
     pinned, undo = _pin_blas()
     if not pinned:
         print("warning: could not set BLAS to one thread: output bytes may depend on "
-              "its thread count, and stability runs serially", file=sys.stderr)
+              "its thread count, and stability seeds and fusion rounds run serially",
+              file=sys.stderr)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = _workers(cpus, "fork" in multiprocessing.get_all_start_methods(), pinned)
     try:
         cfg = _resolve(args)
         if args.command == "prepare":
             return cmd_prepare(cfg)
         if args.command == "train":
-            return cmd_train(cfg)
+            return cmd_train(cfg, workers)
         if args.command == "predict":
             if not args.model_file:
                 raise ConfigError("predict requires --model MODEL_FILE")
@@ -535,7 +541,7 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             return cmd_eval(cfg, args.predictions)
         if args.command == "stability":
-            return cmd_stability(cfg, pinned)
+            return cmd_stability(cfg, workers)
         if args.command == "compare":
             return cmd_compare(cfg, args.reports)
         raise ConfigError(f"unknown command {args.command!r}")

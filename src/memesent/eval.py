@@ -1,4 +1,5 @@
-"""Macro-F1 scoring, baselines, and seeded multi-run stability studies.
+"""Macro-F1 scoring, baselines, seeded multi-run stability studies, and
+the parallel map that the studies and fusion fits run on.
 
 Scoring runs through a 3x3 confusion matrix (rows = gold, cols =
 predicted). Per-class precision, recall, and F1 define any 0/0 as 0;
@@ -29,6 +30,7 @@ __all__ = [
     "ComparisonTable",
     "macro_f1",
     "majority_baseline",
+    "parallel_map",
     "stability_study",
     "compare_report",
 ]
@@ -199,67 +201,74 @@ class StabilityReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-# (train_fn, dataset, fraction, seed0, resplit, started) of the study a
-# forked worker serves; set by _init_worker, inherited rather than pickled
-_STUDY = None
+# (fn, items, started) of the map a forked worker serves; set as the worker
+# starts, inherited rather than pickled. None outside a worker, so a map
+# called inside one runs serially instead of forking grandchildren.
+_TASK = None
 
 
-def _run_seed(seed: int, study=None) -> tuple[float, float]:
-    """Split, train and score one seed of ``study`` (the worker's own by
-    default); returns its macro-F1 and the seconds it took."""
-    train_fn, dataset, fraction, seed0, resplit, started = study or _STUDY
-    if started is not None:
-        started[seed - seed0] = 1
-    start = time.perf_counter()
+def _become_worker(task) -> None:
+    global _TASK
+    _TASK = task
+
+
+def _run_item(index: int):
+    fn, items, started = _TASK
+    started[index] = 1
     try:
-        split_seed = seed if resplit else seed0
-        train_ds, val_ds = stratified_split(dataset, fraction, seed=split_seed)
-        preds = train_fn(train_ds, val_ds, seed)
-        golds = [int(label) for label in val_ds.labels()]
-        score = macro_f1(preds, golds, seed=seed).macro_f1
-    except Exception as exc:
-        raise TrainingError(f"stability run with seed {seed} failed: {exc}") from exc
+        return fn(items[index])
     finally:
-        if started is not None:
-            started[seed - seed0] = 2
-    return score, time.perf_counter() - start
+        started[index] = 2
 
 
-def _init_worker(*study) -> None:
-    global _STUDY
-    _STUDY = study
+def parallel_map(fn, items, workers: int = 1, progress=None, label=str) -> list:
+    """``[fn(item) for item in items]``, computed by up to ``workers``
+    forked processes (never more than one per item).
 
-
-def _run_parallel(study, seeds, workers, collect) -> None:
-    """``collect(seed, result)`` for each seed's ``_run_seed`` result, in
-    seed order, computed by ``workers`` forked processes.
-
-    The first failure in seed order is raised and the seeds not yet
-    started are cancelled. A worker that dies (``os._exit``, a kill
-    signal) breaks the pool; that becomes a :class:`TrainingError`
-    naming the seeds that were running, one of which was its own.
+    The workers inherit ``fn`` and ``items``, so closures work and only
+    results are pickled; an item's side effects stay in its worker.
+    Results come back in input order, and ``progress(item, result)`` is
+    called for each, in that order, as it arrives. The first failure in
+    input order is raised and the items not yet started are cancelled. A
+    worker that dies (``os._exit``, a kill signal) breaks the pool; that
+    becomes a :class:`TrainingError` naming, by ``label(item)``, the items
+    that were running, one of which was its own. With one worker, or
+    inside a worker of another map, the items run serially here.
     """
-    started = multiprocessing.RawArray("b", len(seeds))  # 0 queued, 1 running, 2 done
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    items = list(items)
+    workers = min(workers, len(items))
+    results = []
+    if workers <= 1 or _TASK is not None:
+        for item in items:
+            results.append(fn(item))
+            if progress is not None:
+                progress(item, results[-1])
+        return results
+    started = multiprocessing.RawArray("b", len(items))  # 0 queued, 1 running, 2 done
     sys.stdout.flush()  # a forked worker must not write buffered output again
     sys.stderr.flush()
     pool = ProcessPoolExecutor(
         workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker, initargs=(*study, started),
+        initializer=_become_worker, initargs=((fn, items, started),),
     )
     try:
-        futures = [pool.submit(_run_seed, seed) for seed in seeds]
-        for seed, future in zip(seeds, futures):
+        futures = [pool.submit(_run_item, i) for i in range(len(items))]
+        for item, future in zip(items, futures):
             try:
-                result = future.result()
+                results.append(future.result())
             except BrokenProcessPool as exc:
-                running = [str(s) for i, s in enumerate(seeds) if started[i] == 1]
+                running = [label(it) for i, it in enumerate(items) if started[i] == 1]
                 raise TrainingError(
-                    "a stability worker process died while running seed "
-                    + (" or ".join(running) or str(seed))
+                    "a worker process died while running "
+                    + " or ".join(running or [label(item)])
                 ) from exc
-            collect(seed, result)
+            if progress is not None:
+                progress(item, results[-1])
     finally:
         pool.shutdown(cancel_futures=True)
+    return results
 
 
 def stability_study(
@@ -280,36 +289,39 @@ def stability_study(
     randomness; ``resplit=False`` pins one split (seed0) so spread comes
     from training alone. A failing run aborts the study with its seed.
 
-    With ``workers`` > 1 the seeds run in up to that many forked worker
-    processes. They inherit ``train_fn`` and the dataset, so closures
-    work and only results are pickled; a run's side effects stay in its
-    worker. Results are collected in seed order, so the report equals
-    the serial one, bit for bit, at the same BLAS thread count. Workers
-    inherit the caller's BLAS setting: the CLI sets one thread before a
-    study, a library caller keeps its own.
+    The seeds run through :func:`parallel_map` with ``workers``: above 1,
+    in forked worker processes that inherit ``train_fn`` and the dataset,
+    so closures work and a run's side effects stay in its worker. A
+    parallel map that ``train_fn`` calls (a fusion fit's rounds) runs
+    serially inside a worker. Results are collected in seed order, so
+    the report equals the serial one, bit for bit, at the same BLAS
+    thread count. Workers inherit the caller's BLAS setting: the CLI sets
+    one thread, a library caller keeps its own.
     ``progress(seed, score, seconds)`` is called for each run, in seed
     order, as its result arrives; ``seconds`` is the run's own time.
     """
     if n_runs < 2:
         raise ValueError(f"a stability study needs n_runs >= 2, got {n_runs}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     seeds = list(range(seed0, seed0 + n_runs))
-    study = (train_fn, dataset, fraction, seed0, resplit)
-    scores = []
 
-    def collect(seed, result):
-        score, seconds = result
-        scores.append(score)
-        if progress is not None:
-            progress(seed, score, seconds)
+    def run(seed: int) -> tuple[float, float]:
+        start = time.perf_counter()
+        try:
+            train_ds, val_ds = stratified_split(
+                dataset, fraction, seed=seed if resplit else seed0
+            )
+            preds = train_fn(train_ds, val_ds, seed)
+            golds = [int(label) for label in val_ds.labels()]
+            score = macro_f1(preds, golds, seed=seed).macro_f1
+        except Exception as exc:
+            raise TrainingError(f"stability run with seed {seed} failed: {exc}") from exc
+        return score, time.perf_counter() - start
 
-    if workers == 1:
-        for seed in seeds:
-            collect(seed, _run_seed(seed, (*study, None)))
-    else:
-        _run_parallel(study, seeds, min(workers, n_runs), collect)
-    return StabilityReport.from_scores(scores, seeds)
+    results = parallel_map(
+        run, seeds, workers, label=lambda seed: f"seed {seed}",
+        progress=None if progress is None else lambda seed, result: progress(seed, *result),
+    )
+    return StabilityReport.from_scores([score for score, _ in results], seeds)
 
 
 @dataclass(frozen=True)

@@ -146,8 +146,8 @@ class Word2vecFfnnClassifier(_CaptionMlp):
     """preprocess -> mean-pooled embeddings -> dense softmax classifier.
 
     The embedding table is a constructor argument and is not serialized
-    with the model; ``save`` records the table's dimension and source so
-    ``load`` can check that the caller supplies a compatible one.
+    with the model; ``save`` records the table's dimension so ``load`` can
+    check that the caller supplies a compatible one.
     ``coverage_`` is the table's coverage of the training captions.
     """
 
@@ -178,7 +178,8 @@ class Word2vecFfnnClassifier(_CaptionMlp):
         return embed_corpus(tokenized, self.table)
 
     def _header(self) -> dict:
-        return {"table": {"dim": self.table.dim, "source": self.table.source}}
+        # the dimension alone: a path would make the bytes depend on its spelling
+        return {"table": {"dim": self.table.dim}}
 
     @classmethod
     def _from_header(cls, header, spec, path, table: EmbeddingTable):

@@ -25,6 +25,7 @@ from ..base import (
     check_prob_rows,
 )
 from ..errors import DataFormatError
+from ..eval import parallel_map
 from ..nn import softmax
 from ..rng import substream
 from .cnn import HsvCnnClassifier, _check_tensors
@@ -105,15 +106,17 @@ def fusion_train(
     rng = substream(seed, "stacker")
     W = np.zeros((3, _FEATURES))
     b = np.zeros(3)
-    classes = np.arange(3)
+    # the per-row constants, computed once: targets, lr * targets, the shrink
+    T = np.where(y[:, None] == np.arange(3), 1.0, -1.0)
+    rows, targets, steps = list(X), list(T), list(lr * T)
+    shrink = 1.0 - 2.0 * lr * lam
     for _ in range(epochs):
-        for i in rng.permutation(len(X)):
-            x = X[i]
-            t = np.where(classes == y[i], 1.0, -1.0)
+        for i in rng.permutation(len(X)).tolist():
+            x, t = rows[i], targets[i]
             active = t * (W @ x + b) < 1.0
-            W *= 1.0 - 2.0 * lr * lam
-            push = lr * t * active
-            W += push[:, None] * x[None, :]
+            W *= shrink
+            push = steps[i] * active
+            W += np.multiply.outer(push, x)
             b += push
     return FusionStacker(weights=W, biases=b)
 
@@ -137,7 +140,12 @@ class BimodalFusionClassifier(SavedModel, Estimator):
     ``in_sample=False`` (default) the stacker trains on out-of-fold
     branch predictions: rows are split into ``folds`` seeded folds and
     each row's features come from branches trained without it. The
-    final branch models are always refit on all rows.
+    final branch models are always refit on all rows. That full-data
+    fit and the fold rounds are independent, each seeded on its own, and
+    run through :func:`~memesent.eval.parallel_map` in up to ``fit``'s
+    ``workers`` forked processes (1 by default). The count is an argument
+    of ``fit``, not a parameter, and is not saved: the model is the same,
+    bit for bit, at any count.
     """
 
     KIND = "fusion-bimodal"
@@ -171,28 +179,10 @@ class BimodalFusionClassifier(SavedModel, Estimator):
     def _clone(est):
         return type(est)(**est.get_params())
 
-    def _oof_features(self, captions, tensors, y, text, image):
-        n = len(y)
-        order = substream(self.seed, "oof").permutation(n)
-        text_probs = np.zeros((n, 3))
-        image_probs = np.zeros((n, 3))
-        for chunk in np.array_split(order, self.folds):
-            held = np.zeros(n, dtype=bool)
-            held[chunk] = True
-            rest = np.flatnonzero(~held)
-            fold_text = self._clone(text).fit(
-                [captions[i] for i in rest], y[rest]
-            )
-            fold_image = self._clone(image).fit(tensors[rest], y[rest])
-            text_probs[chunk] = fold_text.predict_proba(
-                [captions[i] for i in chunk]
-            )
-            image_probs[chunk] = fold_image.predict_proba(tensors[chunk])
-        return text_probs, image_probs
-
-    def fit(self, captions: list[str], tensors, y) -> "BimodalFusionClassifier":
+    def fit(self, captions: list[str], tensors, y, workers: int = 1) -> "BimodalFusionClassifier":
         tensors = _check_tensors(tensors)
         y = as_label_array(y)
+        captions = list(captions)
         if not (len(captions) == len(tensors) == len(y)):
             raise ValueError(
                 f"captions, tensors, and labels disagree on row count: "
@@ -206,15 +196,38 @@ class BimodalFusionClassifier(SavedModel, Estimator):
                 f"out-of-fold features, got {len(y)}"
             )
         text, image = self._branches()
-        self.text_ = self._clone(text).fit(list(captions), y)
-        self.image_ = self._clone(image).fit(tensors, y)
+        n = len(y)
+        chunks = [] if self.in_sample else np.array_split(
+            substream(self.seed, "oof").permutation(n), self.folds
+        )
+
+        def fit_round(k):
+            """Round 0: both branches fit on all rows. Round k: fold k's
+            probability rows from branches fit on the other folds."""
+            if k == 0:
+                return self._clone(text).fit(captions, y), self._clone(image).fit(tensors, y)
+            chunk = chunks[k - 1]
+            held = np.zeros(n, dtype=bool)
+            held[chunk] = True
+            rest = np.flatnonzero(~held)
+            fold_text = self._clone(text).fit([captions[i] for i in rest], y[rest])
+            fold_image = self._clone(image).fit(tensors[rest], y[rest])
+            return (fold_text.predict_proba([captions[i] for i in chunk]),
+                    fold_image.predict_proba(tensors[chunk]))
+
+        (self.text_, self.image_), *folds = parallel_map(
+            fit_round, range(len(chunks) + 1), workers,
+            label=lambda k: f"fold {k}" if k else "the full-data fit",
+        )
         if self.in_sample:
-            text_probs = self.text_.predict_proba(list(captions))
+            text_probs = self.text_.predict_proba(captions)
             image_probs = self.image_.predict_proba(tensors)
         else:
-            text_probs, image_probs = self._oof_features(
-                list(captions), tensors, y, text, image
-            )
+            text_probs = np.zeros((n, 3))
+            image_probs = np.zeros((n, 3))
+            for chunk, (fold_text, fold_image) in zip(chunks, folds):
+                text_probs[chunk] = fold_text
+                image_probs[chunk] = fold_image
         self.stacker_ = fusion_train(
             text_probs,
             image_probs,

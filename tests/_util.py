@@ -103,19 +103,20 @@ fuzz_settings = settings(max_examples=200, deadline=None,
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_python(*args, env=None):
+def run_python(*args, env=None, preexec_fn=None):
     """``python *args`` in a subprocess under ``env`` (default: this
-    process's environment) with ``src`` first on ``PYTHONPATH``; the
-    completed process, its output captured as text."""
+    process's environment) with ``src`` first on ``PYTHONPATH``, calling
+    ``preexec_fn`` in the child before it starts; the completed process,
+    its output captured as text."""
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *map(str, args)], env=env,
+    return subprocess.run([sys.executable, *map(str, args)], env=env, preexec_fn=preexec_fn,
                           capture_output=True, text=True, timeout=300)
 
 
-def run_cli(*argv, env=None):
+def run_cli(*argv, env=None, preexec_fn=None):
     """``python -m memesent.cli *argv`` through :func:`run_python`."""
-    return run_python("-m", "memesent.cli", *argv, env=env)
+    return run_python("-m", "memesent.cli", *argv, env=env, preexec_fn=preexec_fn)
 
 
 def blas_threads() -> list[int]:

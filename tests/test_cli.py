@@ -13,13 +13,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _util import blas_threads, run_cli, run_python, synthetic_corpus
+from _util import blas_threads, hue_band_tensors, run_cli, run_python, synthetic_corpus
 from memesent import cli
+from memesent import eval as eval_module
 from memesent.cli import main
-from memesent.corpus import load_dataset, save_dataset
+from memesent.corpus import Dataset, MemeRecord, Sentiment, load_dataset, save_dataset
 from memesent.embeddings import EmbeddingTable, load_embeddings, write_word2vec_binary
 from memesent.eval import macro_f1
-from memesent.models import Word2vecFfnnClassifier
+from memesent.models import HsvCnnClassifier, Word2vecFfnnClassifier
+from memesent.models.image import read_hsv_tensor, write_hsv_tensor
+from memesent.rng import substream
 from memesent.textprep import PrepConfig
 
 
@@ -32,6 +35,26 @@ def workspace(tmp_path):
     emb = tmp_path / "vectors.bin"
     write_word2vec_binary(table, emb)
     return {"dir": tmp_path, "data": data, "emb": emb, "ds": ds}
+
+
+@pytest.fixture()
+def fusion_workspace(tmp_path):
+    """30 captioned rows with HSV tensor files, and a short fusion config
+    (3 folds, 2 epochs)."""
+    T, y = hue_band_tensors(n=30, seed=0)
+    (tmp_path / "hsv").mkdir()
+    words = {0: "sad awful", 1: "meh okay", 2: "joy great"}
+    records = []
+    for i, cls in enumerate(y.tolist()):
+        write_hsv_tensor(T[i], tmp_path / "hsv" / f"f{i}.hsv")
+        records.append(MemeRecord(id=f"f{i}", caption=f"{words[cls]} caption {i}",
+                                  image_path=f"hsv/f{i}.hsv", label=Sentiment(cls)))
+    save_dataset(Dataset(tuple(records)), tmp_path / "data.csv")
+    (tmp_path / "fusion.ini").write_text(
+        "[model]\nmodel = fusion\nfolds = 3\n\n[train]\nepochs = 2\nbatch_size = 10\n",
+        encoding="utf-8",
+    )
+    return tmp_path
 
 
 def run(*argv):
@@ -143,6 +166,21 @@ class TestTrain:
             "--out", workspace["dir"] / "x",
         ) == 2
 
+    def test_w2v_model_bytes_do_not_depend_on_the_embeddings_path(self, workspace,
+                                                                  monkeypatch):
+        monkeypatch.chdir(workspace["dir"])
+        config = workspace["dir"] / "short.ini"
+        config.write_text("[train]\nepochs = 1\n", encoding="utf-8")
+        blobs = []
+        for emb in (workspace["emb"].name, workspace["emb"].resolve()):
+            out = workspace["dir"] / f"path{len(blobs)}"
+            assert run(
+                "train", "--config", config, "--model", "ffnn_w2v",
+                "--dataset", workspace["data"], "--embeddings", emb, "--out", out,
+            ) == 0
+            blobs.append((out / "model.bin").read_bytes())
+        assert blobs[0] == blobs[1]
+
     def test_seed_changes_model(self, workspace):
         outs = []
         for seed in (0, 1):
@@ -153,6 +191,46 @@ class TestTrain:
             ) == 0
             outs.append((out / "model.bin").read_bytes())
         assert outs[0] != outs[1]
+
+
+class TestFusion:
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                        or len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
+    def test_bytes_do_not_depend_on_the_cpus(self, fusion_workspace):
+        one_cpu = min(os.sched_getaffinity(0))
+        blobs = []
+        for name, preexec_fn in (("all", None),
+                                 ("one", lambda: os.sched_setaffinity(0, {one_cpu}))):
+            out = fusion_workspace / name
+            for argv in (("train",), ("predict", "--model", out / "model.bin")):
+                proc = run_cli(*argv, "--config", fusion_workspace / "fusion.ini",
+                               "--dataset", fusion_workspace / "data.csv", "--out", out,
+                               preexec_fn=preexec_fn)
+                assert proc.returncode == 0, proc.stderr
+            blobs.append([(out / f).read_bytes() for f in ("model.bin", "predictions.csv")])
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("round_name", ["the full-data fit", "fold 3"])
+    def test_dying_round_exit_1(self, fusion_workspace, monkeypatch, capsys, round_name):
+        # fold 3 is the one round whose training rows lack its first held-out row
+        held = np.array_split(substream(0, "oof").permutation(30), 3)[2]
+        marker = read_hsv_tensor(fusion_workspace / "hsv" / f"f{held[0]}.hsv")
+        fit = HsvCnnClassifier.fit
+
+        def dies_in_round(model, T, y):
+            if (len(y) == 30 if round_name == "the full-data fit"
+                    else not any(np.array_equal(t, marker) for t in T)):
+                os._exit(9)
+            return fit(model, T, y)
+
+        monkeypatch.setattr(cli, "_workers", lambda *args: 2)
+        monkeypatch.setattr(HsvCnnClassifier, "fit", dies_in_round)
+        assert run(
+            "train", "--config", fusion_workspace / "fusion.ini",
+            "--dataset", fusion_workspace / "data.csv", "--out", fusion_workspace / "o",
+        ) == 1
+        err = capsys.readouterr().err
+        assert "worker process died while running" in err and round_name in err
 
 
 class TestPredictEvaluate:
@@ -421,7 +499,7 @@ class TestStability:
         config.write_text("[train]\nepochs = 2\n", encoding="utf-8")
         blobs = []
         for workers in (1, 2):
-            monkeypatch.setattr(cli, "_stability_workers", lambda *args, w=workers: w)
+            monkeypatch.setattr(cli, "_workers", lambda *args, w=workers: w)
             out = workspace["dir"] / f"w{workers}"
             assert run(
                 "stability", "--config", config, "--model", "ffnn_w2v",
@@ -432,6 +510,32 @@ class TestStability:
                           for name in ("stability.json", "stability_runs.csv")])
         assert blobs[0] == blobs[1]
 
+    def test_fusion_bytes_equal_serial_and_seeds_fork_no_grandchildren(
+            self, fusion_workspace, monkeypatch):
+        pools = fusion_workspace / "pools.txt"
+        pool = eval_module.ProcessPoolExecutor
+
+        def logged_pool(*args, **kwargs):  # one line per pool, naming who forks it
+            with open(pools, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr(eval_module, "ProcessPoolExecutor", logged_pool)
+        blobs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "_workers", lambda *args, w=workers: w)
+            out = fusion_workspace / f"w{workers}"
+            assert run(
+                "stability", "--config", fusion_workspace / "fusion.ini",
+                "--dataset", fusion_workspace / "data.csv", "--upsample",
+                "--runs", 2, "--out", out,
+            ) == 0
+            blobs.append([(out / name).read_bytes()
+                          for name in ("stability.json", "stability_runs.csv")])
+        assert blobs[0] == blobs[1]
+        # the 2-worker study forked once, from here; its seeds' fits ran serially
+        assert pools.read_text(encoding="utf-8").split() == [str(os.getpid())]
+
     @pytest.mark.parametrize("cpus, can_fork, pinned, runs, expected", [
         (2, True, True, 50, 2),
         (8, True, True, 50, 8),
@@ -441,8 +545,19 @@ class TestStability:
         (2, True, False, 50, 1),  # BLAS not pinned: serial
         (8, False, False, 50, 1),
     ])
-    def test_worker_count_rule(self, cpus, can_fork, pinned, runs, expected):
-        assert cli._stability_workers(runs, cpus, can_fork, pinned) == expected
+    def test_worker_count_rule(self, monkeypatch, cpus, can_fork, pinned, runs, expected):
+        pools = []
+
+        def no_fork(workers, **kwargs):  # records the pool the map would fork
+            pools.append(workers)
+            raise InterruptedError
+
+        monkeypatch.setattr(eval_module, "ProcessPoolExecutor", no_fork)
+        try:
+            eval_module.parallel_map(str, range(runs), cli._workers(cpus, can_fork, pinned))
+        except InterruptedError:
+            pass
+        assert pools == ([expected] if expected > 1 else [])  # 1: no pool, serial
 
     def test_unpinned_blas_warns_once_and_runs_serially(self, workspace, monkeypatch,
                                                         capsys):
@@ -464,13 +579,13 @@ class TestStability:
         assert len(warnings) == 1 and "one thread" in warnings[0]
 
     def test_dying_worker_exit_1(self, workspace, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_stability_workers", lambda *args: 2)
+        monkeypatch.setattr(cli, "_workers", lambda *args: 2)
         fit = cli._fit_model
 
-        def dies_on_seed_1(cfg, ds, base_dir, seed, table):
+        def dies_on_seed_1(cfg, ds, base_dir, seed, table, workers):
             if seed == 1:
                 os._exit(9)
-            return fit(cfg, ds, base_dir, seed, table)
+            return fit(cfg, ds, base_dir, seed, table, workers)
 
         monkeypatch.setattr(cli, "_fit_model", dies_on_seed_1)
         assert run(

@@ -21,6 +21,7 @@ from memesent.eval import (
     compare_report,
     macro_f1,
     majority_baseline,
+    parallel_map,
     stability_study,
 )
 
@@ -309,6 +310,16 @@ class TestParallelStability:
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError, match="workers"):
             stability_study(self.random_preds, self.DATASET, n_runs=2, workers=0)
+
+
+class TestParallelMap:
+    def test_map_inside_a_worker_runs_serially(self):
+        def outer(item):  # returns its worker's pid and the pids its own map ran in
+            return os.getpid(), parallel_map(lambda _: os.getpid(), range(3), workers=2)
+
+        results = parallel_map(outer, range(2), workers=2)
+        assert all(inner == [pid] * 3 for pid, inner in results)
+        assert os.getpid() not in {pid for pid, _ in results}
 
 
 class TestCompare:

@@ -15,6 +15,7 @@ from memesent.models import (
     ffnn_w2v_train,
 )
 from memesent.nn import NetSpec, TrainConfig
+from memesent.persist import save_container
 
 
 def fit_synthetic(seed=0, n=300):
@@ -83,6 +84,17 @@ class TestWord2vecFfnn:
         model, table, _, val = fit_synthetic(n=90)
         path = tmp_path / "w2v.bin"
         model.save(path)
+        back = Word2vecFfnnClassifier.load(path, table)
+        X = val.captions()
+        assert np.array_equal(back.predict_proba(X), model.predict_proba(X))
+
+    def test_load_accepts_a_saved_table_source(self, tmp_path):
+        model, table, _, val = fit_synthetic(n=60)
+        header, arrays = model._payload()
+        assert header["table"] == {"dim": table.dim}
+        header["table"]["source"] = "vectors.bin#binary"  # as earlier versions saved
+        path = tmp_path / "old.bin"
+        save_container(path, header, arrays)
         back = Word2vecFfnnClassifier.load(path, table)
         X = val.captions()
         assert np.array_equal(back.predict_proba(X), model.predict_proba(X))

@@ -5,6 +5,8 @@ import pytest
 
 from _util import hue_band_tensors
 from memesent.errors import DataFormatError
+from memesent.models.fusion import _stack_features
+from memesent.rng import substream
 from memesent.models import (
     BimodalFusionClassifier,
     BowFfnnClassifier,
@@ -14,6 +16,28 @@ from memesent.models import (
     fusion_train,
     load_model,
 )
+
+
+def per_sample_stacker(text_probs, image_probs, labels, lam=1e-3, epochs=200, lr=0.1,
+                       seed=0):
+    """The stacker loop as first written, every constant rebuilt per
+    sample: the reference that ``fusion_train`` must match bit for bit."""
+    X = _stack_features(text_probs, image_probs)
+    y = np.asarray(labels)
+    rng = substream(seed, "stacker")
+    W = np.zeros((3, 6))
+    b = np.zeros(3)
+    classes = np.arange(3)
+    for _ in range(epochs):
+        for i in rng.permutation(len(X)):
+            x = X[i]
+            t = np.where(classes == y[i], 1.0, -1.0)
+            active = t * (W @ x + b) < 1.0
+            W *= 1.0 - 2.0 * lr * lam
+            push = lr * t * active
+            W += push[:, None] * x[None, :]
+            b += push
+    return W, b
 
 
 def branch_rows(n, seed=0, text="perfect", image="uniform"):
@@ -96,6 +120,19 @@ class TestStacker:
         with pytest.raises(ValueError):
             fusion_train(bad, good, [0, 1, 2, 0, 1, 2])
 
+    @pytest.mark.parametrize("seed, n, epochs, lam, lr", [
+        (0, 60, 30, 1e-3, 0.1), (3, 41, 12, 0.0, 0.5), (11, 97, 5, 0.05, 0.01),
+    ])
+    def test_matches_the_per_sample_loop_bitwise(self, seed, n, epochs, lam, lr):
+        rng = np.random.default_rng(seed)
+        text = rng.dirichlet(np.ones(3), size=n)
+        image = rng.dirichlet(np.ones(3), size=n)
+        y = rng.integers(0, 3, size=n)
+        stacker = fusion_train(text, image, y, lam=lam, epochs=epochs, lr=lr, seed=seed)
+        W, b = per_sample_stacker(text, image, y, lam=lam, epochs=epochs, lr=lr, seed=seed)
+        assert np.array_equal(stacker.weights, W)
+        assert np.array_equal(stacker.biases, b)
+
     def test_weight_shape_validated(self):
         with pytest.raises(ValueError):
             FusionStacker(weights=np.zeros((3, 5)), biases=np.zeros(3))
@@ -144,6 +181,20 @@ class TestBimodal:
         assert np.array_equal(
             back.predict_proba(captions, T), model.predict_proba(captions, T)
         )
+
+    def test_one_and_two_workers_give_the_same_model(self):
+        captions, T, y = self.make_inputs()
+        serial = self.model().fit(captions, T, y)
+        forked = self.model().fit(captions, T, y, workers=2)
+        assert np.array_equal(forked.stacker_.weights, serial.stacker_.weights)
+        assert np.array_equal(forked.stacker_.biases, serial.stacker_.biases)
+        header, arrays = forked._payload()
+        serial_header, serial_arrays = serial._payload()
+        assert header == serial_header
+        assert arrays.keys() == serial_arrays.keys()
+        assert all(np.array_equal(arrays[k], serial_arrays[k]) for k in arrays)
+        assert np.array_equal(forked.predict_proba(captions, T),
+                              serial.predict_proba(captions, T))
 
     def test_row_count_mismatch(self):
         captions, T, y = self.make_inputs()
