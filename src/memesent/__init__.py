@@ -26,7 +26,6 @@ from .corpus import (
 )
 from .embeddings import (
     EmbeddingTable,
-    caption_embedding,
     corpus_coverage,
     embed_corpus,
     load_embeddings,
@@ -71,7 +70,6 @@ __all__ = [
     "stratified_split",
     "upsample",
     "EmbeddingTable",
-    "caption_embedding",
     "corpus_coverage",
     "embed_corpus",
     "load_embeddings",

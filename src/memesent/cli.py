@@ -71,12 +71,16 @@ _HIST_BINS = ((0, 0), (1, 5), (6, 10), (11, 20), (21, 50), (51, None))
 
 def _load_dataset(cfg: RunConfig) -> tuple[Dataset, Path]:
     """The configured dataset: an explicit schema mapping from the config,
-    else canonical names with the optional columns that the header has."""
+    else canonical names with the optional columns that the header has.
+    A dataset without records is an input error for every command."""
     if not cfg.dataset:
         raise ConfigError("no dataset path configured (set [data] dataset or --dataset)")
     path = Path(cfg.dataset)
     schema = CsvSchema.parse(cfg.schema) if cfg.schema and cfg.schema != "auto" else None
-    return load_dataset(path, schema), path
+    ds = load_dataset(path, schema)
+    if len(ds) == 0:
+        raise DataFormatError(f"{path}: no usable records")
+    return ds, path
 
 
 def _tensors_for(ds: Dataset, base_dir: Path) -> np.ndarray:
@@ -210,8 +214,6 @@ def _report_text(rep: EvalReport) -> str:
 
 def cmd_prepare(cfg: RunConfig) -> int:
     ds, _ = _load_dataset(cfg)
-    if len(ds) == 0:
-        raise DataFormatError(f"{cfg.dataset}: no usable records")
     stats = class_stats(ds)
     hist = _length_histogram(ds)
     out = _out_dir(cfg)
@@ -273,8 +275,6 @@ def cmd_train(cfg: RunConfig, workers: int = 1) -> int:
 
 def cmd_predict(cfg: RunConfig, model_path: str) -> int:
     ds, path = _load_dataset(cfg)
-    if len(ds) == 0:
-        raise DataFormatError(f"{cfg.dataset}: no usable records")
     header, arrays = load_container(model_path)
     cls = MODEL_CLASSES.get(header.get("kind"))
     prep = cls.saved_prep(header, model_path) if cls is Word2vecFfnnClassifier else None

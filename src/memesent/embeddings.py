@@ -6,25 +6,27 @@ line "<vocab_size> <dim>\\n":
 * binary: per word, the token bytes terminated by a single space,
   followed by ``dim`` little-endian IEEE-754 32-bit floats, followed by
   a newline (the reader also accepts files without the trailing
-  newline).
+  newline). This is the layout of Mikolov et al. (2013).
 * text: per word, one line "token v1 v2 ... v<dim>" with decimal
   floats.
 
-Loaded vectors stay float32, as stored; pooling widens them to float64.
-A load -> save round trip is byte-identical for files using the newline
-convention.
+A table is a words tuple, a word -> row index and one ``(V, dim)``
+matrix, which the readers allocate once as float32 and fill in place
+(the binary reader reads in blocks). A load -> save round trip is
+byte-identical for files using the newline convention.
 
-A caption embedding is the arithmetic mean of the vectors of its
-in-vocabulary tokens; out-of-vocabulary tokens are skipped rather than
-zero-substituted, and a caption with no in-vocabulary tokens maps to
-the zero vector.
+A caption embedding is the float64 mean of the rows of its
+in-vocabulary tokens; out-of-vocabulary tokens are skipped, and a
+caption with none maps to the zero vector.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -32,53 +34,74 @@ from .errors import DataFormatError
 
 __all__ = [
     "EmbeddingTable",
-    "CaptionEmbedding",
     "CoverageStats",
     "load_word2vec_binary",
     "write_word2vec_binary",
     "load_word2vec_text",
     "write_word2vec_text",
     "load_embeddings",
-    "caption_embedding",
     "embed_corpus",
     "corpus_coverage",
 ]
 
+_BLOCK = 1 << 18  # bytes the binary reader asks for at a time
 
-@dataclass(frozen=True)
+
+def _index(words, source: str) -> dict[str, int]:
+    """word -> row; raises naming the first word that appears twice."""
+    index = dict(zip(words, range(len(words))))
+    if len(index) < len(words):
+        row, word = next((i, w) for i, w in enumerate(words) if index[w] != i)
+        raise DataFormatError(
+            f"{source}: duplicate word {word!r} at rows {row} and {index[word]}"
+        )
+    return index
+
+
+@dataclass(frozen=True, eq=False)
 class EmbeddingTable:
-    """word -> vector map with a fixed dimensionality."""
+    """Row ``i`` of ``matrix`` is the vector of ``words[i]``; ``index``
+    maps each word to its row."""
 
-    dim: int
-    vectors: dict[str, np.ndarray]
+    words: tuple[str, ...]
+    matrix: np.ndarray
     source: str = "memory"
+    index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        for word, vec in self.vectors.items():
-            if vec.shape != (self.dim,):
-                raise DataFormatError(
-                    f"vector for {word!r} has shape {vec.shape}, expected ({self.dim},)"
-                )
-            if not np.all(np.isfinite(vec)):
-                raise DataFormatError(
-                    f"{self.source}: vector for {word!r} contains non-finite values"
-                )
+        object.__setattr__(self, "words", tuple(self.words))
+        object.__setattr__(self, "index", _index(self.words, self.source))
+        shape = self.matrix.shape
+        if len(shape) != 2 or shape[0] != len(self.words) or shape[1] < 1:
+            raise DataFormatError(
+                f"{self.source}: matrix of shape {shape} for {len(self.words)} words"
+            )
+        # NaN and inf show in a row's least or greatest entry: two (V,)
+        # reductions instead of a (V, dim) mask
+        finite = np.isfinite(self.matrix.min(axis=1)) & np.isfinite(self.matrix.max(axis=1))
+        if not finite.all():
+            raise DataFormatError(
+                f"{self.source}: vector for {self.words[int(np.argmin(finite))]!r} "
+                "contains non-finite values"
+            )
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
+
+    @property
+    def vectors(self) -> Mapping[str, np.ndarray]:
+        """Read-only word -> row mapping."""
+        return MappingProxyType(dict(zip(self.words, self.matrix)))
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.words)
 
     def __contains__(self, word: str) -> bool:
-        return word in self.vectors
+        return word in self.index
 
     def __getitem__(self, word: str) -> np.ndarray:
-        return self.vectors[word]
-
-
-@dataclass(frozen=True)
-class CaptionEmbedding:
-    vector: np.ndarray
-    covered: int
-    total: int
+        return self.matrix[self.index[word]]
 
 
 @dataclass(frozen=True)
@@ -110,77 +133,84 @@ def _parse_header(line: bytes, path: Path) -> tuple[int, int]:
     return vocab_size, dim
 
 
+def _matrix(fh, vocab_size: int, dim: int, row_bytes: int, vocab_filter) -> np.ndarray:
+    """An empty float32 matrix for the words still to read from ``fh``:
+    no more rows than declared, than the rest of the file holds at
+    ``row_bytes`` or more each, or than the filter keeps."""
+    rows = min(vocab_size, (os.fstat(fh.fileno()).st_size - fh.tell()) // row_bytes)
+    if vocab_filter is not None:
+        rows = min(rows, len(vocab_filter))
+    return np.empty((rows, dim), dtype="<f4")
+
+
 def load_word2vec_binary(
-    path: str | Path,
-    vocab_filter: set[str] | None = None,
-    encoding_errors: str = "strict",
+    path: str | Path, vocab_filter: set[str] | None = None
 ) -> EmbeddingTable:
     """Load a binary embedding file.
 
     ``vocab_filter`` keeps only the listed words (the whole file is
     still scanned); without it the loaded vocabulary size must equal
-    the header declaration exactly. ``encoding_errors`` follows the
-    ``bytes.decode`` convention: "strict" rejects non-UTF-8 token
-    bytes, "replace" substitutes them.
+    the header declaration exactly. Token bytes must be UTF-8.
     """
     path = Path(path)
     if not path.is_file():
         raise DataFormatError(f"embedding file not found: {path}")
-    vectors: dict[str, np.ndarray] = {}
+    source = f"{path}#binary"
     with open(path, "rb") as fh:
         vocab_size, dim = _parse_header(fh.readline(), path)
         vec_bytes = 4 * dim
         # read() allocates what it is asked for before it finds the end
         file_bytes = os.fstat(fh.fileno()).st_size
+        matrix = _matrix(fh, vocab_size, dim, vec_bytes + 1, vocab_filter)
+        words: list[str] = []
+        buf, pos = b"", 0  # buf[pos:] is read but not yet parsed
         for index in range(vocab_size):
-            token_bytes = bytearray()
-            while True:
-                ch = fh.read(1)
-                if not ch:
+            seen = pos
+            while (space := buf.find(b" ", seen)) < 0:
+                seen = len(buf) - pos  # searched already; a long token doubles the read
+                buf, pos = buf[pos:] + fh.read(max(_BLOCK, seen)), 0
+                if len(buf) == seen:
                     raise DataFormatError(
                         f"{path}: truncated file at word index {index} (reading token)"
                     )
-                if ch == b" ":
-                    break
-                if ch == b"\n" and not token_bytes:
-                    continue  # tolerate newline-prefixed tokens
-                token_bytes.extend(ch)
+            # newlines before a token are the previous vector's terminator
+            token, pos = buf[pos:space].lstrip(b"\n"), space + 1
+            if len(buf) - pos < vec_bytes:
+                missing = vec_bytes - (len(buf) - pos)
+                buf, pos = buf[pos:] + fh.read(min(missing, file_bytes)), 0
+                if len(buf) < vec_bytes:
+                    raise DataFormatError(
+                        f"{path}: truncated file at word index {index} "
+                        f"(got {len(buf)} of {vec_bytes} vector bytes)"
+                    )
             try:
-                word = token_bytes.decode("utf-8", errors=encoding_errors)
+                word = token.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise DataFormatError(
                     f"{path}: non-UTF-8 token bytes at word index {index}: {exc}"
                 ) from exc
-            raw = fh.read(min(vec_bytes, file_bytes))
-            if len(raw) != vec_bytes:
-                raise DataFormatError(
-                    f"{path}: truncated file at word index {index} "
-                    f"(got {len(raw)} of {vec_bytes} vector bytes)"
-                )
             if vocab_filter is None or word in vocab_filter:
-                if word in vectors:
-                    raise DataFormatError(
-                        f"{path}: duplicate word {word!r} at index {index}"
-                    )
-                vectors[word] = np.frombuffer(raw, dtype="<f4")
-        trailer = fh.read()
+                if len(words) == len(matrix):  # only a repeated filter word gets here
+                    _index(words + [word], source)
+                matrix[len(words)] = np.frombuffer(buf, "<f4", dim, pos)
+                words.append(word)
+            pos += vec_bytes
+        trailer = buf[pos:] + fh.read()
     if trailer.strip(b"\n\r "):
         raise DataFormatError(
             f"{path}: {len(trailer)} unexpected bytes after the declared "
             f"{vocab_size} vectors"
         )
-    return EmbeddingTable(dim=dim, vectors=vectors, source=f"{path}#binary")
+    return EmbeddingTable(words, matrix[: len(words)], source)
 
 
 def write_word2vec_binary(table: EmbeddingTable, path: str | Path) -> None:
     """Write the canonical binary layout (newline after every vector)."""
-    path = Path(path)
+    rows = table.matrix.astype("<f4", copy=False)
     with open(path, "wb") as fh:
         fh.write(f"{len(table)} {table.dim}\n".encode("utf-8"))
-        for word, vec in table.vectors.items():
-            fh.write(word.encode("utf-8") + b" ")
-            fh.write(vec.astype("<f4").tobytes())
-            fh.write(b"\n")
+        for word, row in zip(table.words, rows):
+            fh.write(word.encode("utf-8") + b" " + row.tobytes() + b"\n")
 
 
 def load_word2vec_text(
@@ -190,9 +220,12 @@ def load_word2vec_text(
     path = Path(path)
     if not path.is_file():
         raise DataFormatError(f"embedding file not found: {path}")
-    vectors: dict[str, np.ndarray] = {}
+    source = f"{path}#text"
     with open(path, "rb") as fh:
         vocab_size, dim = _parse_header(fh.readline(), path)
+        # a line that reaches the matrix holds dim separators at least
+        matrix = _matrix(fh, vocab_size, dim, dim, vocab_filter)
+        words: list[str] = []
         count = 0
         for lineno, raw_line in enumerate(fh, start=2):
             try:
@@ -215,24 +248,24 @@ def load_word2vec_text(
                 )
             if vocab_filter is not None and word not in vocab_filter:
                 continue
-            if word in vectors:
-                raise DataFormatError(f"{path}:{lineno}: duplicate word {word!r}")
+            if len(words) == len(matrix):  # only a repeated filter word gets here
+                _index(words + [word], source)
             try:
-                vectors[word] = np.array(parts[1:], dtype="<f4")
+                matrix[len(words)] = parts[1:]
             except ValueError as exc:
                 raise DataFormatError(f"{path}:{lineno}: bad float: {exc}") from exc
+            words.append(word)
     if count != vocab_size:
         raise DataFormatError(
             f"{path}: header declares {vocab_size} words but file has {count}"
         )
-    return EmbeddingTable(dim=dim, vectors=vectors, source=f"{path}#text")
+    return EmbeddingTable(words, matrix[: len(words)], source)
 
 
 def write_word2vec_text(table: EmbeddingTable, path: str | Path) -> None:
-    path = Path(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{len(table)} {table.dim}\n")
-        for word, vec in table.vectors.items():
+        for word, vec in zip(table.words, table.matrix):
             comps = " ".join(f"{np.float32(v):.9g}" for v in vec)
             fh.write(f"{word} {comps}\n")
 
@@ -249,38 +282,23 @@ def load_embeddings(
     raise DataFormatError(f"unknown embedding format {fmt!r}; use 'binary' or 'text'")
 
 
-def caption_embedding(tokens: list[str], table: EmbeddingTable) -> CaptionEmbedding:
-    """Mean-pool the in-vocabulary token vectors of one caption."""
-    hits = [table.vectors[t] for t in tokens if t in table.vectors]
-    if hits:
-        vector = np.mean(hits, axis=0, dtype=np.float64)
-    else:
-        vector = np.zeros(table.dim, dtype=np.float64)
-    return CaptionEmbedding(vector=vector, covered=len(hits), total=len(tokens))
-
-
 def corpus_coverage(captions: list[list[str]], table: EmbeddingTable) -> CoverageStats:
-    n_all_oov = 0
-    n_tokens = 0
-    n_covered = 0
-    for tokens in captions:
-        covered = sum(1 for t in tokens if t in table.vectors)
-        n_tokens += len(tokens)
-        n_covered += covered
-        if covered == 0:
-            n_all_oov += 1
+    index = table.index
+    covered = [sum(t in index for t in tokens) for tokens in captions]
     return CoverageStats(
         n_captions=len(captions),
-        n_all_oov=n_all_oov,
-        n_tokens=n_tokens,
-        n_covered_tokens=n_covered,
+        n_all_oov=covered.count(0),
+        n_tokens=sum(map(len, captions)),
+        n_covered_tokens=sum(covered),
     )
 
 
 def embed_corpus(captions: list[list[str]], table: EmbeddingTable) -> np.ndarray:
-    """Stack per-caption mean-pooled embeddings into an (n, dim) matrix."""
+    """Stack per-caption mean-pooled embeddings into an (n, dim) float64 matrix."""
+    index, matrix = table.index, table.matrix
     out = np.zeros((len(captions), table.dim), dtype=np.float64)
     for i, tokens in enumerate(captions):
-        out[i] = caption_embedding(tokens, table).vector
+        ids = [index[t] for t in tokens if t in index]
+        if ids:
+            out[i] = matrix[ids].mean(axis=0, dtype=np.float64)
     return out
-

@@ -7,12 +7,7 @@ from ..errors import DataFormatError
 from ..persist import load_container
 from .bow import BowVocab, bow_vectorize, build_bow_vocab
 from .cnn import CnnParams, HsvCnnClassifier, cnn_grad_check
-from .ffnn import (
-    BowFfnnClassifier,
-    MlpClassifier,
-    Word2vecFfnnClassifier,
-    ffnn_w2v_train,
-)
+from .ffnn import BowFfnnClassifier, MlpClassifier, Word2vecFfnnClassifier
 from .fusion import (
     BimodalFusionClassifier,
     FusionStacker,
@@ -41,7 +36,6 @@ __all__ = [
     "BowFfnnClassifier",
     "MlpClassifier",
     "Word2vecFfnnClassifier",
-    "ffnn_w2v_train",
     "BimodalFusionClassifier",
     "FusionStacker",
     "fusion_predict",

@@ -46,7 +46,6 @@ __all__ = [
     "MlpClassifier",
     "Word2vecFfnnClassifier",
     "BowFfnnClassifier",
-    "ffnn_w2v_train",
 ]
 
 logger = logging.getLogger(__name__)
@@ -209,6 +208,8 @@ class BowFfnnClassifier(_CaptionMlp):
         tokenized = [preprocess(c, prep) for c in captions]
         if fitting:
             self.vocab_ = build_bow_vocab(tokenized, self.vocab_size)
+            if not len(self.vocab_):
+                raise DataFormatError("no caption has a token left after preprocessing")
         if not tokenized:
             return np.zeros((0, len(self.vocab_)))
         return np.stack([bow_vectorize(tokens, self.vocab_) for tokens in tokenized])
@@ -222,28 +223,3 @@ class BowFfnnClassifier(_CaptionMlp):
         model.vocab_ = BowVocab(words=tuple(header["vocab"]))
         return model
 
-
-def ffnn_w2v_train(
-    captions: list[str],
-    y,
-    table: EmbeddingTable,
-    spec: NetSpec | None = None,
-    cfg: TrainConfig | None = None,
-    prep: PrepConfig | None = None,
-) -> Word2vecFfnnClassifier:
-    """Functional front end over :class:`Word2vecFfnnClassifier`.
-
-    ``cfg.seed`` drives both weight initialization and batch shuffling
-    (they consume independent substreams of it); a seed carried by
-    ``spec`` is superseded.
-    """
-    cfg = cfg if cfg is not None else TrainConfig()
-    if spec is None:
-        spec = NetSpec(input_dim=table.dim, init_mode="scaled")
-    if spec.input_dim != table.dim:
-        raise DataFormatError(
-            f"network input width {spec.input_dim} does not match "
-            f"embedding dim {table.dim}"
-        )
-    dense = {**_net_params(spec), **vars(cfg)}
-    return Word2vecFfnnClassifier(table=table, prep=prep, **dense).fit(captions, y)

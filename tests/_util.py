@@ -51,7 +51,7 @@ def synthetic_corpus(n=300, dim=8, scale=2.0, seed=7):
     for cls, words in SYNTH_CLASS_WORDS.items():
         for word in words:
             vectors[word] = centers[cls] + rng.standard_normal(dim) * 0.1 * scale
-    table = EmbeddingTable(dim=dim, vectors=vectors, source="toy")
+    table = EmbeddingTable(tuple(vectors), np.stack(list(vectors.values())), source="toy")
     records = []
     for i in range(n):
         cls = i % 3

@@ -21,5 +21,4 @@ def tiny_csv(tmp_path):
 def toy_table():
     rng = np.random.default_rng(42)
     words = ["king", "queen", "meme", "cat", "dog"]
-    vectors = {w: rng.standard_normal(4) for w in words}
-    return EmbeddingTable(dim=4, vectors=vectors)
+    return EmbeddingTable(words, np.stack([rng.standard_normal(4) for _ in words]))

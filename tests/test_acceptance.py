@@ -28,11 +28,11 @@ from memesent.embeddings import (
     write_word2vec_text,
 )
 from memesent.eval import macro_f1, stability_study
-from memesent.models.ffnn import ffnn_w2v_train
+from memesent.models.ffnn import Word2vecFfnnClassifier
 from memesent.models.fusion import fusion_train, fusion_predict
 from memesent.models.image import rgb_to_hsv
 from memesent.models.naive_bayes import nb_train
-from memesent.nn import NetSpec, TrainConfig, grad_check
+from memesent.nn import NetSpec, grad_check
 from memesent.textprep import preprocess
 
 
@@ -109,9 +109,8 @@ def test_synthetic_end_to_end():
     train, val = stratified_split(ds, 0.8, seed=0)
     golds = [int(l) for l in val.labels()]
 
-    ffnn = ffnn_w2v_train(
-        train.captions(), [int(l) for l in train.labels()], table,
-        cfg=TrainConfig(batch_size=50, epochs=10),
+    ffnn = Word2vecFfnnClassifier(table, batch_size=50, epochs=10).fit(
+        train.captions(), [int(l) for l in train.labels()]
     )
     ffnn_f1 = macro_f1(ffnn.predict(val.captions()), golds).macro_f1
 
@@ -175,8 +174,8 @@ def test_format_fidelity(tmp_path):
     HSV conversion hits the analytic corners exactly."""
     rng = np.random.default_rng(9)
     table = EmbeddingTable(
-        dim=7,
-        vectors={f"w{i}": rng.standard_normal(7) for i in range(23)},
+        tuple(f"w{i}" for i in range(23)),
+        np.stack([rng.standard_normal(7) for _ in range(23)]),
         source="synthetic",
     )
     bin1, bin2 = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -189,9 +188,8 @@ def test_format_fidelity(tmp_path):
     write_word2vec_text(loaded, txt)
     from_text = load_word2vec_text(txt)
     f32_eps = float(np.finfo(np.float32).eps)
-    encodings_agree = from_text.vectors.keys() == loaded.vectors.keys() and all(
-        np.allclose(from_text[w], loaded[w], rtol=f32_eps, atol=f32_eps)
-        for w in loaded.vectors
+    encodings_agree = from_text.words == loaded.words and np.allclose(
+        from_text.matrix, loaded.matrix, rtol=f32_eps, atol=f32_eps
     )
 
     corners = np.array([
@@ -253,9 +251,8 @@ def test_real_data_stability():
 
     def train_fn(train_ds, val_ds, seed):
         up = upsample(train_ds, seed)
-        model = ffnn_w2v_train(
-            up.captions(), [int(l) for l in up.labels()], table,
-            cfg=TrainConfig(seed=seed),
+        model = Word2vecFfnnClassifier(table, seed=seed).fit(
+            up.captions(), [int(l) for l in up.labels()]
         )
         return model.predict(val_ds.captions())
 

@@ -17,6 +17,7 @@ from _util import blas_threads, hue_band_tensors, run_cli, run_python, synthetic
 from memesent import cli
 from memesent import eval as eval_module
 from memesent.cli import main
+from memesent.config import MODEL_KINDS
 from memesent.corpus import Dataset, MemeRecord, Sentiment, load_dataset, save_dataset
 from memesent.embeddings import EmbeddingTable, load_embeddings, write_word2vec_binary
 from memesent.eval import macro_f1
@@ -165,6 +166,22 @@ class TestTrain:
             "train", "--model", "svm", "--dataset", workspace["data"],
             "--out", workspace["dir"] / "x",
         ) == 2
+
+    @pytest.mark.parametrize("command", ["train", "stability"])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_header_only_dataset_exit_2(self, workspace, capsys, command, kind):
+        data = workspace["dir"] / "header.csv"
+        data.write_text("id,caption,label,image\n")
+        assert run(command, "--model", kind, "--dataset", data, "--embeddings",
+                   workspace["emb"], "--out", workspace["dir"] / "o") == 2
+        assert f"error: {data}: no usable records" in capsys.readouterr().err
+
+    def test_stopword_captions_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "stop.csv"
+        data.write_text("id,caption,label\na,the,positive\nb,a is,neutral\nc,is,negative\n")
+        assert run("train", "--model", "ffnn_bow", "--dataset", data,
+                   "--out", tmp_path / "o") == 2
+        assert "no caption has a token left after preprocessing" in capsys.readouterr().err
 
     def test_w2v_model_bytes_do_not_depend_on_the_embeddings_path(self, workspace,
                                                                   monkeypatch):
@@ -361,7 +378,7 @@ class TestPredictEvaluate:
         words = ("memes", "meme", "cats", "cat", "dogs")
         emb = tmp_path / "vectors.bin"
         write_word2vec_binary(
-            EmbeddingTable(dim=4, vectors={w: rng.standard_normal(4) for w in words}), emb)
+            EmbeddingTable(words, rng.standard_normal((len(words), 4))), emb)
         captions = ["memes cats", "meme dogs", "cats", "memes", "dogs cat", "meme"]
         data = tmp_path / "data.csv"
         data.write_text("id,caption,label\n" + "".join(

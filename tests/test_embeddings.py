@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memesent import embeddings
 from memesent.embeddings import (
     CoverageStats,
     EmbeddingTable,
-    caption_embedding,
     corpus_coverage,
     embed_corpus,
     load_embeddings,
@@ -113,8 +115,6 @@ def test_binary_non_utf8_token(tmp_path):
     path.write_bytes(b"1 1\ncaf\xe9 " + v + b"\n")
     with pytest.raises(DataFormatError, match="non-UTF-8"):
         load_word2vec_binary(path)
-    table = load_word2vec_binary(path, encoding_errors="replace")
-    assert len(table) == 1  # token kept with the replacement character
 
 
 def test_binary_header_dim_larger_than_file(tmp_path):
@@ -184,6 +184,9 @@ def test_text_bad_float(tmp_path):
     path.write_text("1 2\nking 0.1 oops\n")
     with pytest.raises(DataFormatError, match="bad float"):
         load_word2vec_text(path)
+    path.write_text("1 2\na  ")  # shorter than two one-digit components
+    with pytest.raises(DataFormatError, match="bad float"):
+        load_word2vec_text(path)
 
 
 def test_text_non_finite_vector_names_the_file(tmp_path):
@@ -214,11 +217,10 @@ def test_text_binary_agree_within_f32(tmp_path, toy_table):
     write_word2vec_text(toy_table, txt_path)
     from_bin = load_embeddings(bin_path, "binary")
     from_txt = load_embeddings(txt_path, "text")
-    assert set(from_bin.vectors) == set(from_txt.vectors)
-    for word in from_bin.vectors:
-        np.testing.assert_allclose(
-            from_bin[word], from_txt[word], rtol=0, atol=np.finfo(np.float32).eps
-        )
+    assert from_bin.words == from_txt.words == toy_table.words
+    np.testing.assert_allclose(
+        from_bin.matrix, from_txt.matrix, rtol=0, atol=np.finfo(np.float32).eps
+    )
 
 
 def test_readers_keep_float32(tmp_path, toy_table):
@@ -227,18 +229,17 @@ def test_readers_keep_float32(tmp_path, toy_table):
     write_word2vec_text(toy_table, txt_path)
     for table in (load_word2vec_binary(bin_path), load_word2vec_text(txt_path)):
         assert len(table) == len(toy_table)
-        assert all(vec.dtype == np.float32 for vec in table.vectors.values())
+        assert table.matrix.dtype == np.float32
 
 
 def test_pooling_a_loaded_table_equals_pooling_its_float64_copy(tmp_path):
     rng = np.random.default_rng(3)
     words = [f"w{i}" for i in range(300)]
     path = tmp_path / "v.bin"
-    write_word2vec_binary(EmbeddingTable(dim=50, vectors={
-        w: rng.standard_normal(50) * 10.0 ** rng.integers(-3, 4) for w in words}), path)
+    write_word2vec_binary(EmbeddingTable(words, np.stack([
+        rng.standard_normal(50) * 10.0 ** rng.integers(-3, 4) for _ in words])), path)
     loaded = load_word2vec_binary(path)
-    wide = EmbeddingTable(dim=50, vectors={w: v.astype(np.float64)
-                                           for w, v in loaded.vectors.items()})
+    wide = EmbeddingTable(loaded.words, loaded.matrix.astype(np.float64))
     # repeated words from a small vocabulary, two out-of-vocabulary words
     # and empty captions
     captions = [rng.choice(words + ["oov_a", "oov_b"], size=rng.integers(0, 80)).tolist()
@@ -255,47 +256,139 @@ def test_load_embeddings_unknown_format(tmp_path):
 
 def test_table_validates_shapes():
     with pytest.raises(DataFormatError, match="shape"):
-        EmbeddingTable(dim=3, vectors={"a": np.zeros(2)})
-    with pytest.raises(DataFormatError, match="non-finite"):
-        EmbeddingTable(dim=1, vectors={"a": np.array([np.inf])})
+        EmbeddingTable(("a",), np.zeros((2, 3)))
+    with pytest.raises(DataFormatError, match="shape"):
+        EmbeddingTable(("a",), np.zeros(3))
+    with pytest.raises(DataFormatError, match=r"src: vector for 'b' contains non-finite"):
+        EmbeddingTable(("a", "b", "c"), np.array([[1.0], [np.inf], [np.nan]]), "src")
+    with pytest.raises(DataFormatError, match=r"src: duplicate word 'a' at rows 0 and 2"):
+        EmbeddingTable(("a", "b", "a"), np.zeros((3, 2)), "src")
+
+
+def test_table_maps_words_to_rows(toy_table):
+    assert toy_table.words == ("king", "queen", "meme", "cat", "dog")
+    assert toy_table.index["cat"] == 3 and toy_table.dim == 4
+    np.testing.assert_array_equal(toy_table["cat"], toy_table.matrix[3])
+    assert list(toy_table.vectors) == list(toy_table.words)
+    np.testing.assert_array_equal(toy_table.vectors["cat"], toy_table.matrix[3])
+    with pytest.raises(TypeError):
+        toy_table.vectors["cat"] = np.zeros(4)
+
+
+# ---------------------------------------------------------------- block reads
+def _binary_table(rng, n=40, dim=5):
+    # tokens of one to several bytes, some of them multi-byte UTF-8
+    words = tuple(f"w{i}" * (i % 4) + "é" * (i % 3) + str(i) for i in range(n))
+    return EmbeddingTable(words, rng.standard_normal((n, dim)).astype(np.float32))
+
+
+_V = np.array([1.0, 2.0, 3.0], dtype="<f4").tobytes()
+_BAD_BINARY = {
+    "truncated token": (b"2 3\nking " + _V + b"\nque", "word index 1"),
+    "truncated vector": (b"2 3\nking " + _V + b"\nqueen " + _V[:5], "word index 1"),
+    "non-UTF-8": (b"2 3\nking " + _V + b"\ncaf\xe9 " + _V + b"\n",
+                  "non-UTF-8 token bytes at word index 1"),
+    "duplicate": (b"3 3\nab " + _V + b"\ncd " + _V + b"\nab " + _V + b"\n",
+                  "duplicate word 'ab' at rows 0 and 2"),
+    "trailing": (b"1 3\nab " + _V + b"\nEXTRA", "unexpected bytes"),
+    "dim beyond file": (b"1 10000000000000\nw " + _V, "word index 0"),
+}
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_binary_block_boundaries(tmp_path, monkeypatch, block):
+    path = tmp_path / "v.bin"
+    write_word2vec_binary(_binary_table(np.random.default_rng(block)), path)
+    whole = load_word2vec_binary(path)
+    keep = set(whole.words[::3])
+    some = load_word2vec_binary(path, vocab_filter=keep)
+    monkeypatch.setattr(embeddings, "_BLOCK", block)
+    for table, vocab_filter in ((whole, None), (some, keep)):
+        small = load_word2vec_binary(path, vocab_filter=vocab_filter)
+        assert small.words == table.words
+        assert np.array_equal(small.matrix, table.matrix)
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_BINARY))
+def test_binary_errors_at_a_small_block(tmp_path, monkeypatch, case):
+    data, message = _BAD_BINARY[case]
+    path = tmp_path / "bad.bin"
+    path.write_bytes(data)
+    monkeypatch.setattr(embeddings, "_BLOCK", 3)
+    with pytest.raises(DataFormatError, match=message):
+        load_word2vec_binary(path)
+
+
+@pytest.mark.parametrize("fmt", ["binary", "text"])
+def test_filtered_duplicate_is_named(tmp_path, fmt):
+    # the filter keeps two words, so the second 'a' leaves no row for 'b'
+    table = EmbeddingTable(("x",), np.ones((1, 2)))
+    path = tmp_path / "v"
+    (write_word2vec_binary if fmt == "binary" else write_word2vec_text)(table, path)
+    body = path.read_bytes().split(b"\n", 1)[1]
+    row = body[1:]  # " <vector>\n" after the token "x"
+    path.write_bytes(b"3 2\n" + b"a" + row + b"a" + row + b"b" + row)
+    with pytest.raises(DataFormatError, match="duplicate word 'a'"):
+        load_embeddings(path, fmt, vocab_filter={"a", "b"})
+
+
+def test_binary_load_memory_is_close_to_the_matrix(tmp_path):
+    rng = np.random.default_rng(0)
+    path = tmp_path / "big.bin"
+    n, dim = 20_000, 300
+    write_word2vec_binary(EmbeddingTable(
+        tuple(f"word{i}" for i in range(n)),
+        rng.standard_normal((n, dim)).astype(np.float32)), path)
+    tracemalloc.start()
+    try:
+        table = load_word2vec_binary(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == n and table.matrix.nbytes == n * dim * 4
+    assert peak <= 1.2 * table.matrix.nbytes, peak / table.matrix.nbytes
 
 
 # ---------------------------------------------------------------- pooling
+def pooled(tokens, table):
+    """The oracle: the float64 mean of the in-vocabulary tokens' vectors."""
+    hits = [table[t] for t in tokens if t in table]
+    if not hits:
+        return np.zeros(table.dim)
+    return np.mean(np.stack(hits), axis=0, dtype=np.float64)
+
+
 def test_caption_embedding_single(toy_table):
-    emb = caption_embedding(["king"], toy_table)
-    np.testing.assert_array_equal(emb.vector, toy_table["king"])
-    assert (emb.covered, emb.total) == (1, 1)
+    np.testing.assert_array_equal(embed_corpus([["king"]], toy_table)[0], toy_table["king"])
 
 
 def test_caption_embedding_mean():
-    table = EmbeddingTable(
-        dim=2, vectors={"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
-    )
-    emb = caption_embedding(["a", "b"], table)
-    np.testing.assert_array_equal(emb.vector, [0.5, 0.5])
+    table = EmbeddingTable(("a", "b"), np.eye(2))
+    np.testing.assert_array_equal(embed_corpus([["a", "b"]], table), [[0.5, 0.5]])
 
 
 def test_caption_embedding_oov(toy_table):
-    for tokens in ([], ["zzz", "qqq"]):
-        emb = caption_embedding(tokens, toy_table)
-        np.testing.assert_array_equal(emb.vector, np.zeros(4))
-        assert emb.covered == 0
+    M = embed_corpus([[], ["zzz", "qqq"]], toy_table)
+    np.testing.assert_array_equal(M, np.zeros((2, 4)))
 
 
 def test_caption_embedding_skips_oov(toy_table):
-    with_oov = caption_embedding(["king", "zzz"], toy_table)
-    without = caption_embedding(["king"], toy_table)
-    np.testing.assert_array_equal(with_oov.vector, without.vector)
-    assert (with_oov.covered, with_oov.total) == (1, 2)
+    M = embed_corpus([["king", "zzz"], ["king"]], toy_table)
+    np.testing.assert_array_equal(M[0], M[1])
 
 
-def test_embed_corpus_shape_and_rows(toy_table):
-    captions = [["king"], ["queen", "cat"], ["zzz"]]
-    M = embed_corpus(captions, toy_table)
-    assert M.shape == (3, 4)
-    for i, tokens in enumerate(captions):
-        np.testing.assert_array_equal(M[i], caption_embedding(tokens, toy_table).vector)
-    assert embed_corpus([], toy_table).shape == (0, 4)
+def test_embed_corpus_shape_and_rows():
+    rng = np.random.default_rng(5)
+    words = tuple(f"w{i}" for i in range(30))
+    # repeated tokens, out-of-vocabulary tokens and empty captions
+    captions = [rng.choice(words + ("oov",), size=rng.integers(0, 12)).tolist()
+                for _ in range(200)] + [[], ["oov", "oov"], ["w1"] * 5]
+    for dtype in (np.float32, np.float64):
+        table = EmbeddingTable(words, (rng.standard_normal((30, 8)) * 100).astype(dtype))
+        M = embed_corpus(captions, table)
+        assert M.shape == (len(captions), 8) and M.dtype == np.float64
+        assert np.array_equal(M, np.stack([pooled(tokens, table) for tokens in captions]))
+        assert embed_corpus([], table).shape == (0, 8)
 
 
 def test_corpus_coverage(toy_table):
@@ -324,15 +417,15 @@ def test_mean_bound_and_permutation_invariance(data):
     words = data.draw(st.lists(st.sampled_from("abcdefgh"), min_size=1,
                                max_size=6, unique=True))
     rng = np.random.default_rng(data.draw(st.integers(0, 1000)))
-    table = EmbeddingTable(
-        dim=dim, vectors={w: rng.standard_normal(dim) for w in words}
-    )
-    tokens = data.draw(st.lists(st.sampled_from(words), min_size=1, max_size=8))
-    emb = caption_embedding(tokens, table)
-    stack = np.stack([table[t] for t in tokens])
-    assert np.all(emb.vector >= stack.min(axis=0) - 1e-12)
-    assert np.all(emb.vector <= stack.max(axis=0) + 1e-12)
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    table = EmbeddingTable(words, rng.standard_normal((len(words), dim)).astype(dtype))
+    tokens = data.draw(st.lists(st.sampled_from(words + ["oov"]), min_size=1, max_size=8))
     perm = data.draw(st.permutations(tokens))
-    np.testing.assert_allclose(
-        caption_embedding(list(perm), table).vector, emb.vector, atol=1e-12
-    )
+    M = embed_corpus([tokens, list(perm)], table)
+    assert np.array_equal(M[0], pooled(tokens, table))
+    hits = [t for t in tokens if t in table]
+    if hits:
+        stack = np.stack([table[t] for t in hits])
+        assert np.all(M[0] >= stack.min(axis=0) - 1e-12)
+        assert np.all(M[0] <= stack.max(axis=0) + 1e-12)
+    np.testing.assert_allclose(M[1], M[0], atol=1e-12)

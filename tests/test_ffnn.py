@@ -12,20 +12,15 @@ from memesent.models import (
     BowFfnnClassifier,
     MlpClassifier,
     Word2vecFfnnClassifier,
-    ffnn_w2v_train,
 )
-from memesent.nn import NetSpec, TrainConfig
 from memesent.persist import save_container
 
 
 def fit_synthetic(seed=0, n=300):
     ds, table = synthetic_corpus(n=n)
     train, val = stratified_split(ds, 0.8, seed=0)
-    model = ffnn_w2v_train(
-        train.captions(),
-        [int(l) for l in train.labels()],
-        table,
-        cfg=TrainConfig(seed=seed),
+    model = Word2vecFfnnClassifier(table, seed=seed).fit(
+        train.captions(), [int(l) for l in train.labels()]
     )
     return model, table, train, val
 
@@ -72,14 +67,6 @@ class TestWord2vecFfnn:
         assert fitted.n_captions == len(train) and fitted.n_all_oov == 0
         assert np.abs(row.sum() - 1.0) < 1e-6  # zero vector still scores
 
-    def test_spec_table_dim_mismatch(self):
-        ds, table = synthetic_corpus(n=30)
-        bad_spec = NetSpec(input_dim=table.dim + 1)
-        with pytest.raises(DataFormatError):
-            ffnn_w2v_train(
-                ds.captions(), [int(l) for l in ds.labels()], table, spec=bad_spec
-            )
-
     def test_save_load_bit_exact(self, tmp_path):
         model, table, _, val = fit_synthetic(n=90)
         path = tmp_path / "w2v.bin"
@@ -103,10 +90,7 @@ class TestWord2vecFfnn:
         model, table, *_ = fit_synthetic(n=60)
         path = tmp_path / "w2v.bin"
         model.save(path)
-        wrong = EmbeddingTable(
-            dim=table.dim + 2,
-            vectors={"x": np.zeros(table.dim + 2)},
-        )
+        wrong = EmbeddingTable(("x",), np.zeros((1, table.dim + 2)))
         with pytest.raises(DataFormatError):
             Word2vecFfnnClassifier.load(path, wrong)
 
@@ -138,6 +122,12 @@ class TestBowFfnn:
         X = ds.captions()[:10]
         assert back.vocab_.words == model.vocab_.words
         assert np.array_equal(back.predict_proba(X), model.predict_proba(X))
+
+    def test_no_token_after_preprocessing(self):
+        # stopwords only: the vocabulary would be empty
+        model = BowFfnnClassifier(hidden=(4,), epochs=1)
+        with pytest.raises(DataFormatError, match="no caption has a token left"):
+            model.fit(["the", "a is", "the a"], [0, 1, 2])
 
 
 class TestMlpClassifier:

@@ -6,7 +6,10 @@ Writes the inputs under OUT_DIR/inputs with perfbench's corpus generator:
 the 200-row captions CSV of the ``fusion_train`` workload at seed 1 with
 its HSV tensors, a 20,000-word Word2Vec file and an INI (3 folds,
 2 epochs, batch 16). Then, for each model kind, runs ``train`` and
-``predict``, then ``stability --model ffnn_w2v --upsample --runs 3`` and
+``predict``. It runs ``ffnn_w2v`` twice more, on a text-format copy of
+the Word2Vec file and with ``filter_embeddings = false``; both must give
+the binary, filtered run's model and predictions. Then it runs
+``stability --model ffnn_w2v --upsample --runs 3`` and
 ``stability --model fusion --upsample --runs 2`` (its seeds in forked
 workers, each fusion fit's rounds serial inside them). Last it runs the
 fusion ``train`` again with the child restricted to one CPU through
@@ -14,8 +17,8 @@ fusion ``train`` again with the child restricted to one CPU through
 next to the one from all CPUs. Every command runs as ``python -m
 memesent.cli`` from the inputs directory with relative paths, so the
 hashes do not depend on OUT_DIR. Prints the first 12 hex digits of the
-SHA-256 of each artifact and exits 1 if any command fails or the one-CPU
-fusion model differs. A change that must leave the bytes alone prints
+SHA-256 of each artifact and exits 1 if any command fails, an
+``ffnn_w2v`` variant or the one-CPU fusion model differs. A change that must leave the bytes alone prints
 the same lines before and after.
 """
 
@@ -33,6 +36,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import corpus_gen as gen  # noqa: E402
 from workloads import FusionTrain  # noqa: E402
 
+sys.path.insert(0, str(ROOT / "src"))
+from memesent.embeddings import load_word2vec_binary, write_word2vec_text  # noqa: E402
+
 SEED = 1
 WORDS = 20_000
 KINDS = ("nb", "ffnn_w2v", "ffnn_bow", "cnn_hsv", "fusion")
@@ -47,6 +53,11 @@ folds = 3
 epochs = 2
 batch_size = 16
 """
+# ffnn_w2v configs that must give the bytes of the binary, filtered run
+W2V_VARIANTS = {
+    "text": INI.replace("w2v.bin", "w2v.txt\nembeddings_format = text"),
+    "unfiltered": INI.replace("folds = 3", "folds = 3\nfilter_embeddings = false"),
+}
 
 
 def write_inputs(inputs: Path) -> None:
@@ -55,14 +66,17 @@ def write_inputs(inputs: Path) -> None:
                                image_dir="hsv", take=FusionTrain.take)
     gen.write_hsv_dir(inputs / "hsv", ids, y, SEED)
     gen.write_word2vec(inputs / "w2v.bin", WORDS, SEED)
+    write_word2vec_text(load_word2vec_binary(inputs / "w2v.bin"), inputs / "w2v.txt")
     (inputs / "run.ini").write_text(INI, encoding="utf-8")
+    for name, ini in W2V_VARIANTS.items():
+        (inputs / f"{name}.ini").write_text(ini, encoding="utf-8")
 
 
-def run(inputs: Path, *argv: str, preexec_fn=None) -> bool:
+def run(inputs: Path, *argv: str, config: str = "run.ini", preexec_fn=None) -> bool:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "memesent.cli", *argv, "--config", "run.ini"],
+    proc = subprocess.run([sys.executable, "-m", "memesent.cli", *argv, "--config", config],
                           cwd=inputs, env=env, capture_output=True, text=True,
                           preexec_fn=preexec_fn)
     if proc.returncode != 0:
@@ -89,6 +103,17 @@ def main(argv=None) -> int:
         ok &= run(inputs, "predict", "--model", f"{out}/model.bin", "--out", out)
         for name in ("model.bin", "predictions.csv", "train_report.json"):
             print(f"{kind:<9} {name:<18} {short_hash(out_dir / kind / name)}")
+    for variant in W2V_VARIANTS:
+        out, config = f"ffnn_w2v_{variant}", f"{variant}.ini"
+        ok &= run(inputs, "train", "--model", "ffnn_w2v", "--out", f"../{out}", config=config)
+        ok &= run(inputs, "predict", "--model", f"../{out}/model.bin", "--out", f"../{out}",
+                  config=config)
+        for name in ("model.bin", "predictions.csv"):
+            got = short_hash(out_dir / out / name)
+            print(f"{'ffnn_w2v':<9} {name:<18} {got}  ({variant})")
+            if got != short_hash(out_dir / "ffnn_w2v" / name):
+                print(f"ffnn_w2v {name} differs with the {variant} table", file=sys.stderr)
+                ok = False
     ok &= run(inputs, "stability", "--model", "ffnn_w2v", "--upsample", "--runs", "3",
               "--out", "../stability")
     for name in ("stability.json", "stability_runs.csv"):
