@@ -11,7 +11,6 @@ stability studies. Everything is deterministic given one seed.
 
 from .base import Estimator
 from .corpus import (
-    CANONICAL_SCHEMA,
     ClassStats,
     CsvSchema,
     Dataset,
@@ -57,7 +56,6 @@ from . import models
 
 __all__ = [
     "Estimator",
-    "CANONICAL_SCHEMA",
     "ClassStats",
     "CsvSchema",
     "Dataset",

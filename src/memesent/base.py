@@ -11,7 +11,8 @@ that ``nn.fit_adam`` trains, with :class:`~memesent.nn.TrainConfig`'s
 defaults. ``SavedModel`` is the one persistence protocol of the model
 classes: a ``KIND`` tag, ``save``/``load`` through the checksummed
 container, and one place that turns a malformed payload into
-:class:`DataFormatError`.
+:class:`DataFormatError`; ``checked_arrays`` checks each loaded array
+against the shape the model's architecture gives it.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "Estimator",
     "AdamEstimator",
     "SavedModel",
+    "checked_arrays",
     "check_fitted",
     "check_consistent_length",
     "as_float_matrix",
@@ -140,6 +142,25 @@ class SavedModel:
             raise DataFormatError(
                 f"{path}: malformed {cls.KIND} model ({type(exc).__name__}: {exc})"
             ) from exc
+
+
+def checked_arrays(arrays: dict, shapes: dict, path, neg_inf=()) -> list[np.ndarray]:
+    """The float64 arrays named by ``shapes``, in its order, read from a
+    model container. Raise :class:`DataFormatError` naming ``path`` if one
+    is missing, has another shape than ``shapes`` gives, or holds NaN or
+    +-inf; the arrays named in ``neg_inf`` may hold -inf."""
+    out = []
+    for name, shape in shapes.items():
+        if name not in arrays:
+            raise DataFormatError(f"{path}: missing parameter array {name!r}")
+        arr = np.asarray(arrays[name], dtype=np.float64)
+        if arr.shape != shape:
+            raise DataFormatError(f"{path}: array {name!r} has shape {arr.shape}, not {shape}")
+        bad = np.isnan(arr) | (arr == np.inf) if name in neg_inf else ~np.isfinite(arr)
+        if bad.any():
+            raise DataFormatError(f"{path}: array {name!r} holds non-finite values")
+        out.append(arr)
+    return out
 
 
 def check_fitted(estimator, attribute: str) -> None:

@@ -246,9 +246,6 @@ def load_dataset(path: str | Path, schema: CsvSchema | None = CsvSchema()) -> Da
     return Dataset(tuple(records), tuple(rejected))
 
 
-CANONICAL_SCHEMA = CsvSchema(id="id", caption="caption", label="label", image="image")
-
-
 def save_dataset(ds: Dataset, path: str | Path) -> None:
     """Write a dataset in the canonical column layout (id, caption, image, label)."""
     path = Path(path)

@@ -221,7 +221,8 @@ def load_word2vec_text(
     if not path.is_file():
         raise DataFormatError(f"embedding file not found: {path}")
     source = f"{path}#text"
-    with open(path, "rb") as fh:
+    # a component beyond float32 becomes inf, which EmbeddingTable names
+    with open(path, "rb") as fh, np.errstate(over="ignore"):
         vocab_size, dim = _parse_header(fh.readline(), path)
         # a line that reaches the matrix holds dim separators at least
         matrix = _matrix(fh, vocab_size, dim, dim, vocab_filter)

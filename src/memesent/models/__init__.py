@@ -6,7 +6,7 @@ from ..embeddings import EmbeddingTable
 from ..errors import DataFormatError
 from ..persist import load_container
 from .bow import BowVocab, bow_vectorize, build_bow_vocab
-from .cnn import CnnParams, HsvCnnClassifier, cnn_grad_check
+from .cnn import HsvCnnClassifier, cnn_grad_check
 from .ffnn import BowFfnnClassifier, MlpClassifier, Word2vecFfnnClassifier
 from .fusion import (
     BimodalFusionClassifier,
@@ -30,7 +30,6 @@ __all__ = [
     "BowVocab",
     "bow_vectorize",
     "build_bow_vocab",
-    "CnnParams",
     "HsvCnnClassifier",
     "cnn_grad_check",
     "BowFfnnClassifier",

@@ -4,9 +4,12 @@ Fixed architecture: conv 3x3x8 -> ReLU -> 2x2 max-pool -> conv 3x3x16
 -> ReLU -> 2x2 max-pool -> flatten -> dense 64 (ReLU) -> dense 3. All
 convolutions are valid (no padding), pooling uses stride 2 and drops an
 odd trailing row/column, and max-pool ties resolve to the first element
-in window order so gradients are deterministic. Training is the dense
-core's loop (``nn.fit_adam``: loss, Adam, seeded shuffling) and the
-gradient check its checker (``nn.check_gradients``).
+in window order so gradients are deterministic. The parameters are one
+list of arrays, ``[K1, b1, K2, b2, W3, b3, W4, b4]`` (``_SHAPES`` gives
+each one's container name and shape), and the backward pass returns the
+gradients in the same order. Training is the dense core's loop
+(``nn.fit_adam``: loss, Adam, seeded shuffling) and the gradient check
+its checker (``nn.check_gradients``), both on that list as it is.
 
 Convolutions are im2col GEMMs (Chellapilla, Puri & Simard 2006): the
 input's 3x3 patches are copied once into a patch matrix, which is
@@ -24,8 +27,6 @@ matrices, activations and pooling buffers instead of allocating them again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -35,62 +36,36 @@ from ..base import (
     as_label_array,
     check_consistent_length,
     check_fitted,
+    checked_arrays,
 )
-from ..errors import DataFormatError
 from ..nn import TrainConfig, check_gradients, fit_adam, softmax, softmax_xent
 from ..nn import adam_step  # noqa: F401 - perfbench's span test reads it here
 from ..rng import substream
 from .image import IMAGE_SIZE
 
-__all__ = ["CnnParams", "HsvCnnClassifier", "cnn_grad_check"]
+__all__ = ["HsvCnnClassifier", "cnn_grad_check"]
 
-_CONV1 = (8, 3, 3, 3)  # out channels, in channels, kernel h, kernel w
-_CONV2 = (16, 8, 3, 3)
-_FLAT = 16 * 6 * 6  # after two conv+pool stages on 32x32 input
-_DENSE = 64
 _CLASSES = 3
 # Rows per forward pass in predict_proba. A pass holds about 0.5 MB per
 # row, most of it conv1's patch matrix (27/8 the size of conv1's output),
 # so prediction memory does not grow with the number of rows.
 _PREDICT_BLOCK = 32
+# Container name and shape of each array of the parameter list, in its
+# order. Kernels are (out channels, in channels, kernel h, kernel w);
+# 16 * 6 * 6 is the flattened output of two conv+pool stages on 32x32.
+_SHAPES = {
+    "K1": (8, 3, 3, 3), "b1": (8,), "K2": (16, 8, 3, 3), "b2": (16,),
+    "W3": (64, 16 * 6 * 6), "b3": (64,), "W4": (_CLASSES, 64), "b4": (_CLASSES,),
+}
 
 
-@dataclass
-class CnnParams:
-    K1: np.ndarray
-    b1: np.ndarray
-    K2: np.ndarray
-    b2: np.ndarray
-    W3: np.ndarray
-    b3: np.ndarray
-    W4: np.ndarray
-    b4: np.ndarray
-
-    def flat(self) -> list[np.ndarray]:
-        return [getattr(self, f.name) for f in fields(self)]
-
-    @classmethod
-    def from_flat(cls, arrays: list[np.ndarray]) -> "CnnParams":
-        return cls(*arrays)
-
-
-def init_cnn_params(seed: int) -> CnnParams:
-    """Seeded scaled-normal weights (sigma = 1/sqrt(fan_in)), zero biases."""
+def init_cnn_params(seed: int) -> list[np.ndarray]:
+    """Seeded scaled-normal weights (sigma = 1/sqrt(fan_in)), zero biases,
+    in the order of ``_SHAPES``."""
     rng = substream(seed, "init")
-
-    def draw(shape, fan_in):
-        return rng.standard_normal(shape) / np.sqrt(fan_in)
-
-    return CnnParams(
-        K1=draw(_CONV1, 3 * 3 * 3),
-        b1=np.zeros(_CONV1[0]),
-        K2=draw(_CONV2, 8 * 3 * 3),
-        b2=np.zeros(_CONV2[0]),
-        W3=draw((_DENSE, _FLAT), _FLAT),
-        b3=np.zeros(_DENSE),
-        W4=draw((_CLASSES, _DENSE), _DENSE),
-        b4=np.zeros(_CLASSES),
-    )
+    return [np.zeros(shape) if name[0] == "b"
+            else rng.standard_normal(shape) / np.sqrt(np.prod(shape[1:]))
+            for name, shape in _SHAPES.items()]
 
 
 class Workspace:
@@ -206,57 +181,59 @@ def _check_tensors(T) -> np.ndarray:
 
 
 def cnn_forward(
-    params: CnnParams, T: np.ndarray, new: Workspace | None = None
+    params: list[np.ndarray], T: np.ndarray, new: Workspace | None = None
 ) -> tuple[np.ndarray, dict]:
-    """Logits for a batch of float64 (n, 32, 32, 3) HSV tensors plus the
-    backward cache, whose arrays belong to the :class:`Workspace` ``new``
-    (a fresh one when None) until its next pass."""
+    """Logits of the net of ``params`` for a batch of float64 (n, 32, 32, 3)
+    HSV tensors plus the backward cache, whose arrays belong to the
+    :class:`Workspace` ``new`` (a fresh one when None) until its next pass."""
+    K1, b1, K2, b2, W3, b3, W4, b4 = params
     new = new if new is not None else Workspace()
     X = T.transpose(0, 3, 1, 2)  # to channel-first
-    cols1 = _im2col(X, _CONV1[2], _CONV1[3], new, "1")
-    z1 = _conv_gemm(cols1, params.K1, params.b1, X.shape, new, "1")
+    cols1 = _im2col(X, *K1.shape[2:], new, "1")
+    z1 = _conv_gemm(cols1, K1, b1, X.shape, new, "1")
     a1 = np.maximum(z1, 0.0, out=new("a1", z1.shape))
     p1, idx1 = _pool_forward(a1, new, "1")
-    cols2 = _im2col(p1, _CONV2[2], _CONV2[3], new, "2")
-    z2 = _conv_gemm(cols2, params.K2, params.b2, p1.shape, new, "2")
+    cols2 = _im2col(p1, *K2.shape[2:], new, "2")
+    z2 = _conv_gemm(cols2, K2, b2, p1.shape, new, "2")
     a2 = np.maximum(z2, 0.0, out=new("a2", z2.shape))
     p2, idx2 = _pool_forward(a2, new, "2")
     flat = p2.reshape(len(T), -1)
-    z3 = flat @ params.W3.T + params.b3
+    z3 = flat @ W3.T + b3
     a3 = np.maximum(z3, 0.0)
-    logits = a3 @ params.W4.T + params.b4
+    logits = a3 @ W4.T + b4
     cache = dict(cols1=cols1, z1=z1, a1=a1, idx1=idx1, p1=p1, cols2=cols2,
                  z2=z2, a2=a2, idx2=idx2, p2=p2, flat=flat, z3=z3, a3=a3)
     return logits, cache
 
 
 def cnn_backward(
-    params: CnnParams, cache: dict, dlogits: np.ndarray, new: Workspace | None = None
-) -> CnnParams:
-    """Gradients for the cached pass; ``new`` as in :func:`cnn_forward`.
-    The gradients are new arrays, not the workspace's."""
+    params: list[np.ndarray], cache: dict, dlogits: np.ndarray, new: Workspace | None = None
+) -> list[np.ndarray]:
+    """Gradients for the cached pass, in the order of ``params``; ``new``
+    as in :func:`cnn_forward`. The gradients are new arrays, not the
+    workspace's."""
+    K1, _, K2, _, W3, _, W4, _ = params
     new = new if new is not None else Workspace()
     dW4 = dlogits.T @ cache["a3"]
     db4 = dlogits.sum(axis=0)
-    da3 = dlogits @ params.W4
+    da3 = dlogits @ W4
     dz3 = da3 * (cache["z3"] > 0.0)
     dW3 = dz3.T @ cache["flat"]
     db3 = dz3.sum(axis=0)
-    dflat = dz3 @ params.W3
+    dflat = dz3 @ W3
     dp2 = dflat.reshape(cache["p2"].shape)
     dz2 = _pool_backward(dp2, cache["idx2"], cache["a2"].shape, new, "2")
     dz2 *= cache["z2"] > 0.0
-    dp1, dK2, db2 = _conv_backward(dz2, cache["cols2"], params.K2, new,
+    dp1, dK2, db2 = _conv_backward(dz2, cache["cols2"], K2, new,
                                    cache["p1"].shape, "2")
     dz1 = _pool_backward(dp1, cache["idx1"], cache["a1"].shape, new, "1")
     dz1 *= cache["z1"] > 0.0
-    _, dK1, db1 = _conv_backward(dz1, cache["cols1"], params.K1, new)
-    return CnnParams(K1=dK1, b1=db1, K2=dK2, b2=db2,
-                     W3=dW3, b3=db3, W4=dW4, b4=db4)
+    _, dK1, db1 = _conv_backward(dz1, cache["cols1"], K1, new)
+    return [dK1, db1, dK2, db2, dW3, db3, dW4, db4]
 
 
 def cnn_grad_check(
-    params: CnnParams,
+    params: list[np.ndarray],
     T: np.ndarray,
     y: np.ndarray,
     eps: float = 1e-5,
@@ -280,7 +257,7 @@ def cnn_grad_check(
         relus = [(cache[z] > 0.0).tobytes() for z in ("z1", "z2", "z3")]
         return loss, (*relus, cache["idx1"].tobytes(), cache["idx2"].tobytes())
 
-    return check_gradients(params.flat(), grads.flat(), loss_and_pattern,
+    return check_gradients(params, grads, loss_and_pattern,
                            eps, max_per_tensor, seed, min_grad)
 
 
@@ -296,15 +273,13 @@ class HsvCnnClassifier(SavedModel, AdamEstimator):
 
         workspace = Workspace()
 
-        def loss_and_grad(flat, batch):
-            params = CnnParams.from_flat(flat)
+        def loss_and_grad(params, batch):
             logits, cache = cnn_forward(params, T[batch], workspace)
             loss, dlogits = softmax_xent(logits, y[batch])
-            return loss, cnn_backward(params, cache, dlogits, workspace).flat()
+            return loss, cnn_backward(params, cache, dlogits, workspace)
 
-        flat, self.history_ = fit_adam(init_cnn_params(self.seed).flat(),
-                                       loss_and_grad, n, TrainConfig.of(self))
-        self.params_ = CnnParams.from_flat(flat)
+        self.params_, self.history_ = fit_adam(init_cnn_params(self.seed),
+                                               loss_and_grad, n, TrainConfig.of(self))
         return self
 
     def predict_proba(self, T) -> np.ndarray:
@@ -319,13 +294,10 @@ class HsvCnnClassifier(SavedModel, AdamEstimator):
 
     def _payload(self) -> tuple[dict, dict[str, np.ndarray]]:
         check_fitted(self, "params_")
-        arrays = {f.name: getattr(self.params_, f.name) for f in fields(CnnParams)}
-        return {"kind": self.KIND, "seed": self.seed}, arrays
+        return {"kind": self.KIND, "seed": self.seed}, dict(zip(_SHAPES, self.params_))
 
     @classmethod
     def _from_payload(cls, header, arrays, path) -> "HsvCnnClassifier":
         model = cls(seed=int(header["seed"]))
-        model.params_ = CnnParams(**{f.name: arrays[f.name] for f in fields(CnnParams)})
-        if model.params_.K1.shape != _CONV1 or model.params_.K2.shape != _CONV2:
-            raise DataFormatError(f"{path}: kernel shapes do not match architecture")
+        model.params_ = checked_arrays(arrays, _SHAPES, path)
         return model

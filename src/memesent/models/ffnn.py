@@ -27,15 +27,16 @@ from ..base import (
     as_label_array,
     check_consistent_length,
     check_fitted,
+    checked_arrays,
 )
 from ..embeddings import EmbeddingTable, corpus_coverage, embed_corpus
 from ..errors import DataFormatError
 from ..nn import (
     DEFAULT_HIDDEN,
-    MlpParams,
     NetSpec,
     TrainConfig,
     forward,
+    param_shapes,
     softmax,
     train,
 )
@@ -123,7 +124,7 @@ class _CaptionMlp(SavedModel, MlpClassifier):
             "prep": self._prep().to_dict(),
             **self._header(),
         }
-        return header, self.params_.arrays()
+        return header, dict(zip(param_shapes(self.spec_), self.params_))
 
     @classmethod
     def saved_prep(cls, header: dict, path) -> PrepConfig:
@@ -137,7 +138,7 @@ class _CaptionMlp(SavedModel, MlpClassifier):
         model = cls._from_header(header, spec, path, *context)
         model.set_params(prep=cls.saved_prep(header, path), **_net_params(spec))
         model.spec_ = spec
-        model.params_ = MlpParams.from_arrays(arrays, len(spec.widths) - 1, path)
+        model.params_ = checked_arrays(arrays, param_shapes(spec), path)
         return model
 
 
@@ -219,6 +220,9 @@ class BowFfnnClassifier(_CaptionMlp):
 
     @classmethod
     def _from_header(cls, header, spec, path):
+        if len(header["vocab"]) != spec.input_dim:
+            raise DataFormatError(f"{path}: {len(header['vocab'])} vocabulary words "
+                                  f"for a net of input width {spec.input_dim}")
         model = cls(vocab_size=len(header["vocab"]))
         model.vocab_ = BowVocab(words=tuple(header["vocab"]))
         return model

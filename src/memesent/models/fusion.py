@@ -23,6 +23,7 @@ from ..base import (
     as_label_array,
     check_fitted,
     check_prob_rows,
+    checked_arrays,
 )
 from ..errors import DataFormatError
 from ..eval import parallel_map
@@ -286,7 +287,6 @@ class BimodalFusionClassifier(SavedModel, Estimator):
             }
             setattr(model, branch + "_",
                     branch_cls._from_payload(header[branch], branch_arrays, path))
-        model.stacker_ = FusionStacker(
-            weights=arrays["stacker_W"], biases=arrays["stacker_b"]
-        )
+        model.stacker_ = FusionStacker(*checked_arrays(
+            arrays, {"stacker_W": (3, _FEATURES), "stacker_b": (3,)}, path))
         return model

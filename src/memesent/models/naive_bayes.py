@@ -18,6 +18,7 @@ from ..base import (
     as_label_array,
     check_consistent_length,
     check_fitted,
+    checked_arrays,
 )
 from ..errors import DataFormatError, TrainingError
 
@@ -99,10 +100,16 @@ class MultinomialNaiveBayes(SavedModel, Estimator):
         model = cls(alpha=float(header["alpha"]))
         model.vocabulary_ = tuple(header["vocabulary"])
         model._index = {t: i for i, t in enumerate(model.vocabulary_)}
-        model.class_log_prior_ = arrays["class_log_prior"]
-        model.token_log_likelihood_ = arrays["token_log_likelihood"]
-        if model.token_log_likelihood_.shape != (N_CLASSES, len(model.vocabulary_)):
-            raise DataFormatError(f"{path}: likelihood table shape mismatch")
+        if len(model._index) != len(model.vocabulary_):
+            repeated = next(t for i, t in enumerate(model.vocabulary_) if model._index[t] != i)
+            raise DataFormatError(f"{path}: vocabulary repeats the word {repeated!r}")
+        shapes = {"class_log_prior": (N_CLASSES,),
+                  "token_log_likelihood": (N_CLASSES, len(model.vocabulary_))}
+        # fit gives a class absent from training a -inf prior, never every class
+        model.class_log_prior_, model.token_log_likelihood_ = checked_arrays(
+            arrays, shapes, path, neg_inf=("class_log_prior",))
+        if np.isneginf(model.class_log_prior_).all():
+            raise DataFormatError(f"{path}: every class has a -inf prior")
         return model
 
 

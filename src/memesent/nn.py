@@ -2,6 +2,12 @@
 cross-entropy, Adam, the seeded mini-batch training loop and the
 finite-difference gradient checker.
 
+A net's parameters are one list of arrays, ``[W0, b0, W1, b1, ...]``
+with each ``W`` (out x in) and each ``b`` (out,); :func:`backward`
+returns the gradients as a list in the same order, and Adam, the
+gradient checker and the fitted models take the list as it is.
+:func:`param_shapes` gives each array's container name and shape.
+
 Adam keeps the parameters, both moments and the gradients each in one
 contiguous buffer and updates them in place, in blocks, in the textbook
 order of operations (Kingma & Ba 2015, arXiv 1412.6980); the bits are
@@ -25,15 +31,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DataFormatError, TrainingError
+from .errors import TrainingError
 from .rng import substream
 
 __all__ = [
     "NetSpec",
-    "MlpParams",
     "AdamState",
     "TrainConfig",
     "init_params",
+    "param_shapes",
     "forward",
     "softmax",
     "softmax_xent",
@@ -96,47 +102,6 @@ class NetSpec:
         )
 
 
-@dataclass
-class MlpParams:
-    """Per-layer weight matrices (out x in) and bias vectors (out,)."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
-
-    def flat(self) -> list[np.ndarray]:
-        out = []
-        for W, b in zip(self.weights, self.biases):
-            out.extend((W, b))
-        return out
-
-    @classmethod
-    def from_flat(cls, arrays: list[np.ndarray]) -> "MlpParams":
-        return cls(weights=list(arrays[0::2]), biases=list(arrays[1::2]))
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        """Named arrays for a model container: W0, b0, W1, b1, ..."""
-        out = {}
-        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            out[f"W{i}"] = W
-            out[f"b{i}"] = b
-        return out
-
-    @classmethod
-    def from_arrays(cls, arrays: dict, n_layers: int, path) -> "MlpParams":
-        """Inverse of :meth:`arrays`; ``path`` names the file in errors."""
-        try:
-            return cls(
-                weights=[arrays[f"W{i}"] for i in range(n_layers)],
-                biases=[arrays[f"b{i}"] for i in range(n_layers)],
-            )
-        except KeyError as exc:
-            raise DataFormatError(f"{path}: missing parameter array {exc}") from exc
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 50
@@ -155,39 +120,46 @@ class TrainConfig:
         return cls(**{f.name: getattr(estimator, f.name) for f in fields(cls)})
 
 
-def init_params(spec: NetSpec) -> MlpParams:
+def param_shapes(spec: NetSpec) -> dict[str, tuple[int, ...]]:
+    """Container name and shape of each array of a net's parameter list,
+    in its order: W0 (out x in), b0 (out,), W1, b1, ..."""
+    shapes = {}
+    for i, (fan_in, fan_out) in enumerate(zip(spec.widths[:-1], spec.widths[1:])):
+        shapes[f"W{i}"], shapes[f"b{i}"] = (fan_out, fan_in), (fan_out,)
+    return shapes
+
+
+def init_params(spec: NetSpec) -> list[np.ndarray]:
     """Seeded weight initialization; biases start at zero."""
     rng = substream(spec.seed, "init")
-    weights, biases = [], []
-    widths = spec.widths
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+    params = []
+    for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
         sigma = spec.init_sigma
         if spec.init_mode == "scaled":
             sigma = sigma / np.sqrt(fan_in)
-        weights.append(rng.standard_normal((fan_out, fan_in)) * sigma)
-        biases.append(np.zeros(fan_out, dtype=np.float64))
-    return MlpParams(weights=weights, biases=biases)
+        params += [rng.standard_normal((fan_out, fan_in)) * sigma, np.zeros(fan_out)]
+    return params
 
 
 def forward(
-    params: MlpParams, X: np.ndarray, activation: str = "relu"
+    params: list[np.ndarray], X: np.ndarray, activation: str = "relu"
 ) -> tuple[np.ndarray, list]:
-    """Run a batch through the network.
+    """Run a batch through the network of ``params`` ([W0, b0, W1, ...]).
 
     Hidden layers apply affine then the activation; the output layer is
     affine only (logits). Returns (logits, cache) where the cache holds
     each layer's input and pre-activation for :func:`backward`.
     """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != params.weights[0].shape[1]:
+    if X.ndim != 2 or X.shape[1] != params[0].shape[1]:
         raise ValueError(
             f"batch shape {X.shape} does not match input width "
-            f"{params.weights[0].shape[1]}"
+            f"{params[0].shape[1]}"
         )
     a = X
     cache = []
-    last = params.n_layers - 1
-    for i, (W, b) in enumerate(zip(params.weights, params.biases)):
+    last = len(params) // 2 - 1
+    for i, (W, b) in enumerate(zip(params[0::2], params[1::2])):
         z = a @ W.T + b
         cache.append((a, z))
         if i < last and activation == "relu":
@@ -229,30 +201,29 @@ def softmax_xent(
 
 
 def backward(
-    params: MlpParams, cache: list, dlogits: np.ndarray, activation: str = "relu"
-) -> MlpParams:
-    """Exact gradients of the cached forward pass w.r.t. all parameters.
+    params: list[np.ndarray], cache: list, dlogits: np.ndarray, activation: str = "relu"
+) -> list[np.ndarray]:
+    """Exact gradients of the cached forward pass w.r.t. all parameters,
+    in the order of ``params``.
 
-    The ReLU subgradient at 0 is taken as 0. Returns gradients in the
-    same container shape as the parameters.
+    The ReLU subgradient at 0 is taken as 0.
     """
-    if len(cache) != params.n_layers:
+    if 2 * len(cache) != len(params):
         raise ValueError("cache does not match network depth")
-    dW = [None] * params.n_layers
-    db = [None] * params.n_layers
+    grads = [None] * len(params)
     dz = np.asarray(dlogits, dtype=np.float64)
-    for i in range(params.n_layers - 1, -1, -1):
+    for i in range(len(cache) - 1, -1, -1):
         a_in, z = cache[i]
-        dW[i] = dz.T @ a_in
-        db[i] = dz.sum(axis=0)
+        grads[2 * i] = dz.T @ a_in
+        grads[2 * i + 1] = dz.sum(axis=0)
         if i > 0:
-            da = dz @ params.weights[i]
+            da = dz @ params[2 * i]
             if activation == "relu":
                 _, z_prev = cache[i - 1]
                 dz = da * (z_prev > 0.0)
             else:
                 dz = da
-    return MlpParams(weights=dW, biases=db)
+    return grads
 
 
 # Elements per pass of the in-place Adam update: two block-sized scratch
@@ -461,7 +432,7 @@ def grad_check(
             return loss, ()
         return loss, tuple((z > 0.0).tobytes() for _, z in cache[:-1])
 
-    return check_gradients(params.flat(), grads.flat(), loss_and_pattern,
+    return check_gradients(params, grads, loss_and_pattern,
                            eps, max_per_tensor, seed, min_grad, order)
 
 
@@ -505,7 +476,7 @@ def train(
     X: np.ndarray,
     y: np.ndarray,
     cfg: TrainConfig,
-) -> tuple[MlpParams, list[float]]:
+) -> tuple[list[np.ndarray], list[float]]:
     """Seeded mini-batch training of a net of ``spec`` with
     :func:`fit_adam`; returns final params and the mean per-example
     loss of each epoch."""
@@ -515,11 +486,9 @@ def train(
     if n < 1 or y.shape != (n,):
         raise ValueError("X and y must be nonempty and aligned")
 
-    def loss_and_grad(flat, batch):
-        params = MlpParams.from_flat(flat)
+    def loss_and_grad(params, batch):
         logits, cache = forward(params, X[batch], spec.activation)
         loss, dlogits = softmax_xent(logits, y[batch])
-        return loss, backward(params, cache, dlogits, spec.activation).flat()
+        return loss, backward(params, cache, dlogits, spec.activation)
 
-    flat, history = fit_adam(init_params(spec).flat(), loss_and_grad, n, cfg)
-    return MlpParams.from_flat(flat), history
+    return fit_adam(init_params(spec), loss_and_grad, n, cfg)

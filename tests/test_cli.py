@@ -21,8 +21,11 @@ from memesent.config import MODEL_KINDS
 from memesent.corpus import Dataset, MemeRecord, Sentiment, load_dataset, save_dataset
 from memesent.embeddings import EmbeddingTable, load_embeddings, write_word2vec_binary
 from memesent.eval import macro_f1
-from memesent.models import HsvCnnClassifier, Word2vecFfnnClassifier
+from memesent.models import HsvCnnClassifier, Word2vecFfnnClassifier, load_model
+from memesent.models.cnn import _SHAPES as _CNN_SHAPES
+from memesent.models.cnn import init_cnn_params
 from memesent.models.image import read_hsv_tensor, write_hsv_tensor
+from memesent.nn import NetSpec, init_params, param_shapes
 from memesent.rng import substream
 from memesent.textprep import PrepConfig
 
@@ -444,6 +447,41 @@ def _container(header, arrays):
 
 
 _PREP = PrepConfig().to_dict()
+_BOW_SPEC = NetSpec(input_dim=2, hidden=(3,))
+
+
+def _nb_model(vocabulary=("bad", "day"), **arrays):
+    """A Naive Bayes container over ``vocabulary``, with ``arrays`` in
+    place of its uniform ones."""
+    header = {"kind": "naive-bayes", "alpha": 1.0, "vocabulary": list(vocabulary)}
+    uniform = {"class_log_prior": np.log(np.full(3, 1 / 3)),
+               "token_log_likelihood": np.log(np.full((3, len(vocabulary)), 0.5))}
+    return _container(header, {**uniform, **arrays})
+
+
+def _bow_arrays(**arrays):
+    return {**dict(zip(param_shapes(_BOW_SPEC), init_params(_BOW_SPEC))), **arrays}
+
+
+def _cnn_arrays(**arrays):
+    return {**dict(zip(_CNN_SHAPES, init_cnn_params(0))), **arrays}
+
+
+_BOW_HEADER = {"kind": "ffnn-bow", "spec": _BOW_SPEC.to_dict(), "prep": _PREP,
+               "vocab": ["bad", "day"]}
+_CNN_HEADER = {"kind": "cnn-hsv", "seed": 0}
+_FUSION_HEADER = {"kind": "fusion-bimodal", "folds": 5, "in_sample": False, "lam": 1e-3,
+                  "stacker_epochs": 200, "stacker_lr": 0.1, "seed": 0,
+                  "text": _BOW_HEADER, "image": _CNN_HEADER}
+
+
+def _fusion_model(stacker_W):
+    arrays = {"stacker_W": stacker_W, "stacker_b": np.zeros(3),
+              **{f"text.{k}": v for k, v in _bow_arrays().items()},
+              **{f"image.{k}": v for k, v in _cnn_arrays().items()}}
+    return _container(_FUSION_HEADER, arrays)
+
+
 MALFORMED_MODELS = {
     "header_is_a_list": _container(["naive-bayes"], {}),
     "truncated_dims": _truncated_dims,
@@ -456,6 +494,19 @@ MALFORMED_MODELS = {
     "missing_text": _container(
         {"kind": "fusion-bimodal", "image": {"kind": "cnn-hsv"}}, {}
     ),
+    "bow_nan_W1": _container(_BOW_HEADER, _bow_arrays(W1=np.full((3, 3), np.nan))),
+    "bow_W1_wrong_shape": _container(_BOW_HEADER, _bow_arrays(W1=np.zeros((3, 4)))),
+    "bow_vocab_wider_than_net": _container({**_BOW_HEADER, "vocab": ["bad", "day", "sad"]},
+                                           _bow_arrays()),
+    "cnn_K1_wrong_shape": _container(_CNN_HEADER, _cnn_arrays(K1=np.zeros((8, 3, 5, 5)))),
+    "cnn_inf_W4": _container(_CNN_HEADER, _cnn_arrays(W4=np.full((3, 64), np.inf))),
+    "fusion_nan_stacker": _fusion_model(np.full((3, 6), np.nan)),
+    "fusion_stacker_wrong_shape": _fusion_model(np.zeros((3, 5))),
+    "nb_likelihood_wrong_shape": _nb_model(token_log_likelihood=np.zeros((3, 3))),
+    "nb_inf_likelihood": _nb_model(token_log_likelihood=np.array([[0.0, -np.inf]] * 3)),
+    "nb_nan_prior": _nb_model(class_log_prior=np.array([0.0, np.nan, 0.0])),
+    "nb_every_prior_neg_inf": _nb_model(class_log_prior=np.full(3, -np.inf)),
+    "nb_repeated_word": _nb_model(vocabulary=("bad", "bad", "day")),
 }
 
 
@@ -468,6 +519,31 @@ def test_malformed_model_file_exit_2(workspace, capsys, name):
     err = capsys.readouterr().err
     assert rc == 2, err
     assert err.startswith("error: ") and f"{name}.bin" in err
+
+
+@pytest.mark.parametrize("write", [
+    _nb_model(),
+    _container(_BOW_HEADER, _bow_arrays()),
+    _container(_CNN_HEADER, _cnn_arrays()),
+    _fusion_model(np.zeros((3, 6))),
+], ids=["nb", "ffnn_bow", "cnn_hsv", "fusion"])
+def test_malformed_cases_change_a_valid_model(tmp_path, write):
+    write(tmp_path / "valid.bin")
+    load_model(tmp_path / "valid.bin")
+
+
+def test_text_embeddings_overflow_gives_only_the_typed_error(workspace):
+    # in a subprocess: NumPy's RuntimeWarning would go to the real stderr
+    emb = workspace["dir"] / "ovf.txt"
+    emb.write_text("2 2\nab 1 1e50\ncd 1 1\n", encoding="utf-8")
+    config = workspace["dir"] / "text.ini"
+    config.write_text("[model]\nembeddings_format = text\nfilter_embeddings = false\n",
+                      encoding="utf-8")
+    proc = run_cli("train", "--config", config, "--model", "ffnn_w2v",
+                   "--dataset", workspace["data"], "--embeddings", emb,
+                   "--out", workspace["dir"] / "t")
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {emb}#text: vector for 'ab' contains non-finite values\n"
 
 
 class TestStability:

@@ -10,7 +10,6 @@ from memesent.errors import DataFormatError
 from memesent.models import HsvCnnClassifier, cnn_grad_check
 from memesent.models.cnn import (
     _PREDICT_BLOCK,
-    CnnParams,
     _conv_backward,
     _conv_gemm,
     _im2col,
@@ -153,7 +152,7 @@ class TestGradients:
 
         def broken(params, cache, dlogits, new=None):
             grads = original(params, cache, dlogits, new)
-            grads.K2[:] = 0.0
+            grads[2][:] = 0.0  # K2
             return grads
 
         monkeypatch.setattr(cnn_mod, "cnn_backward", broken)
@@ -168,7 +167,7 @@ class TestGradients:
         logits, cache = cnn_forward(params, T)
         _, dlogits = softmax_xent(logits, y)
         grads = cnn_backward(params, cache, dlogits)
-        for p, g in zip(params.flat(), grads.flat()):
+        for p, g in zip(params, grads):
             assert p.shape == g.shape
 
 
@@ -189,7 +188,7 @@ class TestWorkspace:
             logits, grads = self.step(params, T, y, workspace)
             ref_logits, ref_grads = self.step(params, T, y, fresh)
             assert np.array_equal(logits, ref_logits)
-            for g, ref in zip(grads.flat(), ref_grads.flat()):
+            for g, ref in zip(grads, ref_grads):
                 assert np.array_equal(g, ref)
 
     def test_reused_step_allocates_little(self):
@@ -219,7 +218,7 @@ class TestTraining:
         cfg = TrainConfig(epochs=2, batch_size=6, seed=4)
         a = cnn_train(T, y, cfg)
         b = cnn_train(T, y, cfg)
-        for pa, pb in zip(a.params_.flat(), b.params_.flat()):
+        for pa, pb in zip(a.params_, b.params_):
             assert np.array_equal(pa, pb)
 
     def test_loss_history_decreases(self):

@@ -55,7 +55,7 @@ class TestWord2vecFfnn:
     def test_different_seed_different_weights(self):
         a, *_ = fit_synthetic(seed=1, n=60)
         b, *_ = fit_synthetic(seed=2, n=60)
-        assert not np.array_equal(a.params_.weights[0], b.params_.weights[0])
+        assert not np.array_equal(a.params_[0], b.params_[0])  # W0
 
     def test_all_oov_caption_flagged(self, caplog):
         model, _, train, _ = fit_synthetic(n=60)

@@ -144,6 +144,27 @@ class TestApi:
         X = [["good", "fun"], [], ["sad", "sad", "bad"]]
         assert np.array_equal(back.predict_proba(X), model.predict_proba(X))
 
+    def test_save_load_keeps_an_absent_class(self, tmp_path):
+        model = nb_train(TOY_X[:2], [2, 0])  # no neutral caption: a -inf prior
+        path = tmp_path / "nb.bin"
+        model.save(path)
+        back = MultinomialNaiveBayes.load(path)
+        assert back.class_log_prior_[1] == -np.inf
+        X = [["good", "fun"], [], ["sad"]]
+        assert np.array_equal(back.predict_proba(X), model.predict_proba(X))
+        assert np.all(back.predict_proba(X)[:, 1] == 0.0)
+
+    def test_load_names_a_repeated_word(self, tmp_path):
+        from memesent.persist import save_container
+
+        path = tmp_path / "nb.bin"
+        save_container(path, {"kind": "naive-bayes", "alpha": 1.0,
+                              "vocabulary": ["bad", "day", "bad"]},
+                       {"class_log_prior": np.zeros(3),
+                        "token_log_likelihood": np.zeros((3, 3))})
+        with pytest.raises(DataFormatError, match="nb.bin: vocabulary repeats the word 'bad'"):
+            MultinomialNaiveBayes.load(path)
+
     def test_load_rejects_other_kinds(self, tmp_path):
         from memesent.persist import save_container
 

@@ -8,7 +8,6 @@ from memesent.errors import DataFormatError, TrainingError
 from memesent.nn import (
     DEFAULT_HIDDEN,
     AdamState,
-    MlpParams,
     NetSpec,
     TrainConfig,
     adam_step,
@@ -17,6 +16,7 @@ from memesent.nn import (
     grad_check,
     init_adam,
     init_params,
+    param_shapes,
     softmax,
     softmax_xent,
     train,
@@ -61,32 +61,32 @@ def test_trainconfig_validation():
 # ---------------------------------------------------------------- init
 def test_init_deterministic():
     a, b = init_params(small_spec()), init_params(small_spec())
-    for wa, wb in zip(a.flat(), b.flat()):
+    for wa, wb in zip(a, b):
         np.testing.assert_array_equal(wa, wb)
 
 
 def test_init_sigma_zero():
     params = init_params(small_spec(init_sigma=0.0))
-    assert all(np.all(w == 0) for w in params.weights)
+    assert all(np.all(w == 0) for w in params[0::2])
 
 
 def test_init_biases_zero():
-    assert all(np.all(b == 0) for b in init_params(small_spec()).biases)
+    assert all(np.all(b == 0) for b in init_params(small_spec())[1::2])
 
 
 def test_init_normal_statistics():
     # 10^4 draws at sigma=1: loose two-sided bounds on mean and std.
     spec = NetSpec(input_dim=100, hidden=(100,), output_dim=3, seed=0,
                    init_mode="normal", init_sigma=1.0)
-    w = init_params(spec).weights[0].ravel()
+    w = init_params(spec)[0].ravel()
     assert w.size == 10_000
     assert abs(w.mean()) < 0.05
     assert 0.95 < w.std() < 1.05
 
 
 def test_init_scaled_shrinks_by_fan_in():
-    normal = init_params(small_spec(init_mode="normal")).weights[0]
-    scaled = init_params(small_spec(init_mode="scaled")).weights[0]
+    normal = init_params(small_spec(init_mode="normal"))[0]
+    scaled = init_params(small_spec(init_mode="scaled"))[0]
     np.testing.assert_allclose(scaled, normal / np.sqrt(5), atol=1e-15)
 
 
@@ -99,9 +99,7 @@ def test_forward_zero_params():
 
 def test_forward_relu_clamps():
     # single hidden layer with identity weights: negative inputs die
-    params = MlpParams(
-        weights=[np.eye(2), np.ones((1, 2))], biases=[np.zeros(2), np.zeros(1)]
-    )
+    params = [np.eye(2), np.zeros(2), np.ones((1, 2)), np.zeros(1)]
     logits, _ = forward(params, np.array([[-3.0, -1.0]]), "relu")
     np.testing.assert_array_equal(logits, [[0.0]])
     logits_lin, _ = forward(params, np.array([[-3.0, -1.0]]), "linear")
@@ -195,7 +193,7 @@ def test_backward_zero_dlogits():
     X = np.ones((2, 5))
     _, cache = forward(params, X)
     grads = backward(params, cache, np.zeros((2, 3)))
-    assert all(np.all(g == 0) for g in grads.flat())
+    assert all(np.all(g == 0) for g in grads)
 
 
 def test_backward_duplicated_rows_same_gradient():
@@ -209,7 +207,7 @@ def test_backward_duplicated_rows_same_gradient():
         return backward(params, cache, d)
     g1 = grads_of(X, y)
     g2 = grads_of(np.vstack([X, X]), np.concatenate([y, y]))
-    for a, b in zip(g1.flat(), g2.flat()):
+    for a, b in zip(g1, g2):
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -334,7 +332,7 @@ def test_grad_check_catches_corruption(monkeypatch):
     real = nn.backward
     def corrupted(params, cache, dlogits, activation="relu"):
         grads = real(params, cache, dlogits, activation)
-        grads.weights[2] = np.zeros_like(grads.weights[2])
+        grads[4] = np.zeros_like(grads[4])  # W2
         return grads
     monkeypatch.setattr(nn, "backward", corrupted)
     assert nn.grad_check(spec, X, y, eps=1e-5) > 1e-2
@@ -365,7 +363,7 @@ def test_train_bit_identical():
     p1, h1 = train(spec, X, y, cfg)
     p2, h2 = train(spec, X, y, cfg)
     assert h1 == h2
-    for a, b in zip(p1.flat(), p2.flat()):
+    for a, b in zip(p1, p2):
         np.testing.assert_array_equal(a, b)
 
 
@@ -388,7 +386,7 @@ def test_train_no_shuffle_deterministic_order():
     cfg = TrainConfig(batch_size=5, epochs=2, shuffle=False, seed=0)
     p1, _ = train(small_spec(), X, y, cfg)
     p2, _ = train(small_spec(), X, y, cfg)
-    for a, b in zip(p1.flat(), p2.flat()):
+    for a, b in zip(p1, p2):
         np.testing.assert_array_equal(a, b)
 
 
@@ -408,19 +406,20 @@ def test_train_empty_rejected():
 
 # ---------------------------------------------------------------- persistence
 def test_params_roundtrip_bit_exact(tmp_path):
+    from memesent.base import checked_arrays
     from memesent.persist import load_container, save_container
 
     X, y = toy_problem()
     spec = small_spec()
     params, _ = train(spec, X, y, TrainConfig(epochs=1))
     path = tmp_path / "net.msnt"
-    save_container(path, {"spec": spec.to_dict()}, params.arrays())
+    save_container(path, {"spec": spec.to_dict()}, dict(zip(param_shapes(spec), params)))
     header, arrays = load_container(path)
     assert list(arrays) == ["W0", "b0", "W1", "b1", "W2", "b2"]
     spec2 = NetSpec.from_dict(header["spec"])
-    params2 = MlpParams.from_arrays(arrays, len(spec2.widths) - 1, path)
+    params2 = checked_arrays(arrays, param_shapes(spec2), path)
     assert spec2 == spec
-    for a, b in zip(params.flat(), params2.flat()):
+    for a, b in zip(params, params2):
         np.testing.assert_array_equal(a, b)
     # identical predictions after reload
     np.testing.assert_array_equal(forward(params, X)[0], forward(params2, X)[0])
@@ -436,14 +435,16 @@ def test_params_same_seed_same_file(tmp_path):
     for name in ("one.msnt", "two.msnt"):
         params, _ = train(spec, X, y, cfg)
         path = tmp_path / name
-        save_container(path, {"spec": spec.to_dict()}, params.arrays())
+        save_container(path, {"spec": spec.to_dict()}, dict(zip(param_shapes(spec), params)))
         paths.append(path.read_bytes())
     assert paths[0] == paths[1]
 
 
 def test_load_params_missing_array(tmp_path):
-    params = init_params(small_spec())
-    arrays = params.arrays()
+    from memesent.base import checked_arrays
+
+    spec = small_spec()
+    arrays = dict(zip(param_shapes(spec), init_params(spec)))
     del arrays["b1"]
     with pytest.raises(DataFormatError, match="міssing.msnt: missing parameter array 'b1'"):
-        MlpParams.from_arrays(arrays, params.n_layers, "міssing.msnt")
+        checked_arrays(arrays, param_shapes(spec), "міssing.msnt")

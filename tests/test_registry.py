@@ -6,6 +6,8 @@ import pkgutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import memesent
 from _util import hue_band_tensors, synthetic_corpus
@@ -13,8 +15,10 @@ from memesent import cli
 from memesent.base import Estimator, SavedModel
 from memesent.config import _SECTIONS, MODEL_KINDS, RunConfig
 from memesent.corpus import Dataset, MemeRecord
-from memesent.models import MODEL_CLASSES, load_model, write_hsv_tensor
+from memesent.errors import DataFormatError
+from memesent.models import MODEL_CLASSES, load_model, model_from_container, write_hsv_tensor
 from memesent.nn import TrainConfig
+from memesent.persist import load_container, save_container
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +57,62 @@ def test_train_save_load_predict_identical(kind, captioned_images, tmp_path):
     assert np.array_equal(cli._model_proba(back, ds, base), probs)
     back.save(tmp_path / "again.bin")
     assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def saved_models(captioned_images):
+    """The header and arrays of one saved model of each kind."""
+    ds, base, table = captioned_images
+    saved = {}
+    for kind in MODEL_KINDS:
+        cfg = RunConfig(model=kind, epochs=1, batch_size=10, folds=2, hidden=(8,))
+        cli._fit_model(cfg, ds, base, 3, table).save(base / f"{kind}.bin")
+        saved[kind] = load_container(base / f"{kind}.bin")
+    return saved
+
+
+@st.composite
+def _perturbed(draw, arrays):
+    """``arrays`` with one array reshaped (by one along an axis, or to an
+    arbitrary shape) or with up to four of its entries replaced by NaN,
+    +-inf or finite values."""
+    name = draw(st.sampled_from(sorted(arrays)))
+    arr = arrays[name].copy()
+    if draw(st.booleans()):
+        shape = list(arr.shape)
+        if shape and draw(st.booleans()):
+            axis = draw(st.integers(0, len(shape) - 1))
+            shape[axis] = max(0, shape[axis] + draw(st.sampled_from((-1, 1))))
+        else:
+            shape = draw(st.lists(st.integers(0, 4), max_size=3))
+        arr = np.resize(arr, shape)
+    elif arr.size:
+        # finite values stay within +-1e3: far larger weights overflow the
+        # forward pass to inf logits, a fault of prediction, not of the file
+        values = st.one_of(st.sampled_from((np.nan, np.inf, -np.inf)),
+                           st.floats(-1e3, 1e3))
+        for index in draw(st.lists(st.integers(0, arr.size - 1), min_size=1, max_size=4)):
+            arr.reshape(-1)[index] = draw(values)
+    return {**arrays, name: arr}
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_perturbed_arrays_fail_typed_or_predict_probabilities(
+        kind, saved_models, captioned_images, data):
+    ds, base, table = captioned_images
+    header, arrays = saved_models[kind]
+    path = base / f"perturbed_{kind}.bin"
+    save_container(path, header, data.draw(_perturbed(arrays)))
+    try:
+        model = model_from_container(*load_container(path), path, table)
+    except DataFormatError as exc:
+        assert str(path) in str(exc)
+        return
+    probs = cli._model_proba(model, ds, base)
+    assert probs.shape == (len(ds), 3) and np.isfinite(probs).all()
+    assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
 
 
 def test_config_fields_reach_the_estimators(captioned_images):
