@@ -38,6 +38,7 @@ from .errors import (
     DataFormatError,
     MemesentError,
     NotFittedError,
+    NumericError,
     TrainingError,
 )
 from .eval import (
@@ -79,6 +80,7 @@ __all__ = [
     "DataFormatError",
     "MemesentError",
     "NotFittedError",
+    "NumericError",
     "TrainingError",
     "ComparisonTable",
     "ConfusionMatrix",

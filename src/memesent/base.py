@@ -144,16 +144,19 @@ class SavedModel:
             ) from exc
 
 
-def checked_arrays(arrays: dict, shapes: dict, path, neg_inf=()) -> list[np.ndarray]:
-    """The float64 arrays named by ``shapes``, in its order, read from a
-    model container. Raise :class:`DataFormatError` naming ``path`` if one
-    is missing, has another shape than ``shapes`` gives, or holds NaN or
-    +-inf; the arrays named in ``neg_inf`` may hold -inf."""
+def checked_arrays(arrays: dict, shapes: dict, path, neg_inf=(),
+                   dtype=np.float64) -> list[np.ndarray]:
+    """The arrays named by ``shapes``, in its order and cast to ``dtype``,
+    read from a model container. Raise :class:`DataFormatError` naming
+    ``path`` if one is missing, has another shape than ``shapes`` gives,
+    or holds NaN or +-inf after the cast (a value beyond float32 becomes
+    inf there); the arrays named in ``neg_inf`` may hold -inf."""
     out = []
     for name, shape in shapes.items():
         if name not in arrays:
             raise DataFormatError(f"{path}: missing parameter array {name!r}")
-        arr = np.asarray(arrays[name], dtype=np.float64)
+        with np.errstate(over="ignore"):
+            arr = np.asarray(arrays[name], dtype=dtype)
         if arr.shape != shape:
             raise DataFormatError(f"{path}: array {name!r} has shape {arr.shape}, not {shape}")
         bad = np.isnan(arr) | (arr == np.inf) if name in neg_inf else ~np.isfinite(arr)
@@ -179,8 +182,10 @@ def check_consistent_length(*arrays) -> int:
 
 
 def as_float_matrix(X, n_features: int | None = None, name: str = "X") -> np.ndarray:
-    """Coerce to a finite 2-D float64 array, optionally checking width."""
-    arr = np.asarray(X, dtype=np.float64)
+    """Coerce to a finite 2-D float64 array, or keep a float32 one,
+    optionally checking width."""
+    arr = np.asarray(X)
+    arr = arr if arr.dtype == np.float32 else arr.astype(np.float64, copy=False)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
     if n_features is not None and arr.shape[1] != n_features:

@@ -13,6 +13,7 @@ import csv
 import ctypes
 import itertools
 import json
+import logging
 import multiprocessing
 import os
 import sys
@@ -38,7 +39,7 @@ from .corpus import (
     upsample,
 )
 from .embeddings import EmbeddingTable, load_embeddings
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, NumericError
 from .eval import EvalReport, compare_report, macro_f1, stability_study
 from .models import (
     MODEL_CLASSES,
@@ -280,7 +281,10 @@ def cmd_predict(cfg: RunConfig, model_path: str) -> int:
     prep = cls.saved_prep(header, model_path) if cls is Word2vecFfnnClassifier else None
     table = _table_for(cls, cfg, ds, prep)
     model = model_from_container(header, arrays, model_path, table)
-    probs = _model_proba(model, ds, path.parent)
+    try:
+        probs = _model_proba(model, ds, path.parent)
+    except NumericError as exc:
+        raise DataFormatError(f"{model_path}: {exc}") from exc
     out = _out_dir(cfg)
     target = out / "predictions.csv"
     with open(target, "w", encoding="utf-8", newline="") as fh:
@@ -472,6 +476,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="memesent",
         description="Meme sentiment classification toolkit.",
     )
+    parser.add_argument("--log-level", default="WARNING",
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                        help="least severe log messages shown on stderr (default WARNING)")
+    parser.add_argument("-v", dest="log_level", action="store_const", const="INFO",
+                        help="same as --log-level INFO")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prepare", help="normalize a raw CSV and report stats")
@@ -516,10 +525,15 @@ def _resolve(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    """Run one command; the BLAS thread counts are set back as they were
-    when it returns. Stability seeds and fusion rounds run in
-    :func:`_workers` forked processes."""
+    """Run one command; the BLAS thread counts and the ``memesent``
+    logger are set back as they were when it returns. Stability seeds and
+    fusion rounds run in :func:`_workers` forked processes."""
     args = build_parser().parse_args(argv)
+    log = logging.getLogger("memesent")
+    handler, level = logging.StreamHandler(sys.stderr), log.level
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    log.addHandler(handler)
+    log.setLevel(args.log_level)
     pinned, undo = _pin_blas()
     if not pinned:
         print("warning: could not set BLAS to one thread: output bytes may depend on "
@@ -554,6 +568,8 @@ def main(argv=None) -> int:
     finally:
         for setter, count in undo:
             setter(count)
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -15,9 +15,9 @@ matrix, which the readers allocate once as float32 and fill in place
 (the binary reader reads in blocks). A load -> save round trip is
 byte-identical for files using the newline convention.
 
-A caption embedding is the float64 mean of the rows of its
-in-vocabulary tokens; out-of-vocabulary tokens are skipped, and a
-caption with none maps to the zero vector.
+A caption embedding is the mean of the rows of its in-vocabulary
+tokens, summed in float64 and stored as float32; out-of-vocabulary
+tokens are skipped, and a caption with none maps to the zero vector.
 """
 
 from __future__ import annotations
@@ -295,9 +295,10 @@ def corpus_coverage(captions: list[list[str]], table: EmbeddingTable) -> Coverag
 
 
 def embed_corpus(captions: list[list[str]], table: EmbeddingTable) -> np.ndarray:
-    """Stack per-caption mean-pooled embeddings into an (n, dim) float64 matrix."""
+    """Stack per-caption mean-pooled embeddings into an (n, dim) float32
+    matrix; each row is the float64 mean of its tokens' rows, cast."""
     index, matrix = table.index, table.matrix
-    out = np.zeros((len(captions), table.dim), dtype=np.float64)
+    out = np.zeros((len(captions), table.dim), dtype=np.float32)
     for i, tokens in enumerate(captions):
         ids = [index[t] for t in tokens if t in index]
         if ids:

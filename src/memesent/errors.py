@@ -22,5 +22,9 @@ class TrainingError(MemesentError):
     """Training failed at runtime, e.g. the loss became non-finite."""
 
 
+class NumericError(MemesentError):
+    """A model's arithmetic left the finite range, e.g. its logits overflowed."""
+
+
 class NotFittedError(MemesentError):
     """An estimator was used before ``fit`` was called."""

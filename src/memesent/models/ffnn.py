@@ -11,7 +11,8 @@ bag-of-words presence vectors. They differ only in ``_features`` and in
 the extra header fields they save; fit, predict and persistence are
 shared. All use scaled initialization by default: the literal
 standard-normal init saturates the 6-hidden-layer stack and does not
-train at desk scale.
+train at desk scale. The nets are float32, and so are their saved
+arrays; a float64 file is cast down at load.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from ..base import (
     checked_arrays,
 )
 from ..embeddings import EmbeddingTable, corpus_coverage, embed_corpus
-from ..errors import DataFormatError
+from ..errors import DataFormatError, NumericError
 from ..nn import (
     DEFAULT_HIDDEN,
     NetSpec,
@@ -50,6 +51,15 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+
+def _proba(params: list[np.ndarray], X, activation: str) -> np.ndarray:
+    """Softmax of the net's logits; :class:`NumericError` if they overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits, _ = forward(params, X, activation)
+    if not np.isfinite(logits).all():
+        raise NumericError("the net's logits are not finite: its weights overflow float32")
+    return softmax(logits)
 
 
 def _net_params(source) -> dict:
@@ -90,8 +100,7 @@ class MlpClassifier(AdamEstimator):
     def predict_proba(self, X) -> np.ndarray:
         check_fitted(self, "params_")
         X = as_float_matrix(X, n_features=self.spec_.input_dim)
-        logits, _ = forward(self.params_, X, self.spec_.activation)
-        return softmax(logits)
+        return _proba(self.params_, X, self.spec_.activation)
 
 
 class _CaptionMlp(SavedModel, MlpClassifier):
@@ -114,7 +123,7 @@ class _CaptionMlp(SavedModel, MlpClassifier):
         # the features are finite and as wide as the net by construction,
         # so MlpClassifier's input checks (a pass over every row) are skipped
         X = self._features(captions, fitting=False)
-        return softmax(forward(self.params_, X, self.spec_.activation)[0])
+        return _proba(self.params_, X, self.spec_.activation)
 
     def _payload(self) -> tuple[dict, dict[str, np.ndarray]]:
         check_fitted(self, "params_")
@@ -138,7 +147,7 @@ class _CaptionMlp(SavedModel, MlpClassifier):
         model = cls._from_header(header, spec, path, *context)
         model.set_params(prep=cls.saved_prep(header, path), **_net_params(spec))
         model.spec_ = spec
-        model.params_ = checked_arrays(arrays, param_shapes(spec), path)
+        model.params_ = checked_arrays(arrays, param_shapes(spec), path, dtype=np.float32)
         return model
 
 

@@ -14,9 +14,12 @@ order of operations (Kingma & Ba 2015, arXiv 1412.6980); the bits are
 those of the per-tensor rule with fresh arrays. Only the learning rate
 is a parameter: beta1, beta2 and epsilon are the paper's defaults.
 
-Everything runs in float64 and is deterministic given the seeds: weight
-initialization draws from the "init" substream of the net seed, epoch
-shuffling from the "shuffle" substream of the training seed.
+The dense net is float32 and the CNN float64: forward, backward and
+Adam follow the parameters' dtype, softmax and cross-entropy upcast the
+logits to float64, and gradient checks run on float64 copies. All is
+deterministic given the seeds: weight initialization draws from the
+"init" substream of the net seed, epoch shuffling from the "shuffle"
+substream of the training seed.
 
 Two pieces serve every model, not only the dense net: :func:`fit_adam`
 is the training loop (the CNN passes it its own loss and gradients), and
@@ -130,14 +133,16 @@ def param_shapes(spec: NetSpec) -> dict[str, tuple[int, ...]]:
 
 
 def init_params(spec: NetSpec) -> list[np.ndarray]:
-    """Seeded weight initialization; biases start at zero."""
+    """Seeded float32 weights, drawn and scaled in float64; biases start
+    at zero."""
     rng = substream(spec.seed, "init")
     params = []
     for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
         sigma = spec.init_sigma
         if spec.init_mode == "scaled":
             sigma = sigma / np.sqrt(fan_in)
-        params += [rng.standard_normal((fan_out, fan_in)) * sigma, np.zeros(fan_out)]
+        W = rng.standard_normal((fan_out, fan_in)) * sigma
+        params += [W.astype(np.float32), np.zeros(fan_out, dtype=np.float32)]
     return params
 
 
@@ -147,10 +152,11 @@ def forward(
     """Run a batch through the network of ``params`` ([W0, b0, W1, ...]).
 
     Hidden layers apply affine then the activation; the output layer is
-    affine only (logits). Returns (logits, cache) where the cache holds
-    each layer's input and pre-activation for :func:`backward`.
+    affine only (logits). The batch is cast to the dtype of the
+    parameters. Returns (logits, cache) where the cache holds each
+    layer's input and pre-activation for :func:`backward`.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X, dtype=params[0].dtype)
     if X.ndim != 2 or X.shape[1] != params[0].shape[1]:
         raise ValueError(
             f"batch shape {X.shape} does not match input width "
@@ -170,7 +176,8 @@ def forward(
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-subtraction stabilization."""
+    """Row-wise float64 softmax with max-subtraction stabilization."""
+    logits = np.asarray(logits, dtype=np.float64)
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
@@ -204,14 +211,14 @@ def backward(
     params: list[np.ndarray], cache: list, dlogits: np.ndarray, activation: str = "relu"
 ) -> list[np.ndarray]:
     """Exact gradients of the cached forward pass w.r.t. all parameters,
-    in the order of ``params``.
+    in the order of ``params`` and in their dtype.
 
     The ReLU subgradient at 0 is taken as 0.
     """
     if 2 * len(cache) != len(params):
         raise ValueError("cache does not match network depth")
     grads = [None] * len(params)
-    dz = np.asarray(dlogits, dtype=np.float64)
+    dz = np.asarray(dlogits, dtype=params[0].dtype)
     for i in range(len(cache) - 1, -1, -1):
         a_in, z = cache[i]
         grads[2 * i] = dz.T @ a_in
@@ -246,9 +253,9 @@ def _views(buf: np.ndarray, shapes) -> list[np.ndarray]:
 class AdamState:
     """Adam over one packed parameter buffer, updated in place.
 
-    ``p``, ``m``, ``v`` and ``g`` are contiguous float64 buffers that
-    hold, end to end in the order of the flat parameter list, the
-    parameters, both moments and the gradients; ``params`` and ``grads``
+    ``p``, ``m``, ``v`` and ``g`` are contiguous buffers of the
+    parameters' dtype that hold, end to end in the order of the flat
+    parameter list, the parameters, both moments and the gradients; ``params`` and ``grads``
     are per-tensor views of ``p`` and ``g``, and ``scratch`` holds two
     block-sized work rows. The update is the bias-corrected rule
     p -= lr * m_hat / (sqrt(v_hat) + epsilon).
@@ -270,15 +277,16 @@ def init_adam(params: list[np.ndarray], lr: float = TrainConfig.lr) -> AdamState
     ``state.params`` so that :func:`adam_step` needs no copy-in."""
     shapes = [np.shape(a) for a in params]
     size = sum(int(np.prod(shape)) for shape in shapes)
-    p, g = np.empty(size), np.zeros(size)
+    dtype = np.result_type(*params)
+    p, g = np.empty(size, dtype), np.zeros(size, dtype)
     state = AdamState(
         params=_views(p, shapes),
         grads=_views(g, shapes),
         p=p,
-        m=np.zeros(size),
-        v=np.zeros(size),
+        m=np.zeros(size, dtype),
+        v=np.zeros(size, dtype),
         g=g,
-        scratch=np.empty((2, min(_ADAM_BLOCK, size))),
+        scratch=np.empty((2, min(_ADAM_BLOCK, size)), dtype),
         lr=lr,
     )
     for view, a in zip(state.params, params):
@@ -417,10 +425,10 @@ def grad_check(
     min_grad: float = 1e-5,
     order: int = 2,
 ) -> float:
-    """:func:`check_gradients` for a freshly initialized net of ``spec``
-    on the batch (X, y); the pattern is the on/off state of every hidden
-    ReLU."""
-    params = init_params(spec)
+    """:func:`check_gradients` for a float64 copy of a freshly
+    initialized net of ``spec`` on the batch (X, y); the pattern is the
+    on/off state of every hidden ReLU."""
+    params = [a.astype(np.float64) for a in init_params(spec)]
     logits, cache = forward(params, X, spec.activation)
     _, dlogits = softmax_xent(logits, y)
     grads = backward(params, cache, dlogits, spec.activation)
@@ -479,8 +487,8 @@ def train(
 ) -> tuple[list[np.ndarray], list[float]]:
     """Seeded mini-batch training of a net of ``spec`` with
     :func:`fit_adam`; returns final params and the mean per-example
-    loss of each epoch."""
-    X = np.asarray(X, dtype=np.float64)
+    loss of each epoch; :func:`forward` casts each batch of ``X``."""
+    X = np.asarray(X)
     y = np.asarray(y, dtype=np.int64)
     n = X.shape[0]
     if n < 1 or y.shape != (n,):

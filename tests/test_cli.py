@@ -4,6 +4,7 @@ import builtins
 import csv
 import hashlib
 import json
+import logging
 import os
 import re
 import subprocess
@@ -532,6 +533,24 @@ def test_malformed_cases_change_a_valid_model(tmp_path, write):
     load_model(tmp_path / "valid.bin")
 
 
+@pytest.mark.parametrize("weight, message", [
+    (1e200, "array 'W0' holds non-finite values"),  # inf once cast to float32
+    (1e30, "the net's logits are not finite"),      # fits float32; the logits overflow
+])
+def test_oversized_bow_weights_give_only_the_typed_error(tmp_path, weight, message):
+    # in a subprocess: NumPy's RuntimeWarning would go to the real stderr
+    path = tmp_path / "big.bin"
+    _container(_BOW_HEADER, _bow_arrays(W0=np.full((3, 2), weight),
+                                        W1=np.full((3, 3), weight)))(path)
+    data = tmp_path / "data.csv"
+    data.write_text("id,caption\na,bad day\n", encoding="utf-8")
+    proc = run_cli("predict", "--model", path, "--dataset", data, "--out", tmp_path / "p")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {path}: ") and message in proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert not (tmp_path / "p" / "predictions.csv").exists()
+
+
 def test_text_embeddings_overflow_gives_only_the_typed_error(workspace):
     # in a subprocess: NumPy's RuntimeWarning would go to the real stderr
     emb = workspace["dir"] / "ovf.txt"
@@ -808,3 +827,31 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "prepare" in proc.stdout
         assert "stability" in proc.stdout
+
+
+class TestLogging:
+    def train_w2v(self, workspace, *flags):
+        out = workspace["dir"] / "t"
+        assert run(*flags, "train", "--model", "ffnn_w2v", "--dataset", workspace["data"],
+                   "--embeddings", workspace["emb"], "--out", out) == 0
+        return out / "model.bin"
+
+    def test_verbose_shows_the_coverage_line(self, workspace, capsys):
+        self.train_w2v(workspace)
+        assert "token coverage" not in capsys.readouterr().err
+        self.train_w2v(workspace, "-v")
+        assert ("INFO memesent.models.ffnn: embedded 60 captions: 100.0% token coverage"
+                in capsys.readouterr().err)
+        self.train_w2v(workspace, "--log-level", "ERROR")
+        assert capsys.readouterr().err == ""
+
+    def test_warning_goes_through_the_configured_handler(self, workspace, capsys):
+        model = self.train_w2v(workspace)
+        data = workspace["dir"] / "oov.csv"
+        data.write_text("id,caption\nu1,zzz qqq\n", encoding="utf-8")
+        assert run("predict", "--model", model, "--dataset", data,
+                   "--embeddings", workspace["emb"], "--out", workspace["dir"] / "p") == 0
+        err = capsys.readouterr().err
+        assert err.startswith("WARNING memesent.models.ffnn: embedded 1 captions: ")
+        assert "1 have no in-vocabulary tokens" in err
+        assert logging.getLogger("memesent").handlers == []  # main removed its own

@@ -245,8 +245,10 @@ def test_pooling_a_loaded_table_equals_pooling_its_float64_copy(tmp_path):
     captions = [rng.choice(words + ["oov_a", "oov_b"], size=rng.integers(0, 80)).tolist()
                 for _ in range(1200)]
     pooled = embed_corpus(captions, loaded)
-    assert pooled.dtype == np.float64
+    assert pooled.dtype == np.float32
     assert np.array_equal(pooled, embed_corpus(captions, wide))
+    assert np.array_equal(pooled, np.stack([mean64(tokens, wide) for tokens in captions])
+                          .astype(np.float32))
 
 
 def test_load_embeddings_unknown_format(tmp_path):
@@ -350,16 +352,22 @@ def test_binary_load_memory_is_close_to_the_matrix(tmp_path):
 
 
 # ---------------------------------------------------------------- pooling
-def pooled(tokens, table):
-    """The oracle: the float64 mean of the in-vocabulary tokens' vectors."""
+def mean64(tokens, table):
+    """The float64 mean of the in-vocabulary tokens' vectors."""
     hits = [table[t] for t in tokens if t in table]
     if not hits:
         return np.zeros(table.dim)
     return np.mean(np.stack(hits), axis=0, dtype=np.float64)
 
 
+def pooled(tokens, table):
+    """The oracle: :func:`mean64` cast to float32."""
+    return mean64(tokens, table).astype(np.float32)
+
+
 def test_caption_embedding_single(toy_table):
-    np.testing.assert_array_equal(embed_corpus([["king"]], toy_table)[0], toy_table["king"])
+    np.testing.assert_array_equal(embed_corpus([["king"]], toy_table)[0],
+                                  toy_table["king"].astype(np.float32))
 
 
 def test_caption_embedding_mean():
@@ -386,7 +394,7 @@ def test_embed_corpus_shape_and_rows():
     for dtype in (np.float32, np.float64):
         table = EmbeddingTable(words, (rng.standard_normal((30, 8)) * 100).astype(dtype))
         M = embed_corpus(captions, table)
-        assert M.shape == (len(captions), 8) and M.dtype == np.float64
+        assert M.shape == (len(captions), 8) and M.dtype == np.float32
         assert np.array_equal(M, np.stack([pooled(tokens, table) for tokens in captions]))
         assert embed_corpus([], table).shape == (0, 8)
 
@@ -423,9 +431,12 @@ def test_mean_bound_and_permutation_invariance(data):
     perm = data.draw(st.permutations(tokens))
     M = embed_corpus([tokens, list(perm)], table)
     assert np.array_equal(M[0], pooled(tokens, table))
+    # the cast to float32 moves a float64 table's mean by up to half a
+    # float32 ulp, and another summation order can round to the next one
+    tol = float(np.finfo(np.float32).eps) * float(np.abs(table.matrix).max())
     hits = [t for t in tokens if t in table]
     if hits:
         stack = np.stack([table[t] for t in hits])
-        assert np.all(M[0] >= stack.min(axis=0) - 1e-12)
-        assert np.all(M[0] <= stack.max(axis=0) + 1e-12)
-    np.testing.assert_allclose(M[1], M[0], atol=1e-12)
+        assert np.all(M[0] >= stack.min(axis=0) - tol)
+        assert np.all(M[0] <= stack.max(axis=0) + tol)
+    np.testing.assert_allclose(M[1], M[0], atol=tol, rtol=0)

@@ -3,17 +3,18 @@
 import numpy as np
 import pytest
 
+import memesent.nn as nn
 from _util import synthetic_corpus
 from memesent.corpus import stratified_split
 from memesent.embeddings import EmbeddingTable
-from memesent.errors import DataFormatError, NotFittedError
+from memesent.errors import DataFormatError, NotFittedError, NumericError
 from memesent.eval import macro_f1
 from memesent.models import (
     BowFfnnClassifier,
     MlpClassifier,
     Word2vecFfnnClassifier,
 )
-from memesent.persist import save_container
+from memesent.persist import load_container, save_container
 
 
 def fit_synthetic(seed=0, n=300):
@@ -93,6 +94,50 @@ class TestWord2vecFfnn:
         wrong = EmbeddingTable(("x",), np.zeros((1, table.dim + 2)))
         with pytest.raises(DataFormatError):
             Word2vecFfnnClassifier.load(path, wrong)
+
+
+class TestFloat32:
+    """The dense nets train, save and predict in float32."""
+
+    def test_fit_produces_float32(self, monkeypatch):
+        states = []
+        real = nn.init_adam
+        def recording(params, lr):
+            states.append(real(params, lr))
+            return states[-1]
+        monkeypatch.setattr(nn, "init_adam", recording)
+        model, table, train, _ = fit_synthetic(n=60)
+        assert all(a.dtype == np.float32 for a in model.params_)
+        (state,) = states
+        assert state.m.dtype == state.v.dtype == state.p.dtype == np.float32
+        assert model._features(train.captions(), fitting=False).dtype == np.float32
+        assert model.predict_proba(train.captions()).dtype == np.float64
+
+    def test_model_file_holds_f4_weights(self, tmp_path):
+        model, *_ = fit_synthetic(n=60)
+        model.save(tmp_path / "m.bin")
+        _, arrays = load_container(tmp_path / "m.bin")
+        assert sorted({a.dtype.str for a in arrays.values()}) == ["<f4"]
+
+    def test_float64_model_file_loads_and_predicts(self, tmp_path):
+        model, table, _, val = fit_synthetic(n=60)
+        header, arrays = model._payload()
+        # as saved before the nets trained in float32, off the float32 grid
+        wide = {name: a.astype(np.float64) * (1 + 1e-12) for name, a in arrays.items()}
+        save_container(tmp_path / "old.bin", header, wide)
+        back = Word2vecFfnnClassifier.load(tmp_path / "old.bin", table)
+        # the cast rounds each weight back to the float32 it was saved from
+        assert all(a.dtype == np.float32 and np.array_equal(a, b)
+                   for a, b in zip(back.params_, model.params_))
+        probs = back.predict_proba(val.captions())
+        assert np.isfinite(probs).all() and np.abs(probs.sum(axis=1) - 1).max() < 1e-9
+        assert np.array_equal(probs.argmax(axis=1), model.predict(val.captions()))
+
+    def test_overflowing_logits_raise_typed(self):
+        model, _, _, val = fit_synthetic(n=60)
+        model.params_ = [np.full_like(a, 1e30) for a in model.params_]
+        with np.errstate(all="raise"), pytest.raises(NumericError, match="not finite"):
+            model.predict_proba(val.captions())
 
 
 class TestBowFfnn:

@@ -30,6 +30,17 @@ def small_spec(**kw):
     return NetSpec(**defaults)
 
 
+def params64(spec):
+    """Float64 copies of the float32 parameters of a fresh net of ``spec``;
+    forward and backward follow their dtype."""
+    return [a.astype(np.float64) for a in init_params(spec)]
+
+
+# the float32 twins' bound: O(1) activations through a few layers, where
+# another summation order moves a result by a few float32 ulps
+F32_TOL = 64 * np.finfo(np.float32).eps
+
+
 # ---------------------------------------------------------------- spec
 def test_netspec_defaults():
     spec = NetSpec(input_dim=300)
@@ -111,23 +122,35 @@ def test_forward_shape_mismatch():
         forward(init_params(small_spec()), np.ones((2, 4)))
 
 
-def test_forward_batching_consistency():
-    params = init_params(small_spec())
-    X = np.random.default_rng(0).standard_normal((6, 5))
+def check_forward_batching(params, X, atol):
     full, _ = forward(params, X)
-    rows = np.vstack([forward(params, X[i : i + 1])[0] for i in range(6)])
-    np.testing.assert_allclose(full, rows, atol=1e-12, rtol=0)
+    rows = np.vstack([forward(params, X[i : i + 1])[0] for i in range(len(X))])
+    assert full.dtype == rows.dtype == params[0].dtype
+    np.testing.assert_allclose(full, rows, atol=atol, rtol=0)
+
+
+def test_forward_batching_consistency():
+    X = np.random.default_rng(0).standard_normal((6, 5))
+    check_forward_batching(params64(small_spec()), X, atol=1e-12)
+
+
+def test_forward_batching_consistency_float32():
+    X = np.random.default_rng(0).standard_normal((6, 5))
+    check_forward_batching(init_params(small_spec()), X, atol=F32_TOL)
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 1000), b=st.integers(1, 5))
 def test_forward_batching_property(seed, b):
-    spec = small_spec(seed=seed)
-    params = init_params(spec)
     X = np.random.default_rng(seed).standard_normal((b, 5))
-    full, _ = forward(params, X)
-    rows = np.vstack([forward(params, X[i : i + 1])[0] for i in range(b)])
-    np.testing.assert_allclose(full, rows, atol=1e-12, rtol=0)
+    check_forward_batching(params64(small_spec(seed=seed)), X, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 1000), b=st.integers(1, 5))
+def test_forward_batching_property_float32(seed, b):
+    X = np.random.default_rng(seed).standard_normal((b, 5))
+    check_forward_batching(init_params(small_spec(seed=seed)), X, atol=F32_TOL)
 
 
 # ---------------------------------------------------------------- loss
@@ -196,8 +219,7 @@ def test_backward_zero_dlogits():
     assert all(np.all(g == 0) for g in grads)
 
 
-def test_backward_duplicated_rows_same_gradient():
-    params = init_params(small_spec())
+def check_duplicated_rows_same_gradient(params, atol):
     rng = np.random.default_rng(4)
     X = rng.standard_normal((3, 5))
     y = np.array([0, 2, 1])
@@ -207,8 +229,17 @@ def test_backward_duplicated_rows_same_gradient():
         return backward(params, cache, d)
     g1 = grads_of(X, y)
     g2 = grads_of(np.vstack([X, X]), np.concatenate([y, y]))
-    for a, b in zip(g1, g2):
-        np.testing.assert_allclose(a, b, atol=1e-12)
+    for a, b, p in zip(g1, g2, params):
+        assert a.dtype == b.dtype == p.dtype
+        np.testing.assert_allclose(a, b, atol=atol)
+
+
+def test_backward_duplicated_rows_same_gradient():
+    check_duplicated_rows_same_gradient(params64(small_spec()), atol=1e-12)
+
+
+def test_backward_duplicated_rows_same_gradient_float32():
+    check_duplicated_rows_same_gradient(init_params(small_spec()), atol=F32_TOL)
 
 
 def test_backward_cache_mismatch():
@@ -264,25 +295,36 @@ def list_adam(params, grad_steps, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
     return params
 
 
-def test_adam_in_place_matches_list_rule():
+def check_adam_in_place_matches_list_rule(dtype):
     shapes = [(1,), (200, 200), (7, 3), (5,)]  # 40,000 > one block
     assert 200 * 200 > nn._ADAM_BLOCK
-    start = [np.random.default_rng(1).standard_normal(s) for s in shapes]
+    start = [np.random.default_rng(1).standard_normal(s).astype(dtype) for s in shapes]
 
     def grad_steps():
         rng = np.random.default_rng(2)
         for step in range(300):
             scale = 0.0 if step % 50 == 7 else 10.0 ** rng.integers(-4, 3)
-            yield [rng.standard_normal(s) * scale for s in shapes]
+            yield [(rng.standard_normal(s) * scale).astype(dtype) for s in shapes]
 
     expected = list_adam([p.copy() for p in start], grad_steps(), lr=0.01)
     state = init_adam(start, lr=0.01)
+    assert all(buf.dtype == dtype for buf in (state.p, state.m, state.v, state.g,
+                                               state.scratch))
     params = state.params
     for grads in grad_steps():
         state, params = adam_step(state, params, grads)
     assert state.t == 300
     for got, want in zip(params, expected):
+        assert got.dtype == want.dtype == dtype
         assert np.array_equal(got, want)
+
+
+def test_adam_in_place_matches_list_rule():
+    check_adam_in_place_matches_list_rule(np.float64)
+
+
+def test_adam_in_place_matches_list_rule_float32():
+    check_adam_in_place_matches_list_rule(np.float32)
 
 
 def test_adam_updates_own_buffer_only():
@@ -336,6 +378,21 @@ def test_grad_check_catches_corruption(monkeypatch):
         return grads
     monkeypatch.setattr(nn, "backward", corrupted)
     assert nn.grad_check(spec, X, y, eps=1e-5) > 1e-2
+
+
+def test_grad_check_runs_on_float64_copies(monkeypatch):
+    X, y = graddata()
+    spec = NetSpec(input_dim=300, hidden=(8,) * 6, output_dim=3, seed=0,
+                   init_mode="scaled")
+    assert all(a.dtype == np.float32 for a in init_params(spec))
+    seen = []
+    real = nn.check_gradients
+    def recording(flat, grads, *args):
+        seen.extend(a.dtype for a in flat + grads)
+        return real(flat, grads, *args)
+    monkeypatch.setattr(nn, "check_gradients", recording)
+    assert nn.grad_check(spec, X, y, eps=1e-5) < 1e-4
+    assert seen and set(seen) == {np.dtype(np.float64)}
 
 
 def test_grad_check_rejects_bad_order():
@@ -417,7 +474,7 @@ def test_params_roundtrip_bit_exact(tmp_path):
     header, arrays = load_container(path)
     assert list(arrays) == ["W0", "b0", "W1", "b1", "W2", "b2"]
     spec2 = NetSpec.from_dict(header["spec"])
-    params2 = checked_arrays(arrays, param_shapes(spec2), path)
+    params2 = checked_arrays(arrays, param_shapes(spec2), path, dtype=np.float32)
     assert spec2 == spec
     for a, b in zip(params, params2):
         np.testing.assert_array_equal(a, b)
