@@ -181,9 +181,11 @@ def check_consistent_length(*arrays) -> int:
     return lengths.pop()
 
 
-def as_float_matrix(X, n_features: int | None = None, name: str = "X") -> np.ndarray:
-    """Coerce to a finite 2-D float64 array, or keep a float32 one,
-    optionally checking width."""
+def as_float_matrix(X, n_features: int | None = None, name: str = "X",
+                    finite_in=np.float64) -> np.ndarray:
+    """Coerce to a 2-D float64 array, or keep a float32 one, optionally
+    checking width. Every value must be finite in ``finite_in``, the
+    dtype that the caller computes in."""
     arr = np.asarray(X)
     arr = arr if arr.dtype == np.float32 else arr.astype(np.float64, copy=False)
     if arr.ndim != 2:
@@ -192,8 +194,11 @@ def as_float_matrix(X, n_features: int | None = None, name: str = "X") -> np.nda
         raise ValueError(
             f"{name} has {arr.shape[1]} features, expected {n_features}"
         )
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
+    # min and max carry NaN through, and NaN fails both comparisons
+    top = np.finfo(finite_in).max
+    if arr.size and not (-top <= arr.min() and arr.max() <= top):
+        raise ValueError(f"{name} contains non-finite values "
+                         f"(in {np.dtype(finite_in).name})")
     return arr
 
 

@@ -477,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Meme sentiment classification toolkit.",
     )
     parser.add_argument("--log-level", default="WARNING",
-                        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                        choices=("INFO", "WARNING", "ERROR"),
                         help="least severe log messages shown on stderr (default WARNING)")
     parser.add_argument("-v", dest="log_level", action="store_const", const="INFO",
                         help="same as --log-level INFO")

@@ -54,11 +54,11 @@ logger = logging.getLogger(__name__)
 
 
 def _proba(params: list[np.ndarray], X, activation: str) -> np.ndarray:
-    """Softmax of the net's logits; :class:`NumericError` if they overflow."""
+    """Softmax of the net's logits; :class:`NumericError` if they are not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         logits, _ = forward(params, X, activation)
     if not np.isfinite(logits).all():
-        raise NumericError("the net's logits are not finite: its weights overflow float32")
+        raise NumericError("the net's logits are not finite")
     return softmax(logits)
 
 
@@ -90,7 +90,7 @@ class MlpClassifier(AdamEstimator):
         return NetSpec(input_dim=input_dim, **_net_params(self))
 
     def fit(self, X, y) -> "MlpClassifier":
-        X = as_float_matrix(X)
+        X = as_float_matrix(X, finite_in=np.float32)
         y = as_label_array(y)
         check_consistent_length(X, y)
         self.spec_ = self._spec(X.shape[1])
@@ -99,7 +99,7 @@ class MlpClassifier(AdamEstimator):
 
     def predict_proba(self, X) -> np.ndarray:
         check_fitted(self, "params_")
-        X = as_float_matrix(X, n_features=self.spec_.input_dim)
+        X = as_float_matrix(X, n_features=self.spec_.input_dim, finite_in=np.float32)
         return _proba(self.params_, X, self.spec_.activation)
 
 

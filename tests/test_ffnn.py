@@ -195,6 +195,18 @@ class TestMlpClassifier:
         with pytest.raises(ValueError):
             model.predict_proba(np.zeros((2, 5)))
 
+    def test_input_beyond_float32_is_rejected_before_the_cast(self):
+        # finite in float64, inf once the net casts it to float32
+        X = np.zeros((10, 4))
+        y = np.array([0, 1, 2, 0, 1, 2, 0, 1, 2, 0])
+        model = MlpClassifier(hidden=(4,), epochs=1).fit(X, y)
+        X[3, 2] = 1e39
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match=r"X contains non-finite values \(in float32\)"):
+                MlpClassifier(hidden=(4,), epochs=1).fit(X, y)
+            with pytest.raises(ValueError, match=r"X contains non-finite values \(in float32\)"):
+                model.predict_proba(X)
+
     def test_get_params_round_trip(self):
         model = MlpClassifier(hidden=(9, 9), lr=0.01, seed=4)
         clone = MlpClassifier(**model.get_params())
