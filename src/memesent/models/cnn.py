@@ -38,7 +38,7 @@ from ..base import (
     check_fitted,
     checked_arrays,
 )
-from ..nn import TrainConfig, check_gradients, fit_adam, softmax, softmax_xent
+from ..nn import TrainConfig, check_gradients, finite_logits, fit_adam, softmax, softmax_xent
 from ..nn import adam_step  # noqa: F401 - perfbench's span test reads it here
 from ..rng import substream
 from .image import IMAGE_SIZE
@@ -288,7 +288,8 @@ class HsvCnnClassifier(SavedModel, AdamEstimator):
         workspace = Workspace()
         probs = np.empty((len(T), _CLASSES))
         for start in range(0, len(T), _PREDICT_BLOCK):
-            logits = cnn_forward(self.params_, T[start : start + _PREDICT_BLOCK], workspace)[0]
+            block = T[start : start + _PREDICT_BLOCK]
+            logits = finite_logits(lambda: cnn_forward(self.params_, block, workspace)[0])
             probs[start : start + _PREDICT_BLOCK] = softmax(logits)
         return probs
 

@@ -31,11 +31,12 @@ from ..base import (
     checked_arrays,
 )
 from ..embeddings import EmbeddingTable, corpus_coverage, embed_corpus
-from ..errors import DataFormatError, NumericError
+from ..errors import DataFormatError
 from ..nn import (
     DEFAULT_HIDDEN,
     NetSpec,
     TrainConfig,
+    finite_logits,
     forward,
     param_shapes,
     softmax,
@@ -55,11 +56,7 @@ logger = logging.getLogger(__name__)
 
 def _proba(params: list[np.ndarray], X, activation: str) -> np.ndarray:
     """Softmax of the net's logits; :class:`NumericError` if they are not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        logits, _ = forward(params, X, activation)
-    if not np.isfinite(logits).all():
-        raise NumericError("the net's logits are not finite")
-    return softmax(logits)
+    return softmax(finite_logits(lambda: forward(params, X, activation)[0]))
 
 
 def _net_params(source) -> dict:

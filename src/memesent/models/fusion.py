@@ -9,6 +9,13 @@ branch probabilities fed to stacker training come from out-of-fold
 prediction, so the stacker never sees branch outputs on rows those
 branches were trained on; in-sample features are available behind an
 explicit flag.
+
+The three one-vs-rest problems share nothing but the order of visits,
+so :func:`fusion_train` fits them one after another, each as a loop
+over Python floats with its six weights and bias held in locals, and
+draws the same seeded visit order again for each. A margin is the six
+products summed left to right, then the bias. Stacker scores that are
+not finite raise :class:`~memesent.errors.NumericError`.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from ..base import (
 )
 from ..errors import DataFormatError
 from ..eval import parallel_map
-from ..nn import softmax
+from ..nn import finite_logits, softmax
 from ..rng import substream
 from .cnn import HsvCnnClassifier, _check_tensors
 from .ffnn import BowFfnnClassifier
@@ -65,7 +72,7 @@ class FusionStacker:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != _FEATURES:
             raise ValueError(f"expected (n, {_FEATURES}) features, got {X.shape}")
-        return X @ self.weights.T + self.biases
+        return finite_logits(lambda: X @ self.weights.T + self.biases, "the stacker's scores")
 
 
 def _stack_features(text_probs, image_probs) -> np.ndarray:
@@ -79,6 +86,34 @@ def _stack_features(text_probs, image_probs) -> np.ndarray:
     return np.hstack([text, image])
 
 
+def _check_stacker(lam: float, lr: float, epochs: int) -> None:
+    if not (0 <= lam < np.inf and 0 < lr < np.inf and epochs > 0):
+        raise ValueError(f"the stacker needs a finite lam >= 0, a finite lr > 0 and "
+                         f"epochs > 0, got lam={lam}, lr={lr}, epochs={epochs}")
+
+
+def _fit_class(rows, targets, steps, shrink, orders):
+    """One class's hinge problem: weights and bias after visiting ``rows``
+    (6-float lists) in each order of ``orders``. ``targets`` are +-1.0 and
+    ``steps`` lr * target, per row. Every visit shrinks the weights; an
+    active margin (< 1) adds the step times the row, and the step to the
+    bias."""
+    w0 = w1 = w2 = w3 = w4 = w5 = b = 0.0
+    for order in orders:
+        for i in order:
+            x0, x1, x2, x3, x4, x5 = rows[i]
+            if targets[i] * (w0 * x0 + w1 * x1 + w2 * x2 + w3 * x3 + w4 * x4 + w5 * x5
+                             + b) < 1.0:
+                s = steps[i]
+                w0, w1, w2 = w0 * shrink + s * x0, w1 * shrink + s * x1, w2 * shrink + s * x2
+                w3, w4, w5 = w3 * shrink + s * x3, w4 * shrink + s * x4, w5 * shrink + s * x5
+                b += s
+            else:
+                w0, w1, w2 = w0 * shrink, w1 * shrink, w2 * shrink
+                w3, w4, w5 = w3 * shrink, w4 * shrink, w5 * shrink
+    return [w0, w1, w2, w3, w4, w5], b
+
+
 def fusion_train(
     text_probs,
     image_probs,
@@ -90,9 +125,10 @@ def fusion_train(
 ) -> FusionStacker:
     """Fit the stacker on aligned branch-probability rows.
 
-    One hinge problem per class (targets +1/-1), all three updated
-    per sample: the regularizer shrinks weights every visit and active
-    margins (< 1) add the signed feature row.
+    One hinge problem per class (targets +1/-1), each visiting the rows
+    in the same seeded order, a new permutation per epoch: the
+    regularizer shrinks the weights every visit and an active margin
+    (< 1) adds the signed feature row.
     """
     X = _stack_features(text_probs, image_probs)
     y = as_label_array(labels)
@@ -102,23 +138,17 @@ def fusion_train(
         )
     if len(X) == 0:
         raise ValueError("cannot fit a stacker on zero rows")
-    if lam < 0 or lr <= 0 or epochs <= 0:
-        raise ValueError("lam must be >= 0, lr > 0, epochs > 0")
-    rng = substream(seed, "stacker")
+    _check_stacker(lam, lr, epochs)
+    rows = X.tolist()
+    shrink = 1.0 - 2.0 * lr * lam
     W = np.zeros((3, _FEATURES))
     b = np.zeros(3)
-    # the per-row constants, computed once: targets, lr * targets, the shrink
-    T = np.where(y[:, None] == np.arange(3), 1.0, -1.0)
-    rows, targets, steps = list(X), list(T), list(lr * T)
-    shrink = 1.0 - 2.0 * lr * lam
-    for _ in range(epochs):
-        for i in rng.permutation(len(X)).tolist():
-            x, t = rows[i], targets[i]
-            active = t * (W @ x + b) < 1.0
-            W *= shrink
-            push = steps[i] * active
-            W += np.multiply.outer(push, x)
-            b += push
+    for c in range(3):
+        T = np.where(y == c, 1.0, -1.0)
+        # the orders again for each class, drawn as needed, not kept
+        rng = substream(seed, "stacker")
+        orders = (rng.permutation(len(X)).tolist() for _ in range(epochs))
+        W[c], b[c] = _fit_class(rows, T.tolist(), (lr * T).tolist(), shrink, orders)
     return FusionStacker(weights=W, biases=b)
 
 
@@ -189,6 +219,7 @@ class BimodalFusionClassifier(SavedModel, Estimator):
                 f"captions, tensors, and labels disagree on row count: "
                 f"{len(captions)}, {len(tensors)}, {len(y)}"
             )
+        _check_stacker(self.lam, self.stacker_lr, self.stacker_epochs)
         if not self.in_sample and self.folds < 2:
             raise ValueError("out-of-fold features need folds >= 2")
         if not self.in_sample and len(y) < self.folds:

@@ -5,7 +5,9 @@ P(token | class) = (count + alpha) / (class token total + alpha * |V|).
 Tokens unseen in training are skipped at prediction time (their
 likelihood would be a class-independent constant under shared
 smoothing, so skipping changes nothing but saves the lookup). An empty
-token list yields the prior distribution.
+token list yields the prior distribution. A class absent from training
+has a -inf prior and probability 0; any other class's log-score that
+overflows raises :class:`~memesent.errors.NumericError`.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from ..base import (
     checked_arrays,
 )
 from ..errors import DataFormatError, TrainingError
+from ..nn import finite_logits, softmax
 
 __all__ = ["MultinomialNaiveBayes", "nb_train"]
 
@@ -68,18 +71,25 @@ class MultinomialNaiveBayes(SavedModel, Estimator):
         )
         return self
 
-    def predict_proba(self, X: list[list[str]]) -> np.ndarray:
-        check_fitted(self, "class_log_prior_")
-        out = np.zeros((len(X), N_CLASSES), dtype=np.float64)
-        for i, tokens in enumerate(X):
-            scores = self.class_log_prior_.copy()
+    def _log_scores(self, X: list[list[str]]) -> np.ndarray:
+        """(n, 3) class log-prior plus the log-likelihood of each known
+        token, added in token order."""
+        scores = np.tile(self.class_log_prior_, (len(X), 1))
+        for row, tokens in zip(scores, X):
             for t in tokens:
                 j = self._index.get(t)
                 if j is not None:
-                    scores += self.token_log_likelihood_[:, j]
-            m = scores.max()
-            e = np.exp(scores - m)
-            out[i] = e / e.sum()
+                    row += self.token_log_likelihood_[:, j]
+        return scores
+
+    def predict_proba(self, X: list[list[str]]) -> np.ndarray:
+        check_fitted(self, "class_log_prior_")
+        # a class with a -inf prior keeps probability 0; the others' scores
+        # must be finite
+        live = np.isfinite(self.class_log_prior_)
+        out = np.zeros((len(X), N_CLASSES), dtype=np.float64)
+        out[:, live] = softmax(finite_logits(lambda: self._log_scores(X)[:, live],
+                                             "the class log-scores"))
         return out
 
     def _payload(self) -> tuple[dict, dict[str, np.ndarray]]:

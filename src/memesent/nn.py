@@ -31,10 +31,11 @@ and the CNN's ``cnn_grad_check`` are thin adapters over it).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
-from .errors import TrainingError
+from .errors import NumericError, TrainingError
 from .rng import substream
 
 __all__ = [
@@ -45,6 +46,7 @@ __all__ = [
     "param_shapes",
     "forward",
     "softmax",
+    "finite_logits",
     "softmax_xent",
     "backward",
     "init_adam",
@@ -181,6 +183,20 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def finite_logits(logits_of: Callable[[], np.ndarray],
+                  what: str = "the net's logits") -> np.ndarray:
+    """``logits_of()``, computed with NumPy's overflow and invalid-value
+    warnings off; :class:`NumericError` ("<what> are not finite") if any
+    entry is NaN or +-inf. Every model's ``predict_proba`` takes its
+    scores through this, so large but finite weights give the typed
+    error, never a NaN row."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = logits_of()
+    if not np.isfinite(logits).all():
+        raise NumericError(f"{what} are not finite")
+    return logits
 
 
 def softmax_xent(

@@ -551,6 +551,29 @@ def test_oversized_bow_weights_give_only_the_typed_error(tmp_path, weight, messa
     assert not (tmp_path / "p" / "predictions.csv").exists()
 
 
+@pytest.mark.parametrize("write, message", [
+    (_container(_CNN_HEADER, _cnn_arrays(**{name: np.full(shape, 1e200)
+                                            for name, shape in _CNN_SHAPES.items()
+                                            if name[0] in "KW"})),
+     "the net's logits are not finite"),
+    (_fusion_model(np.full((3, 6), 1e308)), "the stacker's scores are not finite"),
+    (_nb_model(token_log_likelihood=np.full((3, 2), -1e308)),  # "bad day" sums to -2e308
+     "the class log-scores are not finite"),
+], ids=["cnn_hsv", "fusion", "nb"])
+def test_finite_weights_whose_scores_overflow_give_only_the_typed_error(tmp_path, write,
+                                                                       message):
+    # in a subprocess: NumPy's RuntimeWarning would go to the real stderr
+    path = tmp_path / "big.bin"
+    write(path)
+    write_hsv_tensor(np.full((32, 32, 3), 0.5), tmp_path / "a.hsv")
+    data = tmp_path / "data.csv"
+    data.write_text("id,caption,image\na,bad day,a.hsv\n", encoding="utf-8")
+    proc = run_cli("predict", "--model", path, "--dataset", data, "--out", tmp_path / "p")
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {path}: {message}\n"
+    assert not (tmp_path / "p" / "predictions.csv").exists()
+
+
 def test_text_embeddings_overflow_gives_only_the_typed_error(workspace):
     # in a subprocess: NumPy's RuntimeWarning would go to the real stderr
     emb = workspace["dir"] / "ovf.txt"

@@ -1,12 +1,13 @@
 """Convolutional image branch: gradients, pooling, training."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from _util import hue_band_tensors
-from memesent.errors import DataFormatError
+from memesent.errors import DataFormatError, NumericError
 from memesent.models import HsvCnnClassifier, cnn_grad_check
 from memesent.models.cnn import (
     _PREDICT_BLOCK,
@@ -232,6 +233,16 @@ class TestTraining:
         probs = model.predict_proba(T)
         assert probs.shape == (9, 3)
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-6)
+
+    def test_overflowing_logits_raise_numeric_error(self):
+        T, y = hue_band_tensors(n=9, seed=3)
+        model = cnn_train(T, y, TrainConfig(epochs=1, batch_size=9))
+        # every kernel and weight matrix at 1e200: finite, but the logits overflow
+        model.params_ = [np.full_like(p, 1e200) if p.ndim > 1 else p for p in model.params_]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no NumPy warning escapes
+            with pytest.raises(NumericError, match="the net's logits are not finite"):
+                model.predict_proba(T)
 
     def test_save_load_bit_exact(self, tmp_path):
         T, y = hue_band_tensors(n=9, seed=4)

@@ -1,10 +1,14 @@
 """Late-fusion stacker and the bimodal estimator."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _util import hue_band_tensors
-from memesent.errors import DataFormatError
+from memesent.errors import DataFormatError, NumericError
 from memesent.models.fusion import _stack_features
 from memesent.rng import substream
 from memesent.models import (
@@ -38,6 +42,44 @@ def per_sample_stacker(text_probs, image_probs, labels, lam=1e-3, epochs=200, lr
             W += push[:, None] * x[None, :]
             b += push
     return W, b
+
+
+def left_to_right_stacker(text_probs, image_probs, labels, lam, epochs, lr, seed):
+    """The stacker over Python floats, all three classes per sample, each
+    margin summed left to right and then the bias: the order that
+    ``fusion_train`` declares where the per-sample loop's BLAS order
+    rounds otherwise."""
+    X = np.hstack([text_probs, image_probs]).tolist()
+    rng = substream(seed, "stacker")
+    W = [[0.0] * 6 for _ in range(3)]
+    b = [0.0] * 3
+    shrink = 1.0 - 2.0 * lr * lam
+    for _ in range(epochs):
+        for i in rng.permutation(len(X)).tolist():
+            x = X[i]
+            for c in range(3):
+                t = 1.0 if labels[i] == c else -1.0
+                margin = W[c][0] * x[0]
+                for j in range(1, 6):
+                    margin += W[c][j] * x[j]
+                margin += b[c]
+                if t * margin < 1.0:
+                    W[c] = [w * shrink + lr * t * xj for w, xj in zip(W[c], x)]
+                    b[c] += lr * t
+                else:
+                    W[c] = [w * shrink for w in W[c]]
+    return np.array(W), np.array(b)
+
+
+def dirichlet_rows(n, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.dirichlet(np.ones(3), size=n), rng.dirichlet(np.ones(3), size=n),
+            rng.integers(0, 3, size=n))
+
+
+def assert_same_stacker(stacker, W, b):
+    assert np.array_equal(stacker.weights, W)
+    assert np.array_equal(stacker.biases, b)
 
 
 def branch_rows(n, seed=0, text="perfect", image="uniform"):
@@ -133,6 +175,59 @@ class TestStacker:
         assert np.array_equal(stacker.weights, W)
         assert np.array_equal(stacker.biases, b)
 
+    @settings(max_examples=60, deadline=None)
+    @given(rows_seed=st.integers(0, 2**32 - 1), n=st.integers(1, 50),
+           epochs=st.integers(1, 4), lam=st.floats(0.0, 0.1),
+           lr=st.floats(0.0, 1.0, exclude_min=True), seed=st.integers(0, 1000))
+    def test_matches_the_per_sample_loop_on_dirichlet_rows(self, rows_seed, n, epochs,
+                                                           lam, lr, seed):
+        text, image, y = dirichlet_rows(n, rows_seed)
+        stacker = fusion_train(text, image, y, lam=lam, epochs=epochs, lr=lr, seed=seed)
+        assert_same_stacker(stacker, *per_sample_stacker(text, image, y, lam=lam,
+                                                         epochs=epochs, lr=lr, seed=seed))
+
+    def test_matches_the_per_sample_loop_at_the_benchmark_size(self):
+        # the stacker's input in the fusion_train benchmark: 357 rows, 200 epochs
+        text, image, y = dirichlet_rows(357, 1)
+        assert_same_stacker(fusion_train(text, image, y, seed=1),
+                            *per_sample_stacker(text, image, y, seed=1))
+
+    def test_a_class_absent_from_the_labels(self):
+        text, image, y = dirichlet_rows(40, 5)
+        y = np.where(y == 1, 2, y)  # no neutral row
+        stacker = fusion_train(text, image, y, epochs=20, seed=5)
+        assert_same_stacker(stacker, *per_sample_stacker(text, image, y, epochs=20, seed=5))
+        # every visit pushes the absent class down
+        assert stacker.biases[1] < 0 and np.all(stacker.weights[1] < 0)
+
+    def test_ties_follow_the_left_to_right_margin(self):
+        # uniform text rows, near-one-hot image rows and lam = 0 put margins
+        # on exact sums, where the summation order can decide activity; on
+        # this input an OpenBLAS dgemv order, and adding the bias first,
+        # each gave other weights
+        y = np.array([2, 2, 0, 1, 1, 0, 0, 1, 1, 0])
+        text = np.full((10, 3), 1.0 / 3.0)
+        image = np.eye(3)[[1, 2, 2, 1, 2, 2, 1, 1, 2, 2]] * 0.94 + 0.02
+        stacker = fusion_train(text, image, y, lam=0.0, epochs=5, lr=0.1, seed=283)
+        assert_same_stacker(stacker, *left_to_right_stacker(text, image, y, lam=0.0,
+                                                            epochs=5, lr=0.1, seed=283))
+
+    @pytest.mark.parametrize("lam, lr", [
+        (np.nan, 0.1), (np.inf, 0.1), (-1e-3, 0.1),
+        (1e-3, np.nan), (1e-3, np.inf), (1e-3, 0.0),
+    ])
+    def test_bad_lam_or_lr_rejected(self, lam, lr):
+        text, image, y = branch_rows(9)
+        with pytest.raises(ValueError, match="lam"):
+            fusion_train(text, image, y, lam=lam, lr=lr)
+
+    def test_overflowing_scores_raise_numeric_error(self):
+        stacker = FusionStacker(weights=np.full((3, 6), 1e308), biases=np.zeros(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no NumPy warning escapes
+            with pytest.raises(NumericError, match="the stacker's scores are not finite"):
+                fusion_predict(stacker, [1 / 3] * 3, [1 / 3] * 3)
+
     def test_weight_shape_validated(self):
         with pytest.raises(ValueError):
             FusionStacker(weights=np.zeros((3, 5)), biases=np.zeros(3))
@@ -225,6 +320,20 @@ class TestBimodal:
         model.in_sample = True  # no out-of-fold features: the folds are unused
         model.fit(captions, T, y)
         assert fits == [BowFfnnClassifier, HsvCnnClassifier]
+
+    @pytest.mark.parametrize("param, value", [
+        ("lam", np.nan), ("lam", np.inf), ("stacker_lr", np.nan), ("stacker_lr", np.inf),
+    ])
+    def test_bad_stacker_params_raise_before_any_branch_fit(self, monkeypatch, param,
+                                                            value):
+        fits = []
+        for cls in (BowFfnnClassifier, HsvCnnClassifier):
+            monkeypatch.setattr(cls, "fit", lambda model, *args: fits.append(model))
+        captions, T, y = self.make_inputs()
+        model = self.model().set_params(**{param: value})
+        with pytest.raises(ValueError, match="lam"):
+            model.fit(captions, T, y)
+        assert fits == []
 
     def test_load_rejects_other_kinds(self, tmp_path):
         from memesent.persist import save_container

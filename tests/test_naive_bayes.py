@@ -1,5 +1,6 @@
 """Multinomial Naive Bayes against hand-computed posteriors."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memesent.errors import DataFormatError, NotFittedError, TrainingError
+from memesent.errors import DataFormatError, NotFittedError, NumericError, TrainingError
 from memesent.models import MultinomialNaiveBayes, nb_train
 
 TOY_X = [["good", "good", "fun"], ["bad", "sad"], ["fun", "bad"]]
@@ -153,6 +154,19 @@ class TestApi:
         X = [["good", "fun"], [], ["sad"]]
         assert np.array_equal(back.predict_proba(X), model.predict_proba(X))
         assert np.all(back.predict_proba(X)[:, 1] == 0.0)
+
+    def test_overflowing_log_scores_raise_numeric_error(self):
+        model = toy_model()
+        model.token_log_likelihood_ = np.full_like(model.token_log_likelihood_, -1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no NumPy warning escapes
+            with pytest.raises(NumericError, match="the class log-scores are not finite"):
+                model.predict_proba([["good"], ["bad", "sad"]])  # -2e308 overflows
+            # one token stays finite, and a class absent from training still
+            # predicts with probability 0
+            model.class_log_prior_[1] = -np.inf
+            probs = model.predict_proba([["good"], []])
+        assert np.isfinite(probs).all() and np.all(probs[:, 1] == 0.0)
 
     def test_load_names_a_repeated_word(self, tmp_path):
         from memesent.persist import save_container

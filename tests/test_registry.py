@@ -15,7 +15,7 @@ from memesent import cli
 from memesent.base import Estimator, SavedModel
 from memesent.config import _SECTIONS, MODEL_KINDS, RunConfig
 from memesent.corpus import Dataset, MemeRecord
-from memesent.errors import DataFormatError
+from memesent.errors import DataFormatError, NumericError
 from memesent.models import MODEL_CLASSES, load_model, model_from_container, write_hsv_tensor
 from memesent.nn import TrainConfig
 from memesent.persist import load_container, save_container
@@ -75,7 +75,7 @@ def saved_models(captioned_images):
 def _perturbed(draw, arrays):
     """``arrays`` with one array reshaped (by one along an axis, or to an
     arbitrary shape) or with up to four of its entries replaced by NaN,
-    +-inf or finite values."""
+    +-inf or any finite float64."""
     name = draw(st.sampled_from(sorted(arrays)))
     arr = arrays[name].copy()
     if draw(st.booleans()):
@@ -87,10 +87,9 @@ def _perturbed(draw, arrays):
             shape = draw(st.lists(st.integers(0, 4), max_size=3))
         arr = np.resize(arr, shape)
     elif arr.size:
-        # finite values stay within +-1e3: far larger weights overflow the
-        # forward pass to inf logits, a fault of prediction, not of the file
+        arr = arr.astype(np.float64)  # a float32 array would turn large values to inf
         values = st.one_of(st.sampled_from((np.nan, np.inf, -np.inf)),
-                           st.floats(-1e3, 1e3))
+                           st.floats(allow_nan=False, allow_infinity=False))
         for index in draw(st.lists(st.integers(0, arr.size - 1), min_size=1, max_size=4)):
             arr.reshape(-1)[index] = draw(values)
     return {**arrays, name: arr}
@@ -110,7 +109,10 @@ def test_perturbed_arrays_fail_typed_or_predict_probabilities(
     except DataFormatError as exc:
         assert str(path) in str(exc)
         return
-    probs = cli._model_proba(model, ds, base)
+    try:
+        probs = cli._model_proba(model, ds, base)
+    except NumericError:  # finite weights whose scores overflow: a typed failure
+        return
     assert probs.shape == (len(ds), 3) and np.isfinite(probs).all()
     assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
 
