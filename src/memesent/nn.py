@@ -9,10 +9,11 @@ gradient checker and the fitted models take the list as it is.
 :func:`param_shapes` gives each array's container name and shape.
 
 Adam keeps the parameters, both moments and the gradients each in one
-contiguous buffer and updates them in place, in blocks, in the textbook
-order of operations (Kingma & Ba 2015, arXiv 1412.6980); the bits are
-those of the per-tensor rule with fresh arrays. Only the learning rate
-is a parameter: beta1, beta2 and epsilon are the paper's defaults.
+contiguous buffer; :func:`adam_step` copies in the gradients and
+updates ``state.params`` in place, in blocks, in the textbook order of
+operations (Kingma & Ba 2015, arXiv 1412.6980); the bits are those of
+the per-tensor rule with fresh arrays. Only the learning rate is a
+parameter: beta1, beta2 and epsilon are the paper's defaults.
 
 The dense net is float32 and the CNN float64: forward, backward and
 Adam follow the parameters' dtype, softmax and cross-entropy upcast the
@@ -180,7 +181,8 @@ def forward(
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise float64 softmax with max-subtraction stabilization."""
     logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # finite scores wider than float64 shift to -inf
+        shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
 
@@ -289,8 +291,8 @@ class AdamState:
 
 
 def init_adam(params: list[np.ndarray], lr: float = TrainConfig.lr) -> AdamState:
-    """Zero moments and a packed copy of ``params``; train on
-    ``state.params`` so that :func:`adam_step` needs no copy-in."""
+    """Zero moments and a packed copy of ``params``; :func:`adam_step`
+    updates the copy, ``state.params``."""
     shapes = [np.shape(a) for a in params]
     size = sum(int(np.prod(shape)) for shape in shapes)
     dtype = np.result_type(*params)
@@ -310,28 +312,23 @@ def init_adam(params: list[np.ndarray], lr: float = TrainConfig.lr) -> AdamState
     return state
 
 
-def adam_step(
-    state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]
-) -> tuple[AdamState, list[np.ndarray]]:
-    """One Adam update, in place; returns ``(state, state.params)``.
+def adam_step(state: AdamState, grads: list[np.ndarray]) -> None:
+    """One Adam update of ``state.params``, in place.
 
-    Arrays of ``params`` and ``grads`` that are not the state's own
-    views are copied into its buffers first, so the caller's arrays are
-    read, never written. The update then runs over the packed buffers
-    in blocks of ``_ADAM_BLOCK`` elements with no allocation, in the
-    textbook order of operations: m = b1*m + (1-b1)*g, v = b2*v +
-    ((1-b2)*g)*g, p = p - lr*(m/bc1) / (sqrt(v/bc2) + epsilon). Each
-    element therefore gets the same bits as the list-based rule.
+    ``grads``, in the order of the parameter list, are copied into the
+    state's gradient buffer, so the caller's arrays are read, never
+    written. The update then runs over the packed buffers in blocks of
+    ``_ADAM_BLOCK`` elements with no allocation, in the textbook order
+    of operations: m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, p = p -
+    lr*(m/bc1) / (sqrt(v/bc2) + epsilon). Each element therefore gets
+    the same bits as the list-based rule.
     """
-    if len(params) != len(state.params) or len(grads) != len(params):
-        raise ValueError("params/grads do not match optimizer state")
-    for own_p, own_g, p, g in zip(state.params, state.grads, params, grads):
-        if np.shape(p) != own_p.shape or np.shape(g) != own_p.shape:
-            raise ValueError("params/grads do not match optimizer state")
-        if p is not own_p:
-            own_p[...] = p
-        if g is not own_g:
-            own_g[...] = g
+    if len(grads) != len(state.grads):
+        raise ValueError("grads do not match optimizer state")
+    for own, g in zip(state.grads, grads):
+        if np.shape(g) != own.shape:
+            raise ValueError("grads do not match optimizer state")
+        own[...] = g
     state.t += 1
     b1, b2, lr, eps = _ADAM_BETA1, _ADAM_BETA2, state.lr, _ADAM_EPSILON
     c1, c2 = 1.0 - b1, 1.0 - b2
@@ -356,7 +353,6 @@ def adam_step(
         denom += eps
         step /= denom
         p -= step
-    return state, state.params
 
 
 def check_gradients(
@@ -475,7 +471,6 @@ def fit_adam(
     epoch. Raises :class:`TrainingError` if the loss becomes non-finite.
     """
     state = init_adam(flat, lr=cfg.lr)
-    flat = state.params
     shuffle_rng = substream(cfg.seed, "shuffle")
     history: list[float] = []
     for epoch in range(cfg.epochs):
@@ -483,16 +478,16 @@ def fit_adam(
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            loss, grads = loss_and_grad(flat, batch)
+            loss, grads = loss_and_grad(state.params, batch)
             if not np.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch + 1}, "
                     f"batch {start // cfg.batch_size + 1}"
                 )
-            state, flat = adam_step(state, flat, grads)
+            adam_step(state, grads)
             total += loss * len(batch)
         history.append(total / n)
-    return flat, history
+    return state.params, history
 
 
 def train(

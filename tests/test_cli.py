@@ -574,6 +574,18 @@ def test_finite_weights_whose_scores_overflow_give_only_the_typed_error(tmp_path
     assert not (tmp_path / "p" / "predictions.csv").exists()
 
 
+def test_nb_priors_wider_than_float64_predict_without_a_warning(tmp_path):
+    # in a subprocess: NumPy's RuntimeWarning would go to the real stderr
+    path = tmp_path / "wide.bin"
+    _nb_model(class_log_prior=np.array([-1.7e308, 1.7e308, 0.0]))(path)
+    data = tmp_path / "data.csv"
+    data.write_text("id,caption\na,bad day\n", encoding="utf-8")
+    proc = run_cli("predict", "--model", path, "--dataset", data, "--out", tmp_path / "p")
+    assert proc.returncode == 0 and proc.stderr == ""
+    rows = (tmp_path / "p" / "predictions.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[1:] == ["a,neutral,0.0,1.0,0.0"]
+
+
 def test_text_embeddings_overflow_gives_only_the_typed_error(workspace):
     # in a subprocess: NumPy's RuntimeWarning would go to the real stderr
     emb = workspace["dir"] / "ovf.txt"

@@ -161,6 +161,12 @@ def test_softmax_rows_sum_to_one():
     assert np.all(p >= 0)
 
 
+def test_softmax_of_scores_wider_than_float64_is_exact_and_silent():
+    with np.errstate(over="raise", invalid="raise"):
+        p = softmax([[-1.7e308, 1.7e308, 0.0]])
+    assert p.tolist() == [[0.0, 1.0, 0.0]]
+
+
 def test_xent_uniform_logits():
     loss, _ = softmax_xent(np.zeros((4, 3)), np.array([0, 1, 2, 0]))
     assert loss == pytest.approx(np.log(3), abs=1e-12)
@@ -253,16 +259,16 @@ def test_adam_first_step_is_signed_lr():
     # deviation from lr*sign(g) is lr*eps/(|g|+eps), so |g| >> 1e-2 here
     for g in (0.3, -2.0, 17.0):
         state = init_adam([np.zeros(1)], lr=1e-3)
-        _, (p,) = adam_step(state, [np.array([0.0])], [np.array([g])])
+        adam_step(state, [np.array([g])])
+        (p,) = state.params
         assert abs(p[0] - (-1e-3 * np.sign(g))) < 1e-6 * 1e-3
 
 
 def test_adam_zero_gradient_never_moves():
-    params = [np.array([1.5, -2.5])]
-    state = init_adam(params)
+    state = init_adam([np.array([1.5, -2.5])])
     for _ in range(50):
-        state, params = adam_step(state, params, [np.zeros(2)])
-    np.testing.assert_array_equal(params[0], [1.5, -2.5])
+        adam_step(state, [np.zeros(2)])
+    np.testing.assert_array_equal(state.params[0], [1.5, -2.5])
     assert state.t == 50
 
 
@@ -270,11 +276,10 @@ def test_adam_bitwise_reproducible():
     rng = np.random.default_rng(5)
     grads = [rng.standard_normal((3, 2)) for _ in range(100)]
     def run():
-        params = [np.ones((3, 2))]
-        state = init_adam(params, lr=0.01)
+        state = init_adam([np.ones((3, 2))], lr=0.01)
         for g in grads:
-            state, params = adam_step(state, params, [g])
-        return params[0]
+            adam_step(state, [g])
+        return state.params[0]
     np.testing.assert_array_equal(run(), run())
 
 
@@ -310,11 +315,10 @@ def check_adam_in_place_matches_list_rule(dtype):
     state = init_adam(start, lr=0.01)
     assert all(buf.dtype == dtype for buf in (state.p, state.m, state.v, state.g,
                                                state.scratch))
-    params = state.params
     for grads in grad_steps():
-        state, params = adam_step(state, params, grads)
+        adam_step(state, grads)
     assert state.t == 300
-    for got, want in zip(params, expected):
+    for got, want in zip(state.params, expected):
         assert got.dtype == want.dtype == dtype
         assert np.array_equal(got, want)
 
@@ -327,24 +331,32 @@ def test_adam_in_place_matches_list_rule_float32():
     check_adam_in_place_matches_list_rule(np.float32)
 
 
-def test_adam_updates_own_buffer_only():
+def test_adam_reads_grads_and_updates_state_params_in_place():
     params = [np.ones((2, 3)), np.zeros(4)]
     grads = [np.full((2, 3), 0.5), np.full(4, -0.25)]
     state = init_adam(params)
-    _, new = adam_step(state, params, grads)
-    assert np.array_equal(params[0], np.ones((2, 3)))
+    views, p = list(state.params), state.p
+    assert adam_step(state, grads) is None
+    # the caller's params were copied at init and its grads are read only
+    assert np.array_equal(params[0], np.ones((2, 3))) and np.array_equal(params[1], np.zeros(4))
+    assert np.array_equal(grads[0], np.full((2, 3), 0.5))
     assert np.array_equal(grads[1], np.full(4, -0.25))
-    assert all(a is b for a, b in zip(new, state.params))
-    assert all(np.shares_memory(a, state.p) for a in new)
+    # the step moved the state's own views of its one buffer
+    assert state.p is p and all(a is b for a, b in zip(state.params, views))
+    assert all(np.shares_memory(a, state.p) for a in state.params)
     assert state.p.size == 10 and state.p.flags.c_contiguous
+    np.testing.assert_allclose(state.params[0], 1.0 - 1e-3, rtol=1e-6)
+    np.testing.assert_allclose(state.params[1], 1e-3, rtol=1e-6)
 
 
 def test_adam_shape_mismatch():
     state = init_adam([np.zeros(2)])
     with pytest.raises(ValueError, match="optimizer state"):
-        adam_step(state, [np.zeros(2), np.zeros(3)], [np.zeros(2), np.zeros(3)])
-    with pytest.raises(ValueError, match="optimizer state"):
-        adam_step(state, [np.zeros(2)], [np.zeros(3)])
+        adam_step(state, [np.zeros(2), np.zeros(3)])
+    for wrong in (np.zeros(3), np.zeros(1), np.zeros((2, 1))):  # (1,) would broadcast
+        with pytest.raises(ValueError, match="optimizer state"):
+            adam_step(state, [wrong])
+    assert state.t == 0 and not state.g.any()
 
 
 # ---------------------------------------------------------------- grad check

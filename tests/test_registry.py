@@ -10,13 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import memesent
-from _util import hue_band_tensors, synthetic_corpus
+from _util import hue_band_tensors, run_python, synthetic_corpus
 from memesent import cli
 from memesent.base import Estimator, SavedModel
 from memesent.config import _SECTIONS, MODEL_KINDS, RunConfig
 from memesent.corpus import Dataset, MemeRecord
 from memesent.errors import DataFormatError, NumericError
 from memesent.models import MODEL_CLASSES, load_model, model_from_container, write_hsv_tensor
+from memesent.models.bow import build_bow_vocab
+from memesent.models.ffnn import BowFfnnClassifier
+from memesent.models.fusion import BimodalFusionClassifier, fusion_train
+from memesent.models.naive_bayes import MultinomialNaiveBayes, nb_train
 from memesent.nn import TrainConfig
 from memesent.persist import load_container, save_container
 
@@ -173,10 +177,43 @@ def test_training_defaults_are_train_config_defaults():
         name: train[name] for name in _SECTIONS["train"]}
 
 
+def _defaults(fn):
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not p.empty}
+
+
+def test_model_defaults_are_estimator_defaults():
+    run = RunConfig()
+    covered = set()
+    for cls in _estimator_classes():
+        params = cls(**{"table": None} if "table" in cls._param_names() else {}).get_params()
+        for name in set(_SECTIONS["model"]) & set(params):
+            assert params[name] == getattr(run, name), (cls.__name__, name)
+            covered.add(name)
+    assert covered == {"alpha", "vocab_size", "hidden", "activation", "init_mode",
+                       "init_sigma", "folds", "in_sample"}
+
+
+def test_functional_front_ends_have_their_classes_defaults():
+    assert _defaults(nb_train)["alpha"] == MultinomialNaiveBayes().alpha
+    fusion = BimodalFusionClassifier().get_params()
+    assert _defaults(fusion_train) == {"lam": fusion["lam"], "epochs": fusion["stacker_epochs"],
+                                       "lr": fusion["stacker_lr"], "seed": fusion["seed"]}
+    assert _defaults(build_bow_vocab)["max_size"] == BowFfnnClassifier().vocab_size
+
+
 def test_saved_models_are_registered():
     # every concrete (KIND-tagged) saved model is in the loader's registry
     saved = [cls for cls in _estimator_classes() if issubclass(cls, SavedModel) and cls.KIND]
     assert sorted(cls.KIND for cls in saved) == sorted(MODEL_CLASSES)
+
+
+def test_importing_one_module_loads_only_what_it_imports():
+    # the package root re-exports nothing, so it pulls in no models or eval
+    proc = run_python("-c", "import sys, memesent.persist; "
+                            "print(*sorted(m for m in sys.modules if m.startswith('memesent')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["memesent", "memesent.errors", "memesent.persist"]
 
 
 def _memesent_modules():
