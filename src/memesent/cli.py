@@ -14,6 +14,7 @@ import ctypes
 import itertools
 import json
 import logging
+import math
 import multiprocessing
 import os
 import sys
@@ -41,18 +42,13 @@ from .corpus import (
 from .embeddings import EmbeddingTable, load_embeddings
 from .errors import ConfigError, DataFormatError, NumericError
 from .eval import EvalReport, compare_report, macro_f1, stability_study
-from .models import (
-    MODEL_CLASSES,
-    BimodalFusionClassifier,
-    BowFfnnClassifier,
-    HsvCnnClassifier,
-    MultinomialNaiveBayes,
-    Word2vecFfnnClassifier,
-    load_hsv_input,
-    model_from_container,
-)
+from .models.cnn import HsvCnnClassifier
+from .models.ffnn import BowFfnnClassifier, Word2vecFfnnClassifier
+from .models.fusion import BimodalFusionClassifier
+from .models.image import load_hsv_input
+from .models.naive_bayes import MultinomialNaiveBayes
 from .persist import load_container
-from .textprep import PrepConfig, preprocess
+from .textprep import preprocess
 
 __all__ = [
     "main",
@@ -122,8 +118,9 @@ def _fusion(cls, cfg: RunConfig, seed: int, **given):
     )
 
 
-# config model kind -> (class, build(cls, cfg, seed, table=...), inputs(ds,
-# base_dir)); inputs are the positional arguments of fit and predict_proba
+# the one model registry: config model kind -> (class, build(cls, cfg, seed,
+# table=...), inputs(ds, base_dir)); inputs are the positional arguments of
+# fit and predict_proba, and predict finds a file's class by its KIND
 _MODELS = {
     "nb": (MultinomialNaiveBayes, _estimator,
            lambda ds, base_dir: ([preprocess(c) for c in ds.captions()],)),
@@ -136,23 +133,23 @@ _MODELS = {
 }
 
 
-def _table_for(cls, cfg: RunConfig, ds: Dataset,
-               prep: PrepConfig | None = None) -> EmbeddingTable | None:
+def _table_for(cls, cfg: RunConfig, ds: Dataset, source: str = "") -> EmbeddingTable | None:
     """The embedding table a model of ``cls`` needs, if any. With
-    ``filter_embeddings`` it keeps only the dataset's tokens under
-    ``prep``, the model's preprocessing."""
+    ``filter_embeddings`` it keeps only the dataset's preprocessed tokens.
+    A missing embeddings path is a :class:`ConfigError` that begins with
+    ``source``, the model file's name if there is one."""
     if cls is not Word2vecFfnnClassifier:
         return None
     if not cfg.embeddings:
         raise ConfigError(
-            f"model {cls.KIND!r} requires an embeddings path "
+            f"{source}model {cls.KIND!r} requires an embeddings path "
             "(set [model] embeddings or --embeddings)"
         )
     vocab = None
     if cfg.filter_embeddings:
         vocab = set()
         for caption in ds.captions():
-            vocab.update(preprocess(caption, prep))
+            vocab.update(preprocess(caption))
     return load_embeddings(cfg.embeddings, cfg.embeddings_format, vocab_filter=vocab)
 
 
@@ -277,10 +274,12 @@ def cmd_train(cfg: RunConfig, workers: int = 1) -> int:
 def cmd_predict(cfg: RunConfig, model_path: str) -> int:
     ds, path = _load_dataset(cfg)
     header, arrays = load_container(model_path)
-    cls = MODEL_CLASSES.get(header.get("kind"))
-    prep = cls.saved_prep(header, model_path) if cls is Word2vecFfnnClassifier else None
-    table = _table_for(cls, cfg, ds, prep)
-    model = model_from_container(header, arrays, model_path, table)
+    kind = header.get("kind")
+    cls = next((cls for cls, _, _ in _MODELS.values() if cls.KIND == kind), None)
+    if cls is None:
+        raise DataFormatError(f"{model_path}: unknown model kind {kind!r}")
+    table = _table_for(cls, cfg, ds, f"{model_path}: ")
+    model = cls.from_container(header, arrays, model_path, *([] if table is None else [table]))
     try:
         probs = _model_proba(model, ds, path.parent)
     except NumericError as exc:
@@ -427,12 +426,15 @@ def _score_from_report(path: str) -> float:
     if not p.is_file():
         raise DataFormatError(f"report file not found: {p}")
     try:
-        data = json.loads(p.read_text(encoding="utf-8"))
+        # every number as a float: an integer too large for one becomes inf
+        data = json.loads(p.read_text(encoding="utf-8"), parse_int=float)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{p}: not valid JSON: {exc}") from exc
     for key in ("macro_f1", "mean"):
         if isinstance(data, dict) and key in data:
-            return float(data[key])
+            if not (isinstance(data[key], float) and math.isfinite(data[key])):
+                raise DataFormatError(f"{p}: {key} is {data[key]!r}, not a finite number")
+            return data[key]
     raise DataFormatError(f"{p}: no macro_f1 or mean field to compare")
 
 

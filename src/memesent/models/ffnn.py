@@ -9,7 +9,9 @@ featurizers in front of it: ``Word2vecFfnnClassifier`` mean-pools
 embeddings of the preprocessed tokens, ``BowFfnnClassifier`` builds
 bag-of-words presence vectors. They differ only in ``_features`` and in
 the extra header fields they save; fit, predict and persistence are
-shared. All use scaled initialization by default: the literal
+shared. Both featurize with the one fixed pipeline, ``preprocess``; the
+header records it as ``prep``, and a file whose ``prep`` differs fails
+to load. All use scaled initialization by default: the literal
 standard-normal init saturates the 6-hidden-layer stack and does not
 train at desk scale. The nets are float32, and so are their saved
 arrays; a float64 file is cast down at load.
@@ -109,9 +111,6 @@ class _CaptionMlp(SavedModel, MlpClassifier):
     *context)``; the latter returns the unfitted model to restore into.
     """
 
-    def _prep(self) -> PrepConfig:
-        return self.prep if self.prep is not None else PrepConfig()
-
     def fit(self, captions: list[str], y):
         return super().fit(self._features(captions, fitting=True), y)
 
@@ -127,22 +126,19 @@ class _CaptionMlp(SavedModel, MlpClassifier):
         header = {
             "kind": self.KIND,
             "spec": self.spec_.to_dict(),
-            "prep": self._prep().to_dict(),
+            "prep": PrepConfig().to_dict(),
             **self._header(),
         }
         return header, dict(zip(param_shapes(self.spec_), self.params_))
 
     @classmethod
-    def saved_prep(cls, header: dict, path) -> PrepConfig:
-        """The preprocessing recorded in a saved model's header."""
-        with cls._reading(path):
-            return PrepConfig.from_dict(header["prep"])
-
-    @classmethod
     def _from_payload(cls, header, arrays, path, *context):
+        if header["prep"] != PrepConfig().to_dict():
+            raise DataFormatError(f"{path}: saved with another preprocessing "
+                                  "than the fixed pipeline")
         spec = NetSpec.from_dict(header["spec"])
         model = cls._from_header(header, spec, path, *context)
-        model.set_params(prep=cls.saved_prep(header, path), **_net_params(spec))
+        model.set_params(**_net_params(spec))
         model.spec_ = spec
         model.params_ = checked_arrays(arrays, param_shapes(spec), path, dtype=np.float32)
         return model
@@ -162,14 +158,12 @@ class Word2vecFfnnClassifier(_CaptionMlp):
     fit = _CaptionMlp.fit
     predict_proba = _CaptionMlp.predict_proba
 
-    def __init__(self, table: EmbeddingTable, prep: PrepConfig | None = None, **dense):
+    def __init__(self, table: EmbeddingTable, **dense):
         self.table = table
-        self.prep = prep
         super().__init__(**dense)
 
     def _features(self, captions: list[str], fitting: bool) -> np.ndarray:
-        prep = self._prep()
-        tokenized = [preprocess(c, prep) for c in captions]
+        tokenized = [preprocess(c) for c in captions]
         coverage = corpus_coverage(tokenized, self.table)
         logger.log(
             logging.WARNING if coverage.n_all_oov else logging.INFO,
@@ -205,14 +199,12 @@ class BowFfnnClassifier(_CaptionMlp):
     fit = _CaptionMlp.fit
     predict_proba = _CaptionMlp.predict_proba
 
-    def __init__(self, prep: PrepConfig | None = None, vocab_size: int = 5000, **dense):
-        self.prep = prep
+    def __init__(self, vocab_size: int = 5000, **dense):
         self.vocab_size = vocab_size
         super().__init__(**dense)
 
     def _features(self, captions: list[str], fitting: bool) -> np.ndarray:
-        prep = self._prep()
-        tokenized = [preprocess(c, prep) for c in captions]
+        tokenized = [preprocess(c) for c in captions]
         if fitting:
             self.vocab_ = build_bow_vocab(tokenized, self.vocab_size)
             if not len(self.vocab_):

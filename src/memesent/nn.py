@@ -217,8 +217,9 @@ def softmax_xent(
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"labels outside [0, {k})")
     m = logits.max(axis=1)
-    lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
-    loss = float(np.mean(lse - logits[np.arange(b), labels]))
+    with np.errstate(over="ignore"):  # finite logits wider than float64: loss inf
+        lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
+        loss = float(np.mean(lse - logits[np.arange(b), labels]))
     dlogits = softmax(logits)
     dlogits[np.arange(b), labels] -= 1.0
     dlogits /= b

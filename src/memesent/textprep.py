@@ -81,14 +81,6 @@ class PrepConfig:
             "strip_digits": self.strip_digits,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PrepConfig":
-        return cls(
-            stopwords=frozenset(d["stopwords"]),
-            lemmatize=bool(d["lemmatize"]),
-            strip_digits=bool(d["strip_digits"]),
-        )
-
 
 def _apply_suffix_rules(token: str, exceptions: frozenset[str]) -> str:
     """One rule application; returns the token unchanged if no rule fits."""

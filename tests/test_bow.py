@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memesent.errors import NotFittedError
-from memesent.models import BowFfnnClassifier, BowVocab, bow_vectorize, build_bow_vocab
+from memesent.models.bow import BowVocab, bow_vectorize, build_bow_vocab
+from memesent.models.ffnn import BowFfnnClassifier
 
 
 class TestBuildVocab:

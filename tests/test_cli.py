@@ -20,12 +20,14 @@ from memesent import eval as eval_module
 from memesent.cli import main
 from memesent.config import MODEL_KINDS
 from memesent.corpus import Dataset, MemeRecord, Sentiment, load_dataset, save_dataset
-from memesent.embeddings import EmbeddingTable, load_embeddings, write_word2vec_binary
+from memesent.embeddings import write_word2vec_binary
 from memesent.eval import macro_f1
-from memesent.models import HsvCnnClassifier, Word2vecFfnnClassifier, load_model
 from memesent.models.cnn import _SHAPES as _CNN_SHAPES
-from memesent.models.cnn import init_cnn_params
+from memesent.models.cnn import HsvCnnClassifier, init_cnn_params
+from memesent.models.ffnn import BowFfnnClassifier
+from memesent.models.fusion import BimodalFusionClassifier
 from memesent.models.image import read_hsv_tensor, write_hsv_tensor
+from memesent.models.naive_bayes import MultinomialNaiveBayes
 from memesent.nn import NetSpec, init_params, param_shapes
 from memesent.rng import substream
 from memesent.textprep import PrepConfig
@@ -375,29 +377,6 @@ class TestPredictEvaluate:
                    workspace["data"], "--out", workspace["dir"] / "p") == 2
         assert "model 'ffnn-w2v' requires an embeddings path" in capsys.readouterr().err
 
-    def test_w2v_filter_uses_the_saved_prep(self, tmp_path):
-        # unlemmatized, the model looks up 'memes' and 'cats', which a
-        # filter built with the default preprocessing ('meme', 'cat') drops
-        rng = np.random.default_rng(0)
-        words = ("memes", "meme", "cats", "cat", "dogs")
-        emb = tmp_path / "vectors.bin"
-        write_word2vec_binary(
-            EmbeddingTable(words, rng.standard_normal((len(words), 4))), emb)
-        captions = ["memes cats", "meme dogs", "cats", "memes", "dogs cat", "meme"]
-        data = tmp_path / "data.csv"
-        data.write_text("id,caption,label\n" + "".join(
-            f"m{i},{c},{('negative', 'neutral', 'positive')[i % 3]}\n"
-            for i, c in enumerate(captions)))
-        model = Word2vecFfnnClassifier(load_embeddings(emb), prep=PrepConfig(lemmatize=False),
-                                       epochs=2, seed=1).fit(captions, [0, 1, 2, 0, 1, 2])
-        model.save(tmp_path / "model.bin")
-        assert run("predict", "--model", tmp_path / "model.bin", "--dataset", data,
-                   "--embeddings", emb, "--out", tmp_path / "p") == 0
-        with open(tmp_path / "p" / "predictions.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        got = [[float(row[k]) for k in ("p_neg", "p_neu", "p_pos")] for row in rows]
-        assert np.array_equal(got, model.predict_proba(captions))
-
     def test_non_utf8_inputs_exit_2(self, workspace, capsys):
         bad_csv = workspace["dir"] / "latin1.csv"
         bad_csv.write_bytes(b"id,caption,label\nm1,caf\xe9,positive\n")
@@ -492,6 +471,9 @@ MALFORMED_MODELS = {
         {"token_log_likelihood": np.zeros((3, 0))},
     ),
     "w2v_missing_prep": _container({"kind": "ffnn-w2v", "spec": {}}, {}),
+    "kind_is_a_list": _container({"kind": ["x"]}, {}),
+    "bow_other_prep": _container({**_BOW_HEADER, "prep": PrepConfig(lemmatize=False).to_dict()},
+                                 _bow_arrays()),
     "missing_text": _container(
         {"kind": "fusion-bimodal", "image": {"kind": "cnn-hsv"}}, {}
     ),
@@ -522,15 +504,34 @@ def test_malformed_model_file_exit_2(workspace, capsys, name):
     assert err.startswith("error: ") and f"{name}.bin" in err
 
 
-@pytest.mark.parametrize("write", [
-    _nb_model(),
-    _container(_BOW_HEADER, _bow_arrays()),
-    _container(_CNN_HEADER, _cnn_arrays()),
-    _fusion_model(np.zeros((3, 6))),
+@pytest.mark.parametrize("cls, write", [
+    (MultinomialNaiveBayes, _nb_model()),
+    (BowFfnnClassifier, _container(_BOW_HEADER, _bow_arrays())),
+    (HsvCnnClassifier, _container(_CNN_HEADER, _cnn_arrays())),
+    (BimodalFusionClassifier, _fusion_model(np.zeros((3, 6)))),
 ], ids=["nb", "ffnn_bow", "cnn_hsv", "fusion"])
-def test_malformed_cases_change_a_valid_model(tmp_path, write):
+def test_malformed_cases_change_a_valid_model(tmp_path, cls, write):
     write(tmp_path / "valid.bin")
-    load_model(tmp_path / "valid.bin")
+    assert type(cls.load(tmp_path / "valid.bin")) is cls
+
+
+_W2V_SPEC = NetSpec(input_dim=8, hidden=(3,))  # over the workspace's 8-d table
+_W2V_HEADER = {"kind": "ffnn-w2v", "spec": _W2V_SPEC.to_dict(), "prep": _PREP,
+               "table": {"dim": 8}}
+
+
+@pytest.mark.parametrize("header, code", [
+    (_W2V_HEADER, 0),
+    ({**_W2V_HEADER, "prep": PrepConfig(stopwords=frozenset()).to_dict()}, 2),
+    ({k: v for k, v in _W2V_HEADER.items() if k != "prep"}, 2),
+], ids=["valid", "other_prep", "missing_prep"])
+def test_w2v_model_prep_is_checked_at_load(workspace, capsys, header, code):
+    path = workspace["dir"] / "w2v.bin"
+    _container(header, dict(zip(param_shapes(_W2V_SPEC), init_params(_W2V_SPEC))))(path)
+    assert run("predict", "--model", path, "--dataset", workspace["data"],
+               "--embeddings", workspace["emb"], "--out", workspace["dir"] / "p") == code
+    if code:
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 @pytest.mark.parametrize("weight, message", [
@@ -771,6 +772,24 @@ class TestCompare:
         bad = workspace["dir"] / "bad.json"
         bad.write_text("not json at all")
         assert run("compare", bad) == 2
+
+    @pytest.mark.parametrize("key", ["macro_f1", "mean"])
+    @pytest.mark.parametrize("value", [
+        "[0.5]", "null", '{"x": 1}', '"abc"', '"0.5"', "true", "NaN", "Infinity",
+        "1e400", "1" + "0" * 400,
+    ], ids=["list", "null", "object", "string", "numeric_string", "true", "nan", "inf",
+            "float_beyond_range", "int_beyond_range"])
+    def test_score_that_is_not_a_finite_number_exit_2(self, workspace, capsys, key, value):
+        bad = workspace["dir"] / "bad.json"
+        bad.write_text(f'{{"{key}": {value}}}')
+        assert run("compare", bad, "--out", workspace["dir"] / "cmp") == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: {key} is ")
+
+    def test_integer_score_ranks(self, workspace, capsys):
+        report = workspace["dir"] / "one.json"
+        report.write_text('{"mean": 1}')
+        assert run("compare", report, "--out", workspace["dir"] / "cmp") == 0
+        assert "1.0000" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("section, field", [

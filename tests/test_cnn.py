@@ -8,8 +8,9 @@ import pytest
 
 from _util import hue_band_tensors
 from memesent.errors import DataFormatError, NumericError
-from memesent.models import HsvCnnClassifier, cnn_grad_check
 from memesent.models.cnn import (
+    HsvCnnClassifier,
+    cnn_grad_check,
     _PREDICT_BLOCK,
     _conv_backward,
     _conv_gemm,

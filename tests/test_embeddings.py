@@ -409,7 +409,7 @@ def test_corpus_coverage(toy_table):
 
 def test_vectorizer_matches_function(toy_table):
     # the Word2Vec classifier's features are embed_corpus of the tokens
-    from memesent.models import Word2vecFfnnClassifier
+    from memesent.models.ffnn import Word2vecFfnnClassifier
 
     model = Word2vecFfnnClassifier(toy_table)
     X = model._features(["king queen", ""], fitting=True)

@@ -9,7 +9,7 @@ from memesent.corpus import stratified_split
 from memesent.embeddings import EmbeddingTable
 from memesent.errors import DataFormatError, NotFittedError, NumericError
 from memesent.eval import macro_f1
-from memesent.models import (
+from memesent.models.ffnn import (
     BowFfnnClassifier,
     MlpClassifier,
     Word2vecFfnnClassifier,

@@ -9,17 +9,16 @@ from hypothesis import strategies as st
 
 from _util import hue_band_tensors
 from memesent.errors import DataFormatError, NumericError
-from memesent.models.fusion import _stack_features
-from memesent.rng import substream
-from memesent.models import (
+from memesent.models.cnn import HsvCnnClassifier
+from memesent.models.ffnn import BowFfnnClassifier
+from memesent.models.fusion import (
     BimodalFusionClassifier,
-    BowFfnnClassifier,
     FusionStacker,
-    HsvCnnClassifier,
+    _stack_features,
     fusion_predict,
     fusion_train,
-    load_model,
 )
+from memesent.rng import substream
 
 
 def per_sample_stacker(text_probs, image_probs, labels, lam=1e-3, epochs=200, lr=0.1,
@@ -271,7 +270,7 @@ class TestBimodal:
         model = self.model().fit(captions, T, y)
         path = tmp_path / "fusion.bin"
         model.save(path)
-        back = load_model(path)
+        back = BimodalFusionClassifier.load(path)
         assert isinstance(back, BimodalFusionClassifier)
         assert np.array_equal(
             back.predict_proba(captions, T), model.predict_proba(captions, T)

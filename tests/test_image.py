@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memesent.errors import DataFormatError
-from memesent.models import (
+from memesent.models.image import (
     IMAGE_SIZE,
     bilinear_resize,
     hsv_from_image,

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memesent.errors import DataFormatError, NotFittedError, NumericError, TrainingError
-from memesent.models import MultinomialNaiveBayes, nb_train
+from memesent.models.naive_bayes import MultinomialNaiveBayes, nb_train
 
 TOY_X = [["good", "good", "fun"], ["bad", "sad"], ["fun", "bad"]]
 TOY_Y = [2, 0, 1]

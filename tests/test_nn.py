@@ -167,6 +167,13 @@ def test_softmax_of_scores_wider_than_float64_is_exact_and_silent():
     assert p.tolist() == [[0.0, 1.0, 0.0]]
 
 
+def test_xent_of_logits_wider_than_float64_is_inf_and_silent():
+    # the suite turns NumPy's overflow RuntimeWarning into an error
+    loss, dlogits = softmax_xent(np.array([[-1.7e308, 1.7e308, 0.0]]), np.array([0]))
+    assert loss == np.inf
+    assert dlogits.tolist() == [[-1.0, 1.0, 0.0]]
+
+
 def test_xent_uniform_logits():
     loss, _ = softmax_xent(np.zeros((4, 3)), np.array([0, 1, 2, 0]))
     assert loss == pytest.approx(np.log(3), abs=1e-12)

@@ -139,8 +139,9 @@ _BODY = _valid_body()
        tail=st.binary(max_size=12))
 def test_fuzzed_body_fails_typed(tmp_path, edits, cut, tail):
     """A body changed anywhere after the magic, with a valid checksum,
-    either loads or raises DataFormatError; so does building a model."""
-    from memesent.models import model_from_container
+    either loads or raises DataFormatError; so does building the Naive
+    Bayes model it held."""
+    from memesent.models.naive_bayes import MultinomialNaiveBayes
 
     body = bytearray(_BODY)
     for pos, value in edits:
@@ -149,6 +150,6 @@ def test_fuzzed_body_fails_typed(tmp_path, edits, cut, tail):
     path.write_bytes(_with_checksum(bytes(body[:cut]) + tail))
     try:
         header, arrays = load_container(path)
-        model_from_container(header, arrays, path)
+        MultinomialNaiveBayes.from_container(header, arrays, path)
     except DataFormatError:
         pass

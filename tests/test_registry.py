@@ -1,8 +1,11 @@
 """The model registry, the persistence protocol and the public API surface."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +19,10 @@ from memesent.base import Estimator, SavedModel
 from memesent.config import _SECTIONS, MODEL_KINDS, RunConfig
 from memesent.corpus import Dataset, MemeRecord
 from memesent.errors import DataFormatError, NumericError
-from memesent.models import MODEL_CLASSES, load_model, model_from_container, write_hsv_tensor
 from memesent.models.bow import build_bow_vocab
-from memesent.models.ffnn import BowFfnnClassifier
+from memesent.models.ffnn import BowFfnnClassifier, Word2vecFfnnClassifier
 from memesent.models.fusion import BimodalFusionClassifier, fusion_train
+from memesent.models.image import write_hsv_tensor
 from memesent.models.naive_bayes import MultinomialNaiveBayes, nb_train
 from memesent.nn import TrainConfig
 from memesent.persist import load_container, save_container
@@ -39,11 +42,16 @@ def captioned_images(tmp_path_factory):
     return Dataset(records=tuple(records)), base, table
 
 
+def _load(kind, path, table):
+    """The saved model of config kind ``kind``, through its class's ``load``."""
+    cls = cli._MODELS[kind][0]
+    return cls.load(path, table) if cls is Word2vecFfnnClassifier else cls.load(path)
+
+
 def test_registry_covers_every_model_kind():
     assert set(cli._MODELS) == set(MODEL_KINDS)
-    classes = [cls for cls, _, _ in cli._MODELS.values()]
-    assert sorted(cls.KIND for cls in classes) == sorted(MODEL_CLASSES)
-    assert all(MODEL_CLASSES[cls.KIND] is cls for cls in classes)
+    kinds = [cls.KIND for cls, _, _ in cli._MODELS.values()]
+    assert all(kinds) and len(set(kinds)) == len(kinds)
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -54,7 +62,7 @@ def test_train_save_load_predict_identical(kind, captioned_images, tmp_path):
     assert type(model) is cli._MODELS[kind][0]
     path = tmp_path / "model.bin"
     model.save(path)
-    back = load_model(path, table)
+    back = _load(kind, path, table)
     assert type(back) is type(model)
     probs = cli._model_proba(model, ds, base)
     assert probs.shape == (len(ds), 3)
@@ -109,7 +117,7 @@ def test_perturbed_arrays_fail_typed_or_predict_probabilities(
     path = base / f"perturbed_{kind}.bin"
     save_container(path, header, data.draw(_perturbed(arrays)))
     try:
-        model = model_from_container(*load_container(path), path, table)
+        model = _load(kind, path, table)
     except DataFormatError as exc:
         assert str(path) in str(exc)
         return
@@ -129,7 +137,7 @@ def test_config_fields_reach_the_estimators(captioned_images):
     model = build(cls, cfg, 11, table=table)
     assert (model.folds, model.in_sample, model.seed) == (3, True, 11)
     assert model.text.get_params() == dict(
-        prep=None, vocab_size=7, hidden=(5, 4), activation="relu", init_mode="scaled",
+        vocab_size=7, hidden=(5, 4), activation="relu", init_mode="scaled",
         init_sigma=1.0, batch_size=9, epochs=1, lr=0.01, shuffle=False, seed=11,
     )
     assert model.image.get_params() == dict(
@@ -203,17 +211,33 @@ def test_functional_front_ends_have_their_classes_defaults():
 
 
 def test_saved_models_are_registered():
-    # every concrete (KIND-tagged) saved model is in the loader's registry
+    # every concrete (KIND-tagged) saved model is in the CLI's registry
     saved = [cls for cls in _estimator_classes() if issubclass(cls, SavedModel) and cls.KIND]
-    assert sorted(cls.KIND for cls in saved) == sorted(MODEL_CLASSES)
+    assert set(saved) == {cls for cls, _, _ in cli._MODELS.values()}
 
 
 def test_importing_one_module_loads_only_what_it_imports():
-    # the package root re-exports nothing, so it pulls in no models or eval
-    proc = run_python("-c", "import sys, memesent.persist; "
-                            "print(*sorted(m for m in sys.modules if m.startswith('memesent')))")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["memesent", "memesent.errors", "memesent.persist"]
+    # neither the package root nor memesent.models re-exports anything
+    for module, loaded in (
+        ("memesent.persist", ["memesent", "memesent.errors", "memesent.persist"]),
+        ("memesent.models.image",
+         ["memesent", "memesent.errors", "memesent.models", "memesent.models.image"]),
+    ):
+        proc = run_python("-c", f"import sys, {module}; print(*sorted("
+                                "m for m in sys.modules if m.startswith('memesent')))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == loaded
+
+
+def test_readme_imports_resolve():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    imports = [node for block in blocks for node in ast.walk(ast.parse(block))
+               if isinstance(node, ast.ImportFrom) and node.module.startswith("memesent")]
+    assert imports
+    missing = [f"{node.module}.{alias.name}" for node in imports for alias in node.names
+               if not hasattr(importlib.import_module(node.module), alias.name)]
+    assert missing == []
 
 
 def _memesent_modules():

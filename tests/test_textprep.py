@@ -82,10 +82,11 @@ def test_default_stopwords_contents():
     assert "unhappy" not in sw
 
 
-def test_prepconfig_dict_roundtrip():
-    cfg = PrepConfig(stopwords=frozenset({"a", "b"}), lemmatize=False,
+def test_prepconfig_to_dict():
+    cfg = PrepConfig(stopwords=frozenset({"b", "a"}), lemmatize=False,
                      strip_digits=True)
-    assert PrepConfig.from_dict(cfg.to_dict()) == cfg
+    assert cfg.to_dict() == {"stopwords": ["a", "b"], "lemmatize": False,
+                             "strip_digits": True}
 
 
 token_strategy = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=12)
