@@ -278,6 +278,8 @@ def cmd_predict(cfg: RunConfig, model_path: str) -> int:
     cls = next((cls for cls, _, _ in _MODELS.values() if cls.KIND == kind), None)
     if cls is None:
         raise DataFormatError(f"{model_path}: unknown model kind {kind!r}")
+    if cls is Word2vecFfnnClassifier:  # its header first: the table takes long to read
+        cls.saved_spec(header, model_path)
     table = _table_for(cls, cfg, ds, f"{model_path}: ")
     model = cls.from_container(header, arrays, model_path, *([] if table is None else [table]))
     try:

@@ -149,13 +149,16 @@ def _parse_value(name: str, raw: str):
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Read a UTF-8 INI config; unknown sections or keys are errors."""
+    """Read a UTF-8 INI config from any readable path (``/dev/null`` or a
+    pipe too); unknown sections or keys are errors."""
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:  # a directory, say
+        raise ConfigError(f"{path}: cannot read the config: {exc.strerror}") from exc
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     cfg = RunConfig()

@@ -11,24 +11,29 @@ gradients in the same order. Training is the dense core's loop
 (``nn.fit_adam``: loss, Adam, seeded shuffling) and the gradient check
 its checker (``nn.check_gradients``), both on that list as it is.
 
+The convolution stages keep their arrays as (channels, height, width,
+batch), and each (n, 32, 32, 3) batch is copied once into that layout.
 Convolutions are im2col GEMMs (Chellapilla, Puri & Simard 2006): the
-input's 3x3 patches are copied once into a patch matrix, which is
-multiplied by the kernel reshaped to (out channels, C*3*3). The forward
-pass keeps the patch matrices for the backward pass, where the kernel
-gradient is a GEMM against them per sample, summed over the batch, and
-the input gradient a GEMM followed by a col2im scatter-add, one strided
-add per kernel offset. The first layer's input gradient is not
-computed. Prediction runs the forward pass in blocks of
-``_PREDICT_BLOCK`` rows, so its memory does not grow with the number of
-rows. A fit, a prediction and a gradient check each allocate through one
-:class:`Workspace`, so every step or block reuses the first one's patch
-matrices, activations and pooling buffers instead of allocating them again.
+kernel, reshaped to (out channels, C*3*3), times the (C*3*3, OH*OW*n)
+patch matrix is the whole batch's convolution in one GEMM, and the
+kernel and patch gradients are one GEMM each. col2im folds the patch
+gradients back with one add per kernel offset, over runs of OW*n
+contiguous elements; the first layer's input gradient is not computed.
+Max-pool is two pairwise maxima, over column pairs and then row pairs,
+each keeping the lower index on a tie: the first maximum in window
+order. ReLU follows the pool, with which it commutes, so the backward
+pass routes through two winner masks and one pooled-size on-mask.
+Prediction runs the forward pass in blocks of ``_PREDICT_BLOCK`` rows,
+so its memory does not grow with the number of rows. A fit, a
+prediction and a gradient check each allocate through one
+:class:`Workspace`, whose arrays every step or block reuses.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..base import (
     AdamEstimator,
@@ -68,105 +73,92 @@ def init_cnn_params(seed: int) -> list[np.ndarray]:
             for name, shape in _SHAPES.items()]
 
 
-class Workspace:
+class Workspace(dict):
     """The intermediates of a forward and backward pass, kept for the next.
 
-    ``workspace(name, shape)`` returns the first ``shape[0]`` rows of the
-    float64 array of that name, made on first use, so every step of a fit
-    (the short last batch too) works in the same memory. Fresh arrays of
-    these sizes (3.1 MB for conv1's patch matrix at batch 16, about 10 MB
-    in all) let the C heap shrink back at the end of each step and fault
-    its pages in again on the next one.
+    ``workspace(name, shape, dtype)`` returns the first ``prod(shape)``
+    elements of the flat array of that name (made when missing or too
+    small), reshaped, so every step of a fit (the short last batch too)
+    works in the same memory. Fresh arrays of these sizes (3.1 MB for
+    conv1's patch matrix at batch 16, about 11 MB in all) let the C heap
+    shrink back at the end of each step and fault its pages in again on
+    the next one.
     """
 
-    def __init__(self):
-        self._arrays: dict[str, np.ndarray] = {}
-
-    def __call__(self, name, shape):
-        arr = self._arrays.get(name)
-        if arr is None or len(arr) < shape[0] or arr.shape[1:] != tuple(shape[1:]):
-            arr = self._arrays[name] = np.empty(shape)
-        return arr[: shape[0]]
+    def __call__(self, name, shape, dtype=np.float64):
+        size = math.prod(shape)
+        arr = self.get(name)
+        if arr is None or arr.size < size:
+            arr = self[name] = np.empty(size, dtype)
+        return arr[:size].reshape(shape)
 
 
-def _im2col(X, kh, kw, new, tag=""):
-    """Patch matrix of a valid kh x kw convolution: (n, C*kh*kw, OH*OW).
-
-    Rows run in ``(c, u, v)`` order, the order of ``K.reshape(OC, -1)``;
-    columns are output pixels in row-major order, so the product with
-    the reshaped kernel is already channel-first.
-    """
-    n, C = X.shape[:2]
-    win = sliding_window_view(X, (kh, kw), axis=(2, 3))  # (n, C, OH, OW, kh, kw)
-    OH, OW = win.shape[2:4]
-    patches = win.transpose(0, 1, 4, 5, 2, 3)
-    cols = new("cols" + tag, (n, C * kh * kw, OH * OW))
-    cols.reshape(patches.shape)[...] = patches
-    return cols
-
-
-def _conv_gemm(cols, K, b, in_shape, new, tag=""):
-    """Valid convolution from the input's patch matrix ``cols``."""
-    n, _, H, W = in_shape
+def _conv(X, K, b, new, tag=""):
+    """Valid convolution of the (C, H, W, n) input ``X``: the (OC, OH, OW,
+    n) output and the (C*kh*kw, OH*OW*n) patch matrix, whose rows run in
+    ``(c, u, v)`` order, the order of ``K.reshape(OC, -1)``."""
+    C, H, W, n = X.shape
     OC, _, kh, kw = K.shape
-    out = np.matmul(K.reshape(OC, -1), cols, out=new("z" + tag, (n, OC, cols.shape[2])))
+    OH, OW = H - kh + 1, W - kw + 1
+    cols = new("cols" + tag, (C, kh, kw, OH, OW, n))
+    for u, v in np.ndindex(kh, kw):
+        cols[:, u, v] = X[:, u : u + OH, v : v + OW]
+    cols = cols.reshape(C * kh * kw, OH * OW * n)
+    out = np.matmul(K.reshape(OC, -1), cols, out=new("z" + tag, (OC, OH * OW * n)))
     out += b[:, None]
-    return out.reshape(n, OC, H - kh + 1, W - kw + 1)
+    return out.reshape(OC, OH, OW, n), cols
 
 
-def _conv_backward(dout, cols, K, new, in_shape=None, tag=""):
-    """Gradients of a valid convolution, given its input's patch matrix.
+def _kernel_grads(dout, cols, K):
+    """Kernel and bias gradients of a convolution from its patch matrix."""
+    d2 = dout.reshape(len(K), -1)
+    return (d2 @ cols.T).reshape(K.shape), d2.sum(axis=1)
 
-    Returns ``(dX, dK, db)``. ``dX`` is computed only when ``in_shape``
-    is given, and is None otherwise (the first layer needs none): a GEMM
-    gives the patch gradients, which col2im folds back onto the input
-    with one strided add per kernel offset.
-    """
-    n, OC, OH, OW = dout.shape
-    d2 = dout.reshape(n, OC, OH * OW)
-    # per-sample GEMMs summed over the batch: a single (OC, n*P) x
-    # (n*P, C*kh*kw) GEMM needs two transposed copies and measured slower
-    dK = np.matmul(d2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(K.shape)
-    db = d2.sum(axis=(0, 2))
-    if in_shape is None:
-        return None, dK, db
-    _, C, kh, kw = K.shape
-    dcols = np.matmul(K.reshape(OC, -1).T, d2, out=new("dcols" + tag, cols.shape))
-    dcols = dcols.reshape(n, C, kh, kw, OH, OW)
+
+def _input_grad(dout, K, in_shape, new, tag=""):
+    """Input gradient of a convolution: the patch gradients, then col2im."""
+    C, H, W, n = in_shape
+    OC, _, kh, kw = K.shape
+    OH, OW = H - kh + 1, W - kw + 1
+    dcols = np.matmul(K.reshape(OC, -1).T, dout.reshape(OC, -1),
+                      out=new("dcols" + tag, (C * kh * kw, OH * OW * n)))
+    dcols = dcols.reshape(C, kh, kw, OH, OW, n)
     dX = new("dX" + tag, in_shape)
     dX.fill(0.0)
-    for u in range(kh):
-        for v in range(kw):
-            dX[:, :, u : u + OH, v : v + OW] += dcols[:, :, u, v]
-    return dX, dK, db
-
-
-def _pool_forward(X, new, tag=""):
-    """2x2 stride-2 max pool; returns (out, winner index per window)."""
-    n, C, H, W = X.shape
-    OH, OW = H // 2, W // 2
-    win = new("win" + tag, (n, C, OH, OW, 4))
-    win.reshape(n, C, OH, OW, 2, 2)[...] = (
-        X[:, :, : OH * 2, : OW * 2]
-        .reshape(n, C, OH, 2, OW, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-    )
-    idx = win.argmax(axis=-1)  # first maximum wins ties
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-    return out, idx
-
-
-def _pool_backward(dout, idx, in_shape, new, tag=""):
-    n, C, H, W = in_shape
-    OH, OW = H // 2, W // 2
-    dwin = new("dwin" + tag, (n, C, OH, OW, 4))
-    dwin.fill(0.0)
-    np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=-1)
-    dX = new("dpool" + tag, in_shape)
-    dX.fill(0.0)
-    for k, (u, v) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        dX[:, :, u : OH * 2 : 2, v : OW * 2 : 2] = dwin[..., k]
+    for u, v in np.ndindex(kh, kw):
+        dX[:, u : u + OH, v : v + OW] += dcols[:, u, v]
     return dX
+
+
+def _pool_relu(Z, new, tag=""):
+    """ReLU of the 2x2 stride-2 max-pool of the (C, H, W, n) ``Z``, and the
+    masks of where the right column of a pair won, where the bottom row
+    won, and where the output is positive (a tie keeps left, then top)."""
+    H, W = Z.shape[1] // 2 * 2, Z.shape[2] // 2 * 2  # an odd last row or column is dropped
+    left, right = Z[:, :H, 0:W:2], Z[:, :H, 1:W:2]
+    right_won = np.greater(right, left, out=new("right" + tag, left.shape, bool))
+    rows = np.maximum(left, right, out=new("rows" + tag, left.shape))
+    top, bottom = rows[:, 0::2], rows[:, 1::2]
+    bottom_won = np.greater(bottom, top, out=new("bottom" + tag, top.shape, bool))
+    out = np.maximum(top, bottom, out=new("pool" + tag, top.shape))
+    on = np.greater(out, 0.0, out=new("on" + tag, top.shape, bool))
+    return np.maximum(out, 0.0, out=out), (right_won, bottom_won, on)
+
+
+def _pool_relu_backward(dout, masks, in_shape, new, tag=""):
+    """Gradient of ``_pool_relu``, routed to the winners: of each pair the
+    winner gets ``d * won`` and the other ``d - d * won``, exactly d or 0."""
+    right_won, bottom_won, on = masks
+    _, OH, OW, _ = on.shape
+    dpool = np.multiply(dout, on, out=new("dpool" + tag, on.shape))
+    drows = new("drows" + tag, right_won.shape)
+    np.multiply(dpool, bottom_won, out=drows[:, 1::2])
+    np.subtract(dpool, drows[:, 1::2], out=drows[:, 0::2])
+    dZ = new("dZ" + tag, in_shape)
+    dZ[:, 2 * OH :] = dZ[:, :, 2 * OW :] = 0.0  # the dropped odd edge
+    dright = np.multiply(drows, right_won, out=dZ[:, : 2 * OH, 1 : 2 * OW : 2])
+    np.subtract(drows, dright, out=dZ[:, : 2 * OH, 0 : 2 * OW : 2])
+    return dZ
 
 
 def _check_tensors(T) -> np.ndarray:
@@ -188,21 +180,18 @@ def cnn_forward(
     :class:`Workspace` ``new`` (a fresh one when None) until its next pass."""
     K1, b1, K2, b2, W3, b3, W4, b4 = params
     new = new if new is not None else Workspace()
-    X = T.transpose(0, 3, 1, 2)  # to channel-first
-    cols1 = _im2col(X, *K1.shape[2:], new, "1")
-    z1 = _conv_gemm(cols1, K1, b1, X.shape, new, "1")
-    a1 = np.maximum(z1, 0.0, out=new("a1", z1.shape))
-    p1, idx1 = _pool_forward(a1, new, "1")
-    cols2 = _im2col(p1, *K2.shape[2:], new, "2")
-    z2 = _conv_gemm(cols2, K2, b2, p1.shape, new, "2")
-    a2 = np.maximum(z2, 0.0, out=new("a2", z2.shape))
-    p2, idx2 = _pool_forward(a2, new, "2")
-    flat = p2.reshape(len(T), -1)
+    X = new("X", (3, IMAGE_SIZE, IMAGE_SIZE, len(T)))
+    X[...] = T.transpose(3, 1, 2, 0)
+    z1, cols1 = _conv(X, K1, b1, new, "1")
+    a1, masks1 = _pool_relu(z1, new, "1")
+    z2, cols2 = _conv(a1, K2, b2, new, "2")
+    a2, masks2 = _pool_relu(z2, new, "2")
+    flat = a2.reshape(-1, len(T)).T  # (n, C*H*W), the order of W3's columns
     z3 = flat @ W3.T + b3
     a3 = np.maximum(z3, 0.0)
     logits = a3 @ W4.T + b4
-    cache = dict(cols1=cols1, z1=z1, a1=a1, idx1=idx1, p1=p1, cols2=cols2,
-                 z2=z2, a2=a2, idx2=idx2, p2=p2, flat=flat, z3=z3, a3=a3)
+    cache = dict(cols1=cols1, z1=z1, masks1=masks1, a1=a1, cols2=cols2, z2=z2,
+                 masks2=masks2, a2=a2, flat=flat, z3=z3, a3=a3)
     return logits, cache
 
 
@@ -220,15 +209,12 @@ def cnn_backward(
     dz3 = da3 * (cache["z3"] > 0.0)
     dW3 = dz3.T @ cache["flat"]
     db3 = dz3.sum(axis=0)
-    dflat = dz3 @ W3
-    dp2 = dflat.reshape(cache["p2"].shape)
-    dz2 = _pool_backward(dp2, cache["idx2"], cache["a2"].shape, new, "2")
-    dz2 *= cache["z2"] > 0.0
-    dp1, dK2, db2 = _conv_backward(dz2, cache["cols2"], K2, new,
-                                   cache["p1"].shape, "2")
-    dz1 = _pool_backward(dp1, cache["idx1"], cache["a1"].shape, new, "1")
-    dz1 *= cache["z1"] > 0.0
-    _, dK1, db1 = _conv_backward(dz1, cache["cols1"], K1, new)
+    da2 = (W3.T @ dz3.T).reshape(cache["a2"].shape)
+    dz2 = _pool_relu_backward(da2, cache["masks2"], cache["z2"].shape, new, "2")
+    dK2, db2 = _kernel_grads(dz2, cache["cols2"], K2)
+    da1 = _input_grad(dz2, K2, cache["a1"].shape, new, "2")
+    dz1 = _pool_relu_backward(da1, cache["masks1"], cache["z1"].shape, new, "1")
+    dK1, db1 = _kernel_grads(dz1, cache["cols1"], K1)
     return [dK1, db1, dK2, db2, dW3, db3, dW4, db4]
 
 
@@ -242,8 +228,8 @@ def cnn_grad_check(
     min_grad: float = 1e-5,
 ) -> float:
     """``nn.check_gradients`` for the CNN at ``params`` on the batch
-    (T, y); the pattern is every ReLU's on/off state and every pooling
-    winner."""
+    (T, y); the pattern is every pooling winner and every ReLU's on/off
+    state."""
     T = _check_tensors(T)
     y = as_label_array(y)
     workspace = Workspace()
@@ -254,8 +240,8 @@ def cnn_grad_check(
     def loss_and_pattern():
         logits, cache = cnn_forward(params, T, workspace)
         loss, _ = softmax_xent(logits, y)
-        relus = [(cache[z] > 0.0).tobytes() for z in ("z1", "z2", "z3")]
-        return loss, (*relus, cache["idx1"].tobytes(), cache["idx2"].tobytes())
+        masks = (*cache["masks1"], *cache["masks2"], cache["z3"] > 0.0)
+        return loss, tuple(m.tobytes() for m in masks)
 
     return check_gradients(params, grads, loss_and_pattern,
                            eps, max_per_tensor, seed, min_grad)

@@ -132,11 +132,19 @@ class _CaptionMlp(SavedModel, MlpClassifier):
         return header, dict(zip(param_shapes(self.spec_), self.params_))
 
     @classmethod
+    def saved_spec(cls, header, path) -> NetSpec:
+        """The net spec of a saved header, checking first that its ``prep``
+        is the fixed pipeline; a caller can check a header this way before
+        it reads the context (the embedding table) that loading needs."""
+        with cls._reading(path):
+            if header["prep"] != PrepConfig().to_dict():
+                raise DataFormatError(f"{path}: saved with another preprocessing "
+                                      "than the fixed pipeline")
+            return NetSpec.from_dict(header["spec"])
+
+    @classmethod
     def _from_payload(cls, header, arrays, path, *context):
-        if header["prep"] != PrepConfig().to_dict():
-            raise DataFormatError(f"{path}: saved with another preprocessing "
-                                  "than the fixed pipeline")
-        spec = NetSpec.from_dict(header["spec"])
+        spec = cls.saved_spec(header, path)
         model = cls._from_header(header, spec, path, *context)
         model.set_params(**_net_params(spec))
         model.spec_ = spec

@@ -9,8 +9,6 @@ real Memotion training data and is skipped unless both
 file) are set.
 """
 
-import csv
-import json
 import os
 import time
 

@@ -534,6 +534,37 @@ def test_w2v_model_prep_is_checked_at_load(workspace, capsys, header, code):
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
+@pytest.mark.parametrize("embeddings", [(), ("--embeddings", "absent.bin")],
+                         ids=["no_embeddings", "missing_embeddings"])
+def test_w2v_header_checked_before_the_table(workspace, capsys, embeddings):
+    # the model file's own fault, not the missing table's
+    path = workspace["dir"] / "w2v.bin"
+    header = {**_W2V_HEADER, "prep": PrepConfig(stopwords=frozenset()).to_dict()}
+    _container(header, dict(zip(param_shapes(_W2V_SPEC), init_params(_W2V_SPEC))))(path)
+    embeddings = [workspace["dir"] / a if a.endswith(".bin") else a for a in embeddings]
+    assert run("predict", "--model", path, "--dataset", workspace["data"], *embeddings,
+               "--out", workspace["dir"] / "p") == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: saved with another preprocessing")
+
+
+@pytest.mark.parametrize("config, error", [
+    ("/dev/null", None),
+    ("absent.ini", "config file not found: {path}"),
+    ("a_directory", "{path}: cannot read the config"),
+], ids=["dev_null", "missing", "directory"])
+def test_config_path_that_is_not_a_regular_file(workspace, capsys, config, error):
+    (workspace["dir"] / "a_directory").mkdir()
+    path = workspace["dir"] / config  # an absolute config stays as it is
+    rc = run("prepare", "--config", path, "--dataset", workspace["data"],
+             "--out", workspace["dir"] / "o")
+    err = capsys.readouterr().err
+    if error is None:
+        assert rc == 0, err
+    else:
+        assert rc == 2 and err.startswith("error: " + error.format(path=path)), err
+
+
 @pytest.mark.parametrize("weight, message", [
     (1e200, "array 'W0' holds non-finite values"),  # inf once cast to float32
     (1e30, "the net's logits are not finite"),      # fits float32; the logits overflow

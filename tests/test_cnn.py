@@ -12,11 +12,11 @@ from memesent.models.cnn import (
     HsvCnnClassifier,
     cnn_grad_check,
     _PREDICT_BLOCK,
-    _conv_backward,
-    _conv_gemm,
-    _im2col,
-    _pool_backward,
-    _pool_forward,
+    _conv,
+    _input_grad,
+    _kernel_grads,
+    _pool_relu,
+    _pool_relu_backward,
     Workspace,
     cnn_backward,
     cnn_forward,
@@ -29,14 +29,23 @@ def cnn_train(T, y, cfg=TrainConfig()):
     return HsvCnnClassifier(**vars(cfg)).fit(T, y)
 
 
-def fresh(name, shape):
+def fresh(name, shape, dtype=np.float64):
     """A new array for every intermediate: what a workspace saves."""
-    return np.empty(shape)
+    return np.empty(shape, dtype)
+
+
+def batch_last(X):
+    """(n, C, H, W) to the module's (C, H, W, n) layout."""
+    return np.ascontiguousarray(X.transpose(1, 2, 3, 0))
+
+
+def batch_first(X):
+    return X.transpose(3, 0, 1, 2)
 
 
 def conv_forward(X, K, b):
     """Valid convolution; X (n, C, H, W), K (OC, C, kh, kw)."""
-    return _conv_gemm(_im2col(X, K.shape[2], K.shape[3], fresh), K, b, X.shape, fresh)
+    return batch_first(_conv(batch_last(X), K, b, fresh)[0])
 
 
 def small_batch(n=4, seed=0):
@@ -103,46 +112,101 @@ class TestIm2colKernels:
         X = rng.standard_normal((n, C, H, W))
         K = rng.standard_normal((OC, C, 3, 3))
         b = rng.standard_normal(OC)
-        out = conv_forward(X, K, b)
+        # one GEMM over the whole batch for the output and each gradient
+        out, cols = _conv(batch_last(X), K, b, fresh)
         ref = einsum_conv_forward(X, K, b)
-        assert out.shape == ref.shape
-        assert np.abs(out - ref).max() < 1e-12
-        dout = rng.standard_normal(out.shape)
-        cols = _im2col(X, 3, 3, fresh)
-        dX, dK, db = _conv_backward(dout, cols, K, fresh, X.shape)
+        assert batch_first(out).shape == ref.shape
+        assert np.abs(batch_first(out) - ref).max() < 1e-12
+        dout = rng.standard_normal(ref.shape)
+        dK, db = _kernel_grads(batch_last(dout), cols, K)
+        dX = batch_first(_input_grad(batch_last(dout), K, batch_last(X).shape, fresh))
         rdX, rdK, rdb = einsum_conv_backward(dout, X, K)
         assert np.abs(dX - rdX).max() < 1e-12
         assert np.abs(dK - rdK).max() < 1e-12
         assert np.abs(db - rdb).max() < 1e-12
-        no_dX, dK_again, _ = _conv_backward(dout, cols, K, fresh)
-        assert no_dX is None
-        assert np.array_equal(dK_again, dK)
+
+
+def loop_pool_relu(Z, dout):
+    """Reference: ReLU then 2x2 max-pool of (C, H, W, n) ``Z`` by plain
+    loops, each window's first maximum in window order winning, and the
+    gradient ``dout`` routed to it through the ReLU."""
+    C, H, W, n = Z.shape
+    out = np.zeros((C, H // 2, W // 2, n))
+    dZ = np.zeros_like(Z)
+    for c, i, j, s in np.ndindex(out.shape):
+        window = [(2 * i + u, 2 * j + v) for u, v in ((0, 0), (0, 1), (1, 0), (1, 1))]
+        relu = [max(Z[c, h, w, s], 0.0) for h, w in window]
+        k = relu.index(max(relu))
+        out[c, i, j, s] = relu[k]
+        h, w = window[k]
+        if Z[c, h, w, s] > 0.0:
+            dZ[c, h, w, s] = dout[c, i, j, s]
+    return out, dZ
+
+
+def pool_and_route(Z, dout):
+    out, masks = _pool_relu(Z, fresh)
+    return out, _pool_relu_backward(dout, masks, Z.shape, fresh)
+
+
+def tied_windows(C, H, W, n, seed):
+    """Values from a set of five, so that many windows hold ties."""
+    rng = np.random.default_rng(seed)
+    return rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], size=(C, H, W, n))
 
 
 class TestPooling:
     def test_first_max_wins_ties(self):
-        X = np.zeros((1, 1, 2, 2))
-        X[0, 0] = [[5.0, 5.0], [3.0, 1.0]]
-        out, idx = _pool_forward(X, fresh)
+        # equal maxima at (0,1) and (1,0): the first in window order wins
+        Z = np.array([[1.0, 5.0], [5.0, 3.0]]).reshape(1, 2, 2, 1)
+        out, grad = pool_and_route(Z, np.ones((1, 1, 1, 1)))
         assert out[0, 0, 0, 0] == 5.0
-        assert idx[0, 0, 0, 0] == 0  # window order: (0,0),(0,1),(1,0),(1,1)
-        grad = _pool_backward(np.ones((1, 1, 1, 1)), idx, X.shape, fresh)
-        assert grad[0, 0].tolist() == [[1.0, 0.0], [0.0, 0.0]]
+        assert grad[0, :, :, 0].tolist() == [[0.0, 1.0], [0.0, 0.0]]
 
     def test_odd_edge_dropped(self):
-        X = np.arange(25, dtype=np.float64).reshape(1, 1, 5, 5)
-        out, idx = _pool_forward(X, fresh)
-        assert out.shape == (1, 1, 2, 2)
+        Z = np.arange(25, dtype=np.float64).reshape(1, 5, 5, 1)
+        out, grad = pool_and_route(Z, np.ones((1, 2, 2, 1)))
+        assert out.shape == (1, 2, 2, 1)
         # last row/col (indices 4) never contribute
         assert out.max() == 18.0
-        grad = _pool_backward(np.ones((1, 1, 2, 2)), idx, X.shape, fresh)
-        assert grad[0, 0, 4, :].tolist() == [0.0] * 5
-        assert grad[0, 0, :, 4].tolist() == [0.0] * 5
+        assert grad[0, 4, :, 0].tolist() == [0.0] * 5
+        assert grad[0, :, 4, 0].tolist() == [0.0] * 5
+
+    def test_constant_regions_route_to_the_first_element(self):
+        Z = np.full((2, 4, 6, 3), 0.7)
+        out, grad = pool_and_route(Z, np.ones((2, 2, 3, 3)))
+        assert np.all(out == 0.7)
+        assert np.array_equal(grad[:, 0::2, 0::2], np.ones((2, 2, 3, 3)))
+        assert grad.sum() == out.size
+
+    def test_all_negative_windows_have_zero_gradient(self):
+        Z = -np.arange(1.0, 1.0 + 2 * 4 * 4 * 2).reshape(2, 4, 4, 2)
+        out, grad = pool_and_route(Z, np.ones((2, 2, 2, 2)))
+        assert np.all(out == 0.0)
+        assert np.all(grad == 0.0)
+
+    @pytest.mark.parametrize("C,H,W,n", [(2, 13, 13, 3), (1, 5, 5, 2), (3, 6, 5, 4),
+                                         (2, 4, 8, 1), (8, 30, 30, 2)])
+    def test_matches_loop_reference(self, C, H, W, n):
+        Z = tied_windows(C, H, W, n, seed=H * W + n)
+        dout = np.random.default_rng(n).standard_normal((C, H // 2, W // 2, n))
+        out, grad = pool_and_route(Z, dout)
+        ref_out, ref_grad = loop_pool_relu(Z, dout)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(grad, ref_grad)
 
 
 class TestGradients:
     def test_finite_difference_check(self):
         T, y = small_batch()
+        params = init_cnn_params(seed=3)
+        err = cnn_grad_check(params, T, y, eps=1e-5, max_per_tensor=8, seed=1)
+        assert err < 1e-4
+
+    def test_finite_difference_check_on_tied_pools(self):
+        # a flat 24x24 square makes about half the pooling pairs ties
+        T, y = hue_band_tensors(n=6, seed=7)
+        T[:, 4:28, 4:28] = T[:, 4:5, 4:5]
         params = init_cnn_params(seed=3)
         err = cnn_grad_check(params, T, y, eps=1e-5, max_per_tensor=8, seed=1)
         assert err < 1e-4
@@ -205,8 +269,21 @@ class TestWorkspace:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # measured 10.7 MB fresh, 1.3 MB with the workspace
+        # measured 9.1 MB fresh, 0.6 MB with the workspace
         assert peaks[1] < peaks[0] / 4
+
+    def test_short_last_batch_reuses_the_full_batch_memory(self):
+        peaks = []
+        for n in (32, 21):  # two batches of 16, then 16 and 5
+            T, y = hue_band_tensors(n=n, seed=n)
+            tracemalloc.start()
+            try:
+                HsvCnnClassifier(batch_size=16, epochs=1).fit(T, y)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # arrays kept per batch shape would add the 5-row set's memory
+        assert peaks[1] <= peaks[0] * 1.1
 
 
 class TestTraining:

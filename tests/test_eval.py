@@ -14,10 +14,7 @@ from memesent import cli
 from memesent.corpus import Sentiment
 from memesent.errors import TrainingError
 from memesent.eval import (
-    ComparisonTable,
     ConfusionMatrix,
-    EvalReport,
-    StabilityReport,
     compare_report,
     macro_f1,
     majority_baseline,

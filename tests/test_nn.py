@@ -7,7 +7,6 @@ import memesent.nn as nn
 from memesent.errors import DataFormatError, TrainingError
 from memesent.nn import (
     DEFAULT_HIDDEN,
-    AdamState,
     NetSpec,
     TrainConfig,
     adam_step,
