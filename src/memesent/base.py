@@ -33,6 +33,7 @@ __all__ = [
     "checked_arrays",
     "check_fitted",
     "check_consistent_length",
+    "check_token_lists",
     "as_float_matrix",
     "as_label_array",
     "check_prob_rows",
@@ -179,6 +180,14 @@ def check_consistent_length(*arrays) -> int:
     if len(lengths) != 1:
         raise ValueError(f"inconsistent input lengths: {sorted(lengths)}")
     return lengths.pop()
+
+
+def check_token_lists(X) -> None:
+    """Raise ``ValueError`` if a row of ``X`` is a string: a row is one
+    caption's token list, and a string would count as its characters."""
+    if any(isinstance(row, str) for row in X):
+        raise ValueError("expected one token list per caption, got a string; "
+                         "tokenize captions with memesent.textprep.preprocess")
 
 
 def as_float_matrix(X, n_features: int | None = None, name: str = "X",

@@ -39,13 +39,13 @@ from .corpus import (
     save_dataset,
     upsample,
 )
-from .embeddings import EmbeddingTable, load_embeddings
+from .embeddings import EmbeddingTable, corpus_coverage, load_embeddings
 from .errors import ConfigError, DataFormatError, NumericError
 from .eval import EvalReport, compare_report, macro_f1, stability_study
 from .models.cnn import HsvCnnClassifier
 from .models.ffnn import BowFfnnClassifier, Word2vecFfnnClassifier
 from .models.fusion import BimodalFusionClassifier
-from .models.image import load_hsv_input
+from .models.image import IMAGE_SIZE, load_hsv_input
 from .models.naive_bayes import MultinomialNaiveBayes
 from .persist import load_container
 from .textprep import preprocess
@@ -61,6 +61,8 @@ __all__ = [
 ]
 
 _HIST_BINS = ((0, 0), (1, 5), (6, 10), (11, 20), (21, 50), (51, None))
+
+logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------- helpers
@@ -89,13 +91,10 @@ def _tensors_for(ds: Dataset, base_dir: Path) -> np.ndarray:
             f"{len(missing)} records have no image path (first: {missing[0]!r}); "
             "map the image column in the schema"
         )
-    tensors = []
-    for rec in ds.records:
-        p = Path(rec.image_path)
-        if not p.is_absolute():
-            p = base_dir / p
-        tensors.append(load_hsv_input(p))
-    return np.stack(tensors)
+    stack = np.empty((len(ds), IMAGE_SIZE, IMAGE_SIZE, 3))
+    for row, rec in zip(stack, ds.records):
+        row[...] = load_hsv_input(base_dir / rec.image_path)  # an absolute path stays
+    return stack
 
 
 def _int_labels(ds: Dataset) -> list[int]:
@@ -119,23 +118,32 @@ def _fusion(cls, cfg: RunConfig, seed: int, **given):
 
 
 # the one model registry: config model kind -> (class, build(cls, cfg, seed,
-# table=...), inputs(ds, base_dir)); inputs are the positional arguments of
-# fit and predict_proba, and predict finds a file's class by its KIND
+# table=...)); predict finds a file's class by its KIND
 _MODELS = {
-    "nb": (MultinomialNaiveBayes, _estimator,
-           lambda ds, base_dir: ([preprocess(c) for c in ds.captions()],)),
-    "ffnn_w2v": (Word2vecFfnnClassifier, _estimator, lambda ds, base_dir: (ds.captions(),)),
-    "ffnn_bow": (BowFfnnClassifier, _estimator, lambda ds, base_dir: (ds.captions(),)),
-    "cnn_hsv": (HsvCnnClassifier, _estimator,
-                lambda ds, base_dir: (_tensors_for(ds, base_dir),)),
-    "fusion": (BimodalFusionClassifier, _fusion,
-               lambda ds, base_dir: (ds.captions(), _tensors_for(ds, base_dir))),
+    "nb": (MultinomialNaiveBayes, _estimator),
+    "ffnn_w2v": (Word2vecFfnnClassifier, _estimator),
+    "ffnn_bow": (BowFfnnClassifier, _estimator),
+    "cnn_hsv": (HsvCnnClassifier, _estimator),
+    "fusion": (BimodalFusionClassifier, _fusion),
 }
 
 
-def _table_for(cls, cfg: RunConfig, ds: Dataset, source: str = "") -> EmbeddingTable | None:
-    """The embedding table a model of ``cls`` needs, if any. With
-    ``filter_embeddings`` it keeps only the dataset's preprocessed tokens.
+def _inputs(cls, ds: Dataset, base_dir: Path) -> list:
+    """The positional inputs of ``cls``'s fit and predict_proba, one row per
+    record of ``ds``: the preprocessed captions, the HSV tensor stack, or
+    both for fusion. Tokens are interned, so each distinct word is held once."""
+    inputs = []
+    if cls is not HsvCnnClassifier:
+        inputs.append([[sys.intern(t) for t in preprocess(c)] for c in ds.captions()])
+    if cls in (HsvCnnClassifier, BimodalFusionClassifier):
+        inputs.append(_tensors_for(ds, base_dir))
+    return inputs
+
+
+def _table_for(cls, cfg: RunConfig, inputs: list, source: str = "") -> EmbeddingTable | None:
+    """The embedding table a model of ``cls`` needs, if any, for the
+    :func:`_inputs` built for it. With ``filter_embeddings`` it keeps only
+    their tokens. Logs the table's coverage of them, once per command.
     A missing embeddings path is a :class:`ConfigError` that begins with
     ``source``, the model file's name if there is one."""
     if cls is not Word2vecFfnnClassifier:
@@ -145,27 +153,30 @@ def _table_for(cls, cfg: RunConfig, ds: Dataset, source: str = "") -> EmbeddingT
             f"{source}model {cls.KIND!r} requires an embeddings path "
             "(set [model] embeddings or --embeddings)"
         )
-    vocab = None
-    if cfg.filter_embeddings:
-        vocab = set()
-        for caption in ds.captions():
-            vocab.update(preprocess(caption))
-    return load_embeddings(cfg.embeddings, cfg.embeddings_format, vocab_filter=vocab)
+    (tokens,) = inputs
+    vocab = {t for row in tokens for t in row} if cfg.filter_embeddings else None
+    table = load_embeddings(cfg.embeddings, cfg.embeddings_format, vocab_filter=vocab)
+    coverage = corpus_coverage(tokens, table)
+    logger.log(
+        logging.WARNING if coverage.n_all_oov else logging.INFO,
+        "embedded %d captions: %.1f%% token coverage; %d have no "
+        "in-vocabulary tokens and embed as zero vectors",
+        coverage.n_captions,
+        100.0 * coverage.token_coverage,
+        coverage.n_all_oov,
+    )
+    return table
 
 
-def _fit_model(cfg: RunConfig, ds: Dataset, base_dir: Path, seed: int, table,
+def _fit_model(cfg: RunConfig, inputs: list, labels: list[int], seed: int, table,
                workers: int = 1):
-    """Train the configured model kind on a dataset; returns the model.
-    A fusion fit runs its rounds in up to ``workers`` processes."""
-    cls, build, inputs = _MODELS[cfg.model]
+    """Train the configured model kind on :func:`_inputs` and their labels;
+    returns the model. A fusion fit runs its rounds in up to ``workers``
+    processes."""
+    cls, build = _MODELS[cfg.model]
     model = build(cls, cfg, seed, table=table)
     extra = {"workers": workers} if cls is BimodalFusionClassifier else {}
-    return model.fit(*inputs(ds, base_dir), _int_labels(ds), **extra)
-
-
-def _model_proba(model, ds: Dataset, base_dir: Path) -> np.ndarray:
-    inputs = next(inputs for cls, _, inputs in _MODELS.values() if type(model) is cls)
-    return model.predict_proba(*inputs(ds, base_dir))
+    return model.fit(*inputs, labels, **extra)
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -243,8 +254,10 @@ def cmd_train(cfg: RunConfig, workers: int = 1) -> int:
     ds, path = _load_dataset(cfg)
     if cfg.upsample:
         ds = upsample(ds, seed=cfg.seed)
-    table = _table_for(_MODELS[cfg.model][0], cfg, ds)
-    model = _fit_model(cfg, ds, path.parent, cfg.seed, table, workers)
+    cls = _MODELS[cfg.model][0]
+    inputs = _inputs(cls, ds, path.parent)
+    table = _table_for(cls, cfg, inputs)
+    model = _fit_model(cfg, inputs, _int_labels(ds), cfg.seed, table, workers)
     out = _out_dir(cfg)
     model.save(out / "model.bin")
     report = {
@@ -275,15 +288,19 @@ def cmd_predict(cfg: RunConfig, model_path: str) -> int:
     ds, path = _load_dataset(cfg)
     header, arrays = load_container(model_path)
     kind = header.get("kind")
-    cls = next((cls for cls, _, _ in _MODELS.values() if cls.KIND == kind), None)
+    cls = next((cls for cls, _ in _MODELS.values() if cls.KIND == kind), None)
     if cls is None:
         raise DataFormatError(f"{model_path}: unknown model kind {kind!r}")
     if cls is Word2vecFfnnClassifier:  # its header first: the table takes long to read
         cls.saved_spec(header, model_path)
-    table = _table_for(cls, cfg, ds, f"{model_path}: ")
-    model = cls.from_container(header, arrays, model_path, *([] if table is None else [table]))
+        inputs = _inputs(cls, ds, path.parent)  # tokens only: no image is read
+        table = _table_for(cls, cfg, inputs, f"{model_path}: ")
+        model = cls.from_container(header, arrays, model_path, table)
+    else:  # the file is checked before any image is read
+        model = cls.from_container(header, arrays, model_path)
+        inputs = _inputs(cls, ds, path.parent)
     try:
-        probs = _model_proba(model, ds, path.parent)
+        probs = model.predict_proba(*inputs)
     except NumericError as exc:
         raise DataFormatError(f"{model_path}: {exc}") from exc
     out = _out_dir(cfg)
@@ -386,13 +403,22 @@ def _print_seed(seed: int, score: float, seconds: float) -> None:
 
 def cmd_stability(cfg: RunConfig, workers: int = 1) -> int:
     ds, path = _load_dataset(cfg)
-    table = _table_for(_MODELS[cfg.model][0], cfg, ds)
-    base_dir = path.parent
+    cls = _MODELS[cfg.model][0]
+    # built once, here: the forked seeds share them and select their rows,
+    # by id, since upsampled copies keep their record's id
+    inputs = _inputs(cls, ds, path.parent)
+    table = _table_for(cls, cfg, inputs)
+    row_of = {rec.id: i for i, rec in enumerate(ds.records)}
+
+    def rows(part: Dataset) -> list:
+        index = [row_of[rec.id] for rec in part.records]
+        return [x[index] if isinstance(x, np.ndarray) else [x[i] for i in index]
+                for x in inputs]
 
     def train_fn(train_ds, val_ds, seed):
         fit_ds = upsample(train_ds, seed=seed) if cfg.upsample else train_ds
-        model = _fit_model(cfg, fit_ds, base_dir, seed, table, workers)
-        return np.argmax(_model_proba(model, val_ds, base_dir), axis=1)
+        model = _fit_model(cfg, rows(fit_ds), _int_labels(fit_ds), seed, table, workers)
+        return np.argmax(model.predict_proba(*rows(val_ds)), axis=1)
 
     report = stability_study(
         train_fn, ds, fraction=cfg.split, n_runs=cfg.runs,

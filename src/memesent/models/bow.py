@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,13 +24,9 @@ class BowVocab:
     def __len__(self) -> int:
         return len(self.words)
 
-    @property
+    @cached_property
     def index(self) -> dict[str, int]:
-        cached = self.__dict__.get("_index")
-        if cached is None:
-            cached = {w: i for i, w in enumerate(self.words)}
-            object.__setattr__(self, "_index", cached)
-        return cached
+        return {w: i for i, w in enumerate(self.words)}
 
 
 def build_bow_vocab(token_lists: list[list[str]], max_size: int = 5000) -> BowVocab:

@@ -5,21 +5,20 @@ matrices. It declares the four architecture parameters, which
 ``_net_params`` maps to and from a :class:`NetSpec` under the same
 names, and inherits the five training parameters from
 :class:`~memesent.base.AdamEstimator`. The caption classifiers are
-featurizers in front of it: ``Word2vecFfnnClassifier`` mean-pools
-embeddings of the preprocessed tokens, ``BowFfnnClassifier`` builds
-bag-of-words presence vectors. They differ only in ``_features`` and in
-the extra header fields they save; fit, predict and persistence are
-shared. Both featurize with the one fixed pipeline, ``preprocess``; the
-header records it as ``prep``, and a file whose ``prep`` differs fails
-to load. All use scaled initialization by default: the literal
-standard-normal init saturates the 6-hidden-layer stack and does not
-train at desk scale. The nets are float32, and so are their saved
-arrays; a float64 file is cast down at load.
+featurizers in front of it that take one token list per caption, the
+output of the fixed pipeline ``memesent.textprep.preprocess``:
+``Word2vecFfnnClassifier`` mean-pools the tokens' embeddings,
+``BowFfnnClassifier`` builds bag-of-words presence vectors. They differ
+only in ``_features`` and in the extra header fields they save; fit,
+predict and persistence are shared. The header records the pipeline as
+``prep``, and a file whose ``prep`` differs fails to load. All use
+scaled initialization by default: the literal standard-normal init
+saturates the 6-hidden-layer stack and does not train at desk scale.
+The nets are float32, and so are their saved arrays; a float64 file is
+cast down at load.
 """
 
 from __future__ import annotations
-
-import logging
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from ..base import (
     as_label_array,
     check_consistent_length,
     check_fitted,
+    check_token_lists,
     checked_arrays,
 )
 from ..embeddings import EmbeddingTable, corpus_coverage, embed_corpus
@@ -44,7 +44,7 @@ from ..nn import (
     softmax,
     train,
 )
-from ..textprep import PrepConfig, preprocess
+from ..textprep import prep_header
 from .bow import BowVocab, build_bow_vocab, bow_vectorize
 
 __all__ = [
@@ -52,8 +52,6 @@ __all__ = [
     "Word2vecFfnnClassifier",
     "BowFfnnClassifier",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 def _proba(params: list[np.ndarray], X, activation: str) -> np.ndarray:
@@ -103,22 +101,24 @@ class MlpClassifier(AdamEstimator):
 
 
 class _CaptionMlp(SavedModel, MlpClassifier):
-    """preprocess -> ``_features`` -> :class:`MlpClassifier`.
+    """Token lists -> ``_features`` -> :class:`MlpClassifier`.
 
-    A subclass implements ``_features(captions, fitting)``, which may
+    A subclass implements ``_features(tokens, fitting)``, which may
     learn state when ``fitting``, and saves its extra header fields
     through ``_header()`` and ``_from_header(header, spec, path,
     *context)``; the latter returns the unfitted model to restore into.
     """
 
-    def fit(self, captions: list[str], y):
-        return super().fit(self._features(captions, fitting=True), y)
+    def fit(self, tokens: list[list[str]], y):
+        check_token_lists(tokens)
+        return super().fit(self._features(tokens, fitting=True), y)
 
-    def predict_proba(self, captions: list[str]) -> np.ndarray:
+    def predict_proba(self, tokens: list[list[str]]) -> np.ndarray:
         check_fitted(self, "params_")
+        check_token_lists(tokens)
         # the features are finite and as wide as the net by construction,
         # so MlpClassifier's input checks (a pass over every row) are skipped
-        X = self._features(captions, fitting=False)
+        X = self._features(tokens, fitting=False)
         return _proba(self.params_, X, self.spec_.activation)
 
     def _payload(self) -> tuple[dict, dict[str, np.ndarray]]:
@@ -126,7 +126,7 @@ class _CaptionMlp(SavedModel, MlpClassifier):
         header = {
             "kind": self.KIND,
             "spec": self.spec_.to_dict(),
-            "prep": PrepConfig().to_dict(),
+            "prep": prep_header(),
             **self._header(),
         }
         return header, dict(zip(param_shapes(self.spec_), self.params_))
@@ -137,7 +137,7 @@ class _CaptionMlp(SavedModel, MlpClassifier):
         is the fixed pipeline; a caller can check a header this way before
         it reads the context (the embedding table) that loading needs."""
         with cls._reading(path):
-            if header["prep"] != PrepConfig().to_dict():
+            if header["prep"] != prep_header():
                 raise DataFormatError(f"{path}: saved with another preprocessing "
                                       "than the fixed pipeline")
             return NetSpec.from_dict(header["spec"])
@@ -153,12 +153,12 @@ class _CaptionMlp(SavedModel, MlpClassifier):
 
 
 class Word2vecFfnnClassifier(_CaptionMlp):
-    """preprocess -> mean-pooled embeddings -> dense softmax classifier.
+    """Token lists -> mean-pooled embeddings -> dense softmax classifier.
 
     The embedding table is a constructor argument and is not serialized
     with the model; ``save`` records the table's dimension so ``load`` can
     check that the caller supplies a compatible one.
-    ``coverage_`` is the table's coverage of the training captions.
+    ``coverage_`` is the table's coverage of the training tokens.
     """
 
     KIND = "ffnn-w2v"
@@ -170,20 +170,10 @@ class Word2vecFfnnClassifier(_CaptionMlp):
         self.table = table
         super().__init__(**dense)
 
-    def _features(self, captions: list[str], fitting: bool) -> np.ndarray:
-        tokenized = [preprocess(c) for c in captions]
-        coverage = corpus_coverage(tokenized, self.table)
-        logger.log(
-            logging.WARNING if coverage.n_all_oov else logging.INFO,
-            "embedded %d captions: %.1f%% token coverage; %d have no "
-            "in-vocabulary tokens and embed as zero vectors",
-            coverage.n_captions,
-            100.0 * coverage.token_coverage,
-            coverage.n_all_oov,
-        )
+    def _features(self, tokens: list[list[str]], fitting: bool) -> np.ndarray:
         if fitting:
-            self.coverage_ = coverage
-        return embed_corpus(tokenized, self.table)
+            self.coverage_ = corpus_coverage(tokens, self.table)
+        return embed_corpus(tokens, self.table)
 
     def _header(self) -> dict:
         # the dimension alone: a path would make the bytes depend on its spelling
@@ -200,7 +190,7 @@ class Word2vecFfnnClassifier(_CaptionMlp):
 
 
 class BowFfnnClassifier(_CaptionMlp):
-    """preprocess -> bag-of-words presence -> dense softmax classifier."""
+    """Token lists -> bag-of-words presence -> dense softmax classifier."""
 
     KIND = "ffnn-bow"
     # bound in this class body too, where perfbench's trace looks for them
@@ -211,15 +201,14 @@ class BowFfnnClassifier(_CaptionMlp):
         self.vocab_size = vocab_size
         super().__init__(**dense)
 
-    def _features(self, captions: list[str], fitting: bool) -> np.ndarray:
-        tokenized = [preprocess(c) for c in captions]
+    def _features(self, tokens: list[list[str]], fitting: bool) -> np.ndarray:
         if fitting:
-            self.vocab_ = build_bow_vocab(tokenized, self.vocab_size)
+            self.vocab_ = build_bow_vocab(tokens, self.vocab_size)
             if not len(self.vocab_):
                 raise DataFormatError("no caption has a token left after preprocessing")
-        if not tokenized:
+        if not tokens:
             return np.zeros((0, len(self.vocab_)))
-        return np.stack([bow_vectorize(tokens, self.vocab_) for tokens in tokenized])
+        return np.stack([bow_vectorize(row, self.vocab_) for row in tokens])
 
     def _header(self) -> dict:
         return {"vocab": list(self.vocab_.words)}

@@ -167,7 +167,8 @@ def fusion_predict(stacker: FusionStacker, text_row, image_row) -> int:
 class BimodalFusionClassifier(SavedModel, Estimator):
     """Text branch + image branch + stacker, as one estimator.
 
-    ``fit`` takes parallel captions, HSV tensors, and labels. With
+    ``fit`` takes parallel token lists (one per caption, the output of
+    ``memesent.textprep.preprocess``), HSV tensors, and labels. With
     ``in_sample=False`` (default) the stacker trains on out-of-fold
     branch predictions: rows are split into ``folds`` seeded folds and
     each row's features come from branches trained without it. The
@@ -201,23 +202,18 @@ class BimodalFusionClassifier(SavedModel, Estimator):
         self.stacker_lr = stacker_lr
         self.seed = seed
 
-    def _branches(self) -> tuple[BowFfnnClassifier, HsvCnnClassifier]:
-        text = self.text if self.text is not None else BowFfnnClassifier(seed=self.seed)
-        image = self.image if self.image is not None else HsvCnnClassifier(seed=self.seed)
-        return text, image
-
     @staticmethod
     def _clone(est):
         return type(est)(**est.get_params())
 
-    def fit(self, captions: list[str], tensors, y, workers: int = 1) -> "BimodalFusionClassifier":
+    def fit(self, tokens: list, tensors, y, workers: int = 1) -> "BimodalFusionClassifier":
         tensors = _check_tensors(tensors)
         y = as_label_array(y)
-        captions = list(captions)
-        if not (len(captions) == len(tensors) == len(y)):
+        tokens = list(tokens)
+        if not (len(tokens) == len(tensors) == len(y)):
             raise ValueError(
-                f"captions, tensors, and labels disagree on row count: "
-                f"{len(captions)}, {len(tensors)}, {len(y)}"
+                f"token lists, tensors, and labels disagree on row count: "
+                f"{len(tokens)}, {len(tensors)}, {len(y)}"
             )
         _check_stacker(self.lam, self.stacker_lr, self.stacker_epochs)
         if not self.in_sample and self.folds < 2:
@@ -227,7 +223,8 @@ class BimodalFusionClassifier(SavedModel, Estimator):
                 f"need at least {self.folds} rows for {self.folds}-fold "
                 f"out-of-fold features, got {len(y)}"
             )
-        text, image = self._branches()
+        text = self.text if self.text is not None else BowFfnnClassifier(seed=self.seed)
+        image = self.image if self.image is not None else HsvCnnClassifier(seed=self.seed)
         n = len(y)
         chunks = [] if self.in_sample else np.array_split(
             substream(self.seed, "oof").permutation(n), self.folds
@@ -237,14 +234,14 @@ class BimodalFusionClassifier(SavedModel, Estimator):
             """Round 0: both branches fit on all rows. Round k: fold k's
             probability rows from branches fit on the other folds."""
             if k == 0:
-                return self._clone(text).fit(captions, y), self._clone(image).fit(tensors, y)
+                return self._clone(text).fit(tokens, y), self._clone(image).fit(tensors, y)
             chunk = chunks[k - 1]
             held = np.zeros(n, dtype=bool)
             held[chunk] = True
             rest = np.flatnonzero(~held)
-            fold_text = self._clone(text).fit([captions[i] for i in rest], y[rest])
+            fold_text = self._clone(text).fit([tokens[i] for i in rest], y[rest])
             fold_image = self._clone(image).fit(tensors[rest], y[rest])
-            return (fold_text.predict_proba([captions[i] for i in chunk]),
+            return (fold_text.predict_proba([tokens[i] for i in chunk]),
                     fold_image.predict_proba(tensors[chunk]))
 
         (self.text_, self.image_), *folds = parallel_map(
@@ -252,7 +249,7 @@ class BimodalFusionClassifier(SavedModel, Estimator):
             label=lambda k: f"fold {k}" if k else "the full-data fit",
         )
         if self.in_sample:
-            text_probs = self.text_.predict_proba(captions)
+            text_probs = self.text_.predict_proba(tokens)
             image_probs = self.image_.predict_proba(tensors)
         else:
             text_probs = np.zeros((n, 3))
@@ -271,25 +268,25 @@ class BimodalFusionClassifier(SavedModel, Estimator):
         )
         return self
 
-    def _scores(self, captions, tensors) -> np.ndarray:
+    def _scores(self, tokens, tensors) -> np.ndarray:
         check_fitted(self, "stacker_")
         X = _stack_features(
-            self.text_.predict_proba(list(captions)),
+            self.text_.predict_proba(list(tokens)),
             self.image_.predict_proba(tensors),
         )
         return self.stacker_.scores(X)
 
-    def predict(self, captions, tensors) -> np.ndarray:
-        return np.argmax(self._scores(captions, tensors), axis=1)
+    def predict(self, tokens, tensors) -> np.ndarray:
+        return np.argmax(self._scores(tokens, tensors), axis=1)
 
-    def predict_proba(self, captions, tensors) -> np.ndarray:
+    def predict_proba(self, tokens, tensors) -> np.ndarray:
         """Softmax over stacker scores.
 
         Hinge scores are margins, not calibrated log-odds; the softmax
         is a rank-preserving squash so downstream reporting can treat
         every model uniformly.
         """
-        return softmax(self._scores(captions, tensors))
+        return softmax(self._scores(tokens, tensors))
 
     def _payload(self) -> tuple[dict, dict[str, np.ndarray]]:
         check_fitted(self, "stacker_")

@@ -20,6 +20,7 @@ from ..base import (
     as_label_array,
     check_consistent_length,
     check_fitted,
+    check_token_lists,
     checked_arrays,
 )
 from ..errors import DataFormatError, TrainingError
@@ -45,6 +46,7 @@ class MultinomialNaiveBayes(SavedModel, Estimator):
     def fit(self, X: list[list[str]], y) -> "MultinomialNaiveBayes":
         if not 0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+        check_token_lists(X)
         y = as_label_array(y, N_CLASSES)
         check_consistent_length(X, y)
         if len(X) == 0:
@@ -84,6 +86,7 @@ class MultinomialNaiveBayes(SavedModel, Estimator):
 
     def predict_proba(self, X: list[list[str]]) -> np.ndarray:
         check_fitted(self, "class_log_prior_")
+        check_token_lists(X)
         # a class with a -inf prior keeps probability 0; the others' scores
         # must be finite
         live = np.isfinite(self.class_log_prior_)

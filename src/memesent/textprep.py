@@ -5,7 +5,8 @@ stripping (every non-alphanumeric byte becomes a space; non-ASCII,
 including emoji, counts as special), lower-casing, whitespace
 tokenization, stopword removal, and rule-based lemmatization. The
 stopword list and lemmatizer exception list ship as versioned data
-files so runs are reproducible without any external resources.
+files so runs are reproducible without any external resources. The
+pipeline has no options; ``prep_header`` is how a model file records it.
 
 The lemmatizer is a small fixed-point suffix reducer (plural
 -s/-es/-ies, -ing, -ed with a minimum stem length of 3 and an exception
@@ -16,14 +17,13 @@ particular external toolkit is not a goal.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
 __all__ = [
-    "PrepConfig",
     "preprocess",
+    "prep_header",
     "lemmatize",
     "read_wordlist",
     "default_stopwords",
@@ -31,7 +31,6 @@ __all__ = [
 ]
 
 _STRIP_ALNUM = re.compile(r"[^A-Za-z0-9]+")
-_STRIP_ALPHA = re.compile(r"[^A-Za-z]+")
 
 _DOUBLE_KEEP = {"ll", "ss", "ee"}  # tell, kiss, see
 
@@ -62,24 +61,11 @@ def default_lemma_exceptions() -> frozenset[str]:
     return _bundled("lemma_exceptions.txt")
 
 
-@dataclass(frozen=True)
-class PrepConfig:
-    """Preprocessing options.
-
-    An empty ``stopwords`` set disables stopword removal. Digits are
-    kept by default because meme captions reference years and counts.
-    """
-
-    stopwords: frozenset[str] = field(default_factory=default_stopwords)
-    lemmatize: bool = True
-    strip_digits: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "stopwords": sorted(self.stopwords),
-            "lemmatize": self.lemmatize,
-            "strip_digits": self.strip_digits,
-        }
+def prep_header() -> dict:
+    """The fixed pipeline as a model file records it, its ``prep`` field:
+    the stopword list, with lemmatization on and digits kept (meme
+    captions reference years and counts)."""
+    return {"stopwords": sorted(default_stopwords()), "lemmatize": True, "strip_digits": False}
 
 
 def _apply_suffix_rules(token: str, exceptions: frozenset[str]) -> str:
@@ -116,15 +102,14 @@ def _apply_suffix_rules(token: str, exceptions: frozenset[str]) -> str:
     return token
 
 
-def lemmatize(token: str, exceptions: frozenset[str] | None = None) -> str:
+def lemmatize(token: str) -> str:
     """Reduce a lowercase token to its suffix-rule fixed point.
 
     Iterating to a fixed point makes the function idempotent:
     "feelings" -> "feeling" (exception) stays put, "sayings" ->
     "saying" -> "say".
     """
-    if exceptions is None:
-        exceptions = default_lemma_exceptions()
+    exceptions = default_lemma_exceptions()
     while True:
         reduced = _apply_suffix_rules(token, exceptions)
         if reduced == token:
@@ -132,24 +117,16 @@ def lemmatize(token: str, exceptions: frozenset[str] | None = None) -> str:
         token = reduced
 
 
-def preprocess(raw: str, cfg: PrepConfig | None = None) -> list[str]:
+def preprocess(raw: str) -> list[str]:
     """Turn a raw caption into a list of clean lowercase tokens.
 
     Total function: any string, including the empty one, yields a
     (possibly empty) token list. Every output token matches [a-z0-9]+
-    ([a-z]+ when digits are stripped) and is outside the stopword set.
+    and is outside the stopword set.
     """
-    if cfg is None:
-        cfg = PrepConfig()
-    pattern = _STRIP_ALPHA if cfg.strip_digits else _STRIP_ALNUM
-    tokens = pattern.sub(" ", raw).lower().split()
-    if cfg.stopwords:
-        tokens = [t for t in tokens if t not in cfg.stopwords]
-    if cfg.lemmatize:
-        tokens = [lemmatize(t) for t in tokens]
-        if cfg.stopwords:
-            # A lemma can land in the stopword set even when the surface
-            # form did not ("shes" -> "she"); sweep again so the
-            # no-stopword guarantee holds and reprocessing is a no-op.
-            tokens = [t for t in tokens if t not in cfg.stopwords]
-    return tokens
+    stopwords = default_stopwords()
+    tokens = [t for t in _STRIP_ALNUM.sub(" ", raw).lower().split() if t not in stopwords]
+    # A lemma can land in the stopword set even when the surface form did
+    # not ("shes" -> "she"); sweep again so the no-stopword guarantee holds
+    # and reprocessing is a no-op.
+    return [t for t in map(lemmatize, tokens) if t not in stopwords]

@@ -108,9 +108,9 @@ def test_synthetic_end_to_end():
     golds = [int(l) for l in val.labels()]
 
     ffnn = Word2vecFfnnClassifier(table, batch_size=50, epochs=10).fit(
-        train.captions(), [int(l) for l in train.labels()]
+        [preprocess(c) for c in train.captions()], [int(l) for l in train.labels()]
     )
-    ffnn_f1 = macro_f1(ffnn.predict(val.captions()), golds).macro_f1
+    ffnn_f1 = macro_f1(ffnn.predict([preprocess(c) for c in val.captions()]), golds).macro_f1
 
     nb = nb_train(
         [preprocess(c) for c in train.captions()],
@@ -250,9 +250,9 @@ def test_real_data_stability():
     def train_fn(train_ds, val_ds, seed):
         up = upsample(train_ds, seed)
         model = Word2vecFfnnClassifier(table, seed=seed).fit(
-            up.captions(), [int(l) for l in up.labels()]
+            [preprocess(c) for c in up.captions()], [int(l) for l in up.labels()]
         )
-        return model.predict(val_ds.captions())
+        return model.predict([preprocess(c) for c in val_ds.captions()])
 
     t0 = time.monotonic()
     report = stability_study(train_fn, ds, fraction=0.8, n_runs=50, seed0=0)

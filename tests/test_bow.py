@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from memesent.errors import NotFittedError
 from memesent.models.bow import BowVocab, bow_vectorize, build_bow_vocab
 from memesent.models.ffnn import BowFfnnClassifier
+from memesent.textprep import preprocess
 
 
 class TestBuildVocab:
@@ -67,19 +68,19 @@ class TestVectorizer:
 
     def test_fit_transform(self):
         model = BowFfnnClassifier(vocab_size=2)
-        X = model._features(["cat dog", "dog fish", "dog"], fitting=True)
+        X = model._features([["cat", "dog"], ["dog", "fish"], ["dog"]], fitting=True)
         assert model.vocab_.words == ("dog", "cat")
         assert X.shape == (3, 2)
         assert X.tolist() == [[1.0, 1.0], [1.0, 0.0], [1.0, 0.0]]
 
     def test_vocab_frozen_after_fit(self):
         model = BowFfnnClassifier()
-        model._features(["cat", "dog"], fitting=True)
+        model._features([["cat"], ["dog"]], fitting=True)
         before = model.vocab_.words
-        X = model._features(["новый fish zebra"], fitting=False)
+        X = model._features([preprocess("новый fish zebra")], fitting=False)
         assert model.vocab_.words == before
         assert X.tolist() == [[0.0, 0.0]]
 
     def test_transform_before_fit_raises(self):
         with pytest.raises(NotFittedError):
-            BowFfnnClassifier().predict_proba(["cat"])
+            BowFfnnClassifier().predict_proba([["cat"]])

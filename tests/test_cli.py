@@ -18,7 +18,7 @@ from _util import blas_threads, hue_band_tensors, run_cli, run_python, synthetic
 from memesent import cli
 from memesent import eval as eval_module
 from memesent.cli import main
-from memesent.config import MODEL_KINDS
+from memesent.config import MODEL_KINDS, RunConfig
 from memesent.corpus import Dataset, MemeRecord, Sentiment, load_dataset, save_dataset
 from memesent.embeddings import write_word2vec_binary
 from memesent.eval import macro_f1
@@ -30,7 +30,7 @@ from memesent.models.image import read_hsv_tensor, write_hsv_tensor
 from memesent.models.naive_bayes import MultinomialNaiveBayes
 from memesent.nn import NetSpec, init_params, param_shapes
 from memesent.rng import substream
-from memesent.textprep import PrepConfig
+from memesent.textprep import prep_header, preprocess
 
 
 @pytest.fixture()
@@ -426,7 +426,7 @@ def _container(header, arrays):
     return lambda path: save_container(path, header, arrays)
 
 
-_PREP = PrepConfig().to_dict()
+_PREP = prep_header()
 _BOW_SPEC = NetSpec(input_dim=2, hidden=(3,))
 
 
@@ -472,7 +472,7 @@ MALFORMED_MODELS = {
     ),
     "w2v_missing_prep": _container({"kind": "ffnn-w2v", "spec": {}}, {}),
     "kind_is_a_list": _container({"kind": ["x"]}, {}),
-    "bow_other_prep": _container({**_BOW_HEADER, "prep": PrepConfig(lemmatize=False).to_dict()},
+    "bow_other_prep": _container({**_BOW_HEADER, "prep": {**_PREP, "lemmatize": False}},
                                  _bow_arrays()),
     "missing_text": _container(
         {"kind": "fusion-bimodal", "image": {"kind": "cnn-hsv"}}, {}
@@ -522,7 +522,7 @@ _W2V_HEADER = {"kind": "ffnn-w2v", "spec": _W2V_SPEC.to_dict(), "prep": _PREP,
 
 @pytest.mark.parametrize("header, code", [
     (_W2V_HEADER, 0),
-    ({**_W2V_HEADER, "prep": PrepConfig(stopwords=frozenset()).to_dict()}, 2),
+    ({**_W2V_HEADER, "prep": {**_PREP, "stopwords": []}}, 2),
     ({k: v for k, v in _W2V_HEADER.items() if k != "prep"}, 2),
 ], ids=["valid", "other_prep", "missing_prep"])
 def test_w2v_model_prep_is_checked_at_load(workspace, capsys, header, code):
@@ -539,7 +539,7 @@ def test_w2v_model_prep_is_checked_at_load(workspace, capsys, header, code):
 def test_w2v_header_checked_before_the_table(workspace, capsys, embeddings):
     # the model file's own fault, not the missing table's
     path = workspace["dir"] / "w2v.bin"
-    header = {**_W2V_HEADER, "prep": PrepConfig(stopwords=frozenset()).to_dict()}
+    header = {**_W2V_HEADER, "prep": {**_PREP, "stopwords": []}}
     _container(header, dict(zip(param_shapes(_W2V_SPEC), init_params(_W2V_SPEC))))(path)
     embeddings = [workspace["dir"] / a if a.endswith(".bin") else a for a in embeddings]
     assert run("predict", "--model", path, "--dataset", workspace["data"], *embeddings,
@@ -761,10 +761,10 @@ class TestStability:
         monkeypatch.setattr(cli, "_workers", lambda *args: 2)
         fit = cli._fit_model
 
-        def dies_on_seed_1(cfg, ds, base_dir, seed, table, workers):
+        def dies_on_seed_1(cfg, inputs, labels, seed, table, workers):
             if seed == 1:
                 os._exit(9)
-            return fit(cfg, ds, base_dir, seed, table, workers)
+            return fit(cfg, inputs, labels, seed, table, workers)
 
         monkeypatch.setattr(cli, "_fit_model", dies_on_seed_1)
         assert run(
@@ -772,6 +772,38 @@ class TestStability:
             "--runs", 3, "--out", workspace["dir"] / "sd",
         ) == 1
         assert "worker process died while running seed" in capsys.readouterr().err
+
+    @staticmethod
+    def count_calls(monkeypatch, fn):
+        """The calls of ``fn``, wrapped wherever a memesent module binds it."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return fn(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name == "memesent" or name.startswith("memesent."):
+                for key, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, key, counting)
+        return calls
+
+    def test_a_study_preprocesses_each_caption_once(self, workspace, monkeypatch):
+        calls = self.count_calls(monkeypatch, preprocess)
+        cfg = RunConfig(model="ffnn_w2v", dataset=str(workspace["data"]),
+                        embeddings=str(workspace["emb"]), upsample=True, runs=2, epochs=1,
+                        out=str(workspace["dir"] / "s"))
+        assert cli.cmd_stability(cfg.validate(), workers=1) == 0
+        assert len(calls) == len(workspace["ds"])
+
+    def test_a_study_reads_each_image_once(self, fusion_workspace, monkeypatch):
+        calls = self.count_calls(monkeypatch, cli.load_hsv_input)
+        cfg = RunConfig(model="cnn_hsv", dataset=str(fusion_workspace / "data.csv"),
+                        runs=2, epochs=1, batch_size=10, out=str(fusion_workspace / "s"))
+        assert cli.cmd_stability(cfg.validate(), workers=1) == 0
+        paths = sorted(str(path) for (path,) in calls)
+        assert paths == sorted(str(fusion_workspace / f"hsv/f{i}.hsv") for i in range(30))
 
     def test_runs_below_two_exit_2(self, workspace):
         assert run(
@@ -925,7 +957,7 @@ class TestLogging:
         self.train_w2v(workspace)
         assert "token coverage" not in capsys.readouterr().err
         self.train_w2v(workspace, "-v")
-        assert ("INFO memesent.models.ffnn: embedded 60 captions: 100.0% token coverage"
+        assert ("INFO memesent.cli: embedded 60 captions: 100.0% token coverage"
                 in capsys.readouterr().err)
         self.train_w2v(workspace, "--log-level", "ERROR")
         assert capsys.readouterr().err == ""
@@ -937,6 +969,15 @@ class TestLogging:
         assert run("predict", "--model", model, "--dataset", data,
                    "--embeddings", workspace["emb"], "--out", workspace["dir"] / "p") == 0
         err = capsys.readouterr().err
-        assert err.startswith("WARNING memesent.models.ffnn: embedded 1 captions: ")
+        assert err.startswith("WARNING memesent.cli: embedded 1 captions: ")
         assert "1 have no in-vocabulary tokens" in err
         assert logging.getLogger("memesent").handlers == []  # main removed its own
+
+    def test_a_study_logs_one_coverage_line(self, workspace, caplog):
+        cfg = RunConfig(model="ffnn_w2v", dataset=str(workspace["data"]),
+                        embeddings=str(workspace["emb"]), runs=2, epochs=1,
+                        out=str(workspace["dir"] / "s"))
+        with caplog.at_level("INFO", logger="memesent"):
+            assert cli.cmd_stability(cfg.validate(), workers=1) == 0
+        lines = [r for r in caplog.records if "token coverage" in r.getMessage()]
+        assert [r.name for r in lines] == ["memesent.cli"]

@@ -412,7 +412,7 @@ def test_vectorizer_matches_function(toy_table):
     from memesent.models.ffnn import Word2vecFfnnClassifier
 
     model = Word2vecFfnnClassifier(toy_table)
-    X = model._features(["king queen", ""], fitting=True)
+    X = model._features([["king", "queen"], []], fitting=True)
     np.testing.assert_array_equal(X, embed_corpus([["king", "queen"], []], toy_table))
     assert model.coverage_.n_captions == 2
     assert "table" in model.get_params()

@@ -5,8 +5,10 @@ import pytest
 
 import memesent.nn as nn
 from _util import synthetic_corpus
+from memesent import cli
+from memesent.config import RunConfig
 from memesent.corpus import stratified_split
-from memesent.embeddings import EmbeddingTable
+from memesent.embeddings import EmbeddingTable, write_word2vec_binary
 from memesent.errors import DataFormatError, NotFittedError, NumericError
 from memesent.eval import macro_f1
 from memesent.models.ffnn import (
@@ -15,13 +17,18 @@ from memesent.models.ffnn import (
     Word2vecFfnnClassifier,
 )
 from memesent.persist import load_container, save_container
+from memesent.textprep import preprocess
+
+
+def tokens(captions):
+    return [preprocess(c) for c in captions]
 
 
 def fit_synthetic(seed=0, n=300):
     ds, table = synthetic_corpus(n=n)
     train, val = stratified_split(ds, 0.8, seed=0)
     model = Word2vecFfnnClassifier(table, seed=seed).fit(
-        train.captions(), [int(l) for l in train.labels()]
+        tokens(train.captions()), [int(l) for l in train.labels()]
     )
     return model, table, train, val
 
@@ -29,28 +36,28 @@ def fit_synthetic(seed=0, n=300):
 class TestWord2vecFfnn:
     def test_separable_corpus_validation_f1(self):
         model, _, _, val = fit_synthetic()
-        preds = model.predict(val.captions())
+        preds = model.predict(tokens(val.captions()))
         rep = macro_f1(preds, [int(l) for l in val.labels()])
         assert rep.macro_f1 >= 0.95
 
     def test_probability_rows(self):
         model, *_ = fit_synthetic(n=60)
-        probs = model.predict_proba(["alpha bravo", "golf hotel india"])
+        probs = model.predict_proba(tokens(["alpha bravo", "golf hotel india"]))
         assert probs.shape == (2, 3)
         assert np.all(probs >= 0)
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-6)
 
     def test_single_caption_prediction(self):
         model, *_ = fit_synthetic(n=60)
-        row = model.predict_proba(["delta echo echo"])[0]
+        row = model.predict_proba(tokens(["delta echo echo"]))[0]
         assert row.shape == (3,)
-        twice = model.predict_proba(["delta echo echo"])[0]
+        twice = model.predict_proba(tokens(["delta echo echo"]))[0]
         assert np.array_equal(row, twice)
 
     def test_same_seed_same_predictions(self):
         a, *_ = fit_synthetic(seed=5, n=90)
         b, *_ = fit_synthetic(seed=5, n=90)
-        X = ["alpha charlie", "foxtrot delta", "juliet golf"]
+        X = tokens(["alpha charlie", "foxtrot delta", "juliet golf"])
         assert np.array_equal(a.predict_proba(X), b.predict_proba(X))
 
     def test_different_seed_different_weights(self):
@@ -58,11 +65,15 @@ class TestWord2vecFfnn:
         b, *_ = fit_synthetic(seed=2, n=60)
         assert not np.array_equal(a.params_[0], b.params_[0])  # W0
 
-    def test_all_oov_caption_flagged(self, caplog):
-        model, _, train, _ = fit_synthetic(n=60)
+    def test_all_oov_caption_flagged(self, caplog, tmp_path):
+        model, table, train, _ = fit_synthetic(n=60)
         fitted = model.coverage_
-        with caplog.at_level("WARNING", logger="memesent.models.ffnn"):
-            row = model.predict_proba(["zzz qqq www"])[0]
+        X = tokens(["zzz qqq www"])
+        write_word2vec_binary(table, tmp_path / "vectors.bin")
+        cfg = RunConfig(embeddings=str(tmp_path / "vectors.bin"))
+        with caplog.at_level("WARNING", logger="memesent.cli"):
+            cli._table_for(Word2vecFfnnClassifier, cfg, [X])
+            row = model.predict_proba(X)[0]
         assert "1 have no in-vocabulary tokens" in caplog.text
         assert model.coverage_ is fitted  # prediction leaves fitted state alone
         assert fitted.n_captions == len(train) and fitted.n_all_oov == 0
@@ -73,7 +84,7 @@ class TestWord2vecFfnn:
         path = tmp_path / "w2v.bin"
         model.save(path)
         back = Word2vecFfnnClassifier.load(path, table)
-        X = val.captions()
+        X = tokens(val.captions())
         assert np.array_equal(back.predict_proba(X), model.predict_proba(X))
 
     def test_load_accepts_a_saved_table_source(self, tmp_path):
@@ -84,7 +95,7 @@ class TestWord2vecFfnn:
         path = tmp_path / "old.bin"
         save_container(path, header, arrays)
         back = Word2vecFfnnClassifier.load(path, table)
-        X = val.captions()
+        X = tokens(val.captions())
         assert np.array_equal(back.predict_proba(X), model.predict_proba(X))
 
     def test_load_checks_table_dim(self, tmp_path):
@@ -110,8 +121,8 @@ class TestFloat32:
         assert all(a.dtype == np.float32 for a in model.params_)
         (state,) = states
         assert state.m.dtype == state.v.dtype == state.p.dtype == np.float32
-        assert model._features(train.captions(), fitting=False).dtype == np.float32
-        assert model.predict_proba(train.captions()).dtype == np.float64
+        assert model._features(tokens(train.captions()), fitting=False).dtype == np.float32
+        assert model.predict_proba(tokens(train.captions())).dtype == np.float64
 
     def test_model_file_holds_f4_weights(self, tmp_path):
         model, *_ = fit_synthetic(n=60)
@@ -129,26 +140,26 @@ class TestFloat32:
         # the cast rounds each weight back to the float32 it was saved from
         assert all(a.dtype == np.float32 and np.array_equal(a, b)
                    for a, b in zip(back.params_, model.params_))
-        probs = back.predict_proba(val.captions())
+        probs = back.predict_proba(tokens(val.captions()))
         assert np.isfinite(probs).all() and np.abs(probs.sum(axis=1) - 1).max() < 1e-9
-        assert np.array_equal(probs.argmax(axis=1), model.predict(val.captions()))
+        assert np.array_equal(probs.argmax(axis=1), model.predict(tokens(val.captions())))
 
     def test_overflowing_logits_raise_typed(self):
         model, _, _, val = fit_synthetic(n=60)
         model.params_ = [np.full_like(a, 1e30) for a in model.params_]
         with np.errstate(all="raise"), pytest.raises(NumericError, match="not finite"):
-            model.predict_proba(val.captions())
+            model.predict_proba(tokens(val.captions()))
 
 
 class TestBowFfnn:
     def fit(self, seed=0):
         ds, _ = synthetic_corpus(n=120)
         model = BowFfnnClassifier(hidden=(16,), epochs=30, seed=seed)
-        return model.fit(ds.captions(), [int(l) for l in ds.labels()]), ds
+        return model.fit(tokens(ds.captions()), [int(l) for l in ds.labels()]), ds
 
     def test_learns_separable_corpus(self):
         model, ds = self.fit()
-        preds = model.predict(ds.captions())
+        preds = model.predict(tokens(ds.captions()))
         golds = np.array([int(l) for l in ds.labels()])
         assert (preds == golds).mean() >= 0.95
 
@@ -164,7 +175,7 @@ class TestBowFfnn:
         path = tmp_path / "bow.bin"
         model.save(path)
         back = BowFfnnClassifier.load(path)
-        X = ds.captions()[:10]
+        X = tokens(ds.captions()[:10])
         assert back.vocab_.words == model.vocab_.words
         assert np.array_equal(back.predict_proba(X), model.predict_proba(X))
 
@@ -172,7 +183,7 @@ class TestBowFfnn:
         # stopwords only: the vocabulary would be empty
         model = BowFfnnClassifier(hidden=(4,), epochs=1)
         with pytest.raises(DataFormatError, match="no caption has a token left"):
-            model.fit(["the", "a is", "the a"], [0, 1, 2])
+            model.fit(tokens(["the", "a is", "the a"]), [0, 1, 2])
 
 
 class TestMlpClassifier:

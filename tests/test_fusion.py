@@ -19,6 +19,7 @@ from memesent.models.fusion import (
     fusion_train,
 )
 from memesent.rng import substream
+from memesent.textprep import preprocess
 
 
 def per_sample_stacker(text_probs, image_probs, labels, lam=1e-3, epochs=200, lr=0.1,
@@ -236,8 +237,8 @@ class TestBimodal:
     def make_inputs(self, n=30):
         T, y = hue_band_tensors(n=n, seed=0)
         words = {0: "sad awful", 1: "meh okay", 2: "joy great"}
-        captions = [f"{words[int(c)]} caption {i}" for i, c in enumerate(y)]
-        return captions, T, y
+        tokens = [preprocess(f"{words[int(c)]} caption {i}") for i, c in enumerate(y)]
+        return tokens, T, y
 
     def model(self):
         return BimodalFusionClassifier(
@@ -248,38 +249,38 @@ class TestBimodal:
         )
 
     def test_fit_predict_round(self):
-        captions, T, y = self.make_inputs()
-        model = self.model().fit(captions, T, y)
-        preds = model.predict(captions, T)
+        tokens, T, y = self.make_inputs()
+        model = self.model().fit(tokens, T, y)
+        preds = model.predict(tokens, T)
         assert preds.shape == (30,)
-        probs = model.predict_proba(captions, T)
+        probs = model.predict_proba(tokens, T)
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-6)
         # softmax squash preserves the argmax decision
         assert np.array_equal(np.argmax(probs, axis=1), preds)
 
     def test_out_of_fold_differs_from_in_sample(self):
-        captions, T, y = self.make_inputs()
-        oof = self.model().fit(captions, T, y)
+        tokens, T, y = self.make_inputs()
+        oof = self.model().fit(tokens, T, y)
         ins = self.model()
         ins.in_sample = True
-        ins.fit(captions, T, y)
+        ins.fit(tokens, T, y)
         assert not np.array_equal(oof.stacker_.weights, ins.stacker_.weights)
 
     def test_save_load_bit_exact(self, tmp_path):
-        captions, T, y = self.make_inputs()
-        model = self.model().fit(captions, T, y)
+        tokens, T, y = self.make_inputs()
+        model = self.model().fit(tokens, T, y)
         path = tmp_path / "fusion.bin"
         model.save(path)
         back = BimodalFusionClassifier.load(path)
         assert isinstance(back, BimodalFusionClassifier)
         assert np.array_equal(
-            back.predict_proba(captions, T), model.predict_proba(captions, T)
+            back.predict_proba(tokens, T), model.predict_proba(tokens, T)
         )
 
     def test_one_and_two_workers_give_the_same_model(self):
-        captions, T, y = self.make_inputs()
-        serial = self.model().fit(captions, T, y)
-        forked = self.model().fit(captions, T, y, workers=2)
+        tokens, T, y = self.make_inputs()
+        serial = self.model().fit(tokens, T, y)
+        forked = self.model().fit(tokens, T, y, workers=2)
         assert np.array_equal(forked.stacker_.weights, serial.stacker_.weights)
         assert np.array_equal(forked.stacker_.biases, serial.stacker_.biases)
         header, arrays = forked._payload()
@@ -287,20 +288,20 @@ class TestBimodal:
         assert header == serial_header
         assert arrays.keys() == serial_arrays.keys()
         assert all(np.array_equal(arrays[k], serial_arrays[k]) for k in arrays)
-        assert np.array_equal(forked.predict_proba(captions, T),
-                              serial.predict_proba(captions, T))
+        assert np.array_equal(forked.predict_proba(tokens, T),
+                              serial.predict_proba(tokens, T))
 
     def test_row_count_mismatch(self):
-        captions, T, y = self.make_inputs()
+        tokens, T, y = self.make_inputs()
         with pytest.raises(ValueError):
-            self.model().fit(captions[:-1], T, y)
+            self.model().fit(tokens[:-1], T, y)
 
     def test_too_few_rows_for_folds(self):
-        captions, T, y = self.make_inputs()
+        tokens, T, y = self.make_inputs()
         model = self.model()
         model.folds = 40
         with pytest.raises(ValueError):
-            model.fit(captions, T, y)
+            model.fit(tokens, T, y)
 
     @pytest.mark.parametrize("folds", [1, 31])  # 31 folds > 30 rows
     def test_bad_folds_raise_before_any_branch_fit(self, monkeypatch, folds):
@@ -310,14 +311,14 @@ class TestBimodal:
                 fits.append(type(model))
                 return _fit(model, *args)
             monkeypatch.setattr(cls, "fit", counting)
-        captions, T, y = self.make_inputs()
+        tokens, T, y = self.make_inputs()
         model = self.model()
         model.folds = folds
         with pytest.raises(ValueError, match="fold"):
-            model.fit(captions, T, y)
+            model.fit(tokens, T, y)
         assert fits == []
         model.in_sample = True  # no out-of-fold features: the folds are unused
-        model.fit(captions, T, y)
+        model.fit(tokens, T, y)
         assert fits == [BowFfnnClassifier, HsvCnnClassifier]
 
     @pytest.mark.parametrize("param, value", [
@@ -328,10 +329,10 @@ class TestBimodal:
         fits = []
         for cls in (BowFfnnClassifier, HsvCnnClassifier):
             monkeypatch.setattr(cls, "fit", lambda model, *args: fits.append(model))
-        captions, T, y = self.make_inputs()
+        tokens, T, y = self.make_inputs()
         model = self.model().set_params(**{param: value})
         with pytest.raises(ValueError, match="lam"):
-            model.fit(captions, T, y)
+            model.fit(tokens, T, y)
         assert fits == []
 
     def test_load_rejects_other_kinds(self, tmp_path):

@@ -132,6 +132,13 @@ class TestApi:
         with pytest.raises(ValueError, match="alpha must be finite"):
             MultinomialNaiveBayes(alpha=alpha).fit(TOY_X, TOY_Y)
 
+    def test_a_string_row_is_rejected(self):
+        # iterated, "good day" would be the tokens " ", "a", "d", "g", ...
+        with pytest.raises(ValueError, match="memesent.textprep.preprocess"):
+            MultinomialNaiveBayes().fit(["good day", "bad mood"], [2, 0])
+        with pytest.raises(ValueError, match="memesent.textprep.preprocess"):
+            toy_model().predict_proba(["good day"])
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             nb_train(TOY_X, [0, 1])

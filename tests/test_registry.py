@@ -50,7 +50,7 @@ def _load(kind, path, table):
 
 def test_registry_covers_every_model_kind():
     assert set(cli._MODELS) == set(MODEL_KINDS)
-    kinds = [cls.KIND for cls, _, _ in cli._MODELS.values()]
+    kinds = [cls.KIND for cls, _ in cli._MODELS.values()]
     assert all(kinds) and len(set(kinds)) == len(kinds)
 
 
@@ -58,17 +58,33 @@ def test_registry_covers_every_model_kind():
 def test_train_save_load_predict_identical(kind, captioned_images, tmp_path):
     ds, base, table = captioned_images
     cfg = RunConfig(model=kind, epochs=2, batch_size=10, folds=2, hidden=(8,))
-    model = cli._fit_model(cfg, ds, base, 3, table)
+    inputs = cli._inputs(cli._MODELS[kind][0], ds, base)
+    model = cli._fit_model(cfg, inputs, cli._int_labels(ds), 3, table)
     assert type(model) is cli._MODELS[kind][0]
     path = tmp_path / "model.bin"
     model.save(path)
     back = _load(kind, path, table)
     assert type(back) is type(model)
-    probs = cli._model_proba(model, ds, base)
+    probs = model.predict_proba(*inputs)
     assert probs.shape == (len(ds), 3)
-    assert np.array_equal(cli._model_proba(back, ds, base), probs)
+    assert np.array_equal(back.predict_proba(*inputs), probs)
     back.save(tmp_path / "again.bin")
     assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["nb", "ffnn_w2v", "ffnn_bow", "fusion"])
+def test_a_caption_where_a_token_list_belongs_is_rejected(kind, captioned_images):
+    # a string would count as its characters
+    ds, base, table = captioned_images
+    cfg = RunConfig(model=kind, epochs=1, batch_size=10, folds=2, hidden=(8,))
+    inputs = cli._inputs(cli._MODELS[kind][0], ds, base)
+    captions = [ds.captions(), *inputs[1:]]
+    labels = cli._int_labels(ds)
+    with pytest.raises(ValueError, match="tokenize captions with memesent.textprep.preprocess"):
+        cli._fit_model(cfg, captions, labels, 3, table)
+    model = cli._fit_model(cfg, inputs, labels, 3, table)
+    with pytest.raises(ValueError, match="tokenize captions with memesent.textprep.preprocess"):
+        model.predict_proba(*captions)
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +94,8 @@ def saved_models(captioned_images):
     saved = {}
     for kind in MODEL_KINDS:
         cfg = RunConfig(model=kind, epochs=1, batch_size=10, folds=2, hidden=(8,))
-        cli._fit_model(cfg, ds, base, 3, table).save(base / f"{kind}.bin")
+        inputs = cli._inputs(cli._MODELS[kind][0], ds, base)
+        cli._fit_model(cfg, inputs, cli._int_labels(ds), 3, table).save(base / f"{kind}.bin")
         saved[kind] = load_container(base / f"{kind}.bin")
     return saved
 
@@ -122,7 +139,7 @@ def test_perturbed_arrays_fail_typed_or_predict_probabilities(
         assert str(path) in str(exc)
         return
     try:
-        probs = cli._model_proba(model, ds, base)
+        probs = model.predict_proba(*cli._inputs(type(model), ds, base))
     except NumericError:  # finite weights whose scores overflow: a typed failure
         return
     assert probs.shape == (len(ds), 3) and np.isfinite(probs).all()
@@ -133,7 +150,7 @@ def test_config_fields_reach_the_estimators(captioned_images):
     ds, _, table = captioned_images
     cfg = RunConfig(model="fusion", hidden=(5, 4), lr=0.01, vocab_size=7, folds=3,
                     in_sample=True, epochs=1, batch_size=9, shuffle=False)
-    cls, build, _ = cli._MODELS["fusion"]
+    cls, build = cli._MODELS["fusion"]
     model = build(cls, cfg, 11, table=table)
     assert (model.folds, model.in_sample, model.seed) == (3, True, 11)
     assert model.text.get_params() == dict(
@@ -213,7 +230,7 @@ def test_functional_front_ends_have_their_classes_defaults():
 def test_saved_models_are_registered():
     # every concrete (KIND-tagged) saved model is in the CLI's registry
     saved = [cls for cls in _estimator_classes() if issubclass(cls, SavedModel) and cls.KIND]
-    assert set(saved) == {cls for cls, _, _ in cli._MODELS.values()}
+    assert set(saved) == {cls for cls, _ in cli._MODELS.values()}
 
 
 def test_importing_one_module_loads_only_what_it_imports():

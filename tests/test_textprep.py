@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memesent.textprep import (
-    PrepConfig,
     default_lemma_exceptions,
     default_stopwords,
     lemmatize,
@@ -33,13 +32,6 @@ def test_emoji_and_nonascii_stripped():
 
 def test_digits_kept_by_default():
     assert preprocess("year 2020 mood") == ["year", "2020", "mood"]
-    cfg = PrepConfig(strip_digits=True)
-    assert preprocess("year 2020 mood", cfg) == ["year", "mood"]
-
-
-def test_stopwords_can_be_disabled():
-    cfg = PrepConfig(stopwords=frozenset(), lemmatize=False)
-    assert preprocess("I am feeling unhappy.", cfg) == ["i", "am", "feeling", "unhappy"]
 
 
 def test_lemmatize_examples():
@@ -82,13 +74,6 @@ def test_default_stopwords_contents():
     assert "unhappy" not in sw
 
 
-def test_prepconfig_to_dict():
-    cfg = PrepConfig(stopwords=frozenset({"b", "a"}), lemmatize=False,
-                     strip_digits=True)
-    assert cfg.to_dict() == {"stopwords": ["a", "b"], "lemmatize": False,
-                             "strip_digits": True}
-
-
 token_strategy = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=12)
 
 
@@ -102,12 +87,11 @@ def test_lemmatize_idempotent(token):
 @settings(max_examples=200, deadline=None)
 @given(raw=st.text(max_size=80))
 def test_preprocess_output_shape(raw):
-    cfg = PrepConfig()
-    tokens = preprocess(raw, cfg)
+    tokens = preprocess(raw)
     for t in tokens:
         assert t, "empty token"
         assert all(c in string.ascii_lowercase + string.digits for c in t)
-        assert t not in cfg.stopwords
+        assert t not in default_stopwords()
 
 
 @settings(max_examples=200, deadline=None)
