@@ -190,13 +190,10 @@ def check_token_lists(X) -> None:
                          "tokenize captions with memesent.textprep.preprocess")
 
 
-def as_float_matrix(X, n_features: int | None = None, name: str = "X",
-                    finite_in=np.float64) -> np.ndarray:
-    """Coerce to a 2-D float64 array, or keep a float32 one, optionally
-    checking width. Every value must be finite in ``finite_in``, the
-    dtype that the caller computes in."""
-    arr = np.asarray(X)
-    arr = arr if arr.dtype == np.float32 else arr.astype(np.float64, copy=False)
+def as_float_matrix(X, n_features: int | None = None, name: str = "X") -> np.ndarray:
+    """Coerce to a 2-D float64 array of finite values, optionally
+    checking width."""
+    arr = np.asarray(X, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
     if n_features is not None and arr.shape[1] != n_features:
@@ -204,10 +201,9 @@ def as_float_matrix(X, n_features: int | None = None, name: str = "X",
             f"{name} has {arr.shape[1]} features, expected {n_features}"
         )
     # min and max carry NaN through, and NaN fails both comparisons
-    top = np.finfo(finite_in).max
+    top = np.finfo(np.float64).max
     if arr.size and not (-top <= arr.min() and arr.max() <= top):
-        raise ValueError(f"{name} contains non-finite values "
-                         f"(in {np.dtype(finite_in).name})")
+        raise ValueError(f"{name} contains non-finite values")
     return arr
 
 

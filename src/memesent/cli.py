@@ -84,7 +84,8 @@ def _load_dataset(cfg: RunConfig) -> tuple[Dataset, Path]:
 
 def _tensors_for(ds: Dataset, base_dir: Path) -> np.ndarray:
     """Stack per-record HSV tensors; relative image paths resolve
-    against the dataset file's directory."""
+    against the dataset file's directory. A record that appears again
+    (an upsampled copy) copies its first row instead of reading again."""
     missing = [rec.id for rec in ds.records if not rec.image_path]
     if missing:
         raise DataFormatError(
@@ -92,8 +93,11 @@ def _tensors_for(ds: Dataset, base_dir: Path) -> np.ndarray:
             "map the image column in the schema"
         )
     stack = np.empty((len(ds), IMAGE_SIZE, IMAGE_SIZE, 3))
-    for row, rec in zip(stack, ds.records):
-        row[...] = load_hsv_input(base_dir / rec.image_path)  # an absolute path stays
+    first = {}
+    for i, rec in enumerate(ds.records):
+        j = first.setdefault(rec, i)
+        # an absolute path stays
+        stack[i] = stack[j] if j < i else load_hsv_input(base_dir / rec.image_path)
     return stack
 
 
@@ -131,10 +135,14 @@ _MODELS = {
 def _inputs(cls, ds: Dataset, base_dir: Path) -> list:
     """The positional inputs of ``cls``'s fit and predict_proba, one row per
     record of ``ds``: the preprocessed captions, the HSV tensor stack, or
-    both for fusion. Tokens are interned, so each distinct word is held once."""
+    both for fusion. A record that appears again (an upsampled copy)
+    shares its first token list. Tokens are interned, so each distinct
+    word is held once."""
     inputs = []
     if cls is not HsvCnnClassifier:
-        inputs.append([[sys.intern(t) for t in preprocess(c)] for c in ds.captions()])
+        tokens = {rec: [sys.intern(t) for t in preprocess(rec.caption)]
+                  for rec in dict.fromkeys(ds.records)}
+        inputs.append([tokens[rec] for rec in ds.records])
     if cls in (HsvCnnClassifier, BimodalFusionClassifier):
         inputs.append(_tensors_for(ds, base_dir))
     return inputs
@@ -267,8 +275,8 @@ def cmd_train(cfg: RunConfig, workers: int = 1) -> int:
         "config_hash": config_hash(cfg),
         "epoch_losses": [float(x) for x in getattr(model, "history_", [])],
     }
-    coverage = getattr(model, "coverage_", None)
-    if coverage is not None:
+    if table is not None:  # over the fit rows, upsampled copies included
+        coverage = corpus_coverage(inputs[0], table)
         report["embedding_coverage"] = {
             "n_tokens": coverage.n_tokens,
             "n_covered_tokens": coverage.n_covered_tokens,

@@ -114,10 +114,6 @@ class CoverageStats:
     n_covered_tokens: int
 
     @property
-    def all_oov_fraction(self) -> float:
-        return self.n_all_oov / self.n_captions if self.n_captions else 0.0
-
-    @property
     def token_coverage(self) -> float:
         return self.n_covered_tokens / self.n_tokens if self.n_tokens else 0.0
 

@@ -1,5 +1,5 @@
-"""Macro-F1 scoring, baselines, seeded multi-run stability studies, and
-the parallel map that the studies and fusion fits run on.
+"""Macro-F1 scoring, seeded multi-run stability studies, and the
+parallel map that the studies and fusion fits run on.
 
 Scoring runs through a 3x3 confusion matrix (rows = gold, cols =
 predicted). Per-class precision, recall, and F1 define any 0/0 as 0;
@@ -29,7 +29,6 @@ __all__ = [
     "StabilityReport",
     "ComparisonTable",
     "macro_f1",
-    "majority_baseline",
     "parallel_map",
     "stability_study",
     "compare_report",
@@ -134,19 +133,6 @@ def macro_f1(preds, golds, seed: int | None = None,
         macro_f1=float(f1.mean()),
         meta=meta,
     )
-
-
-def majority_baseline(train_golds, eval_golds) -> EvalReport:
-    """Score a predictor that always answers the training-majority class.
-
-    Count ties resolve to the lowest class index.
-    """
-    train_golds = as_label_array(train_golds)
-    if len(train_golds) == 0:
-        raise ValueError("majority baseline needs a nonempty training set")
-    majority = int(np.argmax(np.bincount(train_golds, minlength=_N_CLASSES)))
-    eval_golds = as_label_array(eval_golds)
-    return macro_f1(np.full(len(eval_golds), majority), eval_golds)
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,21 @@
 """Feed-forward caption classifiers.
 
-``MlpClassifier`` wraps the numeric core behind fit/predict on feature
-matrices. It declares the four architecture parameters, which
-``_net_params`` maps to and from a :class:`NetSpec` under the same
-names, and inherits the five training parameters from
-:class:`~memesent.base.AdamEstimator`. The caption classifiers are
-featurizers in front of it that take one token list per caption, the
-output of the fixed pipeline ``memesent.textprep.preprocess``:
-``Word2vecFfnnClassifier`` mean-pools the tokens' embeddings,
-``BowFfnnClassifier`` builds bag-of-words presence vectors. They differ
-only in ``_features`` and in the extra header fields they save; fit,
-predict and persistence are shared. The header records the pipeline as
-``prep``, and a file whose ``prep`` differs fails to load. All use
-scaled initialization by default: the literal standard-normal init
-saturates the 6-hidden-layer stack and does not train at desk scale.
-The nets are float32, and so are their saved arrays; a float64 file is
-cast down at load.
+``_CaptionMlp`` is the dense softmax net behind fit/predict on token
+lists, one per caption, the output of the fixed pipeline
+``memesent.textprep.preprocess``. It declares the four architecture
+parameters, which ``_net_params`` maps to and from a :class:`NetSpec`
+under the same names, and inherits the five training parameters from
+:class:`~memesent.base.AdamEstimator`. Its subclasses differ only in
+``_features``, which turns token lists into the net's input rows, and in
+the extra header fields they save: ``Word2vecFfnnClassifier`` mean-pools
+the tokens' embeddings, ``BowFfnnClassifier`` builds bag-of-words
+presence vectors. The features are finite by construction (means of a
+checked table, or 0/1), so the net takes them unchecked. The header
+records the pipeline as ``prep``, and a file whose ``prep`` differs
+fails to load. Both use scaled initialization by default: the literal
+standard-normal init saturates the 6-hidden-layer stack and does not
+train at desk scale. The nets are float32, and so are their saved
+arrays; a float64 file is cast down at load.
 """
 
 from __future__ import annotations
@@ -25,14 +25,13 @@ import numpy as np
 from ..base import (
     AdamEstimator,
     SavedModel,
-    as_float_matrix,
     as_label_array,
     check_consistent_length,
     check_fitted,
     check_token_lists,
     checked_arrays,
 )
-from ..embeddings import EmbeddingTable, corpus_coverage, embed_corpus
+from ..embeddings import EmbeddingTable, embed_corpus
 from ..errors import DataFormatError
 from ..nn import (
     DEFAULT_HIDDEN,
@@ -48,26 +47,26 @@ from ..textprep import prep_header
 from .bow import BowVocab, build_bow_vocab, bow_vectorize
 
 __all__ = [
-    "MlpClassifier",
     "Word2vecFfnnClassifier",
     "BowFfnnClassifier",
 ]
 
 
-def _proba(params: list[np.ndarray], X, activation: str) -> np.ndarray:
-    """Softmax of the net's logits; :class:`NumericError` if they are not finite."""
-    return softmax(finite_logits(lambda: forward(params, X, activation)[0]))
-
-
 def _net_params(source) -> dict:
-    """The parameters that a :class:`NetSpec` and an :class:`MlpClassifier`
-    share, read from ``source`` (either of the two)."""
+    """The parameters that a :class:`NetSpec` and a caption net share,
+    read from ``source`` (either of the two)."""
     return {name: getattr(source, name)
             for name in ("hidden", "activation", "init_mode", "init_sigma", "seed")}
 
 
-class MlpClassifier(AdamEstimator):
-    """Dense softmax classifier on ready-made feature rows."""
+class _CaptionMlp(SavedModel, AdamEstimator):
+    """Token lists -> ``_features`` -> dense softmax classifier.
+
+    A subclass implements ``_features(tokens, fitting)``, which may
+    learn state when ``fitting``, and saves its extra header fields
+    through ``_header()`` and ``_from_header(header, spec, path,
+    *context)``; the latter returns the unfitted model to restore into.
+    """
 
     def __init__(
         self,
@@ -83,43 +82,20 @@ class MlpClassifier(AdamEstimator):
         self.init_sigma = init_sigma
         super().__init__(**train)
 
-    def _spec(self, input_dim: int) -> NetSpec:
-        return NetSpec(input_dim=input_dim, **_net_params(self))
-
-    def fit(self, X, y) -> "MlpClassifier":
-        X = as_float_matrix(X, finite_in=np.float32)
-        y = as_label_array(y)
-        check_consistent_length(X, y)
-        self.spec_ = self._spec(X.shape[1])
-        self.params_, self.history_ = train(self.spec_, X, y, TrainConfig.of(self))
-        return self
-
-    def predict_proba(self, X) -> np.ndarray:
-        check_fitted(self, "params_")
-        X = as_float_matrix(X, n_features=self.spec_.input_dim, finite_in=np.float32)
-        return _proba(self.params_, X, self.spec_.activation)
-
-
-class _CaptionMlp(SavedModel, MlpClassifier):
-    """Token lists -> ``_features`` -> :class:`MlpClassifier`.
-
-    A subclass implements ``_features(tokens, fitting)``, which may
-    learn state when ``fitting``, and saves its extra header fields
-    through ``_header()`` and ``_from_header(header, spec, path,
-    *context)``; the latter returns the unfitted model to restore into.
-    """
-
     def fit(self, tokens: list[list[str]], y):
         check_token_lists(tokens)
-        return super().fit(self._features(tokens, fitting=True), y)
+        y = as_label_array(y)
+        X = self._features(tokens, fitting=True)
+        check_consistent_length(X, y)
+        self.spec_ = NetSpec(input_dim=X.shape[1], **_net_params(self))
+        self.params_, self.history_ = train(self.spec_, X, y, TrainConfig.of(self))
+        return self
 
     def predict_proba(self, tokens: list[list[str]]) -> np.ndarray:
         check_fitted(self, "params_")
         check_token_lists(tokens)
-        # the features are finite and as wide as the net by construction,
-        # so MlpClassifier's input checks (a pass over every row) are skipped
         X = self._features(tokens, fitting=False)
-        return _proba(self.params_, X, self.spec_.activation)
+        return softmax(finite_logits(lambda: forward(self.params_, X, self.spec_.activation)[0]))
 
     def _payload(self) -> tuple[dict, dict[str, np.ndarray]]:
         check_fitted(self, "params_")
@@ -158,7 +134,6 @@ class Word2vecFfnnClassifier(_CaptionMlp):
     The embedding table is a constructor argument and is not serialized
     with the model; ``save`` records the table's dimension so ``load`` can
     check that the caller supplies a compatible one.
-    ``coverage_`` is the table's coverage of the training tokens.
     """
 
     KIND = "ffnn-w2v"
@@ -171,8 +146,6 @@ class Word2vecFfnnClassifier(_CaptionMlp):
         super().__init__(**dense)
 
     def _features(self, tokens: list[list[str]], fitting: bool) -> np.ndarray:
-        if fitting:
-            self.coverage_ = corpus_coverage(tokens, self.table)
         return embed_corpus(tokens, self.table)
 
     def _header(self) -> dict:

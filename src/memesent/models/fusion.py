@@ -42,7 +42,6 @@ from .ffnn import BowFfnnClassifier
 __all__ = [
     "FusionStacker",
     "fusion_train",
-    "fusion_predict",
     "BimodalFusionClassifier",
 ]
 
@@ -152,18 +151,6 @@ def fusion_train(
     return FusionStacker(weights=W, biases=b)
 
 
-def fusion_predict(stacker: FusionStacker, text_row, image_row) -> int:
-    """Final label for one caption/image pair of probability rows.
-
-    Ties between per-class scores resolve to the lowest class index.
-    """
-    X = _stack_features(
-        np.asarray(text_row, dtype=np.float64)[None, :],
-        np.asarray(image_row, dtype=np.float64)[None, :],
-    )
-    return int(np.argmax(stacker.scores(X)[0]))
-
-
 class BimodalFusionClassifier(SavedModel, Estimator):
     """Text branch + image branch + stacker, as one estimator.
 
@@ -268,17 +255,6 @@ class BimodalFusionClassifier(SavedModel, Estimator):
         )
         return self
 
-    def _scores(self, tokens, tensors) -> np.ndarray:
-        check_fitted(self, "stacker_")
-        X = _stack_features(
-            self.text_.predict_proba(list(tokens)),
-            self.image_.predict_proba(tensors),
-        )
-        return self.stacker_.scores(X)
-
-    def predict(self, tokens, tensors) -> np.ndarray:
-        return np.argmax(self._scores(tokens, tensors), axis=1)
-
     def predict_proba(self, tokens, tensors) -> np.ndarray:
         """Softmax over stacker scores.
 
@@ -286,7 +262,12 @@ class BimodalFusionClassifier(SavedModel, Estimator):
         is a rank-preserving squash so downstream reporting can treat
         every model uniformly.
         """
-        return softmax(self._scores(tokens, tensors))
+        check_fitted(self, "stacker_")
+        X = _stack_features(
+            self.text_.predict_proba(list(tokens)),
+            self.image_.predict_proba(tensors),
+        )
+        return softmax(self.stacker_.scores(X))
 
     def _payload(self) -> tuple[dict, dict[str, np.ndarray]]:
         check_fitted(self, "stacker_")

@@ -26,7 +26,7 @@ from ..base import (
 from ..errors import DataFormatError, TrainingError
 from ..nn import finite_logits, softmax
 
-__all__ = ["MultinomialNaiveBayes", "nb_train"]
+__all__ = ["MultinomialNaiveBayes"]
 
 N_CLASSES = 3
 
@@ -124,7 +124,3 @@ class MultinomialNaiveBayes(SavedModel, Estimator):
         if np.isneginf(model.class_log_prior_).all():
             raise DataFormatError(f"{path}: every class has a -inf prior")
         return model
-
-
-def nb_train(X: list[list[str]], y, alpha: float = 1.0) -> MultinomialNaiveBayes:
-    return MultinomialNaiveBayes(alpha=alpha).fit(X, y)

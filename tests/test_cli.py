@@ -19,8 +19,15 @@ from memesent import cli
 from memesent import eval as eval_module
 from memesent.cli import main
 from memesent.config import MODEL_KINDS, RunConfig
-from memesent.corpus import Dataset, MemeRecord, Sentiment, load_dataset, save_dataset
-from memesent.embeddings import write_word2vec_binary
+from memesent.corpus import (
+    Dataset,
+    MemeRecord,
+    Sentiment,
+    load_dataset,
+    save_dataset,
+    upsample,
+)
+from memesent.embeddings import corpus_coverage, load_embeddings, write_word2vec_binary
 from memesent.eval import macro_f1
 from memesent.models.cnn import _SHAPES as _CNN_SHAPES
 from memesent.models.cnn import HsvCnnClassifier, init_cnn_params
@@ -66,6 +73,18 @@ def fusion_workspace(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def skewed_copy(data, positives):
+    """A copy of the dataset CSV ``data``, written beside it, that keeps
+    only its first ``positives`` positive records, so that upsampling
+    copies them."""
+    records = load_dataset(data, None).records
+    kept = [rec for rec in records if rec.label != Sentiment.POSITIVE]
+    kept += [rec for rec in records if rec.label == Sentiment.POSITIVE][:positives]
+    path, ds = data.with_name("skewed.csv"), Dataset(tuple(kept))
+    save_dataset(ds, path)
+    return path, ds
 
 
 class TestPrepare:
@@ -142,6 +161,41 @@ class TestTrain:
         report = json.loads((out / "train_report.json").read_text())
         assert len(report["epoch_losses"]) == 10
         assert report["embedding_coverage"]["n_all_oov"] == 0
+
+    def test_upsampled_w2v_reports_the_coverage_of_the_fit_rows(self, workspace):
+        data, ds = skewed_copy(workspace["data"], positives=5)
+        out = workspace["dir"] / "w2v_up"
+        assert run(
+            "train", "--model", "ffnn_w2v", "--dataset", data, "--embeddings",
+            workspace["emb"], "--upsample", "--seed", 3, "--out", out,
+        ) == 0
+        report = json.loads((out / "train_report.json").read_text())
+        fit = upsample(ds, seed=3)
+        assert report["n_records"] == len(fit) == 60
+        table = load_embeddings(workspace["emb"])
+        coverage = corpus_coverage([preprocess(c) for c in fit.captions()], table)
+        assert report["embedding_coverage"] == {
+            "n_tokens": coverage.n_tokens,
+            "n_covered_tokens": coverage.n_covered_tokens,
+            "n_all_oov": coverage.n_all_oov,
+        }
+        # the copies count again: more tokens than the records hold once
+        once = corpus_coverage([preprocess(c) for c in ds.captions()], table)
+        assert coverage.n_tokens > once.n_tokens
+
+    def test_upsample_preprocesses_and_reads_each_record_once(
+            self, fusion_workspace, monkeypatch):
+        data, ds = skewed_copy(fusion_workspace / "data.csv", positives=3)
+        captions = TestStability.count_calls(monkeypatch, preprocess)
+        images = TestStability.count_calls(monkeypatch, cli.load_hsv_input)
+        cfg = RunConfig(model="fusion", dataset=str(data), upsample=True, folds=3,
+                        epochs=1, batch_size=10, out=str(fusion_workspace / "up"))
+        assert cli.cmd_train(cfg.validate(), workers=1) == 0
+        report = json.loads((fusion_workspace / "up" / "train_report.json").read_text())
+        assert (len(ds), report["n_records"]) == (23, 30)
+        assert sorted(c for (c,) in captions) == sorted(ds.captions())
+        assert sorted(str(path) for (path,) in images) == sorted(
+            str(fusion_workspace / rec.image_path) for rec in ds.records)
 
     def test_w2v_needs_embeddings(self, workspace, capsys):
         rc = run(

@@ -17,7 +17,6 @@ from memesent.eval import (
     ConfusionMatrix,
     compare_report,
     macro_f1,
-    majority_baseline,
     parallel_map,
     stability_study,
 )
@@ -129,25 +128,6 @@ class TestConfusionMatrix:
             ConfusionMatrix(counts=np.zeros((3, 3)))  # float dtype
         with pytest.raises(ValueError):
             ConfusionMatrix(counts=np.full((3, 3), -1, dtype=np.int64))
-
-
-class TestMajorityBaseline:
-    def test_balanced_eval(self):
-        rep = majority_baseline([0, 0, 1], [0, 1, 2])
-        assert abs(rep.macro_f1 - 1.0 / 6.0) < 1e-12
-        assert rep.f1 == (0.5, 0.0, 0.0)
-
-    def test_single_class_gold(self):
-        rep = majority_baseline([1, 1, 0], [1, 1, 1])
-        assert abs(rep.macro_f1 - 1.0 / 3.0) < 1e-12
-
-    def test_count_tie_takes_lowest_index(self):
-        rep = majority_baseline([2, 0], [0, 0])
-        assert rep.macro_f1 == 1.0 / 3.0  # predicted class 0, not 2
-
-    def test_empty_train(self):
-        with pytest.raises(ValueError):
-            majority_baseline([], [0, 1])
 
 
 class TestStability:

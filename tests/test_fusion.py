@@ -15,7 +15,6 @@ from memesent.models.fusion import (
     BimodalFusionClassifier,
     FusionStacker,
     _stack_features,
-    fusion_predict,
     fusion_train,
 )
 from memesent.rng import substream
@@ -102,10 +101,7 @@ class TestStacker:
         text, image, y = branch_rows(120)
         stacker = fusion_train(text, image, y)
         held_text, held_image, held_y = branch_rows(63)
-        preds = [
-            fusion_predict(stacker, held_text[i], held_image[i])
-            for i in range(len(held_y))
-        ]
+        preds = np.argmax(stacker.scores(np.hstack([held_text, held_image])), axis=1)
         assert np.array_equal(preds, held_y)
 
     def test_no_information_matches_majority(self):
@@ -135,12 +131,12 @@ class TestStacker:
         # text block passes through, image block ignored
         W = np.hstack([np.eye(3), np.zeros((3, 3))])
         stacker = FusionStacker(weights=W, biases=np.zeros(3))
-        assert fusion_predict(stacker, [0.1, 0.7, 0.2], [1 / 3] * 3) == 1
-        assert fusion_predict(stacker, [0.5, 0.2, 0.3], [1 / 3] * 3) == 0
+        X = [[0.1, 0.7, 0.2] + [1 / 3] * 3, [0.5, 0.2, 0.3] + [1 / 3] * 3]
+        assert np.argmax(stacker.scores(X), axis=1).tolist() == [1, 0]
 
     def test_tie_breaks_to_lowest_index(self):
         stacker = FusionStacker(weights=np.zeros((3, 6)), biases=np.zeros(3))
-        assert fusion_predict(stacker, [1 / 3] * 3, [1 / 3] * 3) == 0
+        assert np.argmax(stacker.scores([[1 / 3] * 6])[0]) == 0
 
     def test_deterministic_for_seed(self):
         text, image, y = branch_rows(30)
@@ -226,7 +222,7 @@ class TestStacker:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no NumPy warning escapes
             with pytest.raises(NumericError, match="the stacker's scores are not finite"):
-                fusion_predict(stacker, [1 / 3] * 3, [1 / 3] * 3)
+                np.argmax(stacker.scores([[1 / 3] * 6]))
 
     def test_weight_shape_validated(self):
         with pytest.raises(ValueError):

@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memesent.errors import DataFormatError, NotFittedError, NumericError, TrainingError
-from memesent.models.naive_bayes import MultinomialNaiveBayes, nb_train
+from memesent.models.naive_bayes import MultinomialNaiveBayes
 
 TOY_X = [["good", "good", "fun"], ["bad", "sad"], ["fun", "bad"]]
 TOY_Y = [2, 0, 1]
 
 
 def toy_model():
-    return nb_train(TOY_X, TOY_Y, alpha=1.0)
+    return MultinomialNaiveBayes(alpha=1.0).fit(TOY_X, TOY_Y)
 
 
 def nb_predict(model, tokens):
@@ -69,7 +69,7 @@ class TestHandOracle:
         assert np.all(np.abs(row - 1.0 / 3.0) < 1e-12)
 
     def test_priors_reflect_imbalance(self):
-        model = nb_train([["x"], ["x"], ["y"]], [2, 2, 0])
+        model = MultinomialNaiveBayes().fit([["x"], ["x"], ["y"]], [2, 2, 0])
         row = model.predict_proba([[]])[0]
         assert abs(row[2] - 2.0 / 3.0) < 1e-12
         assert abs(row[0] - 1.0 / 3.0) < 1e-12
@@ -121,7 +121,7 @@ class TestApi:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(TrainingError):
-            nb_train([], [])
+            MultinomialNaiveBayes().fit([], [])
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -141,7 +141,7 @@ class TestApi:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            nb_train(TOY_X, [0, 1])
+            MultinomialNaiveBayes().fit(TOY_X, [0, 1])
 
     def test_save_load_round_trip(self, tmp_path):
         model = toy_model()
@@ -153,7 +153,7 @@ class TestApi:
         assert np.array_equal(back.predict_proba(X), model.predict_proba(X))
 
     def test_save_load_keeps_an_absent_class(self, tmp_path):
-        model = nb_train(TOY_X[:2], [2, 0])  # no neutral caption: a -inf prior
+        model = MultinomialNaiveBayes().fit(TOY_X[:2], [2, 0])  # no neutral caption: a -inf prior
         path = tmp_path / "nb.bin"
         model.save(path)
         back = MultinomialNaiveBayes.load(path)

@@ -23,7 +23,6 @@ from memesent.models.bow import build_bow_vocab
 from memesent.models.ffnn import BowFfnnClassifier, Word2vecFfnnClassifier
 from memesent.models.fusion import BimodalFusionClassifier, fusion_train
 from memesent.models.image import write_hsv_tensor
-from memesent.models.naive_bayes import MultinomialNaiveBayes, nb_train
 from memesent.nn import TrainConfig
 from memesent.persist import load_container, save_container
 
@@ -68,6 +67,8 @@ def test_train_save_load_predict_identical(kind, captioned_images, tmp_path):
     probs = model.predict_proba(*inputs)
     assert probs.shape == (len(ds), 3)
     assert np.array_equal(back.predict_proba(*inputs), probs)
+    # the library label is the one that `memesent predict` writes
+    assert np.array_equal(model.predict(*inputs), np.argmax(probs, axis=1))
     back.save(tmp_path / "again.bin")
     assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
@@ -193,7 +194,7 @@ def test_training_defaults_are_train_config_defaults():
     train = vars(TrainConfig())
     adam_trained = [cls for cls in _estimator_classes() if set(train) <= set(cls._param_names())]
     assert {cls.__name__ for cls in adam_trained} >= {
-        "MlpClassifier", "Word2vecFfnnClassifier", "BowFfnnClassifier", "HsvCnnClassifier"}
+        "Word2vecFfnnClassifier", "BowFfnnClassifier", "HsvCnnClassifier"}
     for cls in adam_trained:
         params = cls(**{"table": None} if "table" in cls._param_names() else {}).get_params()
         assert {name: params[name] for name in train} == train, cls.__name__
@@ -220,7 +221,6 @@ def test_model_defaults_are_estimator_defaults():
 
 
 def test_functional_front_ends_have_their_classes_defaults():
-    assert _defaults(nb_train)["alpha"] == MultinomialNaiveBayes().alpha
     fusion = BimodalFusionClassifier().get_params()
     assert _defaults(fusion_train) == {"lam": fusion["lam"], "epochs": fusion["stacker_epochs"],
                                        "lr": fusion["stacker_lr"], "seed": fusion["seed"]}

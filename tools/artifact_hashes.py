@@ -11,10 +11,11 @@ the Word2Vec file and with ``filter_embeddings = false``; both must give
 the binary, filtered run's model and predictions. Then it runs
 ``stability --model ffnn_w2v --upsample --runs 3`` and
 ``stability --model fusion --upsample --runs 2`` (its seeds in forked
-workers, each fusion fit's rounds serial inside them). Last it runs the
+workers, each fusion fit's rounds serial inside them). It runs the
 fusion ``train`` again with the child restricted to one CPU through
 ``sched_setaffinity``, so that it fits serially, and prints that hash
-next to the one from all CPUs. Every command runs as ``python -m
+next to the one from all CPUs. Last it runs ``train --upsample`` for
+``ffnn_w2v`` and ``fusion``. Every command runs as ``python -m
 memesent.cli`` from the inputs directory with relative paths, so the
 hashes do not depend on OUT_DIR. Prints the first 12 hex digits of the
 SHA-256 of each artifact and exits 1 if any command fails, an
@@ -131,6 +132,11 @@ def main(argv=None) -> int:
     if one != every:
         print("fusion model.bin differs between one CPU and all CPUs", file=sys.stderr)
         ok = False
+    for kind in ("ffnn_w2v", "fusion"):
+        out = f"{kind}_upsample"
+        ok &= run(inputs, "train", "--model", kind, "--upsample", "--out", f"../{out}")
+        for name in ("model.bin", "train_report.json"):
+            print(f"{kind:<9} {name:<18} {short_hash(out_dir / out / name)}  (--upsample)")
     return 0 if ok else 1
 
 
