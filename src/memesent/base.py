@@ -4,21 +4,25 @@ Estimators follow the scikit-learn protocol: constructor arguments are
 stored verbatim as attributes of the same name, ``fit`` returns self,
 learned state uses a trailing underscore, and ``get_params`` /
 ``set_params`` allow composition with the wider ecosystem without
-requiring scikit-learn itself.
+requiring scikit-learn itself. Each estimator is a dataclass
+(``eq=False``: equality stays identity) whose fields are its parameters,
+so each parameter and its default is declared once; the config's
+``[model]`` defaults are read from these fields.
 
 ``AdamEstimator`` declares the five training parameters of every model
-that ``nn.fit_adam`` trains, with :class:`~memesent.nn.TrainConfig`'s
-defaults. ``SavedModel`` is the one persistence protocol of the model
-classes: a ``KIND`` tag, ``save``/``load`` through the checksummed
-container, and one place that turns a malformed payload into
-:class:`DataFormatError`; ``checked_arrays`` checks each loaded array
-against the shape the model's architecture gives it.
+that ``nn.fit_adam`` trains, keyword-only, with
+:class:`~memesent.nn.TrainConfig`'s defaults. ``SavedModel`` is the one
+persistence protocol of the model classes: a ``KIND`` tag,
+``save``/``load`` through the checksummed container, and one place that
+turns a malformed payload into :class:`DataFormatError`;
+``checked_arrays`` checks each loaded array against the shape the
+model's architecture gives it.
 """
 
 from __future__ import annotations
 
-import inspect
 from contextlib import contextmanager
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,22 +46,13 @@ __all__ = [
 
 class Estimator:
     """Minimal scikit-learn-compatible parameter handling, and ``predict``
-    as the argmax of the subclass's ``predict_proba``."""
+    as the argmax of the subclass's ``predict_proba``. A subclass is a
+    dataclass whose fields are its parameters."""
 
     @classmethod
     def _param_names(cls):
-        """Constructor parameter names. An ``__init__`` that takes
-        ``**kwargs`` passes them up the MRO, so the names of the next
-        ``__init__`` there follow its own."""
-        names = []
-        for klass in cls.__mro__:
-            if "__init__" not in vars(klass):
-                continue
-            params = list(inspect.signature(klass.__init__).parameters.values())[1:]
-            names += [p.name for p in params if p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)]
-            if all(p.kind != p.VAR_KEYWORD for p in params):
-                break
-        return names
+        """The parameter names: the fields of the dataclass ``cls``."""
+        return [f.name for f in fields(cls)]
 
     def get_params(self, deep: bool = True) -> dict:
         return {name: getattr(self, name) for name in self._param_names()}
@@ -77,28 +72,17 @@ class Estimator:
         # argmax takes the first maximum, so ties go to the lower index
         return np.argmax(self.predict_proba(*inputs), axis=1)
 
-    def __repr__(self) -> str:
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
 
-
+@dataclass(eq=False, kw_only=True)
 class AdamEstimator(Estimator):
     """An estimator trained by ``nn.fit_adam``: its training parameters,
     read back by ``TrainConfig.of``."""
 
-    def __init__(
-        self,
-        batch_size: int = TrainConfig.batch_size,
-        epochs: int = TrainConfig.epochs,
-        lr: float = TrainConfig.lr,
-        shuffle: bool = TrainConfig.shuffle,
-        seed: int = TrainConfig.seed,
-    ):
-        self.batch_size = batch_size
-        self.epochs = epochs
-        self.lr = lr
-        self.shuffle = shuffle
-        self.seed = seed
+    batch_size: int = TrainConfig.batch_size
+    epochs: int = TrainConfig.epochs
+    lr: float = TrainConfig.lr
+    shuffle: bool = TrainConfig.shuffle
+    seed: int = TrainConfig.seed
 
 
 class SavedModel:

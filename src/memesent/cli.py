@@ -39,7 +39,7 @@ from .corpus import (
     save_dataset,
     upsample,
 )
-from .embeddings import EmbeddingTable, corpus_coverage, load_embeddings
+from .embeddings import CoverageStats, EmbeddingTable, corpus_coverage, load_embeddings
 from .errors import ConfigError, DataFormatError, NumericError
 from .eval import EvalReport, compare_report, macro_f1, stability_study
 from .models.cnn import HsvCnnClassifier
@@ -148,14 +148,16 @@ def _inputs(cls, ds: Dataset, base_dir: Path) -> list:
     return inputs
 
 
-def _table_for(cls, cfg: RunConfig, inputs: list, source: str = "") -> EmbeddingTable | None:
+def _table_for(cls, cfg: RunConfig, inputs: list,
+               source: str = "") -> tuple[EmbeddingTable | None, CoverageStats | None]:
     """The embedding table a model of ``cls`` needs, if any, for the
-    :func:`_inputs` built for it. With ``filter_embeddings`` it keeps only
-    their tokens. Logs the table's coverage of them, once per command.
-    A missing embeddings path is a :class:`ConfigError` that begins with
+    :func:`_inputs` built for it, and its coverage of their tokens, or
+    ``(None, None)``. With ``filter_embeddings`` the table keeps only
+    those tokens. Logs the coverage, once per command. A missing
+    embeddings path is a :class:`ConfigError` that begins with
     ``source``, the model file's name if there is one."""
     if cls is not Word2vecFfnnClassifier:
-        return None
+        return None, None
     if not cfg.embeddings:
         raise ConfigError(
             f"{source}model {cls.KIND!r} requires an embeddings path "
@@ -173,7 +175,7 @@ def _table_for(cls, cfg: RunConfig, inputs: list, source: str = "") -> Embedding
         100.0 * coverage.token_coverage,
         coverage.n_all_oov,
     )
-    return table
+    return table, coverage
 
 
 def _fit_model(cfg: RunConfig, inputs: list, labels: list[int], seed: int, table,
@@ -264,7 +266,7 @@ def cmd_train(cfg: RunConfig, workers: int = 1) -> int:
         ds = upsample(ds, seed=cfg.seed)
     cls = _MODELS[cfg.model][0]
     inputs = _inputs(cls, ds, path.parent)
-    table = _table_for(cls, cfg, inputs)
+    table, coverage = _table_for(cls, cfg, inputs)
     model = _fit_model(cfg, inputs, _int_labels(ds), cfg.seed, table, workers)
     out = _out_dir(cfg)
     model.save(out / "model.bin")
@@ -275,8 +277,7 @@ def cmd_train(cfg: RunConfig, workers: int = 1) -> int:
         "config_hash": config_hash(cfg),
         "epoch_losses": [float(x) for x in getattr(model, "history_", [])],
     }
-    if table is not None:  # over the fit rows, upsampled copies included
-        coverage = corpus_coverage(inputs[0], table)
+    if coverage is not None:  # over the fit rows, upsampled copies included
         report["embedding_coverage"] = {
             "n_tokens": coverage.n_tokens,
             "n_covered_tokens": coverage.n_covered_tokens,
@@ -302,7 +303,7 @@ def cmd_predict(cfg: RunConfig, model_path: str) -> int:
     if cls is Word2vecFfnnClassifier:  # its header first: the table takes long to read
         cls.saved_spec(header, model_path)
         inputs = _inputs(cls, ds, path.parent)  # tokens only: no image is read
-        table = _table_for(cls, cfg, inputs, f"{model_path}: ")
+        table, _ = _table_for(cls, cfg, inputs, f"{model_path}: ")
         model = cls.from_container(header, arrays, model_path, table)
     else:  # the file is checked before any image is read
         model = cls.from_container(header, arrays, model_path)
@@ -415,7 +416,7 @@ def cmd_stability(cfg: RunConfig, workers: int = 1) -> int:
     # built once, here: the forked seeds share them and select their rows,
     # by id, since upsampled copies keep their record's id
     inputs = _inputs(cls, ds, path.parent)
-    table = _table_for(cls, cfg, inputs)
+    table, _ = _table_for(cls, cfg, inputs)
     row_of = {rec.id: i for i, rec in enumerate(ds.records)}
 
     def rows(part: Dataset) -> list:
@@ -464,7 +465,7 @@ def _score_from_report(path: str) -> float:
     try:
         # every number as a float: an integer too large for one becomes inf
         data = json.loads(p.read_text(encoding="utf-8"), parse_int=float)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{p}: not valid JSON: {exc}") from exc
     for key in ("macro_f1", "mean"):
         if isinstance(data, dict) and key in data:

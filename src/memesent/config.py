@@ -4,7 +4,8 @@ A run is described by one flat config (sections [data], [model],
 [train], [run]) plus command-line overrides. Every command persists the
 fully resolved config next to its outputs so any artifact can be
 regenerated from the directory alone; the resolved text is also hashed
-into report metadata.
+into report metadata. The ``[model]`` and ``[train]`` defaults are read
+from the estimator classes' fields and from ``TrainConfig``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,10 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .nn import DEFAULT_HIDDEN, TrainConfig
+from .models.ffnn import BowFfnnClassifier
+from .models.fusion import BimodalFusionClassifier
+from .models.naive_bayes import MultinomialNaiveBayes
+from .nn import TrainConfig
 
 __all__ = [
     "MODEL_KINDS",
@@ -64,14 +68,14 @@ class RunConfig:
     embeddings: str = ""
     embeddings_format: str = "binary"
     filter_embeddings: bool = True  # keep only words seen in the dataset
-    alpha: float = 1.0
-    vocab_size: int = 5000
-    hidden: tuple[int, ...] = DEFAULT_HIDDEN
-    activation: str = "relu"
-    init_mode: str = "scaled"
-    init_sigma: float = 1.0
-    folds: int = 5
-    in_sample: bool = False
+    alpha: float = MultinomialNaiveBayes.alpha
+    vocab_size: int = BowFfnnClassifier.vocab_size
+    hidden: tuple[int, ...] = BowFfnnClassifier.hidden
+    activation: str = BowFfnnClassifier.activation
+    init_mode: str = BowFfnnClassifier.init_mode
+    init_sigma: float = BowFfnnClassifier.init_sigma
+    folds: int = BimodalFusionClassifier.folds
+    in_sample: bool = BimodalFusionClassifier.in_sample
     # [train]
     batch_size: int = TrainConfig.batch_size
     epochs: int = TrainConfig.epochs
@@ -150,9 +154,10 @@ def _parse_value(name: str, raw: str):
 
 def load_config(path: str | Path) -> RunConfig:
     """Read a UTF-8 INI config from any readable path (``/dev/null`` or a
-    pipe too); unknown sections or keys are errors."""
+    pipe too); unknown sections or keys are errors, ``[DEFAULT]`` too."""
     path = Path(path)
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header can name this section, so [DEFAULT] is an ordinary, unknown one
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
     except FileNotFoundError:

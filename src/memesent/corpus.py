@@ -163,12 +163,7 @@ class CsvSchema:
             if key not in ("id", "caption", "label", "image"):
                 raise DataFormatError(f"unknown schema key {key!r}")
             fields[key] = col or None
-        return cls(
-            id=fields.get("id", "id"),
-            caption=fields.get("caption", "caption"),
-            label=fields.get("label", None) if "label" in fields else "label",
-            image=fields.get("image", None),
-        )
+        return cls(**fields)
 
 
 def load_dataset(path: str | Path, schema: CsvSchema | None = CsvSchema()) -> Dataset:

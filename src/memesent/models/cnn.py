@@ -32,6 +32,7 @@ prediction and a gradient check each allocate through one
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -247,6 +248,7 @@ def cnn_grad_check(
                            eps, max_per_tensor, seed, min_grad)
 
 
+@dataclass(eq=False)
 class HsvCnnClassifier(SavedModel, AdamEstimator):
     """Softmax CNN on (n, 32, 32, 3) HSV tensors."""
 

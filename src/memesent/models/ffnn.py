@@ -3,9 +3,9 @@
 ``_CaptionMlp`` is the dense softmax net behind fit/predict on token
 lists, one per caption, the output of the fixed pipeline
 ``memesent.textprep.preprocess``. It declares the four architecture
-parameters, which ``_net_params`` maps to and from a :class:`NetSpec`
-under the same names, and inherits the five training parameters from
-:class:`~memesent.base.AdamEstimator`. Its subclasses differ only in
+parameters as keyword-only fields, which ``_net_params`` maps to and
+from a :class:`NetSpec` under the same names, and inherits the five
+training parameters from :class:`~memesent.base.AdamEstimator`. Its subclasses differ only in
 ``_features``, which turns token lists into the net's input rows, and in
 the extra header fields they save: ``Word2vecFfnnClassifier`` mean-pools
 the tokens' embeddings, ``BowFfnnClassifier`` builds bag-of-words
@@ -19,6 +19,8 @@ arrays; a float64 file is cast down at load.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,6 +61,7 @@ def _net_params(source) -> dict:
             for name in ("hidden", "activation", "init_mode", "init_sigma", "seed")}
 
 
+@dataclass(eq=False, kw_only=True)
 class _CaptionMlp(SavedModel, AdamEstimator):
     """Token lists -> ``_features`` -> dense softmax classifier.
 
@@ -68,19 +71,10 @@ class _CaptionMlp(SavedModel, AdamEstimator):
     *context)``; the latter returns the unfitted model to restore into.
     """
 
-    def __init__(
-        self,
-        hidden: tuple[int, ...] = DEFAULT_HIDDEN,
-        activation: str = "relu",
-        init_mode: str = "scaled",
-        init_sigma: float = 1.0,
-        **train,
-    ):
-        self.hidden = hidden
-        self.activation = activation
-        self.init_mode = init_mode
-        self.init_sigma = init_sigma
-        super().__init__(**train)
+    hidden: tuple[int, ...] = DEFAULT_HIDDEN
+    activation: str = "relu"
+    init_mode: str = "scaled"
+    init_sigma: float = 1.0
 
     def fit(self, tokens: list[list[str]], y):
         check_token_lists(tokens)
@@ -128,6 +122,7 @@ class _CaptionMlp(SavedModel, AdamEstimator):
         return model
 
 
+@dataclass(eq=False)
 class Word2vecFfnnClassifier(_CaptionMlp):
     """Token lists -> mean-pooled embeddings -> dense softmax classifier.
 
@@ -141,9 +136,7 @@ class Word2vecFfnnClassifier(_CaptionMlp):
     fit = _CaptionMlp.fit
     predict_proba = _CaptionMlp.predict_proba
 
-    def __init__(self, table: EmbeddingTable, **dense):
-        self.table = table
-        super().__init__(**dense)
+    table: EmbeddingTable
 
     def _features(self, tokens: list[list[str]], fitting: bool) -> np.ndarray:
         return embed_corpus(tokens, self.table)
@@ -162,6 +155,7 @@ class Word2vecFfnnClassifier(_CaptionMlp):
         return cls(table)
 
 
+@dataclass(eq=False)
 class BowFfnnClassifier(_CaptionMlp):
     """Token lists -> bag-of-words presence -> dense softmax classifier."""
 
@@ -170,9 +164,7 @@ class BowFfnnClassifier(_CaptionMlp):
     fit = _CaptionMlp.fit
     predict_proba = _CaptionMlp.predict_proba
 
-    def __init__(self, vocab_size: int = 5000, **dense):
-        self.vocab_size = vocab_size
-        super().__init__(**dense)
+    vocab_size: int = 5000
 
     def _features(self, tokens: list[list[str]], fitting: bool) -> np.ndarray:
         if fitting:

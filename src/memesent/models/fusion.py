@@ -151,6 +151,7 @@ def fusion_train(
     return FusionStacker(weights=W, biases=b)
 
 
+@dataclass(eq=False)
 class BimodalFusionClassifier(SavedModel, Estimator):
     """Text branch + image branch + stacker, as one estimator.
 
@@ -169,25 +170,14 @@ class BimodalFusionClassifier(SavedModel, Estimator):
 
     KIND = "fusion-bimodal"
 
-    def __init__(
-        self,
-        text: BowFfnnClassifier | None = None,
-        image: HsvCnnClassifier | None = None,
-        folds: int = 5,
-        in_sample: bool = False,
-        lam: float = 1e-3,
-        stacker_epochs: int = 200,
-        stacker_lr: float = 0.1,
-        seed: int = 0,
-    ):
-        self.text = text
-        self.image = image
-        self.folds = folds
-        self.in_sample = in_sample
-        self.lam = lam
-        self.stacker_epochs = stacker_epochs
-        self.stacker_lr = stacker_lr
-        self.seed = seed
+    text: BowFfnnClassifier | None = None
+    image: HsvCnnClassifier | None = None
+    folds: int = 5
+    in_sample: bool = False
+    lam: float = 1e-3
+    stacker_epochs: int = 200
+    stacker_lr: float = 0.1
+    seed: int = 0
 
     @staticmethod
     def _clone(est):

@@ -12,6 +12,8 @@ overflows raises :class:`~memesent.errors.NumericError`.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..base import (
@@ -31,6 +33,7 @@ __all__ = ["MultinomialNaiveBayes"]
 N_CLASSES = 3
 
 
+@dataclass(eq=False)
 class MultinomialNaiveBayes(SavedModel, Estimator):
     """Token-count Naive Bayes with Laplace smoothing.
 
@@ -40,8 +43,7 @@ class MultinomialNaiveBayes(SavedModel, Estimator):
 
     KIND = "naive-bayes"
 
-    def __init__(self, alpha: float = 1.0):
-        self.alpha = alpha
+    alpha: float = 1.0
 
     def fit(self, X: list[list[str]], y) -> "MultinomialNaiveBayes":
         if not 0 < self.alpha < np.inf:

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,10 @@ from memesent.base import (
 from memesent.errors import NotFittedError
 
 
+@dataclass(eq=False)
 class Toy(Estimator):
-    def __init__(self, alpha=1.0, mode="fast"):
-        self.alpha = alpha
-        self.mode = mode
+    alpha: float = 1.0
+    mode: str = "fast"
 
     def fit(self, X, y=None):
         self.state_ = 1

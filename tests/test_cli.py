@@ -28,6 +28,7 @@ from memesent.corpus import (
     upsample,
 )
 from memesent.embeddings import corpus_coverage, load_embeddings, write_word2vec_binary
+from memesent.errors import DataFormatError
 from memesent.eval import macro_f1
 from memesent.models.cnn import _SHAPES as _CNN_SHAPES
 from memesent.models.cnn import HsvCnnClassifier, init_cnn_params
@@ -182,6 +183,20 @@ class TestTrain:
         # the copies count again: more tokens than the records hold once
         once = corpus_coverage([preprocess(c) for c in ds.captions()], table)
         assert coverage.n_tokens > once.n_tokens
+
+    def test_w2v_train_computes_the_coverage_once(self, workspace, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return corpus_coverage(*args)
+
+        monkeypatch.setattr(cli, "corpus_coverage", counted)
+        assert run(
+            "train", "--model", "ffnn_w2v", "--dataset", workspace["data"],
+            "--embeddings", workspace["emb"], "--out", workspace["dir"] / "w2v",
+        ) == 0
+        assert len(calls) == 1
 
     def test_upsample_preprocesses_and_reads_each_record_once(
             self, fusion_workspace, monkeypatch):
@@ -889,6 +904,14 @@ class TestCompare:
         bad = workspace["dir"] / "bad.json"
         bad.write_text("not json at all")
         assert run("compare", bad) == 2
+
+    def test_report_that_is_not_utf8_is_named(self, workspace, capsys):
+        bad = workspace["dir"] / "bad.json"
+        bad.write_bytes(b'\xff\xfe{"mean": 0.5}')
+        with pytest.raises(DataFormatError):
+            cli._score_from_report(str(bad))
+        assert run("compare", bad) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: not valid JSON: ")
 
     @pytest.mark.parametrize("key", ["macro_f1", "mean"])
     @pytest.mark.parametrize("value", [

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given
 
+from memesent.cli import main
 from memesent.config import (
     RunConfig,
     config_hash,
@@ -60,6 +61,17 @@ class TestLoad:
         path = write_ini(tmp_path, "[nonsense]\nx = 1\n")
         with pytest.raises(ConfigError, match="unknown section"):
             load_config(path)
+
+    @pytest.mark.parametrize("text", ["[DEFAULT]\nseed = 3\n",
+                                      "[DEFAULT]\nseed = 3\n[run]\nruns = 4\n"],
+                             ids=["alone", "beside_run"])
+    def test_default_section_is_unknown(self, tmp_path, capsys, text):
+        # configparser would copy its keys into every section
+        path = write_ini(tmp_path, text)
+        with pytest.raises(ConfigError, match=r"cfg.ini: unknown section \[DEFAULT\]"):
+            load_config(path)
+        assert main(["prepare", "--config", str(path)]) == 2
+        assert f"{path}: unknown section [DEFAULT]" in capsys.readouterr().err
 
     def test_unknown_key(self, tmp_path):
         path = write_ini(tmp_path, "[train]\nlearning_rate = 0.1\n")

@@ -188,6 +188,8 @@ def test_get_params_are_the_constructor_parameters(cls):
     # and the constructor takes nothing else
     with pytest.raises(TypeError):
         cls(**params, not_a_parameter=1)
+    # a hand-written __init__ cannot take a parameter that get_params leaves out
+    assert sorted(inspect.signature(cls).parameters) == sorted(cls._param_names())
 
 
 def test_training_defaults_are_train_config_defaults():
