@@ -90,9 +90,7 @@ class SavedModel:
 
     A subclass sets ``KIND``, the container's ``kind`` field, and
     implements ``_payload() -> (header, arrays)``, whose header carries
-    that kind, and the classmethod ``_from_payload(header, arrays, path,
-    *context)``, where ``context`` is what the file does not hold (the
-    embedding table of a Word2Vec model).
+    that kind, and the classmethod ``_from_payload(header, arrays, path)``.
     """
 
     KIND = ""
@@ -101,21 +99,21 @@ class SavedModel:
         save_container(path, *self._payload())
 
     @classmethod
-    def load(cls, path, *context):
+    def load(cls, path):
         header, arrays = load_container(path)
         if header.get("kind") != cls.KIND:
             raise DataFormatError(
                 f"{path}: not a {cls.KIND} model file (kind {header.get('kind')!r})"
             )
-        return cls.from_container(header, arrays, path, *context)
+        return cls.from_container(header, arrays, path)
 
     @classmethod
-    def from_container(cls, header: dict, arrays: dict, path, *context):
+    def from_container(cls, header: dict, arrays: dict, path):
         """The model held by an already-read container; a missing or
         mistyped field or array raises :class:`DataFormatError` naming
         ``path``."""
         with cls._reading(path):
-            return cls._from_payload(header, arrays, path, *context)
+            return cls._from_payload(header, arrays, path)
 
     @classmethod
     @contextmanager
@@ -174,10 +172,13 @@ def check_token_lists(X) -> None:
                          "tokenize captions with memesent.textprep.preprocess")
 
 
-def as_float_matrix(X, n_features: int | None = None, name: str = "X") -> np.ndarray:
-    """Coerce to a 2-D float64 array of finite values, optionally
-    checking width."""
-    arr = np.asarray(X, dtype=np.float64)
+def as_float_matrix(X, n_features: int | None = None, name: str = "X",
+                    dtype=np.float64) -> np.ndarray:
+    """Coerce to a 2-D ``dtype`` array of finite values, optionally
+    checking width. A float array is checked before the cast, without a
+    copy, so a value beyond ``dtype``'s range counts as non-finite."""
+    is_float = isinstance(X, np.ndarray) and X.dtype.kind == "f"
+    arr = X if is_float else np.asarray(X, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
     if n_features is not None and arr.shape[1] != n_features:
@@ -185,10 +186,10 @@ def as_float_matrix(X, n_features: int | None = None, name: str = "X") -> np.nda
             f"{name} has {arr.shape[1]} features, expected {n_features}"
         )
     # min and max carry NaN through, and NaN fails both comparisons
-    top = np.finfo(np.float64).max
+    top = np.finfo(dtype).max
     if arr.size and not (-top <= arr.min() and arr.max() <= top):
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
+        raise ValueError(f"{name} contains non-finite values (as {np.dtype(dtype).name})")
+    return arr.astype(dtype, copy=False)
 
 
 def as_label_array(y, n_classes: int = 3, name: str = "y") -> np.ndarray:

@@ -39,7 +39,7 @@ from .corpus import (
     save_dataset,
     upsample,
 )
-from .embeddings import CoverageStats, EmbeddingTable, corpus_coverage, load_embeddings
+from .embeddings import CoverageStats, corpus_coverage, embed_corpus, load_embeddings
 from .errors import ConfigError, DataFormatError, NumericError
 from .eval import EvalReport, compare_report, macro_f1, stability_study
 from .models.cnn import HsvCnnClassifier
@@ -121,8 +121,8 @@ def _fusion(cls, cfg: RunConfig, seed: int, **given):
     )
 
 
-# the one model registry: config model kind -> (class, build(cls, cfg, seed,
-# table=...)); predict finds a file's class by its KIND
+# the one model registry: config model kind -> (class, build(cls, cfg, seed));
+# predict finds a file's class by its KIND
 _MODELS = {
     "nb": (MultinomialNaiveBayes, _estimator),
     "ffnn_w2v": (Word2vecFfnnClassifier, _estimator),
@@ -132,59 +132,57 @@ _MODELS = {
 }
 
 
-def _inputs(cls, ds: Dataset, base_dir: Path) -> list:
+def _inputs(cls, cfg: RunConfig, ds: Dataset, base_dir: Path,
+            source: str = "") -> tuple[list, CoverageStats | None]:
     """The positional inputs of ``cls``'s fit and predict_proba, one row per
     record of ``ds``: the preprocessed captions, the HSV tensor stack, or
-    both for fusion. A record that appears again (an upsampled copy)
-    shares its first token list. Tokens are interned, so each distinct
-    word is held once."""
-    inputs = []
+    both for fusion; for ``Word2vecFfnnClassifier``, the captions
+    mean-pooled into one float32 matrix. Each distinct record is
+    preprocessed and read once: an upsampled copy shares its first token
+    list and tensor. Tokens are interned.
+
+    Pooling loads the table (with ``filter_embeddings``, only the
+    captions' words), logs and returns its coverage of the rows' tokens
+    (else the coverage is ``None``), and frees the table on return. A
+    missing embeddings path is a :class:`ConfigError` that begins with
+    ``source``, the model file's name if there is one."""
+    inputs, coverage = [], None
     if cls is not HsvCnnClassifier:
         tokens = {rec: [sys.intern(t) for t in preprocess(rec.caption)]
                   for rec in dict.fromkeys(ds.records)}
-        inputs.append([tokens[rec] for rec in ds.records])
+        rows = [tokens[rec] for rec in ds.records]
+        if cls is Word2vecFfnnClassifier:
+            if not cfg.embeddings:
+                raise ConfigError(
+                    f"{source}model {cls.KIND!r} requires an embeddings path "
+                    "(set [model] embeddings or --embeddings)"
+                )
+            vocab = ({t for row in tokens.values() for t in row}
+                     if cfg.filter_embeddings else None)
+            table = load_embeddings(cfg.embeddings, cfg.embeddings_format, vocab_filter=vocab)
+            coverage = corpus_coverage(rows, table)
+            logger.log(
+                logging.WARNING if coverage.n_all_oov else logging.INFO,
+                "embedded %d captions: %.1f%% token coverage; %d have no "
+                "in-vocabulary tokens and embed as zero vectors",
+                coverage.n_captions,
+                100.0 * coverage.token_coverage,
+                coverage.n_all_oov,
+            )
+            rows = embed_corpus(rows, table)
+        inputs.append(rows)
     if cls in (HsvCnnClassifier, BimodalFusionClassifier):
         inputs.append(_tensors_for(ds, base_dir))
-    return inputs
+    return inputs, coverage
 
 
-def _table_for(cls, cfg: RunConfig, inputs: list,
-               source: str = "") -> tuple[EmbeddingTable | None, CoverageStats | None]:
-    """The embedding table a model of ``cls`` needs, if any, for the
-    :func:`_inputs` built for it, and its coverage of their tokens, or
-    ``(None, None)``. With ``filter_embeddings`` the table keeps only
-    those tokens. Logs the coverage, once per command. A missing
-    embeddings path is a :class:`ConfigError` that begins with
-    ``source``, the model file's name if there is one."""
-    if cls is not Word2vecFfnnClassifier:
-        return None, None
-    if not cfg.embeddings:
-        raise ConfigError(
-            f"{source}model {cls.KIND!r} requires an embeddings path "
-            "(set [model] embeddings or --embeddings)"
-        )
-    (tokens,) = inputs
-    vocab = {t for row in tokens for t in row} if cfg.filter_embeddings else None
-    table = load_embeddings(cfg.embeddings, cfg.embeddings_format, vocab_filter=vocab)
-    coverage = corpus_coverage(tokens, table)
-    logger.log(
-        logging.WARNING if coverage.n_all_oov else logging.INFO,
-        "embedded %d captions: %.1f%% token coverage; %d have no "
-        "in-vocabulary tokens and embed as zero vectors",
-        coverage.n_captions,
-        100.0 * coverage.token_coverage,
-        coverage.n_all_oov,
-    )
-    return table, coverage
-
-
-def _fit_model(cfg: RunConfig, inputs: list, labels: list[int], seed: int, table,
+def _fit_model(cfg: RunConfig, inputs: list, labels: list[int], seed: int,
                workers: int = 1):
     """Train the configured model kind on :func:`_inputs` and their labels;
     returns the model. A fusion fit runs its rounds in up to ``workers``
     processes."""
     cls, build = _MODELS[cfg.model]
-    model = build(cls, cfg, seed, table=table)
+    model = build(cls, cfg, seed)
     extra = {"workers": workers} if cls is BimodalFusionClassifier else {}
     return model.fit(*inputs, labels, **extra)
 
@@ -265,9 +263,8 @@ def cmd_train(cfg: RunConfig, workers: int = 1) -> int:
     if cfg.upsample:
         ds = upsample(ds, seed=cfg.seed)
     cls = _MODELS[cfg.model][0]
-    inputs = _inputs(cls, ds, path.parent)
-    table, coverage = _table_for(cls, cfg, inputs)
-    model = _fit_model(cfg, inputs, _int_labels(ds), cfg.seed, table, workers)
+    inputs, coverage = _inputs(cls, cfg, ds, path.parent)
+    model = _fit_model(cfg, inputs, _int_labels(ds), cfg.seed, workers)
     out = _out_dir(cfg)
     model.save(out / "model.bin")
     report = {
@@ -300,14 +297,12 @@ def cmd_predict(cfg: RunConfig, model_path: str) -> int:
     cls = next((cls for cls, _ in _MODELS.values() if cls.KIND == kind), None)
     if cls is None:
         raise DataFormatError(f"{model_path}: unknown model kind {kind!r}")
-    if cls is Word2vecFfnnClassifier:  # its header first: the table takes long to read
-        cls.saved_spec(header, model_path)
-        inputs = _inputs(cls, ds, path.parent)  # tokens only: no image is read
-        table, _ = _table_for(cls, cfg, inputs, f"{model_path}: ")
-        model = cls.from_container(header, arrays, model_path, table)
-    else:  # the file is checked before any image is read
-        model = cls.from_container(header, arrays, model_path)
-        inputs = _inputs(cls, ds, path.parent)
+    # the file is checked before any table or image is read
+    model = cls.from_container(header, arrays, model_path)
+    inputs, _ = _inputs(cls, cfg, ds, path.parent, f"{model_path}: ")
+    if cls is Word2vecFfnnClassifier and inputs[0].shape[1] != model.spec_.input_dim:
+        raise DataFormatError(f"{model_path}: model expects {model.spec_.input_dim}-dimensional "
+                              f"embeddings, table has dim {inputs[0].shape[1]}")
     try:
         probs = model.predict_proba(*inputs)
     except NumericError as exc:
@@ -413,10 +408,9 @@ def _print_seed(seed: int, score: float, seconds: float) -> None:
 def cmd_stability(cfg: RunConfig, workers: int = 1) -> int:
     ds, path = _load_dataset(cfg)
     cls = _MODELS[cfg.model][0]
-    # built once, here: the forked seeds share them and select their rows,
-    # by id, since upsampled copies keep their record's id
-    inputs = _inputs(cls, ds, path.parent)
-    table, _ = _table_for(cls, cfg, inputs)
+    # built once, here: the forked seeds share them (not the embedding table)
+    # and select their rows by id, since upsampled copies keep their record's id
+    inputs, _ = _inputs(cls, cfg, ds, path.parent)
     row_of = {rec.id: i for i, rec in enumerate(ds.records)}
 
     def rows(part: Dataset) -> list:
@@ -426,7 +420,7 @@ def cmd_stability(cfg: RunConfig, workers: int = 1) -> int:
 
     def train_fn(train_ds, val_ds, seed):
         fit_ds = upsample(train_ds, seed=seed) if cfg.upsample else train_ds
-        model = _fit_model(cfg, rows(fit_ds), _int_labels(fit_ds), seed, table, workers)
+        model = _fit_model(cfg, rows(fit_ds), _int_labels(fit_ds), seed, workers)
         return np.argmax(model.predict_proba(*rows(val_ds)), axis=1)
 
     report = stability_study(

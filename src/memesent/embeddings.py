@@ -12,12 +12,15 @@ line "<vocab_size> <dim>\\n":
 
 A table is a words tuple, a word -> row index and one ``(V, dim)``
 matrix, which the readers allocate once as float32 and fill in place
-(the binary reader reads in blocks). A load -> save round trip is
+(the binary reader reads in blocks); with a vocabulary filter they
+shrink it in place to the words found. A load -> save round trip is
 byte-identical for files using the newline convention.
 
 A caption embedding is the mean of the rows of its in-vocabulary
 tokens, summed in float64 and stored as float32; out-of-vocabulary
 tokens are skipped, and a caption with none maps to the zero vector.
+``embed_corpus`` stacks them into the ``(n, dim)`` matrix that
+``Word2vecFfnnClassifier`` takes.
 """
 
 from __future__ import annotations
@@ -197,7 +200,11 @@ def load_word2vec_binary(
             f"{path}: {len(trailer)} unexpected bytes after the declared "
             f"{vocab_size} vectors"
         )
-    return EmbeddingTable(words, matrix[: len(words)], source)
+    # in place: frees the rows a filter left empty; ``matrix`` is a local
+    # with no views, so numpy's reference check (which a tracer reading
+    # frame locals can trip) is off
+    matrix.resize((len(words), dim), refcheck=False)
+    return EmbeddingTable(words, matrix, source)
 
 
 def write_word2vec_binary(table: EmbeddingTable, path: str | Path) -> None:
@@ -256,7 +263,11 @@ def load_word2vec_text(
         raise DataFormatError(
             f"{path}: header declares {vocab_size} words but file has {count}"
         )
-    return EmbeddingTable(words, matrix[: len(words)], source)
+    # in place: frees the rows a filter left empty; ``matrix`` is a local
+    # with no views, so numpy's reference check (which a tracer reading
+    # frame locals can trip) is off
+    matrix.resize((len(words), dim), refcheck=False)
+    return EmbeddingTable(words, matrix, source)
 
 
 def write_word2vec_text(table: EmbeddingTable, path: str | Path) -> None:

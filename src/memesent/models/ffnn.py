@@ -1,20 +1,21 @@
 """Feed-forward caption classifiers.
 
-``_CaptionMlp`` is the dense softmax net behind fit/predict on token
-lists, one per caption, the output of the fixed pipeline
-``memesent.textprep.preprocess``. It declares the four architecture
-parameters as keyword-only fields, which ``_net_params`` maps to and
-from a :class:`NetSpec` under the same names, and inherits the five
-training parameters from :class:`~memesent.base.AdamEstimator`. Its subclasses differ only in
-``_features``, which turns token lists into the net's input rows, and in
-the extra header fields they save: ``Word2vecFfnnClassifier`` mean-pools
-the tokens' embeddings, ``BowFfnnClassifier`` builds bag-of-words
-presence vectors. The features are finite by construction (means of a
-checked table, or 0/1), so the net takes them unchecked. The header
-records the pipeline as ``prep``, and a file whose ``prep`` differs
-fails to load. Both use scaled initialization by default: the literal
-standard-normal init saturates the 6-hidden-layer stack and does not
-train at desk scale. The nets are float32, and so are their saved
+``_CaptionMlp`` is the dense softmax net behind fit/predict on one input
+row per caption. It declares the four architecture parameters as
+keyword-only fields, which ``_net_params`` maps to and from a
+:class:`NetSpec` under the same names, and inherits the five training
+parameters from :class:`~memesent.base.AdamEstimator`. Its subclasses
+differ only in ``_features``, which checks their input and turns it into
+the net's rows, and in the extra header fields they save:
+``Word2vecFfnnClassifier`` takes the ``(n, dim)`` matrix of pooled
+caption embeddings (:func:`~memesent.embeddings.embed_corpus`), checks
+that it is 2-D and finite and casts it to float32; ``BowFfnnClassifier``
+takes token lists, the output of the fixed pipeline
+``memesent.textprep.preprocess``, and builds bag-of-words presence
+vectors. The header records the pipeline as ``prep``, and a file whose
+``prep`` differs fails to load. Both use scaled initialization by default: the
+literal standard-normal init saturates the 6-hidden-layer stack and does
+not train at desk scale. The nets are float32, and so are their saved
 arrays; a float64 file is cast down at load.
 """
 
@@ -27,13 +28,13 @@ import numpy as np
 from ..base import (
     AdamEstimator,
     SavedModel,
+    as_float_matrix,
     as_label_array,
     check_consistent_length,
     check_fitted,
     check_token_lists,
     checked_arrays,
 )
-from ..embeddings import EmbeddingTable, embed_corpus
 from ..errors import DataFormatError
 from ..nn import (
     DEFAULT_HIDDEN,
@@ -63,12 +64,12 @@ def _net_params(source) -> dict:
 
 @dataclass(eq=False, kw_only=True)
 class _CaptionMlp(SavedModel, AdamEstimator):
-    """Token lists -> ``_features`` -> dense softmax classifier.
+    """Caption rows -> ``_features`` -> dense softmax classifier.
 
-    A subclass implements ``_features(tokens, fitting)``, which may
-    learn state when ``fitting``, and saves its extra header fields
-    through ``_header()`` and ``_from_header(header, spec, path,
-    *context)``; the latter returns the unfitted model to restore into.
+    A subclass implements ``_features(X, fitting)``, which checks its
+    input and may learn state when ``fitting``, and saves its extra header
+    fields through ``_header()`` and ``_from_header(header, spec, path)``;
+    the latter returns the unfitted model to restore into.
     """
 
     hidden: tuple[int, ...] = DEFAULT_HIDDEN
@@ -76,19 +77,17 @@ class _CaptionMlp(SavedModel, AdamEstimator):
     init_mode: str = "scaled"
     init_sigma: float = 1.0
 
-    def fit(self, tokens: list[list[str]], y):
-        check_token_lists(tokens)
+    def fit(self, X, y):
         y = as_label_array(y)
-        X = self._features(tokens, fitting=True)
+        X = self._features(X, fitting=True)
         check_consistent_length(X, y)
         self.spec_ = NetSpec(input_dim=X.shape[1], **_net_params(self))
         self.params_, self.history_ = train(self.spec_, X, y, TrainConfig.of(self))
         return self
 
-    def predict_proba(self, tokens: list[list[str]]) -> np.ndarray:
+    def predict_proba(self, X) -> np.ndarray:
         check_fitted(self, "params_")
-        check_token_lists(tokens)
-        X = self._features(tokens, fitting=False)
+        X = self._features(X, fitting=False)
         return softmax(finite_logits(lambda: forward(self.params_, X, self.spec_.activation)[0]))
 
     def _payload(self) -> tuple[dict, dict[str, np.ndarray]]:
@@ -102,20 +101,12 @@ class _CaptionMlp(SavedModel, AdamEstimator):
         return header, dict(zip(param_shapes(self.spec_), self.params_))
 
     @classmethod
-    def saved_spec(cls, header, path) -> NetSpec:
-        """The net spec of a saved header, checking first that its ``prep``
-        is the fixed pipeline; a caller can check a header this way before
-        it reads the context (the embedding table) that loading needs."""
-        with cls._reading(path):
-            if header["prep"] != prep_header():
-                raise DataFormatError(f"{path}: saved with another preprocessing "
-                                      "than the fixed pipeline")
-            return NetSpec.from_dict(header["spec"])
-
-    @classmethod
-    def _from_payload(cls, header, arrays, path, *context):
-        spec = cls.saved_spec(header, path)
-        model = cls._from_header(header, spec, path, *context)
+    def _from_payload(cls, header, arrays, path):
+        if header["prep"] != prep_header():
+            raise DataFormatError(f"{path}: saved with another preprocessing "
+                                  "than the fixed pipeline")
+        spec = NetSpec.from_dict(header["spec"])
+        model = cls._from_header(header, spec, path)
         model.set_params(**_net_params(spec))
         model.spec_ = spec
         model.params_ = checked_arrays(arrays, param_shapes(spec), path, dtype=np.float32)
@@ -124,11 +115,13 @@ class _CaptionMlp(SavedModel, AdamEstimator):
 
 @dataclass(eq=False)
 class Word2vecFfnnClassifier(_CaptionMlp):
-    """Token lists -> mean-pooled embeddings -> dense softmax classifier.
+    """Mean-pooled caption embeddings -> dense softmax classifier.
 
-    The embedding table is a constructor argument and is not serialized
-    with the model; ``save`` records the table's dimension so ``load`` can
-    check that the caller supplies a compatible one.
+    ``fit`` and ``predict_proba`` take an ``(n, dim)`` matrix, one
+    :func:`~memesent.embeddings.embed_corpus` row per caption. The
+    embedding table is not serialized with the model; ``save`` records
+    its dimension, the net's input width, so that a caller can check a
+    table against a saved model before it pools.
     """
 
     KIND = "ffnn-w2v"
@@ -136,23 +129,25 @@ class Word2vecFfnnClassifier(_CaptionMlp):
     fit = _CaptionMlp.fit
     predict_proba = _CaptionMlp.predict_proba
 
-    table: EmbeddingTable
-
-    def _features(self, tokens: list[list[str]], fitting: bool) -> np.ndarray:
-        return embed_corpus(tokens, self.table)
+    def _features(self, X, fitting: bool) -> np.ndarray:
+        try:
+            X = np.asarray(X)
+        except ValueError:  # rows of unequal length, as token lists are
+            X = None
+        if X is None or X.dtype.kind not in "biuf":
+            raise ValueError("expected an (n, dim) matrix of pooled caption embeddings; "
+                             "tokenize captions with memesent.textprep.preprocess and "
+                             "pool them with memesent.embeddings.embed_corpus")
+        return as_float_matrix(X, None if fitting else self.spec_.input_dim,
+                               dtype=np.float32)
 
     def _header(self) -> dict:
         # the dimension alone: a path would make the bytes depend on its spelling
-        return {"table": {"dim": self.table.dim}}
+        return {"table": {"dim": self.spec_.input_dim}}
 
     @classmethod
-    def _from_header(cls, header, spec, path, table: EmbeddingTable):
-        if table.dim != spec.input_dim:
-            raise DataFormatError(
-                f"{path}: model expects {spec.input_dim}-dimensional embeddings, "
-                f"table has dim {table.dim}"
-            )
-        return cls(table)
+    def _from_header(cls, header, spec, path):
+        return cls()
 
 
 @dataclass(eq=False)
@@ -167,6 +162,7 @@ class BowFfnnClassifier(_CaptionMlp):
     vocab_size: int = 5000
 
     def _features(self, tokens: list[list[str]], fitting: bool) -> np.ndarray:
+        check_token_lists(tokens)
         if fitting:
             self.vocab_ = build_bow_vocab(tokens, self.vocab_size)
             if not len(self.vocab_):

@@ -20,6 +20,7 @@ from memesent.cli import main
 from memesent.corpus import CsvSchema, load_dataset, save_dataset, stratified_split, upsample
 from memesent.embeddings import (
     EmbeddingTable,
+    embed_corpus,
     load_word2vec_binary,
     load_word2vec_text,
     write_word2vec_binary,
@@ -107,10 +108,13 @@ def test_synthetic_end_to_end():
     train, val = stratified_split(ds, 0.8, seed=0)
     golds = [int(l) for l in val.labels()]
 
-    ffnn = Word2vecFfnnClassifier(table, batch_size=50, epochs=10).fit(
-        [preprocess(c) for c in train.captions()], [int(l) for l in train.labels()]
+    ffnn = Word2vecFfnnClassifier(batch_size=50, epochs=10).fit(
+        embed_corpus([preprocess(c) for c in train.captions()], table),
+        [int(l) for l in train.labels()],
     )
-    ffnn_f1 = macro_f1(ffnn.predict([preprocess(c) for c in val.captions()]), golds).macro_f1
+    ffnn_f1 = macro_f1(
+        ffnn.predict(embed_corpus([preprocess(c) for c in val.captions()], table)), golds
+    ).macro_f1
 
     nb = MultinomialNaiveBayes().fit(
         [preprocess(c) for c in train.captions()],
@@ -249,10 +253,11 @@ def test_real_data_stability():
 
     def train_fn(train_ds, val_ds, seed):
         up = upsample(train_ds, seed)
-        model = Word2vecFfnnClassifier(table, seed=seed).fit(
-            [preprocess(c) for c in up.captions()], [int(l) for l in up.labels()]
+        model = Word2vecFfnnClassifier(seed=seed).fit(
+            embed_corpus([preprocess(c) for c in up.captions()], table),
+            [int(l) for l in up.labels()],
         )
-        return model.predict([preprocess(c) for c in val_ds.captions()])
+        return model.predict(embed_corpus([preprocess(c) for c in val_ds.captions()], table))
 
     t0 = time.monotonic()
     report = stability_study(train_fn, ds, fraction=0.8, n_runs=50, seed0=0)

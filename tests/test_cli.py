@@ -27,7 +27,13 @@ from memesent.corpus import (
     save_dataset,
     upsample,
 )
-from memesent.embeddings import corpus_coverage, load_embeddings, write_word2vec_binary
+from memesent.embeddings import (
+    EmbeddingTable,
+    corpus_coverage,
+    embed_corpus,
+    load_embeddings,
+    write_word2vec_binary,
+)
 from memesent.errors import DataFormatError
 from memesent.eval import macro_f1
 from memesent.models.cnn import _SHAPES as _CNN_SHAPES
@@ -830,10 +836,10 @@ class TestStability:
         monkeypatch.setattr(cli, "_workers", lambda *args: 2)
         fit = cli._fit_model
 
-        def dies_on_seed_1(cfg, inputs, labels, seed, table, workers):
+        def dies_on_seed_1(cfg, inputs, labels, seed, workers):
             if seed == 1:
                 os._exit(9)
-            return fit(cfg, inputs, labels, seed, table, workers)
+            return fit(cfg, inputs, labels, seed, workers)
 
         monkeypatch.setattr(cli, "_fit_model", dies_on_seed_1)
         assert run(
@@ -847,9 +853,9 @@ class TestStability:
         """The calls of ``fn``, wrapped wherever a memesent module binds it."""
         calls = []
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(args)
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         for name, module in list(sys.modules.items()):
             if name == "memesent" or name.startswith("memesent."):
@@ -865,6 +871,33 @@ class TestStability:
                         out=str(workspace["dir"] / "s"))
         assert cli.cmd_stability(cfg.validate(), workers=1) == 0
         assert len(calls) == len(workspace["ds"])
+
+    def test_a_study_pools_each_caption_once(self, workspace, monkeypatch):
+        loads = self.count_calls(monkeypatch, load_embeddings)
+        pools = self.count_calls(monkeypatch, embed_corpus)
+        seen = []  # every argument of each seed's train_fn and _fit_model
+        study, fit = cli.stability_study, cli._fit_model
+
+        def spy_study(train_fn, *args, **kwargs):
+            def spy_train_fn(*seed_args):
+                seen.extend(seed_args)
+                return train_fn(*seed_args)
+            return study(spy_train_fn, *args, **kwargs)
+
+        def spy_fit(cfg, inputs, *args):
+            seen.extend([cfg, *inputs, *args])
+            return fit(cfg, inputs, *args)
+
+        monkeypatch.setattr(cli, "stability_study", spy_study)
+        monkeypatch.setattr(cli, "_fit_model", spy_fit)
+        cfg = RunConfig(model="ffnn_w2v", dataset=str(workspace["data"]),
+                        embeddings=str(workspace["emb"]), upsample=True, runs=2, epochs=1,
+                        out=str(workspace["dir"] / "s"))
+        assert cli.cmd_stability(cfg.validate(), workers=1) == 0
+        assert len(loads) == 1
+        assert [len(captions) for captions, _ in pools] == [len(workspace["ds"])]
+        assert len(seen) == 2 * 3 + 2 * 5  # two seeds, each one fit
+        assert not any(isinstance(arg, EmbeddingTable) for arg in seen)
 
     def test_a_study_reads_each_image_once(self, fusion_workspace, monkeypatch):
         calls = self.count_calls(monkeypatch, cli.load_hsv_input)

@@ -334,6 +334,20 @@ def test_filtered_duplicate_is_named(tmp_path, fmt):
         load_embeddings(path, fmt, vocab_filter={"a", "b"})
 
 
+@pytest.mark.parametrize("fmt", ["binary", "text"])
+def test_filter_with_absent_words_gives_back_their_rows(tmp_path, fmt):
+    whole = _binary_table(np.random.default_rng(3))
+    path = tmp_path / "v"
+    (write_word2vec_binary if fmt == "binary" else write_word2vec_text)(whole, path)
+    keep = set(whole.words[::2])
+    table = load_embeddings(path, fmt, vocab_filter=keep | {"absent", "also absent"})
+    assert table.words == whole.words[::2]
+    assert np.array_equal(table.matrix, whole.matrix[::2])
+    # the matrix holds exactly the words found: no view into a larger block
+    assert table.matrix.base is None and table.matrix.flags.owndata
+    assert table.matrix.shape == (len(table.words), whole.dim)
+
+
 def test_binary_load_memory_is_close_to_the_matrix(tmp_path):
     rng = np.random.default_rng(0)
     path = tmp_path / "big.bin"
@@ -406,14 +420,24 @@ def test_corpus_coverage(toy_table):
     assert cov.token_coverage == pytest.approx(1 / 3)
 
 
-def test_vectorizer_matches_function(toy_table):
-    # the Word2Vec classifier's features are embed_corpus of the tokens
+def test_vectorizer_matches_function(toy_table, tmp_path):
+    # the Word2Vec net's rows, as the CLI builds them, are embed_corpus of
+    # the preprocessed captions, an upsampled copy included
+    from memesent import cli
+    from memesent.config import RunConfig
+    from memesent.corpus import Dataset, MemeRecord
     from memesent.models.ffnn import Word2vecFfnnClassifier
+    from memesent.textprep import preprocess
 
-    model = Word2vecFfnnClassifier(toy_table)
-    X = model._features([["king", "queen"], []], fitting=True)
-    np.testing.assert_array_equal(X, embed_corpus([["king", "queen"], []], toy_table))
-    assert "table" in model.get_params()
+    king, none = MemeRecord(id="a", caption="King queen!"), MemeRecord(id="b", caption="xyz")
+    ds = Dataset((king, none, king))
+    write_word2vec_binary(toy_table, tmp_path / "v.bin")
+    cfg = RunConfig(embeddings=str(tmp_path / "v.bin"))
+    (X,), _ = cli._inputs(Word2vecFfnnClassifier, cfg, ds, tmp_path)
+    tokens = [preprocess(rec.caption) for rec in ds.records]
+    table = load_embeddings(tmp_path / "v.bin", "binary")
+    np.testing.assert_array_equal(X, embed_corpus(tokens, table))
+    assert X.dtype == np.float32 and X[0].any() and not X[1].any()
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,8 +7,8 @@ import memesent.nn as nn
 from _util import synthetic_corpus
 from memesent import cli
 from memesent.config import RunConfig
-from memesent.corpus import stratified_split
-from memesent.embeddings import EmbeddingTable, write_word2vec_binary
+from memesent.corpus import Dataset, MemeRecord, save_dataset, stratified_split
+from memesent.embeddings import EmbeddingTable, embed_corpus, write_word2vec_binary
 from memesent.errors import DataFormatError, NotFittedError, NumericError
 from memesent.eval import macro_f1
 from memesent.models.ffnn import BowFfnnClassifier, Word2vecFfnnClassifier
@@ -20,40 +20,45 @@ def tokens(captions):
     return [preprocess(c) for c in captions]
 
 
+def pooled(captions, table):
+    """The Word2Vec net's input rows: the captions' pooled embeddings."""
+    return embed_corpus(tokens(captions), table)
+
+
 def fit_synthetic(seed=0, n=300):
     ds, table = synthetic_corpus(n=n)
     train, val = stratified_split(ds, 0.8, seed=0)
-    model = Word2vecFfnnClassifier(table, seed=seed).fit(
-        tokens(train.captions()), [int(l) for l in train.labels()]
+    model = Word2vecFfnnClassifier(seed=seed).fit(
+        pooled(train.captions(), table), [int(l) for l in train.labels()]
     )
     return model, table, train, val
 
 
 class TestWord2vecFfnn:
     def test_separable_corpus_validation_f1(self):
-        model, _, _, val = fit_synthetic()
-        preds = model.predict(tokens(val.captions()))
+        model, table, _, val = fit_synthetic()
+        preds = model.predict(pooled(val.captions(), table))
         rep = macro_f1(preds, [int(l) for l in val.labels()])
         assert rep.macro_f1 >= 0.95
 
     def test_probability_rows(self):
-        model, *_ = fit_synthetic(n=60)
-        probs = model.predict_proba(tokens(["alpha bravo", "golf hotel india"]))
+        model, table, *_ = fit_synthetic(n=60)
+        probs = model.predict_proba(pooled(["alpha bravo", "golf hotel india"], table))
         assert probs.shape == (2, 3)
         assert np.all(probs >= 0)
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-6)
 
     def test_single_caption_prediction(self):
-        model, *_ = fit_synthetic(n=60)
-        row = model.predict_proba(tokens(["delta echo echo"]))[0]
+        model, table, *_ = fit_synthetic(n=60)
+        row = model.predict_proba(pooled(["delta echo echo"], table))[0]
         assert row.shape == (3,)
-        twice = model.predict_proba(tokens(["delta echo echo"]))[0]
+        twice = model.predict_proba(pooled(["delta echo echo"], table))[0]
         assert np.array_equal(row, twice)
 
     def test_same_seed_same_predictions(self):
-        a, *_ = fit_synthetic(seed=5, n=90)
+        a, table, *_ = fit_synthetic(seed=5, n=90)
         b, *_ = fit_synthetic(seed=5, n=90)
-        X = tokens(["alpha charlie", "foxtrot delta", "juliet golf"])
+        X = pooled(["alpha charlie", "foxtrot delta", "juliet golf"], table)
         assert np.array_equal(a.predict_proba(X), b.predict_proba(X))
 
     def test_different_seed_different_weights(self):
@@ -63,12 +68,12 @@ class TestWord2vecFfnn:
 
     def test_all_oov_caption_flagged(self, caplog, tmp_path):
         model, table, *_ = fit_synthetic(n=60)
-        X = tokens(["zzz qqq www"])
+        ds = Dataset((MemeRecord(id="x", caption="zzz qqq www"),))
         write_word2vec_binary(table, tmp_path / "vectors.bin")
         cfg = RunConfig(embeddings=str(tmp_path / "vectors.bin"))
         with caplog.at_level("WARNING", logger="memesent.cli"):
-            cli._table_for(Word2vecFfnnClassifier, cfg, [X])
-            row = model.predict_proba(X)[0]
+            (M,), _ = cli._inputs(Word2vecFfnnClassifier, cfg, ds, tmp_path)
+            row = model.predict_proba(M)[0]
         assert "1 have no in-vocabulary tokens" in caplog.text
         assert np.abs(row.sum() - 1.0) < 1e-6  # zero vector still scores
 
@@ -76,8 +81,8 @@ class TestWord2vecFfnn:
         model, table, _, val = fit_synthetic(n=90)
         path = tmp_path / "w2v.bin"
         model.save(path)
-        back = Word2vecFfnnClassifier.load(path, table)
-        X = tokens(val.captions())
+        back = Word2vecFfnnClassifier.load(path)
+        X = pooled(val.captions(), table)
         assert np.array_equal(back.predict_proba(X), model.predict_proba(X))
 
     def test_load_accepts_a_saved_table_source(self, tmp_path):
@@ -87,17 +92,52 @@ class TestWord2vecFfnn:
         header["table"]["source"] = "vectors.bin#binary"  # as earlier versions saved
         path = tmp_path / "old.bin"
         save_container(path, header, arrays)
-        back = Word2vecFfnnClassifier.load(path, table)
-        X = tokens(val.captions())
+        back = Word2vecFfnnClassifier.load(path)
+        X = pooled(val.captions(), table)
         assert np.array_equal(back.predict_proba(X), model.predict_proba(X))
 
-    def test_load_checks_table_dim(self, tmp_path):
-        model, table, *_ = fit_synthetic(n=60)
+    def test_load_checks_table_dim(self, tmp_path, capsys):
+        model, table, _, val = fit_synthetic(n=60)
         path = tmp_path / "w2v.bin"
         model.save(path)
         wrong = EmbeddingTable(("x",), np.zeros((1, table.dim + 2)))
-        with pytest.raises(DataFormatError):
-            Word2vecFfnnClassifier.load(path, wrong)
+        write_word2vec_binary(wrong, tmp_path / "wrong.bin")
+        save_dataset(val, tmp_path / "val.csv")
+        rc = cli.main(["predict", "--model", str(path), "--dataset", str(tmp_path / "val.csv"),
+                       "--embeddings", str(tmp_path / "wrong.bin"), "--out", str(tmp_path / "p")])
+        assert rc == 2  # a DataFormatError that names the model file
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {path}: model expects {table.dim}-dimensional embeddings, "
+            f"table has dim {table.dim + 2}")
+
+    @pytest.mark.parametrize("bad", [
+        pytest.param(lambda X: [["alpha", "bravo"], ["golf"]], id="token_lists"),
+        pytest.param(lambda X: [["alpha", "bravo"]] * len(X), id="equal_token_lists"),
+        pytest.param(lambda X: X[:, 0], id="one_dimensional"),
+        pytest.param(lambda X: np.where(np.arange(X.size).reshape(X.shape) == 3, np.nan, X),
+                     id="nan"),
+        pytest.param(lambda X: np.where(np.arange(X.size).reshape(X.shape) == 3, np.inf, X),
+                     id="inf"),
+        pytest.param(lambda X: np.where(np.arange(X.size).reshape(X.shape) == 3, -np.inf, X),
+                     id="neg_inf"),
+        pytest.param(lambda X: X.astype(np.float64) * 1e300, id="beyond_float32"),
+    ])
+    def test_fit_and_predict_take_only_finite_pooled_rows(self, bad):
+        model, table, train, val = fit_synthetic(n=60)
+        y = [int(l) for l in train.labels()]
+        X = bad(pooled(train.captions(), table))
+        with pytest.raises(ValueError):
+            Word2vecFfnnClassifier(epochs=1).fit(X, y[:len(X)])
+        with pytest.raises(ValueError):
+            model.predict_proba(bad(pooled(val.captions(), table)))
+
+    def test_predict_rejects_rows_of_another_width(self):
+        model, table, _, val = fit_synthetic(n=60)
+        X = pooled(val.captions(), table)
+        with pytest.raises(ValueError, match="features, expected 8"):
+            model.predict_proba(np.hstack([X, X]))
+        with pytest.raises(ValueError, match="tokenize captions"):
+            model.predict_proba(tokens(val.captions()))
 
 
 class TestFloat32:
@@ -114,8 +154,9 @@ class TestFloat32:
         assert all(a.dtype == np.float32 for a in model.params_)
         (state,) = states
         assert state.m.dtype == state.v.dtype == state.p.dtype == np.float32
-        assert model._features(tokens(train.captions()), fitting=False).dtype == np.float32
-        assert model.predict_proba(tokens(train.captions())).dtype == np.float64
+        X = pooled(train.captions(), table).astype(np.float64)
+        assert model._features(X, fitting=False).dtype == np.float32
+        assert model.predict_proba(X).dtype == np.float64
 
     def test_model_file_holds_f4_weights(self, tmp_path):
         model, *_ = fit_synthetic(n=60)
@@ -129,19 +170,19 @@ class TestFloat32:
         # as saved before the nets trained in float32, off the float32 grid
         wide = {name: a.astype(np.float64) * (1 + 1e-12) for name, a in arrays.items()}
         save_container(tmp_path / "old.bin", header, wide)
-        back = Word2vecFfnnClassifier.load(tmp_path / "old.bin", table)
+        back = Word2vecFfnnClassifier.load(tmp_path / "old.bin")
         # the cast rounds each weight back to the float32 it was saved from
         assert all(a.dtype == np.float32 and np.array_equal(a, b)
                    for a, b in zip(back.params_, model.params_))
-        probs = back.predict_proba(tokens(val.captions()))
+        probs = back.predict_proba(pooled(val.captions(), table))
         assert np.isfinite(probs).all() and np.abs(probs.sum(axis=1) - 1).max() < 1e-9
-        assert np.array_equal(probs.argmax(axis=1), model.predict(tokens(val.captions())))
+        assert np.array_equal(probs.argmax(axis=1), model.predict(pooled(val.captions(), table)))
 
     def test_overflowing_logits_raise_typed(self):
-        model, _, _, val = fit_synthetic(n=60)
+        model, table, _, val = fit_synthetic(n=60)
         model.params_ = [np.full_like(a, 1e30) for a in model.params_]
         with np.errstate(all="raise"), pytest.raises(NumericError, match="not finite"):
-            model.predict_proba(tokens(val.captions()))
+            model.predict_proba(pooled(val.captions(), table))
 
 
 class TestBowFfnn:
@@ -190,10 +231,10 @@ class TestMlpClassifier:
         assert model.predict_proba(X).shape == (30, 3)
 
     def test_unfitted_raises(self):
-        table = EmbeddingTable(["word"], np.ones((1, 4), dtype=np.float32))
-        for model in (BowFfnnClassifier(), Word2vecFfnnClassifier(table)):
+        for model, X in ((BowFfnnClassifier(), [["word"]]),
+                         (Word2vecFfnnClassifier(), np.ones((1, 4), dtype=np.float32))):
             with pytest.raises(NotFittedError):
-                model.predict_proba([["word"]])
+                model.predict_proba(X)
 
     def test_get_params_round_trip(self):
         model = BowFfnnClassifier(vocab_size=7, hidden=(9, 9), lr=0.01, seed=4)

@@ -18,6 +18,7 @@ from memesent import cli
 from memesent.base import Estimator, SavedModel
 from memesent.config import _SECTIONS, MODEL_KINDS, RunConfig
 from memesent.corpus import Dataset, MemeRecord
+from memesent.embeddings import write_word2vec_binary
 from memesent.errors import DataFormatError, NumericError
 from memesent.models.bow import build_bow_vocab
 from memesent.models.ffnn import BowFfnnClassifier, Word2vecFfnnClassifier
@@ -29,22 +30,23 @@ from memesent.persist import load_container, save_container
 
 @pytest.fixture(scope="module")
 def captioned_images(tmp_path_factory):
-    """30 labeled captions, each with an HSV tensor file, plus a table."""
+    """30 labeled captions, each with an HSV tensor file, plus the path of
+    a binary embedding table."""
     base = tmp_path_factory.mktemp("registry")
     ds, table = synthetic_corpus(n=30)
+    write_word2vec_binary(table, base / "vectors.bin")
     T, _ = hue_band_tensors(n=30, seed=1)
     records = []
     for rec, tensor in zip(ds.records, T):
         write_hsv_tensor(tensor, base / f"{rec.id}.hsv")
         records.append(MemeRecord(id=rec.id, caption=rec.caption,
                                   label=rec.label, image_path=f"{rec.id}.hsv"))
-    return Dataset(records=tuple(records)), base, table
+    return Dataset(records=tuple(records)), base, str(base / "vectors.bin")
 
 
-def _load(kind, path, table):
+def _load(kind, path):
     """The saved model of config kind ``kind``, through its class's ``load``."""
-    cls = cli._MODELS[kind][0]
-    return cls.load(path, table) if cls is Word2vecFfnnClassifier else cls.load(path)
+    return cli._MODELS[kind][0].load(path)
 
 
 def test_registry_covers_every_model_kind():
@@ -55,14 +57,15 @@ def test_registry_covers_every_model_kind():
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_train_save_load_predict_identical(kind, captioned_images, tmp_path):
-    ds, base, table = captioned_images
-    cfg = RunConfig(model=kind, epochs=2, batch_size=10, folds=2, hidden=(8,))
-    inputs = cli._inputs(cli._MODELS[kind][0], ds, base)
-    model = cli._fit_model(cfg, inputs, cli._int_labels(ds), 3, table)
+    ds, base, emb = captioned_images
+    cfg = RunConfig(model=kind, epochs=2, batch_size=10, folds=2, hidden=(8,),
+                    embeddings=emb)
+    inputs, _ = cli._inputs(cli._MODELS[kind][0], cfg, ds, base)
+    model = cli._fit_model(cfg, inputs, cli._int_labels(ds), 3)
     assert type(model) is cli._MODELS[kind][0]
     path = tmp_path / "model.bin"
     model.save(path)
-    back = _load(kind, path, table)
+    back = _load(kind, path)
     assert type(back) is type(model)
     probs = model.predict_proba(*inputs)
     assert probs.shape == (len(ds), 3)
@@ -76,14 +79,15 @@ def test_train_save_load_predict_identical(kind, captioned_images, tmp_path):
 @pytest.mark.parametrize("kind", ["nb", "ffnn_w2v", "ffnn_bow", "fusion"])
 def test_a_caption_where_a_token_list_belongs_is_rejected(kind, captioned_images):
     # a string would count as its characters
-    ds, base, table = captioned_images
-    cfg = RunConfig(model=kind, epochs=1, batch_size=10, folds=2, hidden=(8,))
-    inputs = cli._inputs(cli._MODELS[kind][0], ds, base)
+    ds, base, emb = captioned_images
+    cfg = RunConfig(model=kind, epochs=1, batch_size=10, folds=2, hidden=(8,),
+                    embeddings=emb)
+    inputs, _ = cli._inputs(cli._MODELS[kind][0], cfg, ds, base)
     captions = [ds.captions(), *inputs[1:]]
     labels = cli._int_labels(ds)
     with pytest.raises(ValueError, match="tokenize captions with memesent.textprep.preprocess"):
-        cli._fit_model(cfg, captions, labels, 3, table)
-    model = cli._fit_model(cfg, inputs, labels, 3, table)
+        cli._fit_model(cfg, captions, labels, 3)
+    model = cli._fit_model(cfg, inputs, labels, 3)
     with pytest.raises(ValueError, match="tokenize captions with memesent.textprep.preprocess"):
         model.predict_proba(*captions)
 
@@ -91,12 +95,13 @@ def test_a_caption_where_a_token_list_belongs_is_rejected(kind, captioned_images
 @pytest.fixture(scope="module")
 def saved_models(captioned_images):
     """The header and arrays of one saved model of each kind."""
-    ds, base, table = captioned_images
+    ds, base, emb = captioned_images
     saved = {}
     for kind in MODEL_KINDS:
-        cfg = RunConfig(model=kind, epochs=1, batch_size=10, folds=2, hidden=(8,))
-        inputs = cli._inputs(cli._MODELS[kind][0], ds, base)
-        cli._fit_model(cfg, inputs, cli._int_labels(ds), 3, table).save(base / f"{kind}.bin")
+        cfg = RunConfig(model=kind, epochs=1, batch_size=10, folds=2, hidden=(8,),
+                        embeddings=emb)
+        inputs, _ = cli._inputs(cli._MODELS[kind][0], cfg, ds, base)
+        cli._fit_model(cfg, inputs, cli._int_labels(ds), 3).save(base / f"{kind}.bin")
         saved[kind] = load_container(base / f"{kind}.bin")
     return saved
 
@@ -130,29 +135,29 @@ def _perturbed(draw, arrays):
 @given(data=st.data())
 def test_perturbed_arrays_fail_typed_or_predict_probabilities(
         kind, saved_models, captioned_images, data):
-    ds, base, table = captioned_images
+    ds, base, emb = captioned_images
     header, arrays = saved_models[kind]
     path = base / f"perturbed_{kind}.bin"
     save_container(path, header, data.draw(_perturbed(arrays)))
     try:
-        model = _load(kind, path, table)
+        model = _load(kind, path)
     except DataFormatError as exc:
         assert str(path) in str(exc)
         return
     try:
-        probs = model.predict_proba(*cli._inputs(type(model), ds, base))
+        probs = model.predict_proba(*cli._inputs(type(model), RunConfig(embeddings=emb),
+                                                 ds, base)[0])
     except NumericError:  # finite weights whose scores overflow: a typed failure
         return
     assert probs.shape == (len(ds), 3) and np.isfinite(probs).all()
     assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
 
 
-def test_config_fields_reach_the_estimators(captioned_images):
-    ds, _, table = captioned_images
+def test_config_fields_reach_the_estimators():
     cfg = RunConfig(model="fusion", hidden=(5, 4), lr=0.01, vocab_size=7, folds=3,
                     in_sample=True, epochs=1, batch_size=9, shuffle=False)
     cls, build = cli._MODELS["fusion"]
-    model = build(cls, cfg, 11, table=table)
+    model = build(cls, cfg, 11)
     assert (model.folds, model.in_sample, model.seed) == (3, True, 11)
     assert model.text.get_params() == dict(
         vocab_size=7, hidden=(5, 4), activation="relu", init_mode="scaled",
@@ -161,8 +166,8 @@ def test_config_fields_reach_the_estimators(captioned_images):
     assert model.image.get_params() == dict(
         batch_size=9, epochs=1, lr=0.01, shuffle=False, seed=11,
     )
-    w2v = cli._MODELS["ffnn_w2v"][1](cli._MODELS["ffnn_w2v"][0], cfg, 2, table=table)
-    assert w2v.table is table and w2v.hidden == (5, 4) and w2v.seed == 2
+    w2v = cli._MODELS["ffnn_w2v"][1](cli._MODELS["ffnn_w2v"][0], cfg, 2)
+    assert w2v.hidden == (5, 4) and w2v.seed == 2
 
 
 def _estimator_classes():
@@ -177,9 +182,7 @@ def _estimator_classes():
 
 @pytest.mark.parametrize("cls", _estimator_classes(), ids=lambda cls: cls.__name__)
 def test_get_params_are_the_constructor_parameters(cls):
-    required = {"table": synthetic_corpus(n=3)[1]}
-    est = cls(**{k: v for k, v in required.items() if k in cls._param_names()})
-    params = est.get_params()
+    params = cls().get_params()
     # each key is a constructor parameter that is stored under its name
     for name in params:
         marker = object()
@@ -198,7 +201,7 @@ def test_training_defaults_are_train_config_defaults():
     assert {cls.__name__ for cls in adam_trained} >= {
         "Word2vecFfnnClassifier", "BowFfnnClassifier", "HsvCnnClassifier"}
     for cls in adam_trained:
-        params = cls(**{"table": None} if "table" in cls._param_names() else {}).get_params()
+        params = cls().get_params()
         assert {name: params[name] for name in train} == train, cls.__name__
     run = RunConfig()
     assert {name: getattr(run, name) for name in _SECTIONS["train"]} == {
@@ -214,7 +217,7 @@ def test_model_defaults_are_estimator_defaults():
     run = RunConfig()
     covered = set()
     for cls in _estimator_classes():
-        params = cls(**{"table": None} if "table" in cls._param_names() else {}).get_params()
+        params = cls().get_params()
         for name in set(_SECTIONS["model"]) & set(params):
             assert params[name] == getattr(run, name), (cls.__name__, name)
             covered.add(name)

@@ -9,7 +9,9 @@ its HSV tensors, a 20,000-word Word2Vec file and an INI (3 folds,
 ``predict``. It runs ``ffnn_w2v`` twice more, on a text-format copy of
 the Word2Vec file and with ``filter_embeddings = false``; both must give
 the binary, filtered run's model and predictions. Then it runs
-``stability --model ffnn_w2v --upsample --runs 3`` and
+``stability --model ffnn_w2v --upsample --runs 3``, once more with
+``filter_embeddings = false`` (the pooled rows must not depend on the
+table's filter, so its ``stability_runs.csv`` must be the same), and
 ``stability --model fusion --upsample --runs 2`` (its seeds in forked
 workers, each fusion fit's rounds serial inside them). It runs the
 fusion ``train`` again with the child restricted to one CPU through
@@ -18,9 +20,10 @@ next to the one from all CPUs. Last it runs ``train --upsample`` for
 ``ffnn_w2v`` and ``fusion``. Every command runs as ``python -m
 memesent.cli`` from the inputs directory with relative paths, so the
 hashes do not depend on OUT_DIR. Prints the first 12 hex digits of the
-SHA-256 of each artifact and exits 1 if any command fails, an
-``ffnn_w2v`` variant or the one-CPU fusion model differs. A change that must leave the bytes alone prints
-the same lines before and after.
+SHA-256 of each artifact and exits 1 if any command fails, or an
+``ffnn_w2v`` variant, the unfiltered study or the one-CPU fusion model
+differs. A change that must leave the bytes alone prints the same lines
+before and after.
 """
 
 from __future__ import annotations
@@ -119,6 +122,13 @@ def main(argv=None) -> int:
               "--out", "../stability")
     for name in ("stability.json", "stability_runs.csv"):
         print(f"{'stability':<9} {name:<18} {short_hash(out_dir / 'stability' / name)}")
+    ok &= run(inputs, "stability", "--model", "ffnn_w2v", "--upsample", "--runs", "3",
+              "--out", "../stability_unfiltered", config="unfiltered.ini")
+    got = short_hash(out_dir / "stability_unfiltered" / "stability_runs.csv")
+    print(f"{'stability':<9} {'stability_runs.csv':<18} {got}  (unfiltered)")
+    if got != short_hash(out_dir / "stability" / "stability_runs.csv"):
+        print("stability_runs.csv differs with the unfiltered table", file=sys.stderr)
+        ok = False
     ok &= run(inputs, "stability", "--model", "fusion", "--upsample", "--runs", "2",
               "--out", "../stability_fusion")
     for name in ("stability.json", "stability_runs.csv"):
