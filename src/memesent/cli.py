@@ -18,17 +18,12 @@ import math
 import multiprocessing
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    MODEL_KINDS,
-    RunConfig,
-    config_hash,
-    load_config,
-    write_resolved,
-)
+from .config import RunConfig, config_hash, load_config, write_resolved
 from .corpus import (
     CsvSchema,
     Dataset,
@@ -331,6 +326,8 @@ def _read_predictions(path: str | Path) -> dict[str, Sentiment]:
             if reader.fieldnames is None or not {"id", "label"} <= set(reader.fieldnames):
                 raise DataFormatError(f"{path}: expected columns id,label")
             for rownum, row in enumerate(reader, start=2):
+                if None in row:
+                    raise DataFormatError(f"{path}: row {rownum} has more fields than the header")
                 rec_id = (row["id"] or "").strip()
                 if rec_id in preds:
                     raise DataFormatError(f"{path}: duplicate id {rec_id!r} at row {rownum}")
@@ -459,7 +456,7 @@ def _score_from_report(path: str) -> float:
     try:
         # every number as a float: an integer too large for one becomes inf
         data = json.loads(p.read_text(encoding="utf-8"), parse_int=float)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise DataFormatError(f"{p}: not valid JSON: {exc}") from exc
     for key in ("macro_f1", "mean"):
         if isinstance(data, dict) and key in data:
@@ -488,20 +485,14 @@ def cmd_compare(cfg: RunConfig, entries: list[str]) -> int:
 
 
 def _add_common(sub, *names):
-    flags = {
-        "config": dict(help="INI config file"),
-        "seed": dict(type=int, help="top-level seed for all randomness"),
-        "model": dict(help=f"model kind: {', '.join(MODEL_KINDS)}"),
-        "dataset": dict(help="dataset CSV path"),
-        "embeddings": dict(help="embedding table path"),
-        "out": dict(help="output directory"),
-        "runs": dict(type=int, help="number of seeded runs"),
-        "split": dict(type=float, help="training fraction for splits"),
-        "upsample": dict(action=argparse.BooleanOptionalAction,
-                         help="oversample minority classes before training"),
-    }
+    """``--config``, then the flag of each named :class:`RunConfig` field,
+    typed by the field's default."""
+    sub.add_argument("--config", help="INI config file")
+    settings = {f.name: f for f in fields(RunConfig)}
     for name in names:
-        sub.add_argument(f"--{name}", **flags[name])
+        kind = type(settings[name].default)
+        typed = dict(action=argparse.BooleanOptionalAction) if kind is bool else dict(type=kind)
+        sub.add_argument(f"--{name}", help=settings[name].metadata["flag"], **typed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -517,24 +508,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prepare", help="normalize a raw CSV and report stats")
-    _add_common(p, "config", "seed", "dataset", "out")
+    _add_common(p, "seed", "dataset", "out")
 
     p = sub.add_parser("train", help="train a model and save it")
-    _add_common(p, "config", "seed", "model", "dataset", "embeddings", "out", "upsample")
+    _add_common(p, "seed", "model", "dataset", "embeddings", "out", "upsample")
 
     p = sub.add_parser("predict", help="write per-record class probabilities")
     p.add_argument("--model", required=False, help="trained model file", dest="model_file")
-    _add_common(p, "config", "seed", "dataset", "embeddings", "out")
+    _add_common(p, "seed", "dataset", "embeddings", "out")
 
     p = sub.add_parser("evaluate", help="score a predictions CSV against golds")
     p.add_argument("predictions", help="predictions CSV from the predict command")
-    _add_common(p, "config", "seed", "dataset", "out")
+    _add_common(p, "seed", "dataset", "out")
 
     p = sub.add_parser("stability", help="repeat train/score over many seeds")
-    _add_common(
-        p, "config", "seed", "model", "dataset", "embeddings", "out", "runs",
-        "split", "upsample",
-    )
+    _add_common(p, "seed", "model", "dataset", "embeddings", "out", "runs", "split", "upsample")
 
     p = sub.add_parser("compare", help="rank evaluation reports")
     p.add_argument(
@@ -542,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         help="report JSON files; PATH, NAME=PATH, or NAME=MODALITY=PATH",
     )
-    _add_common(p, "config", "out")
+    _add_common(p, "out")
 
     return parser
 

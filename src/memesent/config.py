@@ -1,11 +1,15 @@
 """Run configuration: INI files, flag overrides, and resolved copies.
 
 A run is described by one flat config (sections [data], [model],
-[train], [run]) plus command-line overrides. Every command persists the
-fully resolved config next to its outputs so any artifact can be
-regenerated from the directory alone; the resolved text is also hashed
-into report metadata. The ``[model]`` and ``[train]`` defaults are read
-from the estimator classes' fields and from ``TrainConfig``.
+[train], [run]) plus command-line overrides. Each setting is declared
+once, as a :class:`RunConfig` field that holds its section, its default
+and, for the few that are command-line flags, the flag's help text; the
+INI sections, the rendered key order and the CLI flags are read from
+those fields. Every command persists the fully resolved config next to
+its outputs so any artifact can be regenerated from the directory
+alone; the resolved text is also hashed into report metadata. The
+``[model]`` and ``[train]`` defaults are read from the estimator
+classes' fields and from ``TrainConfig``.
 """
 
 from __future__ import annotations
@@ -14,14 +18,15 @@ import configparser
 import hashlib
 import io
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .embeddings import FORMATS
 from .errors import ConfigError
 from .models.ffnn import BowFfnnClassifier
 from .models.fusion import BimodalFusionClassifier
 from .models.naive_bayes import MultinomialNaiveBayes
-from .nn import TrainConfig
+from .nn import ACTIVATIONS, INIT_MODES, TrainConfig
 
 __all__ = [
     "MODEL_KINDS",
@@ -34,69 +39,49 @@ __all__ = [
 
 MODEL_KINDS = ("nb", "ffnn_w2v", "ffnn_bow", "cnn_hsv", "fusion")
 
-# section -> field names, in render order
-_SECTIONS = {
-    "data": ("dataset", "schema", "upsample", "split"),
-    "model": (
-        "model",
-        "embeddings",
-        "embeddings_format",
-        "filter_embeddings",
-        "alpha",
-        "vocab_size",
-        "hidden",
-        "activation",
-        "init_mode",
-        "init_sigma",
-        "folds",
-        "in_sample",
-    ),
-    "train": ("batch_size", "epochs", "lr", "shuffle"),
-    "run": ("seed", "out", "runs", "resplit"),
-}
+
+def _setting(section: str, default, flag: str = ""):
+    """A :class:`RunConfig` field, a key of INI ``[section]``; a field with
+    ``flag`` help text is also the ``--<name>`` option of the commands
+    that name it."""
+    return field(default=default, metadata={"section": section, "flag": flag})
 
 
 @dataclass
 class RunConfig:
-    # [data]
-    dataset: str = ""
-    schema: str = "auto"  # "auto" | "key=column,..." mapping
-    upsample: bool = False
-    split: float = 0.8
-    # [model]
-    model: str = "nb"
-    embeddings: str = ""
-    embeddings_format: str = "binary"
-    filter_embeddings: bool = True  # keep only words seen in the dataset
-    alpha: float = MultinomialNaiveBayes.alpha
-    vocab_size: int = BowFfnnClassifier.vocab_size
-    hidden: tuple[int, ...] = BowFfnnClassifier.hidden
-    activation: str = BowFfnnClassifier.activation
-    init_mode: str = BowFfnnClassifier.init_mode
-    init_sigma: float = BowFfnnClassifier.init_sigma
-    folds: int = BimodalFusionClassifier.folds
-    in_sample: bool = BimodalFusionClassifier.in_sample
-    # [train]
-    batch_size: int = TrainConfig.batch_size
-    epochs: int = TrainConfig.epochs
-    lr: float = TrainConfig.lr
-    shuffle: bool = TrainConfig.shuffle
-    # [run]
-    seed: int = 0
-    out: str = "runs"
-    runs: int = 50
-    resplit: bool = True
+    dataset: str = _setting("data", "", "dataset CSV path")
+    schema: str = _setting("data", "auto")  # "auto" | "key=column,..." mapping
+    upsample: bool = _setting("data", False, "oversample minority classes before training")
+    split: float = _setting("data", 0.8, "training fraction for splits")
+    model: str = _setting("model", "nb", f"model kind: {', '.join(MODEL_KINDS)}")
+    embeddings: str = _setting("model", "", "embedding table path")
+    embeddings_format: str = _setting("model", "binary")
+    filter_embeddings: bool = _setting("model", True)  # keep only words seen in the dataset
+    alpha: float = _setting("model", MultinomialNaiveBayes.alpha)
+    vocab_size: int = _setting("model", BowFfnnClassifier.vocab_size)
+    hidden: tuple[int, ...] = _setting("model", BowFfnnClassifier.hidden)
+    activation: str = _setting("model", BowFfnnClassifier.activation)
+    init_mode: str = _setting("model", BowFfnnClassifier.init_mode)
+    init_sigma: float = _setting("model", BowFfnnClassifier.init_sigma)
+    folds: int = _setting("model", BimodalFusionClassifier.folds)
+    in_sample: bool = _setting("model", BimodalFusionClassifier.in_sample)
+    batch_size: int = _setting("train", TrainConfig.batch_size)
+    epochs: int = _setting("train", TrainConfig.epochs)
+    lr: float = _setting("train", TrainConfig.lr)
+    shuffle: bool = _setting("train", TrainConfig.shuffle)
+    seed: int = _setting("run", 0, "top-level seed for all randomness")
+    out: str = _setting("run", "runs", "output directory")
+    runs: int = _setting("run", 50, "number of seeded runs")
+    resplit: bool = _setting("run", True)
 
     def validate(self) -> "RunConfig":
         if self.model not in MODEL_KINDS:
             raise ConfigError(
                 f"unknown model kind {self.model!r}; expected one of {MODEL_KINDS}"
             )
-        if self.embeddings_format not in ("binary", "text"):
-            raise ConfigError(
-                f"embeddings_format must be 'binary' or 'text', "
-                f"got {self.embeddings_format!r}"
-            )
+        if self.embeddings_format not in FORMATS:
+            raise ConfigError(f"embeddings_format must be {' or '.join(map(repr, FORMATS))}, "
+                              f"got {self.embeddings_format!r}")
         if not 0.0 < self.split < 1.0:
             raise ConfigError(f"split must be in (0, 1), got {self.split}")
         for name in ("alpha", "init_sigma", "lr"):
@@ -109,14 +94,19 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.runs < 2:
             raise ConfigError(f"runs must be >= 2, got {self.runs}")
-        if self.activation not in ("relu", "linear"):
+        if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.init_mode not in ("normal", "scaled"):
+        if self.init_mode not in INIT_MODES:
             raise ConfigError(f"unknown init_mode {self.init_mode!r}")
         return self
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# section -> field names, in render order
+_SECTIONS = {
+    section: tuple(f.name for f in fields(RunConfig) if f.metadata["section"] == section)
+    for section in dict.fromkeys(f.metadata["section"] for f in fields(RunConfig))
+}
+_FIELD_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def _parse_hidden(raw: str) -> tuple[int, ...]:
@@ -133,9 +123,9 @@ def _parse_hidden(raw: str) -> tuple[int, ...]:
 def _parse_value(name: str, raw: str):
     kind = _FIELD_TYPES[name]
     raw = raw.strip()
-    if name == "hidden":
+    if kind is tuple:
         return _parse_hidden(raw)
-    if kind == "bool":
+    if kind is bool:
         lowered = raw.lower()
         if lowered in ("true", "yes", "on", "1"):
             return True
@@ -143,13 +133,9 @@ def _parse_value(name: str, raw: str):
             return False
         raise ConfigError(f"{name} must be a boolean, got {raw!r}")
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"{name} must be a {kind}, got {raw!r}") from None
-    return raw
+        raise ConfigError(f"{name} must be a {kind.__name__}, got {raw!r}") from None
 
 
 def load_config(path: str | Path) -> RunConfig:

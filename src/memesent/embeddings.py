@@ -13,8 +13,9 @@ line "<vocab_size> <dim>\\n":
 A table is a words tuple, a word -> row index and one ``(V, dim)``
 matrix, which the readers allocate once as float32 and fill in place
 (the binary reader reads in blocks); with a vocabulary filter they
-shrink it in place to the words found. A load -> save round trip is
-byte-identical for files using the newline convention.
+shrink it in place to the words found. A loaded table written back in
+its layout gives the file's bytes again, for files using the newline
+convention (the tests hold such writers).
 
 A caption embedding is the mean of the rows of its in-vocabulary
 tokens, summed in float64 and stored as float32; out-of-vocabulary
@@ -38,10 +39,9 @@ from .errors import DataFormatError
 __all__ = [
     "EmbeddingTable",
     "CoverageStats",
+    "FORMATS",
     "load_word2vec_binary",
-    "write_word2vec_binary",
     "load_word2vec_text",
-    "write_word2vec_text",
     "load_embeddings",
     "embed_corpus",
     "corpus_coverage",
@@ -207,15 +207,6 @@ def load_word2vec_binary(
     return EmbeddingTable(words, matrix, source)
 
 
-def write_word2vec_binary(table: EmbeddingTable, path: str | Path) -> None:
-    """Write the canonical binary layout (newline after every vector)."""
-    rows = table.matrix.astype("<f4", copy=False)
-    with open(path, "wb") as fh:
-        fh.write(f"{len(table)} {table.dim}\n".encode("utf-8"))
-        for word, row in zip(table.words, rows):
-            fh.write(word.encode("utf-8") + b" " + row.tobytes() + b"\n")
-
-
 def load_word2vec_text(
     path: str | Path, vocab_filter: set[str] | None = None
 ) -> EmbeddingTable:
@@ -270,12 +261,8 @@ def load_word2vec_text(
     return EmbeddingTable(words, matrix, source)
 
 
-def write_word2vec_text(table: EmbeddingTable, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{len(table)} {table.dim}\n")
-        for word, vec in zip(table.words, table.matrix):
-            comps = " ".join(f"{np.float32(v):.9g}" for v in vec)
-            fh.write(f"{word} {comps}\n")
+# format name -> reader
+FORMATS = {"binary": load_word2vec_binary, "text": load_word2vec_text}
 
 
 def load_embeddings(
@@ -283,11 +270,10 @@ def load_embeddings(
     fmt: str = "binary",
     vocab_filter: set[str] | None = None,
 ) -> EmbeddingTable:
-    if fmt == "binary":
-        return load_word2vec_binary(path, vocab_filter=vocab_filter)
-    if fmt == "text":
-        return load_word2vec_text(path, vocab_filter=vocab_filter)
-    raise DataFormatError(f"unknown embedding format {fmt!r}; use 'binary' or 'text'")
+    if fmt not in FORMATS:
+        raise DataFormatError(
+            f"unknown embedding format {fmt!r}; use {' or '.join(map(repr, FORMATS))}")
+    return FORMATS[fmt](path, vocab_filter=vocab_filter)
 
 
 def corpus_coverage(captions: list[list[str]], table: EmbeddingTable) -> CoverageStats:

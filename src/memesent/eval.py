@@ -173,15 +173,7 @@ class StabilityReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "scores": list(self.scores),
-            "seeds": list(self.seeds),
-            "mean": self.mean,
-            "variance": self.variance,
-            "sample_variance": self.sample_variance,
-            "max": self.max,
-            "n_runs": self.n_runs,
-        }
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in vars(self).items()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)

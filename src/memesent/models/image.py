@@ -23,7 +23,6 @@ __all__ = [
     "rgb_to_hsv",
     "hsv_from_image",
     "read_hsv_tensor",
-    "write_hsv_tensor",
     "load_hsv_input",
 ]
 
@@ -118,15 +117,6 @@ def hsv_from_image(rgb: np.ndarray) -> np.ndarray:
         raise DataFormatError("image has a zero dimension")
     small = bilinear_resize(rgb, IMAGE_SIZE, IMAGE_SIZE)
     return rgb_to_hsv(small)
-
-
-def write_hsv_tensor(tensor: np.ndarray, path: str | Path) -> None:
-    tensor = np.asarray(tensor, dtype=np.float64)
-    if tensor.ndim != 3 or tensor.shape[2] != 3:
-        raise DataFormatError(f"expected an (H, W, 3) tensor, got {tensor.shape}")
-    with open(path, "wb") as fh:
-        fh.write(f"{tensor.shape[0]} {tensor.shape[1]} 3\n".encode("ascii"))
-        fh.write(tensor.astype("<f4").tobytes(order="C"))
 
 
 def read_hsv_tensor(path: str | Path) -> np.ndarray:

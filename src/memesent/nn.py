@@ -40,6 +40,8 @@ from .errors import NumericError, TrainingError
 from .rng import substream
 
 __all__ = [
+    "ACTIVATIONS",
+    "INIT_MODES",
     "NetSpec",
     "AdamState",
     "TrainConfig",
@@ -59,6 +61,8 @@ __all__ = [
 ]
 
 DEFAULT_HIDDEN = (256, 128, 64, 64, 32, 16)
+ACTIVATIONS = ("relu", "linear")
+INIT_MODES = ("normal", "scaled")
 
 
 @dataclass(frozen=True)
@@ -74,18 +78,18 @@ class NetSpec:
     input_dim: int
     hidden: tuple[int, ...] = DEFAULT_HIDDEN
     output_dim: int = 3
-    activation: str = "relu"  # "relu" or "linear"
+    activation: str = "relu"  # one of ACTIVATIONS
     seed: int = 0
     init_sigma: float = 1.0
-    init_mode: str = "normal"  # "normal" or "scaled"
+    init_mode: str = "normal"  # one of INIT_MODES
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(self.hidden))
         if self.input_dim < 1 or self.output_dim < 1 or any(w < 1 for w in self.hidden):
             raise ValueError("all layer widths must be >= 1")
-        if self.activation not in ("relu", "linear"):
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.init_mode not in ("normal", "scaled"):
+        if self.init_mode not in INIT_MODES:
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
 
     @property

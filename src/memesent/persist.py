@@ -82,7 +82,7 @@ def load_container(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         raise DataFormatError(f"{path}: bad magic {blob[:4]!r}")
     try:
         return _parse(blob, path)
-    except (struct.error, ValueError) as exc:  # truncated fields, bad bytes
+    except (struct.error, ValueError, RecursionError) as exc:  # truncated, bad bytes, deep JSON
         raise DataFormatError(
             f"{path}: malformed container ({type(exc).__name__}: {exc})"
         ) from exc

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from memesent.corpus import Dataset, MemeRecord, Sentiment
 from memesent.embeddings import EmbeddingTable
+from memesent.errors import DataFormatError
 
 
 def make_dataset(counts, caption="some caption"):
@@ -73,6 +74,35 @@ def hue_band_tensors(n=30, seed=0):
         T[i, ..., 1] = 1.0
         T[i, ..., 2] = 0.8 + rng.random((32, 32)) * 0.05
     return T, y
+
+
+def write_word2vec_binary(table: EmbeddingTable, path: str | Path) -> None:
+    """Write the canonical binary layout (newline after every vector)."""
+    rows = table.matrix.astype("<f4", copy=False)
+    with open(path, "wb") as fh:
+        fh.write(f"{len(table)} {table.dim}\n".encode("utf-8"))
+        for word, row in zip(table.words, rows):
+            fh.write(word.encode("utf-8") + b" " + row.tobytes() + b"\n")
+
+
+def write_word2vec_text(table: EmbeddingTable, path: str | Path) -> None:
+    """Write the text layout, each component as a float32 in 9 digits."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{len(table)} {table.dim}\n")
+        for word, vec in zip(table.words, table.matrix):
+            comps = " ".join(f"{np.float32(v):.9g}" for v in vec)
+            fh.write(f"{word} {comps}\n")
+
+
+def write_hsv_tensor(tensor: np.ndarray, path: str | Path) -> None:
+    """Write an (H, W, 3) tensor in the ``.hsv`` layout that
+    ``read_hsv_tensor`` reads."""
+    tensor = np.asarray(tensor, dtype=np.float64)
+    if tensor.ndim != 3 or tensor.shape[2] != 3:
+        raise DataFormatError(f"expected an (H, W, 3) tensor, got {tensor.shape}")
+    with open(path, "wb") as fh:
+        fh.write(f"{tensor.shape[0]} {tensor.shape[1]} 3\n".encode("ascii"))
+        fh.write(tensor.astype("<f4").tobytes(order="C"))
 
 
 def _edit(seed: bytes, edits, cut: int, tail: bytes) -> bytes:

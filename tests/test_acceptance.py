@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from _util import synthetic_corpus
+from _util import synthetic_corpus, write_word2vec_binary, write_word2vec_text
 from memesent.cli import main
 from memesent.corpus import CsvSchema, load_dataset, save_dataset, stratified_split, upsample
 from memesent.embeddings import (
@@ -23,8 +23,6 @@ from memesent.embeddings import (
     embed_corpus,
     load_word2vec_binary,
     load_word2vec_text,
-    write_word2vec_binary,
-    write_word2vec_text,
 )
 from memesent.eval import macro_f1, stability_study
 from memesent.models.ffnn import Word2vecFfnnClassifier

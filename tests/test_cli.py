@@ -14,7 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _util import blas_threads, hue_band_tensors, run_cli, run_python, synthetic_corpus
+from _util import (
+    blas_threads,
+    hue_band_tensors,
+    run_cli,
+    run_python,
+    synthetic_corpus,
+    write_hsv_tensor,
+    write_word2vec_binary,
+)
 from memesent import cli
 from memesent import eval as eval_module
 from memesent.cli import main
@@ -32,7 +40,6 @@ from memesent.embeddings import (
     corpus_coverage,
     embed_corpus,
     load_embeddings,
-    write_word2vec_binary,
 )
 from memesent.errors import DataFormatError
 from memesent.eval import macro_f1
@@ -40,7 +47,7 @@ from memesent.models.cnn import _SHAPES as _CNN_SHAPES
 from memesent.models.cnn import HsvCnnClassifier, init_cnn_params
 from memesent.models.ffnn import BowFfnnClassifier
 from memesent.models.fusion import BimodalFusionClassifier
-from memesent.models.image import read_hsv_tensor, write_hsv_tensor
+from memesent.models.image import read_hsv_tensor
 from memesent.models.naive_bayes import MultinomialNaiveBayes
 from memesent.nn import NetSpec, init_params, param_shapes
 from memesent.rng import substream
@@ -475,6 +482,16 @@ class TestPredictEvaluate:
         ) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {preds}: row 2: ") and "'happy'" in err
+
+    def test_evaluate_row_longer_than_header_exit_2(self, workspace, capsys):
+        preds = workspace["dir"] / "preds.csv"
+        preds.write_text("id,label,p_neg,p_neu,p_pos\ns0,negative,0.1,0.2,0.7,EXTRA\n")
+        assert run(
+            "evaluate", preds, "--dataset", workspace["data"],
+            "--out", workspace["dir"] / "x",
+        ) == 2
+        assert capsys.readouterr().err == (
+            f"error: {preds}: row 2 has more fields than the header\n")
 
     def test_evaluate_id_mismatch_exit_2(self, workspace, capsys):
         preds = workspace["dir"] / "preds.csv"
@@ -957,6 +974,12 @@ class TestCompare:
         bad.write_text(f'{{"{key}": {value}}}')
         assert run("compare", bad, "--out", workspace["dir"] / "cmp") == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: {key} is ")
+
+    def test_deeply_nested_report_exit_2(self, workspace, capsys):
+        deep = workspace["dir"] / "deep.json"
+        deep.write_text("[" * 100_000)
+        assert run("compare", deep) == 2
+        assert capsys.readouterr().err.startswith(f"error: {deep}: not valid JSON: ")
 
     def test_integer_score_ranks(self, workspace, capsys):
         report = workspace["dir"] / "one.json"

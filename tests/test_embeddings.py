@@ -14,12 +14,10 @@ from memesent.embeddings import (
     load_embeddings,
     load_word2vec_binary,
     load_word2vec_text,
-    write_word2vec_binary,
-    write_word2vec_text,
 )
 from memesent.errors import DataFormatError
 
-from _util import fuzz_settings, mutated
+from _util import fuzz_settings, mutated, write_word2vec_binary, write_word2vec_text
 
 
 def write_binary_fixture(path):

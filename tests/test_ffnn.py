@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import memesent.nn as nn
-from _util import synthetic_corpus
+from _util import synthetic_corpus, write_word2vec_binary
 from memesent import cli
 from memesent.config import RunConfig
 from memesent.corpus import Dataset, MemeRecord, save_dataset, stratified_split
-from memesent.embeddings import EmbeddingTable, embed_corpus, write_word2vec_binary
+from memesent.embeddings import EmbeddingTable, embed_corpus
 from memesent.errors import DataFormatError, NotFittedError, NumericError
 from memesent.eval import macro_f1
 from memesent.models.ffnn import BowFfnnClassifier, Word2vecFfnnClassifier

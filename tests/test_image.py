@@ -16,10 +16,9 @@ from memesent.models.image import (
     load_image_rgb,
     read_hsv_tensor,
     rgb_to_hsv,
-    write_hsv_tensor,
 )
 
-from _util import fuzz_settings, mutated
+from _util import fuzz_settings, mutated, write_hsv_tensor
 
 
 @pytest.fixture

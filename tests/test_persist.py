@@ -1,10 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from memesent.errors import DataFormatError
-from memesent.persist import load_container, save_container
+from memesent.persist import CONTAINER_VERSION, MAGIC, load_container, save_container
 
 
 def sample_arrays():
@@ -104,6 +106,15 @@ def test_header_must_be_an_object(tmp_path):
     path = tmp_path / "m.msnt"
     save_container(path, [1, 2], {})
     with pytest.raises(DataFormatError, match="not an object"):
+        load_container(path)
+
+
+def test_deeply_nested_header_fails_typed(tmp_path):
+    path = tmp_path / "m.msnt"
+    deep = b"[" * 100_000
+    path.write_bytes(_with_checksum(MAGIC + struct.pack("<IQ", CONTAINER_VERSION, len(deep))
+                                    + deep + struct.pack("<I", 0)))
+    with pytest.raises(DataFormatError, match=r"m.msnt: malformed container \(RecursionError"):
         load_container(path)
 
 

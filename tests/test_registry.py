@@ -13,17 +13,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import memesent
-from _util import hue_band_tensors, run_python, synthetic_corpus
+from _util import (
+    hue_band_tensors,
+    run_python,
+    synthetic_corpus,
+    write_hsv_tensor,
+    write_word2vec_binary,
+)
 from memesent import cli
 from memesent.base import Estimator, SavedModel
 from memesent.config import _SECTIONS, MODEL_KINDS, RunConfig
 from memesent.corpus import Dataset, MemeRecord
-from memesent.embeddings import write_word2vec_binary
 from memesent.errors import DataFormatError, NumericError
 from memesent.models.bow import build_bow_vocab
 from memesent.models.ffnn import BowFfnnClassifier, Word2vecFfnnClassifier
 from memesent.models.fusion import BimodalFusionClassifier, fusion_train
-from memesent.models.image import write_hsv_tensor
 from memesent.nn import TrainConfig
 from memesent.persist import load_container, save_container
 

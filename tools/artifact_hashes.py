@@ -1,6 +1,6 @@
 """Hash what every model kind writes on a seeded synthetic corpus.
 
-Usage: python tools/artifact_hashes.py OUT_DIR
+Usage: python tools/artifact_hashes.py OUT_DIR [--check FILE]
 
 Writes the inputs under OUT_DIR/inputs with perfbench's corpus generator:
 the 200-row captions CSV of the ``fusion_train`` workload at seed 1 with
@@ -19,20 +19,33 @@ fusion ``train`` again with the child restricted to one CPU through
 next to the one from all CPUs. Last it runs ``train --upsample`` for
 ``ffnn_w2v`` and ``fusion``. Every command runs as ``python -m
 memesent.cli`` from the inputs directory with relative paths, so the
-hashes do not depend on OUT_DIR. Prints the first 12 hex digits of the
-SHA-256 of each artifact and exits 1 if any command fails, or an
+hashes do not depend on OUT_DIR.
+
+Prints the environment the bytes depend on besides the code (Python,
+NumPy, its BLAS build, the OpenBLAS kernels picked for this CPU and the
+machine), one ``# name value`` line each, then the first 12 hex digits
+of the SHA-256 of each artifact. Exits 1 if any command fails, or an
 ``ffnn_w2v`` variant, the unfiltered study or the one-CPU fusion model
-differs. A change that must leave the bytes alone prints the same lines
-before and after.
+differs. ``tools/artifact_hashes.txt`` holds this output as committed;
+with ``--check FILE``, the tool also exits 1 if any printed line differs
+from FILE's, and names each such line on stderr. A change that must
+leave the bytes alone passes ``--check tools/artifact_hashes.txt``; a
+change that alters them updates the file in its own diff.
 """
 
 from __future__ import annotations
 
+import argparse
+import ctypes
 import hashlib
+import itertools
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -41,7 +54,7 @@ import corpus_gen as gen  # noqa: E402
 from workloads import FusionTrain  # noqa: E402
 
 sys.path.insert(0, str(ROOT / "src"))
-from memesent.embeddings import load_word2vec_binary, write_word2vec_text  # noqa: E402
+from memesent.embeddings import load_word2vec_binary  # noqa: E402
 
 SEED = 1
 WORDS = 20_000
@@ -70,10 +83,47 @@ def write_inputs(inputs: Path) -> None:
                                image_dir="hsv", take=FusionTrain.take)
     gen.write_hsv_dir(inputs / "hsv", ids, y, SEED)
     gen.write_word2vec(inputs / "w2v.bin", WORDS, SEED)
-    write_word2vec_text(load_word2vec_binary(inputs / "w2v.bin"), inputs / "w2v.txt")
     (inputs / "run.ini").write_text(INI, encoding="utf-8")
+
+
+def write_variants(inputs: Path) -> None:
+    """The text-format copy of the Word2Vec file, each component a float32
+    in 9 significant digits, and the INIs of :data:`W2V_VARIANTS`."""
+    table = load_word2vec_binary(inputs / "w2v.bin")
+    with open(inputs / "w2v.txt", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{len(table)} {table.dim}\n")
+        for word, vec in zip(table.words, table.matrix):
+            fh.write(f"{word} {' '.join(f'{v:.9g}' for v in vec)}\n")
     for name, ini in W2V_VARIANTS.items():
         (inputs / f"{name}.ini").write_text(ini, encoding="utf-8")
+
+
+def _openblas_cores() -> str:
+    """The kernel set each OpenBLAS this process loaded picked for this CPU."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line}
+    except OSError:
+        return "unknown"
+    cores = []
+    for path, prefix, suffix in itertools.product(sorted(paths), ("scipy_", ""), ("64_", "")):
+        getter = getattr(ctypes.CDLL(path), f"{prefix}openblas_get_corename{suffix}", None)
+        if getter:
+            getter.argtypes, getter.restype = [], ctypes.c_char_p
+            cores.append(getter().decode("ascii"))
+    return " ".join(cores) or "none"
+
+
+def environment() -> dict[str, str]:
+    """What the hashes depend on besides the code, by name."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "openblas_core": _openblas_cores(),
+        "machine": platform.machine(),
+    }
 
 
 def run(inputs: Path, *argv: str, config: str = "run.ini", preexec_fn=None) -> bool:
@@ -92,21 +142,40 @@ def short_hash(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:12] if path.is_file() else "missing"
 
 
-def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1:
-        print("usage: python tools/artifact_hashes.py OUT_DIR", file=sys.stderr)
-        return 2
-    out_dir = Path(args[0]).resolve()
-    inputs = out_dir / "inputs"
-    write_inputs(inputs)
-    ok = True
+def kind_lines(out_dir: Path, run_cmd) -> tuple[bool, list[str]]:
+    """``train`` then ``predict`` for each model kind, each through
+    ``run_cmd(*argv)`` in the inputs directory, which returns whether the
+    command succeeded; whether all did, and the hash lines of their
+    artifacts under ``out_dir``."""
+    ok, lines = True, []
     for kind in KINDS:
         out = f"../{kind}"
-        ok &= run(inputs, "train", "--model", kind, "--out", out)
-        ok &= run(inputs, "predict", "--model", f"{out}/model.bin", "--out", out)
+        ok &= run_cmd("train", "--model", kind, "--out", out)
+        ok &= run_cmd("predict", "--model", f"{out}/model.bin", "--out", out)
         for name in ("model.bin", "predictions.csv", "train_report.json"):
-            print(f"{kind:<9} {name:<18} {short_hash(out_dir / kind / name)}")
+            lines.append(f"{kind:<9} {name:<18} {short_hash(out_dir / kind / name)}")
+    return ok, lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(prog="python tools/artifact_hashes.py")
+    parser.add_argument("out_dir", metavar="OUT_DIR")
+    parser.add_argument("--check", metavar="FILE", type=Path,
+                        help="also exit 1 if a printed line differs from FILE's")
+    args = parser.parse_args(argv)
+    out_dir = Path(args.out_dir).resolve()
+    inputs = out_dir / "inputs"
+    write_inputs(inputs)
+    write_variants(inputs)
+    printed = []
+
+    def emit(*lines: str) -> None:
+        printed.extend(lines)
+        print(*lines, sep="\n", flush=True)
+
+    emit(*(f"# {name} {value}" for name, value in environment().items()))
+    ok, lines = kind_lines(out_dir, lambda *argv: run(inputs, *argv))
+    emit(*lines)
     for variant in W2V_VARIANTS:
         out, config = f"ffnn_w2v_{variant}", f"{variant}.ini"
         ok &= run(inputs, "train", "--model", "ffnn_w2v", "--out", f"../{out}", config=config)
@@ -114,31 +183,31 @@ def main(argv=None) -> int:
                   config=config)
         for name in ("model.bin", "predictions.csv"):
             got = short_hash(out_dir / out / name)
-            print(f"{'ffnn_w2v':<9} {name:<18} {got}  ({variant})")
+            emit(f"{'ffnn_w2v':<9} {name:<18} {got}  ({variant})")
             if got != short_hash(out_dir / "ffnn_w2v" / name):
                 print(f"ffnn_w2v {name} differs with the {variant} table", file=sys.stderr)
                 ok = False
     ok &= run(inputs, "stability", "--model", "ffnn_w2v", "--upsample", "--runs", "3",
               "--out", "../stability")
     for name in ("stability.json", "stability_runs.csv"):
-        print(f"{'stability':<9} {name:<18} {short_hash(out_dir / 'stability' / name)}")
+        emit(f"{'stability':<9} {name:<18} {short_hash(out_dir / 'stability' / name)}")
     ok &= run(inputs, "stability", "--model", "ffnn_w2v", "--upsample", "--runs", "3",
               "--out", "../stability_unfiltered", config="unfiltered.ini")
     got = short_hash(out_dir / "stability_unfiltered" / "stability_runs.csv")
-    print(f"{'stability':<9} {'stability_runs.csv':<18} {got}  (unfiltered)")
+    emit(f"{'stability':<9} {'stability_runs.csv':<18} {got}  (unfiltered)")
     if got != short_hash(out_dir / "stability" / "stability_runs.csv"):
         print("stability_runs.csv differs with the unfiltered table", file=sys.stderr)
         ok = False
     ok &= run(inputs, "stability", "--model", "fusion", "--upsample", "--runs", "2",
               "--out", "../stability_fusion")
     for name in ("stability.json", "stability_runs.csv"):
-        print(f"{'stability':<9} {name:<18} "
-              f"{short_hash(out_dir / 'stability_fusion' / name)}  (fusion, 2 runs)")
+        emit(f"{'stability':<9} {name:<18} "
+             f"{short_hash(out_dir / 'stability_fusion' / name)}  (fusion, 2 runs)")
     cpu = min(os.sched_getaffinity(0))
     ok &= run(inputs, "train", "--model", "fusion", "--out", "../fusion_1cpu",
               preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
     one, every = (short_hash(out_dir / d / "model.bin") for d in ("fusion_1cpu", "fusion"))
-    print(f"{'fusion':<9} {'model.bin':<18} {one}  (CPU {cpu} only; all CPUs {every})")
+    emit(f"{'fusion':<9} {'model.bin':<18} {one}  (CPU {cpu} only; all CPUs {every})")
     if one != every:
         print("fusion model.bin differs between one CPU and all CPUs", file=sys.stderr)
         ok = False
@@ -146,7 +215,13 @@ def main(argv=None) -> int:
         out = f"{kind}_upsample"
         ok &= run(inputs, "train", "--model", kind, "--upsample", "--out", f"../{out}")
         for name in ("model.bin", "train_report.json"):
-            print(f"{kind:<9} {name:<18} {short_hash(out_dir / out / name)}  (--upsample)")
+            emit(f"{kind:<9} {name:<18} {short_hash(out_dir / out / name)}  (--upsample)")
+    if args.check:
+        pinned = args.check.read_text(encoding="utf-8").splitlines()
+        for i, (want, got) in enumerate(itertools.zip_longest(pinned, printed), start=1):
+            if want != got:
+                print(f"{args.check}:{i}: pinned {want!r}, printed {got!r}", file=sys.stderr)
+                ok = False
     return 0 if ok else 1
 
 
