@@ -192,21 +192,23 @@ def as_float_matrix(X, n_features: int | None = None, name: str = "X",
     return arr.astype(dtype, copy=False)
 
 
-def as_label_array(y, n_classes: int = 3, name: str = "y") -> np.ndarray:
-    """Coerce class labels to a 1-D int64 array in ``[0, n_classes)``."""
+def as_label_array(y) -> np.ndarray:
+    """Coerce class labels (ints or :class:`~memesent.corpus.Sentiment`
+    values) to a 1-D int64 array in ``[0, 3)``."""
     arr = np.asarray(y, dtype=np.int64)
     if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-dimensional, got shape {arr.shape}")
-    if arr.size and (arr.min() < 0 or arr.max() >= n_classes):
-        raise ValueError(f"{name} contains labels outside [0, {n_classes})")
+        raise ValueError(f"y must be 1-dimensional, got shape {arr.shape}")
+    if arr.size and (arr.min() < 0 or arr.max() >= 3):
+        raise ValueError("y contains labels outside [0, 3)")
     return arr
 
 
-def check_prob_rows(P, atol: float = 1e-6, name: str = "probabilities") -> np.ndarray:
-    """Validate an (n, 3) array of class-probability rows."""
-    arr = as_float_matrix(P, n_features=3, name=name)
-    if arr.size and arr.min() < -atol:
-        raise ValueError(f"{name} contains negative entries")
-    if arr.size and np.max(np.abs(arr.sum(axis=1) - 1.0)) > atol:
-        raise ValueError(f"{name} rows do not sum to 1")
+def check_prob_rows(P) -> np.ndarray:
+    """Validate an (n, 3) array of class-probability rows, each entry at
+    least -1e-6 and each row's sum within 1e-6 of 1."""
+    arr = as_float_matrix(P, n_features=3, name="probabilities")
+    if arr.size and arr.min() < -1e-6:
+        raise ValueError("probabilities contains negative entries")
+    if arr.size and np.max(np.abs(arr.sum(axis=1) - 1.0)) > 1e-6:
+        raise ValueError("probabilities rows do not sum to 1")
     return arr

@@ -23,14 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, config_hash, load_config, write_resolved
+from .config import MODELS, RunConfig, config_hash, load_config, write_resolved
 from .corpus import (
     CsvSchema,
     Dataset,
     Sentiment,
+    _train_count,
     class_stats,
     load_dataset,
-    normalize_label,
     save_dataset,
     upsample,
 )
@@ -41,7 +41,6 @@ from .models.cnn import HsvCnnClassifier
 from .models.ffnn import BowFfnnClassifier, Word2vecFfnnClassifier
 from .models.fusion import BimodalFusionClassifier
 from .models.image import IMAGE_SIZE, load_hsv_input
-from .models.naive_bayes import MultinomialNaiveBayes
 from .persist import load_container
 from .textprep import preprocess
 
@@ -96,35 +95,15 @@ def _tensors_for(ds: Dataset, base_dir: Path) -> np.ndarray:
     return stack
 
 
-def _int_labels(ds: Dataset) -> list[int]:
-    return [int(label) for label in ds.labels()]
-
-
-def _estimator(cls, cfg: RunConfig, seed: int, **given):
-    """An unfitted ``cls`` whose constructor parameters come from
-    ``given``, else from the config field of the same name (``seed`` from
-    the argument), else from their defaults."""
-    values = dict(vars(cfg), seed=seed, **given)
+def _estimator(cls, cfg: RunConfig, seed: int):
+    """An unfitted ``cls`` whose constructor parameters come from the
+    config field of the same name (``seed`` from the argument), else from
+    their defaults; a fusion model's two branches are built the same way."""
+    values = dict(vars(cfg), seed=seed)
+    if cls is BimodalFusionClassifier:
+        values.update(text=_estimator(BowFfnnClassifier, cfg, seed),
+                      image=_estimator(HsvCnnClassifier, cfg, seed))
     return cls(**{name: values[name] for name in cls._param_names() if name in values})
-
-
-def _fusion(cls, cfg: RunConfig, seed: int, **given):
-    return _estimator(
-        cls, cfg, seed, **given,
-        text=_estimator(BowFfnnClassifier, cfg, seed),
-        image=_estimator(HsvCnnClassifier, cfg, seed),
-    )
-
-
-# the one model registry: config model kind -> (class, build(cls, cfg, seed));
-# predict finds a file's class by its KIND
-_MODELS = {
-    "nb": (MultinomialNaiveBayes, _estimator),
-    "ffnn_w2v": (Word2vecFfnnClassifier, _estimator),
-    "ffnn_bow": (BowFfnnClassifier, _estimator),
-    "cnn_hsv": (HsvCnnClassifier, _estimator),
-    "fusion": (BimodalFusionClassifier, _fusion),
-}
 
 
 def _inputs(cls, cfg: RunConfig, ds: Dataset, base_dir: Path,
@@ -171,15 +150,14 @@ def _inputs(cls, cfg: RunConfig, ds: Dataset, base_dir: Path,
     return inputs, coverage
 
 
-def _fit_model(cfg: RunConfig, inputs: list, labels: list[int], seed: int,
+def _fit_model(cfg: RunConfig, inputs: list, labels: list[Sentiment], seed: int,
                workers: int = 1):
     """Train the configured model kind on :func:`_inputs` and their labels;
     returns the model. A fusion fit runs its rounds in up to ``workers``
     processes."""
-    cls, build = _MODELS[cfg.model]
-    model = build(cls, cfg, seed)
+    cls = MODELS[cfg.model]
     extra = {"workers": workers} if cls is BimodalFusionClassifier else {}
-    return model.fit(*inputs, labels, **extra)
+    return _estimator(cls, cfg, seed).fit(*inputs, labels, **extra)
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -257,9 +235,8 @@ def cmd_train(cfg: RunConfig, workers: int = 1) -> int:
     ds, path = _load_dataset(cfg)
     if cfg.upsample:
         ds = upsample(ds, seed=cfg.seed)
-    cls = _MODELS[cfg.model][0]
-    inputs, coverage = _inputs(cls, cfg, ds, path.parent)
-    model = _fit_model(cfg, inputs, _int_labels(ds), cfg.seed, workers)
+    inputs, coverage = _inputs(MODELS[cfg.model], cfg, ds, path.parent)
+    model = _fit_model(cfg, inputs, ds.labels(), cfg.seed, workers)
     out = _out_dir(cfg)
     model.save(out / "model.bin")
     report = {
@@ -289,7 +266,7 @@ def cmd_predict(cfg: RunConfig, model_path: str) -> int:
     ds, path = _load_dataset(cfg)
     header, arrays = load_container(model_path)
     kind = header.get("kind")
-    cls = next((cls for cls, _ in _MODELS.values() if cls.KIND == kind), None)
+    cls = next((cls for cls in MODELS.values() if cls.KIND == kind), None)
     if cls is None:
         raise DataFormatError(f"{model_path}: unknown model kind {kind!r}")
     # the file is checked before any table or image is read
@@ -315,35 +292,14 @@ def cmd_predict(cfg: RunConfig, model_path: str) -> int:
     return 0
 
 
-def _read_predictions(path: str | Path) -> dict[str, Sentiment]:
-    path = Path(path)
-    if not path.is_file():
-        raise DataFormatError(f"predictions file not found: {path}")
-    preds = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {"id", "label"} <= set(reader.fieldnames):
-                raise DataFormatError(f"{path}: expected columns id,label")
-            for rownum, row in enumerate(reader, start=2):
-                if None in row:
-                    raise DataFormatError(f"{path}: row {rownum} has more fields than the header")
-                rec_id = (row["id"] or "").strip()
-                if rec_id in preds:
-                    raise DataFormatError(f"{path}: duplicate id {rec_id!r} at row {rownum}")
-                try:
-                    preds[rec_id] = normalize_label(row["label"] or "")
-                except DataFormatError as exc:
-                    raise DataFormatError(f"{path}: row {rownum}: {exc}") from None
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise DataFormatError(f"{path}: malformed CSV: {exc}") from exc
-    if not preds:
-        raise DataFormatError(f"{path}: no predictions")
-    return preds
-
-
 def cmd_eval(cfg: RunConfig, predictions_path: str) -> int:
-    preds_by_id = _read_predictions(predictions_path)
+    path = Path(predictions_path)
+    predictions = load_dataset(path, CsvSchema(caption=None))
+    if predictions.rejected_rows:
+        raise DataFormatError("{}: row {}: {}".format(path, *predictions.rejected_rows[0]))
+    if len(predictions) == 0:
+        raise DataFormatError(f"{path}: no predictions")
+    preds_by_id = {rec.id: rec.label for rec in predictions.records}
     ds, _ = _load_dataset(cfg)
     gold_ids = [rec.id for rec in ds.records]
     missing = sorted(set(gold_ids) - set(preds_by_id))
@@ -354,9 +310,8 @@ def cmd_eval(cfg: RunConfig, predictions_path: str) -> int:
             f"({len(missing)} missing, {len(extra)} unknown; "
             f"first: {(missing + extra)[0]!r})"
         )
-    golds = _int_labels(ds)
-    preds = [int(preds_by_id[rec_id]) for rec_id in gold_ids]
-    rep = macro_f1(preds, golds, seed=cfg.seed, config_hash=config_hash(cfg))
+    preds = [preds_by_id[rec_id] for rec_id in gold_ids]
+    rep = macro_f1(preds, ds.labels(), seed=cfg.seed, config_hash=config_hash(cfg))
     out = _out_dir(cfg)
     (out / "eval_report.json").write_text(rep.to_json() + "\n", encoding="utf-8")
     text = _report_text(rep)
@@ -366,28 +321,38 @@ def cmd_eval(cfg: RunConfig, predictions_path: str) -> int:
     return 0
 
 
+def _openblas(*names: str) -> list[tuple]:
+    """The functions ``openblas_<name>`` for each of ``names``, once for
+    each OpenBLAS this process loaded and each symbol variant (a
+    ``scipy_`` prefix, a ``64_`` suffix) under which it has them all.
+    Raises ``OSError`` if the loaded libraries cannot be found or opened."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = {line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line}
+    libs = [ctypes.CDLL(path) for path in sorted(paths)]
+    found = []
+    for lib, prefix, suffix in itertools.product(libs, ("scipy_", ""), ("64_", "")):
+        functions = tuple(getattr(lib, f"{prefix}openblas_{name}{suffix}", None) for name in names)
+        if all(functions):
+            found.append(functions)
+    return found
+
+
 def _pin_blas() -> tuple[bool, list]:
     """Set each OpenBLAS this process loaded to one thread. Returns whether
     all now report one, and the (setter, earlier count) pairs that undo it.
     Large GEMMs give other bytes at other thread counts, and an environment
     variable would be read too late: NumPy is already loaded."""
     try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line}
-        libs = [ctypes.CDLL(path) for path in sorted(paths)]
+        found = _openblas("set_num_threads", "get_num_threads")
     except OSError:
         return False, []
-    getters, undo = [], []
-    for lib, prefix, suffix in itertools.product(libs, ("scipy_", ""), ("64_", "")):
-        setter = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-        getter = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-        if setter and getter:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            undo.append((setter, getter()))
-            setter(1)
-            getters.append(getter)
-    return bool(getters) and all(getter() == 1 for getter in getters), undo
+    undo = []
+    for setter, getter in found:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        undo.append((setter, getter()))
+        setter(1)
+    return bool(found) and all(getter() == 1 for _, getter in found), undo
 
 
 def _workers(cpus: int, can_fork: bool, pinned: bool) -> int:
@@ -404,10 +369,12 @@ def _print_seed(seed: int, score: float, seconds: float) -> None:
 
 def cmd_stability(cfg: RunConfig, workers: int = 1) -> int:
     ds, path = _load_dataset(cfg)
-    cls = _MODELS[cfg.model][0]
+    # the split sizes depend only on the class counts, so this holds for every seed
+    if all(_train_count(cfg.split, n) == n for n in class_stats(ds).counts.values()):
+        raise DataFormatError(f"{path}: split = {cfg.split} leaves no validation records")
     # built once, here: the forked seeds share them (not the embedding table)
     # and select their rows by id, since upsampled copies keep their record's id
-    inputs, _ = _inputs(cls, cfg, ds, path.parent)
+    inputs, _ = _inputs(MODELS[cfg.model], cfg, ds, path.parent)
     row_of = {rec.id: i for i, rec in enumerate(ds.records)}
 
     def rows(part: Dataset) -> list:
@@ -417,7 +384,7 @@ def cmd_stability(cfg: RunConfig, workers: int = 1) -> int:
 
     def train_fn(train_ds, val_ds, seed):
         fit_ds = upsample(train_ds, seed=seed) if cfg.upsample else train_ds
-        model = _fit_model(cfg, rows(fit_ds), _int_labels(fit_ds), seed, workers)
+        model = _fit_model(cfg, rows(fit_ds), fit_ds.labels(), seed, workers)
         return np.argmax(model.predict_proba(*rows(val_ds)), axis=1)
 
     report = stability_study(

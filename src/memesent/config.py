@@ -23,12 +23,14 @@ from pathlib import Path
 
 from .embeddings import FORMATS
 from .errors import ConfigError
-from .models.ffnn import BowFfnnClassifier
+from .models.cnn import HsvCnnClassifier
+from .models.ffnn import BowFfnnClassifier, Word2vecFfnnClassifier
 from .models.fusion import BimodalFusionClassifier
 from .models.naive_bayes import MultinomialNaiveBayes
 from .nn import ACTIVATIONS, INIT_MODES, TrainConfig
 
 __all__ = [
+    "MODELS",
     "MODEL_KINDS",
     "RunConfig",
     "load_config",
@@ -37,7 +39,16 @@ __all__ = [
     "config_hash",
 ]
 
-MODEL_KINDS = ("nb", "ffnn_w2v", "ffnn_bow", "cnn_hsv", "fusion")
+# the one model registry: config model kind -> estimator class; ``predict``
+# finds a model file's class by its KIND
+MODELS = {
+    "nb": MultinomialNaiveBayes,
+    "ffnn_w2v": Word2vecFfnnClassifier,
+    "ffnn_bow": BowFfnnClassifier,
+    "cnn_hsv": HsvCnnClassifier,
+    "fusion": BimodalFusionClassifier,
+}
+MODEL_KINDS = tuple(MODELS)
 
 
 def _setting(section: str, default, flag: str = ""):

@@ -140,11 +140,13 @@ class ClassStats:
 class CsvSchema:
     """Column-name mapping for CSV ingestion.
 
-    ``label`` and ``image`` may be None for unlabeled / text-only files.
+    ``label`` and ``image`` may be None for unlabeled / text-only files;
+    ``caption`` may be None when set from code, and then no caption
+    column is read (a predictions file).
     """
 
     id: str = "id"
-    caption: str = "caption"
+    caption: str | None = "caption"
     label: str | None = "label"
     image: str | None = None
 
@@ -162,6 +164,8 @@ class CsvSchema:
             key, col = key.strip(), col.strip()
             if key not in ("id", "caption", "label", "image"):
                 raise DataFormatError(f"unknown schema key {key!r}")
+            if not col and key in ("id", "caption"):
+                raise DataFormatError(f"schema key {key!r} must name a column")
             fields[key] = col or None
         return cls(**fields)
 
@@ -179,7 +183,7 @@ def load_dataset(path: str | Path, schema: CsvSchema | None = CsvSchema()) -> Da
     """
     path = Path(path)
     if not path.is_file():
-        raise DataFormatError(f"dataset file not found: {path}")
+        raise DataFormatError(f"CSV file not found: {path}")
 
     records: list[MemeRecord] = []
     rejected: list[tuple[int, str]] = []
@@ -189,16 +193,12 @@ def load_dataset(path: str | Path, schema: CsvSchema | None = CsvSchema()) -> Da
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
-                raise DataFormatError(f"empty dataset file: {path}")
+                raise DataFormatError(f"empty CSV file: {path}")
             columns = set(reader.fieldnames)
             if schema is None:
                 schema = CsvSchema(label="label" if "label" in columns else None,
                                    image="image" if "image" in columns else None)
-            required = {schema.id, schema.caption}
-            if schema.label is not None:
-                required.add(schema.label)
-            if schema.image is not None:
-                required.add(schema.image)
+            required = {column for column in vars(schema).values() if column is not None}
             missing = sorted(required - columns)
             if missing:
                 raise DataFormatError(
@@ -230,7 +230,7 @@ def load_dataset(path: str | Path, schema: CsvSchema | None = CsvSchema()) -> Da
                 records.append(
                     MemeRecord(
                         id=rec_id,
-                        caption=row[schema.caption] or "",
+                        caption=row.get(schema.caption) or "",  # None: no column
                         image_path=image,
                         label=label,
                     )

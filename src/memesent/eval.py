@@ -289,8 +289,7 @@ def stability_study(
                 dataset, fraction, seed=seed if resplit else seed0
             )
             preds = train_fn(train_ds, val_ds, seed)
-            golds = [int(label) for label in val_ds.labels()]
-            score = macro_f1(preds, golds, seed=seed).macro_f1
+            score = macro_f1(preds, val_ds.labels(), seed=seed).macro_f1
         except Exception as exc:
             raise TrainingError(f"stability run with seed {seed} failed: {exc}") from exc
         return score, time.perf_counter() - start

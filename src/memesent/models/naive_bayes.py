@@ -49,7 +49,7 @@ class MultinomialNaiveBayes(SavedModel, Estimator):
         if not 0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         check_token_lists(X)
-        y = as_label_array(y, N_CLASSES)
+        y = as_label_array(y)
         check_consistent_length(X, y)
         if len(X) == 0:
             raise TrainingError("cannot fit Naive Bayes on an empty corpus")

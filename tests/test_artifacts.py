@@ -1,6 +1,7 @@
-"""The pinned bytes: ``train`` and ``predict`` for each model kind, on the
-seeded inputs of ``tools/artifact_hashes.py``, write the files whose
-hashes ``tools/artifact_hashes.txt`` holds."""
+"""The pinned bytes: ``train`` and ``predict`` for each model kind, and the
+two ``stability`` studies, on the seeded inputs of
+``tools/artifact_hashes.py``, write the files whose hashes
+``tools/artifact_hashes.txt`` holds."""
 
 import sys
 from pathlib import Path
@@ -27,17 +28,37 @@ def _pinned(path):
     return env, lines
 
 
-def test_train_and_predict_write_the_pinned_bytes(tmp_path, monkeypatch):
-    env, pinned = _pinned(TOOLS / "artifact_hashes.txt")
+@pytest.fixture(scope="module")
+def pinned(tmp_path_factory):
+    """The file's hash lines and the directory holding the tool's inputs;
+    skips when this environment is not the file's."""
+    env, lines = _pinned(TOOLS / "artifact_hashes.txt")
     here = artifact_hashes.environment()
     differs = [f"{name} is {value!r} here, {env.get(name)!r} in the file"
                for name, value in here.items() if value != env.get(name)]
     if differs:  # another CPU's BLAS kernels may round otherwise
         pytest.skip("hashes pinned in another environment: " + "; ".join(differs))
-    inputs = tmp_path / "inputs"
-    artifact_hashes.write_inputs(inputs)
-    monkeypatch.chdir(inputs)
-    ok, lines = artifact_hashes.kind_lines(
-        tmp_path, lambda *argv: main([*argv, "--config", "run.ini"]) == 0)
+    out_dir = tmp_path_factory.mktemp("artifacts")
+    artifact_hashes.write_inputs(out_dir / "inputs")
+    return lines, out_dir
+
+
+def _run(*argv):
+    return main([*argv, "--config", "run.ini"]) == 0
+
+
+def test_train_and_predict_write_the_pinned_bytes(pinned, monkeypatch):
+    lines_pinned, out_dir = pinned
+    monkeypatch.chdir(out_dir / "inputs")
+    ok, lines = artifact_hashes.kind_lines(out_dir, _run)
     assert ok
-    assert lines == pinned[:len(lines)]
+    assert lines == lines_pinned[:len(lines)]
+
+
+@pytest.mark.parametrize("out", sorted(artifact_hashes.STUDIES))
+def test_stability_studies_write_the_pinned_bytes(pinned, monkeypatch, out):
+    lines_pinned, out_dir = pinned
+    monkeypatch.chdir(out_dir / "inputs")
+    ok, lines = artifact_hashes.study_lines(out_dir, _run, out)
+    assert ok
+    assert len(lines) == 2 and all(line in lines_pinned for line in lines)

@@ -151,6 +151,14 @@ class TestPrepare:
         assert [r.id for r in back.records] == ["a.jpg", "b.jpg"]
         assert [int(r.label) for r in back.records] == [2, 0]
 
+    @pytest.mark.parametrize("key", ["id", "caption"])
+    def test_schema_that_maps_a_required_key_to_nothing_exit_2(self, workspace, capsys, key):
+        cfg = workspace["dir"] / "cfg.ini"
+        cfg.write_text(f"[data]\nschema = {key}=\n")
+        assert run("prepare", "--config", cfg, "--dataset", workspace["data"],
+                   "--out", workspace["dir"] / "x") == 2
+        assert capsys.readouterr().err == f"error: schema key {key!r} must name a column\n"
+
 
 class TestTrain:
     def test_nb_train_and_rerun_byte_identical(self, workspace):
@@ -492,6 +500,24 @@ class TestPredictEvaluate:
         ) == 2
         assert capsys.readouterr().err == (
             f"error: {preds}: row 2 has more fields than the header\n")
+
+    @pytest.mark.parametrize("text, error", [
+        ("id,label\ns0,negative\n ,positive\n", "{preds}: row 3: empty id"),
+        ("id,prediction\ns0,negative\n", "{preds}: missing mapped column(s) ['label']; "
+                                           "file has ['id', 'prediction']"),
+        ("id,label\n", "{preds}: no predictions"),
+        ("", "empty CSV file: {preds}"),
+        (None, "CSV file not found: {preds}"),
+    ])
+    def test_evaluate_names_the_predictions_file(self, workspace, capsys, text, error):
+        preds = workspace["dir"] / "preds.csv"
+        if text is not None:
+            preds.write_text(text)
+        assert run(
+            "evaluate", preds, "--dataset", workspace["data"],
+            "--out", workspace["dir"] / "x",
+        ) == 2
+        assert capsys.readouterr().err == f"error: {error.format(preds=preds)}\n"
 
     def test_evaluate_id_mismatch_exit_2(self, workspace, capsys):
         preds = workspace["dir"] / "preds.csv"
@@ -923,6 +949,18 @@ class TestStability:
         assert cli.cmd_stability(cfg.validate(), workers=1) == 0
         paths = sorted(str(path) for (path,) in calls)
         assert paths == sorted(str(fusion_workspace / f"hsv/f{i}.hsv") for i in range(30))
+
+    def test_split_that_leaves_no_validation_records_exit_2(self, workspace, capsys):
+        # two records per class: a 0.8 split puts both in the training part
+        records = [MemeRecord(id=f"r{i}", caption=f"word{i} text", label=Sentiment(i % 3))
+                   for i in range(6)]
+        data = workspace["dir"] / "six.csv"
+        save_dataset(Dataset(tuple(records)), data)
+        assert run("stability", "--model", "nb", "--dataset", data, "--runs", 2,
+                   "--out", workspace["dir"] / "x") == 2
+        assert capsys.readouterr().err == (
+            f"error: {data}: split = 0.8 leaves no validation records\n")
+        assert not (workspace["dir"] / "x").exists()
 
     def test_runs_below_two_exit_2(self, workspace):
         assert run(

@@ -22,7 +22,7 @@ from _util import (
 )
 from memesent import cli
 from memesent.base import Estimator, SavedModel
-from memesent.config import _SECTIONS, MODEL_KINDS, RunConfig
+from memesent.config import _SECTIONS, MODEL_KINDS, MODELS, RunConfig
 from memesent.corpus import Dataset, MemeRecord
 from memesent.errors import DataFormatError, NumericError
 from memesent.models.bow import build_bow_vocab
@@ -50,12 +50,12 @@ def captioned_images(tmp_path_factory):
 
 def _load(kind, path):
     """The saved model of config kind ``kind``, through its class's ``load``."""
-    return cli._MODELS[kind][0].load(path)
+    return MODELS[kind].load(path)
 
 
 def test_registry_covers_every_model_kind():
-    assert set(cli._MODELS) == set(MODEL_KINDS)
-    kinds = [cls.KIND for cls, _ in cli._MODELS.values()]
+    assert tuple(MODELS) == MODEL_KINDS
+    kinds = [cls.KIND for cls in MODELS.values()]
     assert all(kinds) and len(set(kinds)) == len(kinds)
 
 
@@ -64,9 +64,9 @@ def test_train_save_load_predict_identical(kind, captioned_images, tmp_path):
     ds, base, emb = captioned_images
     cfg = RunConfig(model=kind, epochs=2, batch_size=10, folds=2, hidden=(8,),
                     embeddings=emb)
-    inputs, _ = cli._inputs(cli._MODELS[kind][0], cfg, ds, base)
-    model = cli._fit_model(cfg, inputs, cli._int_labels(ds), 3)
-    assert type(model) is cli._MODELS[kind][0]
+    inputs, _ = cli._inputs(MODELS[kind], cfg, ds, base)
+    model = cli._fit_model(cfg, inputs, ds.labels(), 3)
+    assert type(model) is MODELS[kind]
     path = tmp_path / "model.bin"
     model.save(path)
     back = _load(kind, path)
@@ -86,9 +86,9 @@ def test_a_caption_where_a_token_list_belongs_is_rejected(kind, captioned_images
     ds, base, emb = captioned_images
     cfg = RunConfig(model=kind, epochs=1, batch_size=10, folds=2, hidden=(8,),
                     embeddings=emb)
-    inputs, _ = cli._inputs(cli._MODELS[kind][0], cfg, ds, base)
+    inputs, _ = cli._inputs(MODELS[kind], cfg, ds, base)
     captions = [ds.captions(), *inputs[1:]]
-    labels = cli._int_labels(ds)
+    labels = ds.labels()
     with pytest.raises(ValueError, match="tokenize captions with memesent.textprep.preprocess"):
         cli._fit_model(cfg, captions, labels, 3)
     model = cli._fit_model(cfg, inputs, labels, 3)
@@ -104,8 +104,8 @@ def saved_models(captioned_images):
     for kind in MODEL_KINDS:
         cfg = RunConfig(model=kind, epochs=1, batch_size=10, folds=2, hidden=(8,),
                         embeddings=emb)
-        inputs, _ = cli._inputs(cli._MODELS[kind][0], cfg, ds, base)
-        cli._fit_model(cfg, inputs, cli._int_labels(ds), 3).save(base / f"{kind}.bin")
+        inputs, _ = cli._inputs(MODELS[kind], cfg, ds, base)
+        cli._fit_model(cfg, inputs, ds.labels(), 3).save(base / f"{kind}.bin")
         saved[kind] = load_container(base / f"{kind}.bin")
     return saved
 
@@ -160,8 +160,7 @@ def test_perturbed_arrays_fail_typed_or_predict_probabilities(
 def test_config_fields_reach_the_estimators():
     cfg = RunConfig(model="fusion", hidden=(5, 4), lr=0.01, vocab_size=7, folds=3,
                     in_sample=True, epochs=1, batch_size=9, shuffle=False)
-    cls, build = cli._MODELS["fusion"]
-    model = build(cls, cfg, 11)
+    model = cli._estimator(MODELS["fusion"], cfg, 11)
     assert (model.folds, model.in_sample, model.seed) == (3, True, 11)
     assert model.text.get_params() == dict(
         vocab_size=7, hidden=(5, 4), activation="relu", init_mode="scaled",
@@ -170,7 +169,7 @@ def test_config_fields_reach_the_estimators():
     assert model.image.get_params() == dict(
         batch_size=9, epochs=1, lr=0.01, shuffle=False, seed=11,
     )
-    w2v = cli._MODELS["ffnn_w2v"][1](cli._MODELS["ffnn_w2v"][0], cfg, 2)
+    w2v = cli._estimator(MODELS["ffnn_w2v"], cfg, 2)
     assert w2v.hidden == (5, 4) and w2v.seed == 2
 
 
@@ -237,9 +236,9 @@ def test_functional_front_ends_have_their_classes_defaults():
 
 
 def test_saved_models_are_registered():
-    # every concrete (KIND-tagged) saved model is in the CLI's registry
+    # every concrete (KIND-tagged) saved model is in the registry
     saved = [cls for cls in _estimator_classes() if issubclass(cls, SavedModel) and cls.KIND]
-    assert set(saved) == {cls for cls, _ in cli._MODELS.values()}
+    assert set(saved) == set(MODELS.values())
 
 
 def test_importing_one_module_loads_only_what_it_imports():

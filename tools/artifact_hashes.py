@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import hashlib
 import itertools
 import os
@@ -54,6 +55,7 @@ import corpus_gen as gen  # noqa: E402
 from workloads import FusionTrain  # noqa: E402
 
 sys.path.insert(0, str(ROOT / "src"))
+from memesent.cli import _openblas  # noqa: E402
 from memesent.embeddings import load_word2vec_binary  # noqa: E402
 
 SEED = 1
@@ -101,16 +103,13 @@ def write_variants(inputs: Path) -> None:
 def _openblas_cores() -> str:
     """The kernel set each OpenBLAS this process loaded picked for this CPU."""
     try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line}
+        found = _openblas("get_corename")
     except OSError:
         return "unknown"
     cores = []
-    for path, prefix, suffix in itertools.product(sorted(paths), ("scipy_", ""), ("64_", "")):
-        getter = getattr(ctypes.CDLL(path), f"{prefix}openblas_get_corename{suffix}", None)
-        if getter:
-            getter.argtypes, getter.restype = [], ctypes.c_char_p
-            cores.append(getter().decode("ascii"))
+    for (getter,) in found:
+        getter.argtypes, getter.restype = [], ctypes.c_char_p
+        cores.append(getter().decode("ascii"))
     return " ".join(cores) or "none"
 
 
@@ -157,6 +156,24 @@ def kind_lines(out_dir: Path, run_cmd) -> tuple[bool, list[str]]:
     return ok, lines
 
 
+# out directory -> the model kind, seed count and hash-line note of each
+# ``stability --upsample`` study that tier-1 also runs
+STUDIES = {
+    "stability": ("ffnn_w2v", 3, ""),
+    "stability_fusion": ("fusion", 2, "  (fusion, 2 runs)"),
+}
+
+
+def study_lines(out_dir: Path, run_cmd, out: str) -> tuple[bool, list[str]]:
+    """The :data:`STUDIES` study ``out`` through ``run_cmd``, as in
+    :func:`kind_lines`; whether it succeeded, and its two hash lines."""
+    kind, runs, note = STUDIES[out]
+    ok = run_cmd("stability", "--model", kind, "--upsample", "--runs", str(runs),
+                 "--out", f"../{out}")
+    return ok, [f"{'stability':<9} {name:<18} {short_hash(out_dir / out / name)}{note}"
+                for name in ("stability.json", "stability_runs.csv")]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="python tools/artifact_hashes.py")
     parser.add_argument("out_dir", metavar="OUT_DIR")
@@ -174,7 +191,8 @@ def main(argv=None) -> int:
         print(*lines, sep="\n", flush=True)
 
     emit(*(f"# {name} {value}" for name, value in environment().items()))
-    ok, lines = kind_lines(out_dir, lambda *argv: run(inputs, *argv))
+    here = functools.partial(run, inputs)
+    ok, lines = kind_lines(out_dir, here)
     emit(*lines)
     for variant in W2V_VARIANTS:
         out, config = f"ffnn_w2v_{variant}", f"{variant}.ini"
@@ -187,10 +205,9 @@ def main(argv=None) -> int:
             if got != short_hash(out_dir / "ffnn_w2v" / name):
                 print(f"ffnn_w2v {name} differs with the {variant} table", file=sys.stderr)
                 ok = False
-    ok &= run(inputs, "stability", "--model", "ffnn_w2v", "--upsample", "--runs", "3",
-              "--out", "../stability")
-    for name in ("stability.json", "stability_runs.csv"):
-        emit(f"{'stability':<9} {name:<18} {short_hash(out_dir / 'stability' / name)}")
+    study_ok, lines = study_lines(out_dir, here, "stability")
+    ok &= study_ok
+    emit(*lines)
     ok &= run(inputs, "stability", "--model", "ffnn_w2v", "--upsample", "--runs", "3",
               "--out", "../stability_unfiltered", config="unfiltered.ini")
     got = short_hash(out_dir / "stability_unfiltered" / "stability_runs.csv")
@@ -198,11 +215,9 @@ def main(argv=None) -> int:
     if got != short_hash(out_dir / "stability" / "stability_runs.csv"):
         print("stability_runs.csv differs with the unfiltered table", file=sys.stderr)
         ok = False
-    ok &= run(inputs, "stability", "--model", "fusion", "--upsample", "--runs", "2",
-              "--out", "../stability_fusion")
-    for name in ("stability.json", "stability_runs.csv"):
-        emit(f"{'stability':<9} {name:<18} "
-             f"{short_hash(out_dir / 'stability_fusion' / name)}  (fusion, 2 runs)")
+    study_ok, lines = study_lines(out_dir, here, "stability_fusion")
+    ok &= study_ok
+    emit(*lines)
     cpu = min(os.sched_getaffinity(0))
     ok &= run(inputs, "train", "--model", "fusion", "--out", "../fusion_1cpu",
               preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
