@@ -1,9 +1,11 @@
 """Command-line front end: prepare, train, predict, evaluate, stability, compare.
 
 Every command resolves one RunConfig (INI file plus flag overrides),
-persists the resolved copy next to its outputs, and derives all
-randomness from the single configured seed. Exit codes: 0 success,
-1 runtime failure, 2 config or input-validation error.
+derives all randomness from the single configured seed, and writes its
+outputs through :func:`_write`: each file moved into place whole, then
+the resolved ``config.ini``, which marks a complete run. Exit codes:
+0 success, 1 runtime failure, 2 config or input-validation error, 130
+or 143 on SIGINT or SIGTERM.
 """
 
 from __future__ import annotations
@@ -11,19 +13,22 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
+import io
 import itertools
 import json
 import logging
 import math
 import multiprocessing
 import os
+import signal
 import sys
+import threading
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .config import MODELS, RunConfig, config_hash, load_config, write_resolved
+from .config import MODELS, RunConfig, config_hash, load_config, render_config
 from .corpus import (
     CsvSchema,
     Dataset,
@@ -35,7 +40,7 @@ from .corpus import (
     upsample,
 )
 from .embeddings import CoverageStats, corpus_coverage, embed_corpus, load_embeddings
-from .errors import ConfigError, DataFormatError, NumericError
+from .errors import INPUT_ERRORS, ConfigError, DataFormatError, NumericError
 from .eval import EvalReport, compare_report, macro_f1, stability_study
 from .models.cnn import HsvCnnClassifier
 from .models.ffnn import BowFfnnClassifier, Word2vecFfnnClassifier
@@ -160,42 +165,56 @@ def _fit_model(cfg: RunConfig, inputs: list, labels: list[Sentiment], seed: int,
     return _estimator(cls, cfg, seed).fit(*inputs, labels, **extra)
 
 
-def _out_dir(cfg: RunConfig) -> Path:
+def _json(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def _csv(rows) -> str:
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    return text.getvalue()
+
+
+def _write(cfg: RunConfig, files: dict) -> Path:
+    """Write ``files`` (name -> text, or a function that writes a given
+    path) into ``cfg.out``, which it returns, each under a temporary name
+    moved into place whole; an earlier ``config.ini`` is removed first and
+    the resolved one written last, so that it marks a complete run."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "config.ini").unlink(missing_ok=True)
+    for name, content in {**files, "config.ini": render_config(cfg)}.items():
+        tmp = out / f".{name}.{os.getpid()}.tmp"
+        try:
+            if callable(content):
+                content(tmp)
+            else:
+                tmp.write_text(content, encoding="utf-8", newline="")
+            os.replace(tmp, out / name)
+        finally:
+            tmp.unlink(missing_ok=True)
     return out
 
 
 def _length_histogram(ds: Dataset) -> list[dict]:
     """Caption lengths in whitespace tokens, bucketed."""
     lengths = [len(rec.caption.split()) for rec in ds.records]
-    rows = []
-    for lo, hi in _HIST_BINS:
-        label = f"{lo}" if lo == hi else (f"{lo}+" if hi is None else f"{lo}-{hi}")
-        count = sum(
-            1 for n in lengths if n >= lo and (hi is None or n <= hi)
-        )
-        rows.append({"bucket": label, "count": count})
-    return rows
+    return [{"bucket": f"{lo}" if lo == hi else (f"{lo}+" if hi is None else f"{lo}-{hi}"),
+             "count": sum(lo <= n and (hi is None or n <= hi) for n in lengths)}
+            for lo, hi in _HIST_BINS]
 
 
 def _report_text(rep: EvalReport) -> str:
     names = [s.canonical_name for s in Sentiment]
     width = max(len(n) for n in names)
-    lines = ["confusion (rows gold, cols predicted):"]
-    lines.append("  " + " " * width + "  " + "  ".join(f"{n:>8}" for n in names))
-    for i, name in enumerate(names):
-        row = "  ".join(f"{c:>8}" for c in rep.confusion.counts[i])
-        lines.append(f"  {name:<{width}}  {row}")
-    lines.append("")
-    lines.append(f"  {'class':<{width}}  precision  recall  f1")
-    for i, name in enumerate(names):
-        lines.append(
-            f"  {name:<{width}}  {rep.precision[i]:>9.4f}  {rep.recall[i]:>6.4f}"
-            f"  {rep.f1[i]:.4f}"
-        )
-    lines.append("")
-    lines.append(f"macro-F1: {rep.macro_f1:.4f}")
+    lines = ["confusion (rows gold, cols predicted):",
+             "  " + " " * width + "  " + "  ".join(f"{n:>8}" for n in names)]
+    lines += [f"  {name:<{width}}  " + "  ".join(f"{c:>8}" for c in rep.confusion.counts[i])
+              for i, name in enumerate(names)]
+    lines += ["", f"  {'class':<{width}}  precision  recall  f1"]
+    lines += [f"  {name:<{width}}  {rep.precision[i]:>9.4f}  {rep.recall[i]:>6.4f}"
+              f"  {rep.f1[i]:.4f}" for i, name in enumerate(names)]
+    lines += ["", f"macro-F1: {rep.macro_f1:.4f}"]
     return "\n".join(lines)
 
 
@@ -206,23 +225,17 @@ def cmd_prepare(cfg: RunConfig) -> int:
     ds, _ = _load_dataset(cfg)
     stats = class_stats(ds)
     hist = _length_histogram(ds)
-    out = _out_dir(cfg)
-    save_dataset(ds, out / "dataset.csv")
     report = {
         "class_stats": stats.to_dict(),
         "caption_length_histogram": hist,
         "rejected_rows": len(ds.rejected_rows),
     }
-    (out / "prepare_report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    write_resolved(cfg, out)
+    _write(cfg, {"dataset.csv": lambda path: save_dataset(ds, path),
+                 "prepare_report.json": _json(report)})
     print(f"records: {stats.total}")
     for s in Sentiment:
-        print(
-            f"  {s.canonical_name:<8} {stats.counts[s]:>6}"
-            f"  ({100.0 * stats.percentages[s]:.1f}%)"
-        )
+        print(f"  {s.canonical_name:<8} {stats.counts[s]:>6}"
+              f"  ({100.0 * stats.percentages[s]:.1f}%)")
     if ds.rejected_rows:
         print(f"rejected rows: {len(ds.rejected_rows)}")
     print("caption length (tokens):")
@@ -237,8 +250,6 @@ def cmd_train(cfg: RunConfig, workers: int = 1) -> int:
         ds = upsample(ds, seed=cfg.seed)
     inputs, coverage = _inputs(MODELS[cfg.model], cfg, ds, path.parent)
     model = _fit_model(cfg, inputs, ds.labels(), cfg.seed, workers)
-    out = _out_dir(cfg)
-    model.save(out / "model.bin")
     report = {
         "kind": cfg.model,
         "n_records": len(ds),
@@ -252,10 +263,7 @@ def cmd_train(cfg: RunConfig, workers: int = 1) -> int:
             "n_covered_tokens": coverage.n_covered_tokens,
             "n_all_oov": coverage.n_all_oov,
         }
-    (out / "train_report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    write_resolved(cfg, out)
+    out = _write(cfg, {"model.bin": model.save, "train_report.json": _json(report)})
     print(f"trained {cfg.model} on {len(ds)} records -> {out / 'model.bin'}")
     for i, loss in enumerate(report["epoch_losses"], start=1):
         print(f"  epoch {i:>3}: loss {loss:.6f}")
@@ -279,16 +287,11 @@ def cmd_predict(cfg: RunConfig, model_path: str) -> int:
         probs = model.predict_proba(*inputs)
     except NumericError as exc:
         raise DataFormatError(f"{model_path}: {exc}") from exc
-    out = _out_dir(cfg)
-    target = out / "predictions.csv"
-    with open(target, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "label", "p_neg", "p_neu", "p_pos"])
-        for rec, row in zip(ds.records, probs):
-            label = Sentiment(int(np.argmax(row))).canonical_name
-            writer.writerow([rec.id, label] + [repr(float(p)) for p in row])
-    write_resolved(cfg, out)
-    print(f"wrote {len(ds)} predictions -> {target}")
+    rows = [["id", "label", "p_neg", "p_neu", "p_pos"]] + [
+        [rec.id, Sentiment(int(np.argmax(row))).canonical_name, *(repr(float(p)) for p in row)]
+        for rec, row in zip(ds.records, probs)]
+    out = _write(cfg, {"predictions.csv": _csv(rows)})
+    print(f"wrote {len(ds)} predictions -> {out / 'predictions.csv'}")
     return 0
 
 
@@ -312,11 +315,8 @@ def cmd_eval(cfg: RunConfig, predictions_path: str) -> int:
         )
     preds = [preds_by_id[rec_id] for rec_id in gold_ids]
     rep = macro_f1(preds, ds.labels(), seed=cfg.seed, config_hash=config_hash(cfg))
-    out = _out_dir(cfg)
-    (out / "eval_report.json").write_text(rep.to_json() + "\n", encoding="utf-8")
     text = _report_text(rep)
-    (out / "eval_report.txt").write_text(text + "\n", encoding="utf-8")
-    write_resolved(cfg, out)
+    _write(cfg, {"eval_report.json": _json(rep.to_dict()), "eval_report.txt": text + "\n"})
     print(text)
     return 0
 
@@ -391,14 +391,9 @@ def cmd_stability(cfg: RunConfig, workers: int = 1) -> int:
         train_fn, ds, fraction=cfg.split, n_runs=cfg.runs,
         seed0=cfg.seed, resplit=cfg.resplit, workers=workers, progress=_print_seed,
     )
-    out = _out_dir(cfg)
-    (out / "stability.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    with open(out / "stability_runs.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "macro_f1"])
-        for seed, score in zip(report.seeds, report.scores):
-            writer.writerow([seed, repr(score)])
-    write_resolved(cfg, out)
+    runs = [["seed", "macro_f1"]] + [[seed, repr(score)]
+                                      for seed, score in zip(report.seeds, report.scores)]
+    _write(cfg, {"stability.json": _json(report.to_dict()), "stability_runs.csv": _csv(runs)})
     print(
         f"runs: {report.n_runs}  mean: {report.mean:.4f}  "
         f"variance: {report.variance:.2e}  max: {report.max:.4f}"
@@ -440,10 +435,7 @@ def cmd_compare(cfg: RunConfig, entries: list[str]) -> int:
     ]
     table = compare_report(triples)
     text = table.to_text()
-    if cfg.out:
-        out = _out_dir(cfg)
-        (out / "comparison.json").write_text(table.to_json() + "\n", encoding="utf-8")
-        (out / "comparison.txt").write_text(text + "\n", encoding="utf-8")
+    _write(cfg, {"comparison.json": _json(table.to_dict()), "comparison.txt": text + "\n"})
     print(text)
     return 0
 
@@ -512,10 +504,16 @@ def _resolve(args) -> RunConfig:
     return cfg.validate()
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt(signum)
+
+
 def main(argv=None) -> int:
-    """Run one command; the BLAS thread counts and the ``memesent``
-    logger are set back as they were when it returns. Stability seeds and
-    fusion rounds run in :func:`_workers` forked processes."""
+    """Run one command; the BLAS thread counts, the ``memesent`` logger
+    and, in the main thread, the SIGINT and SIGTERM handlers are set back
+    as they were when it returns. Stability seeds and fusion rounds run in
+    :func:`_workers` forked processes. Either signal ends the command
+    with exit code 128 plus its number, and its workers with it."""
     args = build_parser().parse_args(argv)
     log = logging.getLogger("memesent")
     handler, level = logging.StreamHandler(sys.stderr), log.level
@@ -530,6 +528,8 @@ def main(argv=None) -> int:
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = _workers(cpus, "fork" in multiprocessing.get_all_start_methods(), pinned)
+    handlers = ({sig: signal.signal(sig, _interrupt) for sig in (signal.SIGINT, signal.SIGTERM)}
+                if threading.current_thread() is threading.main_thread() else {})
     try:
         cfg = _resolve(args)
         if args.command == "prepare":
@@ -547,13 +547,18 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return cmd_compare(cfg, args.reports)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, DataFormatError, ValueError, FileNotFoundError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # TrainingError and unexpected failures
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt as exc:
+        print("error: interrupted", file=sys.stderr)
+        return 128 + (exc.args[0] if exc.args else signal.SIGINT)
     finally:
+        for sig, previous in handlers.items():
+            signal.signal(sig, previous)
         for setter, count in undo:
             setter(count)
         log.removeHandler(handler)

@@ -35,7 +35,6 @@ __all__ = [
     "RunConfig",
     "load_config",
     "render_config",
-    "write_resolved",
     "config_hash",
 ]
 
@@ -199,15 +198,6 @@ def render_config(cfg: RunConfig) -> str:
             out.write(f"{name} = {_format_value(getattr(cfg, name))}\n")
         out.write("\n")
     return out.getvalue()
-
-
-def write_resolved(cfg: RunConfig, out_dir: str | Path) -> Path:
-    """Persist the resolved config next to a command's outputs."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    target = out_dir / "config.ini"
-    target.write_text(render_config(cfg), encoding="utf-8")
-    return target
 
 
 def config_hash(cfg: RunConfig) -> str:

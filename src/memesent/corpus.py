@@ -243,19 +243,10 @@ def load_dataset(path: str | Path, schema: CsvSchema | None = CsvSchema()) -> Da
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
     """Write a dataset in the canonical column layout (id, caption, image, label)."""
-    path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "caption", "image", "label"])
-        for rec in ds.records:
-            writer.writerow(
-                [
-                    rec.id,
-                    rec.caption,
-                    rec.image_path or "",
-                    rec.label.canonical_name if rec.label is not None else "",
-                ]
-            )
+        csv.writer(fh).writerows([("id", "caption", "image", "label")] + [
+            (rec.id, rec.caption, rec.image_path or "",
+             "" if rec.label is None else rec.label.canonical_name) for rec in ds.records])
 
 
 def class_stats(ds: Dataset) -> ClassStats:

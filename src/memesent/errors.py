@@ -28,3 +28,7 @@ class NumericError(MemesentError):
 
 class NotFittedError(MemesentError):
     """An estimator was used before ``fit`` was called."""
+
+
+# the classes of error that the CLI exits with code 2 on
+INPUT_ERRORS = (ConfigError, DataFormatError, ValueError, FileNotFoundError)

@@ -9,8 +9,8 @@ absent from both gold and predictions still contributes a 0.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
+import signal
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +21,7 @@ import numpy as np
 
 from .base import as_label_array
 from .corpus import Dataset, stratified_split
-from .errors import TrainingError
+from .errors import INPUT_ERRORS, TrainingError
 
 __all__ = [
     "ConfusionMatrix",
@@ -107,9 +107,6 @@ class EvalReport:
             "meta": dict(self.meta),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
 
 def macro_f1(preds, golds, seed: int | None = None,
              config_hash: str | None = None) -> EvalReport:
@@ -175,9 +172,6 @@ class StabilityReport:
     def to_dict(self) -> dict:
         return {name: list(v) if isinstance(v, tuple) else v for name, v in vars(self).items()}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
 
 # (fn, items, started) of the map a forked worker serves; set as the worker
 # starts, inherited rather than pickled. None outside a worker, so a map
@@ -188,6 +182,9 @@ _TASK = None
 def _become_worker(task) -> None:
     global _TASK
     _TASK = task
+    # an interrupt is the parent's to handle: it terminates the workers
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 def _run_item(index: int):
@@ -210,8 +207,11 @@ def parallel_map(fn, items, workers: int = 1, progress=None, label=str) -> list:
     input order is raised and the items not yet started are cancelled. A
     worker that dies (``os._exit``, a kill signal) breaks the pool; that
     becomes a :class:`TrainingError` naming, by ``label(item)``, the items
-    that were running, one of which was its own. With one worker, or
-    inside a worker of another map, the items run serially here.
+    that were running, one of which was its own. A ``KeyboardInterrupt``
+    here (the CLI raises one on SIGINT and SIGTERM) terminates and reaps
+    the workers without waiting for their items; workers ignore SIGINT.
+    With one worker, or inside a worker of another map, the items run
+    serially here.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -244,6 +244,10 @@ def parallel_map(fn, items, workers: int = 1, progress=None, label=str) -> list:
                 ) from exc
             if progress is not None:
                 progress(item, results[-1])
+    except KeyboardInterrupt:  # no public way to stop running items before Python 3.14
+        for process in list(pool._processes.values()):
+            process.terminate()
+        raise
     finally:
         pool.shutdown(cancel_futures=True)
     return results
@@ -265,7 +269,9 @@ def stability_study(
     with ``val_ds``. Each run re-splits the dataset with its own seed by
     default, attributing spread to both the split and training
     randomness; ``resplit=False`` pins one split (seed0) so spread comes
-    from training alone. A failing run aborts the study with its seed.
+    from training alone. A failing run aborts the study with an error
+    that names its seed: of the :data:`INPUT_ERRORS` class that the
+    run's error is, else a :class:`TrainingError`.
 
     The seeds run through :func:`parallel_map` with ``workers``: above 1,
     in forked worker processes that inherit ``train_fn`` and the dataset,
@@ -291,7 +297,8 @@ def stability_study(
             preds = train_fn(train_ds, val_ds, seed)
             score = macro_f1(preds, val_ds.labels(), seed=seed).macro_f1
         except Exception as exc:
-            raise TrainingError(f"stability run with seed {seed} failed: {exc}") from exc
+            cls = next((c for c in INPUT_ERRORS if isinstance(exc, c)), TrainingError)
+            raise cls(f"stability run with seed {seed} failed: {exc}") from exc
         return score, time.perf_counter() - start
 
     results = parallel_map(
@@ -314,9 +321,6 @@ class ComparisonTable:
                 for modality, model, score in self.rows
             ]
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def to_text(self) -> str:
         header = ("modality", "model", "macro-F1")

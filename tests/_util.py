@@ -133,15 +133,20 @@ fuzz_settings = settings(max_examples=200, deadline=None,
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_python(*args, env=None, preexec_fn=None):
-    """``python *args`` in a subprocess under ``env`` (default: this
-    process's environment) with ``src`` first on ``PYTHONPATH``, calling
-    ``preexec_fn`` in the child before it starts; the completed process,
-    its output captured as text."""
+def python_env(env=None) -> dict:
+    """``env`` (default: this process's environment) with ``src`` first on
+    ``PYTHONPATH``."""
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *map(str, args)], env=env, preexec_fn=preexec_fn,
-                          capture_output=True, text=True, timeout=300)
+    return env
+
+
+def run_python(*args, env=None, preexec_fn=None):
+    """``python *args`` in a subprocess under :func:`python_env` of ``env``,
+    calling ``preexec_fn`` in the child before it starts; the completed
+    process, its output captured as text."""
+    return subprocess.run([sys.executable, *map(str, args)], env=python_env(env),
+                          preexec_fn=preexec_fn, capture_output=True, text=True, timeout=300)
 
 
 def run_cli(*argv, env=None, preexec_fn=None):

@@ -1,5 +1,6 @@
-"""The pinned bytes: ``train`` and ``predict`` for each model kind, and the
-two ``stability`` studies, on the seeded inputs of
+"""The pinned bytes: ``train`` and ``predict`` for each model kind, the
+two ``stability`` studies, and ``prepare``, ``evaluate`` and ``compare``,
+on the seeded inputs of
 ``tools/artifact_hashes.py``, write the files whose hashes
 ``tools/artifact_hashes.txt`` holds."""
 
@@ -62,3 +63,11 @@ def test_stability_studies_write_the_pinned_bytes(pinned, monkeypatch, out):
     ok, lines = artifact_hashes.study_lines(out_dir, _run, out)
     assert ok
     assert len(lines) == 2 and all(line in lines_pinned for line in lines)
+
+
+def test_prepare_evaluate_and_compare_write_the_pinned_bytes(pinned, monkeypatch):
+    lines_pinned, out_dir = pinned
+    monkeypatch.chdir(out_dir / "inputs")
+    ok, lines = artifact_hashes.report_lines(out_dir, _run)
+    assert ok
+    assert lines == lines_pinned[-len(lines):]

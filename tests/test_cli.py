@@ -7,8 +7,10 @@ import json
 import logging
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ import pytest
 from _util import (
     blas_threads,
     hue_band_tensors,
+    python_env,
     run_cli,
     run_python,
     synthetic_corpus,
@@ -26,7 +29,7 @@ from _util import (
 from memesent import cli
 from memesent import eval as eval_module
 from memesent.cli import main
-from memesent.config import MODEL_KINDS, RunConfig
+from memesent.config import MODEL_KINDS, RunConfig, load_config, render_config
 from memesent.corpus import (
     Dataset,
     MemeRecord,
@@ -750,6 +753,14 @@ def test_text_embeddings_overflow_gives_only_the_typed_error(workspace):
     assert proc.stderr == f"error: {emb}#text: vector for 'ab' contains non-finite values\n"
 
 
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 class TestStability:
     def test_nb_study_outputs(self, workspace, capsys):
         out = workspace["dir"] / "stab"
@@ -968,6 +979,64 @@ class TestStability:
             "--runs", 1, "--out", workspace["dir"] / "x",
         ) == 2
 
+    def test_stopword_captions_exit_2(self, tmp_path, capsys):
+        # a seed's input error keeps its class, so the study exits as train does
+        data = tmp_path / "stop.csv"
+        rows = "".join(f"r{i},the is a,{('negative', 'neutral', 'positive')[i % 3]}\n"
+                       for i in range(30))
+        data.write_text("id,caption,label\n" + rows)
+        assert run("stability", "--model", "ffnn_bow", "--dataset", data, "--runs", 2,
+                   "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err.endswith(
+            "error: stability run with seed 0 failed: "
+            "no caption has a token left after preprocessing\n")
+        assert not (tmp_path / "o").exists()
+
+    # each seed records its worker's pid as a file name, then sleeps
+    SLOW_STUDY = (
+        "import os, sys, time\n"
+        "from memesent import cli\n"
+        "def slow_fit(cfg, inputs, labels, seed, workers):\n"
+        "    open(os.path.join(sys.argv[1], str(os.getpid())), 'w').close()\n"
+        "    time.sleep(120)\n"
+        "cli._fit_model = slow_fit\n"
+        "cli._workers = lambda *args: 2\n"
+        "sys.exit(cli.main(sys.argv[2:]))\n"
+    )
+
+    @pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM])
+    def test_signal_ends_a_two_worker_study(self, workspace, sig):
+        out, pids = workspace["dir"] / "out", workspace["dir"] / "pids"
+        pids.mkdir()
+        out.mkdir()  # an earlier run's outputs
+        for name in ("stability.json", "config.ini"):
+            (out / name).write_text(f"earlier {name}\n")
+        script = workspace["dir"] / "slow.py"
+        script.write_text(self.SLOW_STUDY)
+        proc = subprocess.Popen(
+            [sys.executable, script, pids, "stability", "--model", "nb", "--dataset",
+             workspace["data"], "--runs", "4", "--out", out],
+            env=python_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        try:
+            deadline = time.monotonic() + 60
+            while (len(os.listdir(pids)) < 2 and proc.poll() is None
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert len(os.listdir(pids)) == 2  # both workers are in a seed
+            proc.send_signal(sig)
+            _, err = proc.communicate(timeout=60)  # not the seeds' 120 s
+        finally:
+            proc.kill()
+            proc.wait()
+            left = [pid for pid in map(int, os.listdir(pids)) if _alive(pid)]
+            for pid in left:
+                os.kill(pid, signal.SIGKILL)
+        assert proc.returncode == 128 + sig
+        assert err == "error: interrupted\n"
+        assert left == []  # the workers were terminated and reaped
+        assert {path.name: path.read_text() for path in out.iterdir()} == {
+            name: f"earlier {name}\n" for name in ("stability.json", "config.ini")}
+
 
 class TestCompare:
     def test_orders_reports(self, workspace, capsys):
@@ -1018,6 +1087,15 @@ class TestCompare:
         deep.write_text("[" * 100_000)
         assert run("compare", deep) == 2
         assert capsys.readouterr().err.startswith(f"error: {deep}: not valid JSON: ")
+
+    def test_writes_the_resolved_config(self, workspace):
+        report = workspace["dir"] / "r.json"
+        report.write_text(json.dumps({"macro_f1": 0.5}))
+        out = workspace["dir"] / "cmp"
+        assert run("compare", report, "--out", out) == 0
+        assert sorted(path.name for path in out.iterdir()) == [
+            "comparison.json", "comparison.txt", "config.ini"]
+        assert (out / "config.ini").read_text() == render_config(RunConfig(out=str(out)))
 
     def test_integer_score_ranks(self, workspace, capsys):
         report = workspace["dir"] / "one.json"
@@ -1152,3 +1230,68 @@ class TestLogging:
             assert cli.cmd_stability(cfg.validate(), workers=1) == 0
         lines = [r for r in caplog.records if "token coverage" in r.getMessage()]
         assert [r.name for r in lines] == ["memesent.cli"]
+
+
+def _files(out):
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+class TestWriter:
+    """Every command's files go through one writer: each is moved into
+    place whole, and ``config.ini``, written last, marks a complete run."""
+
+    @pytest.mark.parametrize("argv", [
+        ("prepare", "--dataset", "absent.csv"),
+        ("train", "--model", "ffnn_w2v", "--dataset", "data.csv"),
+        ("predict", "--model", "absent.bin", "--dataset", "data.csv"),
+        ("evaluate", "absent.csv", "--dataset", "data.csv"),
+        ("stability", "--runs", 1, "--dataset", "data.csv"),
+        ("compare", "absent.json"),
+    ])
+    def test_a_failure_before_writing_creates_no_out(self, workspace, monkeypatch, argv):
+        monkeypatch.chdir(workspace["dir"])
+        assert run(*argv, "--out", "o") == 2
+        assert not (workspace["dir"] / "o").exists()
+
+    def train_nb(self, workspace):
+        out = workspace["dir"] / "run"
+        assert run("train", "--model", "nb", "--dataset", workspace["data"], "--out", out) == 0
+        return out, _files(out)
+
+    def test_a_failure_in_a_reused_out_leaves_the_earlier_files(self, workspace):
+        out, before = self.train_nb(workspace)
+        assert run("train", "--model", "ffnn_w2v", "--dataset", workspace["data"],
+                   "--out", out) == 2
+        assert run("predict", "--model", workspace["dir"] / "absent.bin",
+                   "--dataset", workspace["data"], "--out", out) == 2
+        assert _files(out) == before
+
+    def test_a_failed_replace_leaves_no_config_and_no_temporary_file(
+            self, workspace, monkeypatch, capsys):
+        out, before = self.train_nb(workspace)
+        replace = os.replace
+
+        def fails_on_the_report(src, dst):
+            if Path(dst).name == "train_report.json":
+                raise OSError("no space left")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fails_on_the_report)
+        other, _ = skewed_copy(workspace["data"], positives=5)
+        assert run("train", "--model", "nb", "--dataset", other, "--out", out) == 1
+        assert capsys.readouterr().err.endswith("error: no space left\n")
+        after = _files(out)
+        assert sorted(after) == ["model.bin", "train_report.json"]
+        assert after["model.bin"] != before["model.bin"]  # moved into place, whole
+        assert after["train_report.json"] == before["train_report.json"]
+
+    def test_predict_into_its_train_directory_ends_with_its_config(self, workspace):
+        out, before = self.train_nb(workspace)
+        assert run("predict", "--model", out / "model.bin", "--seed", 5,
+                   "--dataset", workspace["data"], "--out", out) == 0
+        after = _files(out)
+        assert sorted(after) == ["config.ini", "model.bin", "predictions.csv",
+                                 "train_report.json"]
+        assert {name: after[name] for name in ("model.bin", "train_report.json")} == {
+            name: before[name] for name in ("model.bin", "train_report.json")}
+        assert load_config(out / "config.ini").seed == 5

@@ -3,14 +3,9 @@
 import pytest
 from hypothesis import given
 
+from memesent import cli
 from memesent.cli import main
-from memesent.config import (
-    RunConfig,
-    config_hash,
-    load_config,
-    render_config,
-    write_resolved,
-)
+from memesent.config import RunConfig, config_hash, load_config, render_config
 from memesent.errors import ConfigError
 
 from _util import fuzz_settings, mutated
@@ -151,9 +146,8 @@ class TestValidate:
 
 class TestResolved:
     def test_write_resolved_creates_file(self, tmp_path):
-        target = write_resolved(RunConfig(seed=3), tmp_path / "out")
-        assert target.name == "config.ini"
-        assert load_config(target).seed == 3
+        out = cli._write(RunConfig(seed=3, out=str(tmp_path / "out")), {})
+        assert load_config(out / "config.ini").seed == 3
 
     def test_hash_stable_and_sensitive(self):
         a = config_hash(RunConfig())

@@ -74,13 +74,13 @@ class TestMacroF1:
         assert rep.meta["seed"] == 9
         assert rep.meta["config_hash"] == "abc123"
         again = macro_f1([0], [0], seed=9, config_hash="abc123")
-        assert rep.to_json() == again.to_json()
+        assert cli._json(rep.to_dict()) == cli._json(again.to_dict())
 
     def test_report_json_reparses(self):
         import json
 
         rep = macro_f1([0, 1, 2], [0, 2, 2])
-        data = json.loads(rep.to_json())
+        data = json.loads(cli._json(rep.to_dict()))
         assert data["macro_f1"] == rep.macro_f1
         assert data["confusion"] == rep.confusion.to_lists()
 
@@ -212,7 +212,7 @@ class TestParallelStability:
         parallel = stability_study(self.random_preds, self.DATASET, n_runs=5,
                                    seed0=3, workers=2)
         assert parallel == serial
-        assert parallel.to_json() == serial.to_json()
+        assert cli._json(parallel.to_dict()) == cli._json(serial.to_dict())
 
     def test_forked_workers_see_one_blas_thread(self):
         if not blas_threads():
@@ -329,7 +329,7 @@ class TestCompare:
         import json
 
         table = compare_report(self.ENTRIES)
-        data = json.loads(table.to_json())
+        data = json.loads(cli._json(table.to_dict()))
         assert [r["model"] for r in data["rows"]] == [
             model for _, model, _ in table.rows
         ]

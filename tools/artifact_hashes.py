@@ -16,8 +16,9 @@ table's filter, so its ``stability_runs.csv`` must be the same), and
 workers, each fusion fit's rounds serial inside them). It runs the
 fusion ``train`` again with the child restricted to one CPU through
 ``sched_setaffinity``, so that it fits serially, and prints that hash
-next to the one from all CPUs. Last it runs ``train --upsample`` for
-``ffnn_w2v`` and ``fusion``. Every command runs as ``python -m
+next to the one from all CPUs. Then it runs ``train --upsample`` for
+``ffnn_w2v`` and ``fusion``. Last it runs ``prepare``, ``evaluate`` on a
+``nb`` model's predictions and ``compare`` on that report. Every command runs as ``python -m
 memesent.cli`` from the inputs directory with relative paths, so the
 hashes do not depend on OUT_DIR.
 
@@ -174,6 +175,28 @@ def study_lines(out_dir: Path, run_cmd, out: str) -> tuple[bool, list[str]]:
                 for name in ("stability.json", "stability_runs.csv")]
 
 
+# out directory -> the files whose hashes :func:`report_lines` prints
+REPORTS = {
+    "prepare": ("dataset.csv", "prepare_report.json"),
+    "evaluate": ("eval_report.json", "eval_report.txt"),
+    "compare": ("comparison.json", "comparison.txt"),
+}
+
+
+def report_lines(out_dir: Path, run_cmd) -> tuple[bool, list[str]]:
+    """``prepare``; ``train``, ``predict`` and ``evaluate`` of ``nb``, all
+    into one directory; and ``compare`` of that report, each through
+    ``run_cmd`` as in :func:`kind_lines`. Whether all succeeded, and the
+    hash lines of the :data:`REPORTS` files."""
+    ok = run_cmd("prepare", "--out", "../prepare")
+    ok &= run_cmd("train", "--model", "nb", "--out", "../evaluate")
+    ok &= run_cmd("predict", "--model", "../evaluate/model.bin", "--out", "../evaluate")
+    ok &= run_cmd("evaluate", "../evaluate/predictions.csv", "--out", "../evaluate")
+    ok &= run_cmd("compare", "nb=text=../evaluate/eval_report.json", "--out", "../compare")
+    return ok, [f"{out:<9} {name:<18} {short_hash(out_dir / out / name)}"
+                for out, names in REPORTS.items() for name in names]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="python tools/artifact_hashes.py")
     parser.add_argument("out_dir", metavar="OUT_DIR")
@@ -231,6 +254,9 @@ def main(argv=None) -> int:
         ok &= run(inputs, "train", "--model", kind, "--upsample", "--out", f"../{out}")
         for name in ("model.bin", "train_report.json"):
             emit(f"{kind:<9} {name:<18} {short_hash(out_dir / out / name)}  (--upsample)")
+    reports_ok, lines = report_lines(out_dir, here)
+    ok &= reports_ok
+    emit(*lines)
     if args.check:
         pinned = args.check.read_text(encoding="utf-8").splitlines()
         for i, (want, got) in enumerate(itertools.zip_longest(pinned, printed), start=1):
