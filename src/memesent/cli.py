@@ -495,13 +495,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args) -> RunConfig:
-    """The config file's RunConfig, with each flag of a field's name set over it."""
+    """The config file's RunConfig, with each flag of a field's name set over
+    it. An ``out`` that is, or lies under, something other than a directory
+    is a :class:`ConfigError` here, before any command's work."""
     cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
     for name in vars(cfg):
         value = getattr(args, name, None)
         if value is not None:
             setattr(cfg, name, value)
-    return cfg.validate()
+    cfg.validate()
+    out = Path(cfg.out)
+    for path in (out, *out.parents):
+        if path.is_dir():
+            break
+        if path.exists():
+            raise ConfigError(f"--out {cfg.out}: {path} is not a directory")
+    return cfg
 
 
 def _interrupt(signum, frame):

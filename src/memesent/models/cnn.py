@@ -261,7 +261,7 @@ class HsvCnnClassifier(SavedModel, AdamEstimator):
 
         workspace = Workspace()
 
-        def loss_and_grad(params, batch):
+        def loss_and_grad(params, batch, grads):
             logits, cache = cnn_forward(params, T[batch], workspace)
             loss, dlogits = softmax_xent(logits, y[batch])
             return loss, cnn_backward(params, cache, dlogits, workspace)

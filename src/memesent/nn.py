@@ -9,11 +9,15 @@ gradient checker and the fitted models take the list as it is.
 :func:`param_shapes` gives each array's container name and shape.
 
 Adam keeps the parameters, both moments and the gradients each in one
-contiguous buffer; :func:`adam_step` copies in the gradients and
-updates ``state.params`` in place, in blocks, in the textbook order of
-operations (Kingma & Ba 2015, arXiv 1412.6980); the bits are those of
-the per-tensor rule with fresh arrays. Only the learning rate is a
-parameter: beta1, beta2 and epsilon are the paper's defaults.
+contiguous buffer; the training loop hands the gradient views to the
+loss, and :func:`backward` writes into them. :func:`adam_step` updates
+``state.params`` in place, ten passes a block, on the scaled moments
+m/(1-beta1) and v/(1-beta2): the rule of Kingma & Ba (2015, arXiv
+1412.6980) with the moments' factors and bias corrections folded into
+the step size and epsilon, in exact arithmetic the textbook rule,
+epsilon included. The scaled v is 1000*v, so in float32 it overflows at
+gradients near 6e17, not 2e19. Only the learning rate is a parameter:
+beta1, beta2 and epsilon are the paper's defaults.
 
 The dense net is float32 and the CNN float64: forward, backward and
 Adam follow the parameters' dtype, softmax and cross-entropy upcast the
@@ -31,6 +35,7 @@ and the CNN's ``cnn_grad_check`` are thin adapters over it).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -231,21 +236,25 @@ def softmax_xent(
 
 
 def backward(
-    params: list[np.ndarray], cache: list, dlogits: np.ndarray, activation: str = "relu"
+    params: list[np.ndarray], cache: list, dlogits: np.ndarray, activation: str = "relu",
+    out: list[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """Exact gradients of the cached forward pass w.r.t. all parameters,
     in the order of ``params`` and in their dtype.
 
-    The ReLU subgradient at 0 is taken as 0.
+    With ``out``, arrays of the parameters' shapes and dtype (Adam's
+    gradient views), each gradient is written into its array and ``out``
+    is returned; the bits are those of the allocating call. The ReLU
+    subgradient at 0 is taken as 0.
     """
     if 2 * len(cache) != len(params):
         raise ValueError("cache does not match network depth")
-    grads = [None] * len(params)
+    grads = [None] * len(params) if out is None else out
     dz = np.asarray(dlogits, dtype=params[0].dtype)
     for i in range(len(cache) - 1, -1, -1):
         a_in, z = cache[i]
-        grads[2 * i] = dz.T @ a_in
-        grads[2 * i + 1] = dz.sum(axis=0)
+        grads[2 * i] = np.matmul(dz.T, a_in, out=grads[2 * i])
+        grads[2 * i + 1] = dz.sum(axis=0, out=grads[2 * i + 1])
         if i > 0:
             da = dz @ params[2 * i]
             if activation == "relu":
@@ -278,10 +287,10 @@ class AdamState:
 
     ``p``, ``m``, ``v`` and ``g`` are contiguous buffers of the
     parameters' dtype that hold, end to end in the order of the flat
-    parameter list, the parameters, both moments and the gradients; ``params`` and ``grads``
-    are per-tensor views of ``p`` and ``g``, and ``scratch`` holds two
-    block-sized work rows. The update is the bias-corrected rule
-    p -= lr * m_hat / (sqrt(v_hat) + epsilon).
+    parameter list, the parameters, the two scaled moments m/(1-beta1)
+    and v/(1-beta2) of :func:`adam_step`, and the gradients; ``params``
+    and ``grads`` are per-tensor views of ``p`` and ``g``, and
+    ``scratch`` holds two block-sized work rows.
     """
 
     params: list[np.ndarray]
@@ -320,42 +329,45 @@ def init_adam(params: list[np.ndarray], lr: float = TrainConfig.lr) -> AdamState
 def adam_step(state: AdamState, grads: list[np.ndarray]) -> None:
     """One Adam update of ``state.params``, in place.
 
-    ``grads``, in the order of the parameter list, are copied into the
-    state's gradient buffer, so the caller's arrays are read, never
-    written. The update then runs over the packed buffers in blocks of
-    ``_ADAM_BLOCK`` elements with no allocation, in the textbook order
-    of operations: m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, p = p -
-    lr*(m/bc1) / (sqrt(v/bc2) + epsilon). Each element therefore gets
-    the same bits as the list-based rule.
+    ``grads``, in the order of the parameter list, are read, never
+    written: an array that is not already the state's own gradient view
+    is copied into it. The update runs over the packed buffers in blocks
+    of ``_ADAM_BLOCK`` elements with no allocation, ten passes a block,
+    on the scaled moments m~ = m/(1-b1) and v~ = v/(1-b2):
+
+        m~ = b1*m~ + g;  v~ = b2*v~ + g*g;  p -= (a_t*m~) / (sqrt(v~) + e_t)
+
+    with s = sqrt((1-b2**t)/(1-b2)), a_t = lr*(1-b1)*s/(1-b1**t) and e_t =
+    epsilon*s, Python floats, so that a float32 pass stays float32. In
+    exact arithmetic this is the textbook rule, epsilon included;
+    rounding differs. v~ is 1000*v, so a float32 v~ overflows at a
+    gradient near 6e17 where the textbook v would at 2e19.
     """
     if len(grads) != len(state.grads):
         raise ValueError("grads do not match optimizer state")
     for own, g in zip(state.grads, grads):
         if np.shape(g) != own.shape:
             raise ValueError("grads do not match optimizer state")
-        own[...] = g
+        if g is not own:
+            own[...] = g
     state.t += 1
-    b1, b2, lr, eps = _ADAM_BETA1, _ADAM_BETA2, state.lr, _ADAM_EPSILON
-    c1, c2 = 1.0 - b1, 1.0 - b2
-    bc1 = 1.0 - b1**state.t
-    bc2 = 1.0 - b2**state.t
+    b1, b2 = _ADAM_BETA1, _ADAM_BETA2
+    s = math.sqrt((1.0 - b2**state.t) / (1.0 - b2))
+    alpha = state.lr * (1.0 - b1) * s / (1.0 - b1**state.t)
+    eps = _ADAM_EPSILON * s
     n = state.p.size
     for lo in range(0, n, _ADAM_BLOCK):
         hi = min(lo + _ADAM_BLOCK, n)
         p, m, v, g = state.p[lo:hi], state.m[lo:hi], state.v[lo:hi], state.g[lo:hi]
         step, denom = state.scratch[0, : hi - lo], state.scratch[1, : hi - lo]
         m *= b1
-        np.multiply(g, c1, out=step)
-        m += step
+        m += g
         v *= b2
-        np.multiply(g, c2, out=step)
-        step *= g
+        np.multiply(g, g, out=step)
         v += step
-        np.divide(m, bc1, out=step)
-        step *= lr
-        np.divide(v, bc2, out=denom)
-        np.sqrt(denom, out=denom)
+        np.sqrt(v, out=denom)
         denom += eps
+        np.multiply(m, alpha, out=step)
         step /= denom
         p -= step
 
@@ -466,12 +478,14 @@ def fit_adam(
 ) -> tuple[list[np.ndarray], list[float]]:
     """Seeded mini-batch Adam over a flat parameter list.
 
-    ``loss_and_grad(flat, batch)`` returns the mean loss over the rows
-    whose indices are in ``batch`` and its gradient, as a list in the
-    order of ``flat``. Batches are sequential slices of a fresh seeded
-    permutation of ``range(n)`` per epoch; the last batch may be short.
-    ``loss_and_grad`` gets views of the optimizer's packed parameter
-    buffer, which every step updates in place. Returns the final
+    ``loss_and_grad(flat, batch, grads)`` returns the mean loss over the
+    rows whose indices are in ``batch`` and its gradient, as a list in
+    the order of ``flat``. Batches are sequential slices of a fresh
+    seeded permutation of ``range(n)`` per epoch; the last batch may be
+    short. ``loss_and_grad`` gets views of the optimizer's packed
+    parameter buffer, which every step updates in place, and ``grads``,
+    views of its gradient buffer: a gradient written into them and
+    returned is not copied again. Returns the final
     parameters (those views) and the mean per-example loss of each
     epoch. Raises :class:`TrainingError` if the loss becomes non-finite.
     """
@@ -483,7 +497,7 @@ def fit_adam(
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            loss, grads = loss_and_grad(state.params, batch)
+            loss, grads = loss_and_grad(state.params, batch, state.grads)
             if not np.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch + 1}, "
@@ -510,9 +524,9 @@ def train(
     if n < 1 or y.shape != (n,):
         raise ValueError("X and y must be nonempty and aligned")
 
-    def loss_and_grad(params, batch):
+    def loss_and_grad(params, batch, grads):
         logits, cache = forward(params, X[batch], spec.activation)
         loss, dlogits = softmax_xent(logits, y[batch])
-        return loss, backward(params, cache, dlogits, spec.activation)
+        return loss, backward(params, cache, dlogits, spec.activation, out=grads)
 
     return fit_adam(init_params(spec), loss_and_grad, n, cfg)

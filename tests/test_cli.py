@@ -1253,6 +1253,18 @@ class TestWriter:
         assert run(*argv, "--out", "o") == 2
         assert not (workspace["dir"] / "o").exists()
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_an_out_at_or_under_a_file_exit_2_before_any_work(
+            self, workspace, monkeypatch, capsys, out):
+        monkeypatch.chdir(workspace["dir"])
+        Path("afile").write_text("kept\n", encoding="utf-8")
+        read = []
+        monkeypatch.setattr(cli, "load_dataset", lambda *args: read.append(args))
+        assert run("train", "--model", "nb", "--dataset", workspace["data"], "--out", out) == 2
+        assert capsys.readouterr().err == f"error: --out {out}: afile is not a directory\n"
+        assert not read
+        assert Path("afile").read_text(encoding="utf-8") == "kept\n"
+
     def train_nb(self, workspace):
         out = workspace["dir"] / "run"
         assert run("train", "--model", "nb", "--dataset", workspace["data"], "--out", out) == 0

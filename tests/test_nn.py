@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -254,6 +256,20 @@ def test_backward_duplicated_rows_same_gradient_float32():
     check_duplicated_rows_same_gradient(init_params(small_spec()), atol=F32_TOL)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_backward_into_out_is_the_allocating_call(dtype):
+    params = [a.astype(dtype) for a in init_params(small_spec())]
+    X, y = np.random.default_rng(6).standard_normal((4, 5)), np.array([0, 2, 1, 1])
+    logits, cache = forward(params, X)
+    _, dlogits = softmax_xent(logits, y)
+    fresh = backward(params, cache, dlogits)
+    out = [np.full_like(p, np.nan) for p in params]
+    got = backward(params, cache, dlogits, out=out)
+    assert got is out
+    for a, b in zip(got, fresh):
+        assert a.dtype == b.dtype == dtype and np.array_equal(a, b)
+
+
 def test_backward_cache_mismatch():
     params = init_params(small_spec())
     with pytest.raises(ValueError, match="depth"):
@@ -289,9 +305,9 @@ def test_adam_bitwise_reproducible():
     np.testing.assert_array_equal(run(), run())
 
 
-def list_adam(params, grad_steps, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
-    """The list-based Adam rule, a fresh array per operation: the oracle
-    of the in-place step."""
+def textbook_adam(params, grad_steps, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
+    """The textbook Adam rule, bias-corrected moments and epsilon added to
+    sqrt(v_hat), a fresh array per operation."""
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     for t, grads in enumerate(grad_steps, start=1):
@@ -306,22 +322,46 @@ def list_adam(params, grad_steps, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
     return params
 
 
+def list_adam(params, grad_steps, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
+    """The folded Adam rule on the scaled moments m/(1-b1) and v/(1-b2),
+    a fresh array per operation in the in-place step's order of
+    operations: the oracle of that step."""
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grad_steps, start=1):
+        s = math.sqrt((1.0 - b2**t) / (1.0 - b2))
+        alpha = lr * (1.0 - b1) * s / (1.0 - b1**t)
+        eps_t = eps * s
+        for i, g in enumerate(grads):
+            m[i] = b1 * m[i] + g
+            v[i] = b2 * v[i] + g * g
+            params[i] = params[i] - alpha * m[i] / (np.sqrt(v[i]) + eps_t)
+    return params
+
+
+ADAM_SHAPES = [(1,), (200, 200), (7, 3), (5,)]  # 40,000 > one block
+
+
+def adam_start(dtype):
+    return [np.random.default_rng(1).standard_normal(s).astype(dtype) for s in ADAM_SHAPES]
+
+
+def adam_grad_steps(dtype):
+    """300 steps of gradients from 1e-4 to 1e2 in scale, some all zero."""
+    rng = np.random.default_rng(2)
+    for step in range(300):
+        scale = 0.0 if step % 50 == 7 else 10.0 ** rng.integers(-4, 3)
+        yield [(rng.standard_normal(s) * scale).astype(dtype) for s in ADAM_SHAPES]
+
+
 def check_adam_in_place_matches_list_rule(dtype):
-    shapes = [(1,), (200, 200), (7, 3), (5,)]  # 40,000 > one block
     assert 200 * 200 > nn._ADAM_BLOCK
-    start = [np.random.default_rng(1).standard_normal(s).astype(dtype) for s in shapes]
-
-    def grad_steps():
-        rng = np.random.default_rng(2)
-        for step in range(300):
-            scale = 0.0 if step % 50 == 7 else 10.0 ** rng.integers(-4, 3)
-            yield [(rng.standard_normal(s) * scale).astype(dtype) for s in shapes]
-
-    expected = list_adam([p.copy() for p in start], grad_steps(), lr=0.01)
+    start = adam_start(dtype)
+    expected = list_adam([p.copy() for p in start], adam_grad_steps(dtype), lr=0.01)
     state = init_adam(start, lr=0.01)
     assert all(buf.dtype == dtype for buf in (state.p, state.m, state.v, state.g,
                                                state.scratch))
-    for grads in grad_steps():
+    for grads in adam_grad_steps(dtype):
         adam_step(state, grads)
     assert state.t == 300
     for got, want in zip(state.params, expected):
@@ -335,6 +375,16 @@ def test_adam_in_place_matches_list_rule():
 
 def test_adam_in_place_matches_list_rule_float32():
     check_adam_in_place_matches_list_rule(np.float32)
+
+
+def test_folded_adam_is_the_textbook_rule():
+    """In float64 the folded rule and the textbook rule differ only by
+    rounding, epsilon's place included."""
+    start = adam_start(np.float64)
+    folded = list_adam([p.copy() for p in start], adam_grad_steps(np.float64), lr=0.01)
+    textbook = textbook_adam([p.copy() for p in start], adam_grad_steps(np.float64), lr=0.01)
+    for got, want in zip(folded, textbook):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
 
 def test_adam_reads_grads_and_updates_state_params_in_place():
@@ -353,6 +403,19 @@ def test_adam_reads_grads_and_updates_state_params_in_place():
     assert state.p.size == 10 and state.p.flags.c_contiguous
     np.testing.assert_allclose(state.params[0], 1.0 - 1e-3, rtol=1e-6)
     np.testing.assert_allclose(state.params[1], 1e-3, rtol=1e-6)
+
+
+def test_adam_steps_on_its_own_gradient_views_as_on_copies():
+    start = [np.ones((3, 2)), np.zeros(4)]
+    own, copied = init_adam(start, lr=0.01), init_adam(start, lr=0.01)
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        for view in own.grads:
+            view[...] = rng.standard_normal(view.shape)
+        adam_step(own, own.grads)
+        adam_step(copied, [g.copy() for g in own.grads])
+    for a, b in zip(own.params, copied.params):
+        assert np.array_equal(a, b)
 
 
 def test_adam_shape_mismatch():
