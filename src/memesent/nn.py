@@ -485,7 +485,9 @@ def fit_adam(
     short. ``loss_and_grad`` gets views of the optimizer's packed
     parameter buffer, which every step updates in place, and ``grads``,
     views of its gradient buffer: a gradient written into them and
-    returned is not copied again. Returns the final
+    returned is not copied again. A callback may ignore ``grads`` and
+    return arrays of its own, which are copied in (the CNN's does);
+    it must take the third argument. Returns the final
     parameters (those views) and the mean per-example loss of each
     epoch. Raises :class:`TrainingError` if the loss becomes non-finite.
     """

@@ -1,6 +1,6 @@
 """The 10-seed macro-F1 of each Adam-trained model kind, from one script.
 
-Usage: python tools/quality.py OUT_JSON [--work DIR] [--kinds KIND ...]
+Usage: python tools/quality.py OUT_JSON [--work DIR]
 
 Runs ``stability --upsample --runs 10`` in-process through
 ``memesent.cli.main``, once per kind, and writes OUT_JSON: for each kind
@@ -26,6 +26,7 @@ import argparse
 import configparser
 import contextlib
 import json
+import os
 import statistics
 import sys
 import tempfile
@@ -60,9 +61,13 @@ def write_inputs(work: Path) -> dict[str, tuple[Path, str]]:
 def study(inputs: Path, config: str, kind: str) -> dict:
     """A ``stability --upsample`` study of ``kind`` in ``inputs``; its summary."""
     out = inputs / f"quality_{kind}"
-    with contextlib.chdir(inputs):
+    cwd = Path.cwd()
+    try:
+        os.chdir(inputs)
         code = cli_main(["stability", "--config", config, "--model", kind, "--upsample",
                          "--runs", str(RUNS), "--out", out.name])
+    finally:
+        os.chdir(cwd)
     if code != 0:
         raise SystemExit(f"stability --model {kind} exited {code}")
     scores = json.loads((out / "stability.json").read_text(encoding="utf-8"))["scores"]
@@ -82,13 +87,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="python tools/quality.py")
     parser.add_argument("out", metavar="OUT_JSON", type=Path)
     parser.add_argument("--work", type=Path, help="directory for the inputs (default: temporary)")
-    parser.add_argument("--kinds", nargs="+", choices=KINDS, default=KINDS)
     args = parser.parse_args(argv)
     with contextlib.ExitStack() as stack:
         work = args.work or Path(stack.enter_context(tempfile.TemporaryDirectory()))
         sets = write_inputs(work.resolve())
         kinds = {}
-        for kind in args.kinds:
+        for kind in KINDS:
             name = "w2v" if kind == "ffnn_w2v" else "rows200"
             kinds[kind] = {"inputs": INPUTS[name], **study(*sets[name], kind)}
             print(f"{kind}: mean {kinds[kind]['mean']:.4f} std {kinds[kind]['std']:.4f} "
