@@ -155,7 +155,7 @@ def load_config(path: str | Path) -> RunConfig:
     # no header can name this section, so [DEFAULT] is an ordinary, unknown one
     parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
-        parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
+        parser.read_string(path.read_text(encoding="utf-8-sig"), source=str(path))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except OSError as exc:  # a directory, say

@@ -190,7 +190,7 @@ def load_dataset(path: str | Path, schema: CsvSchema | None = CsvSchema()) -> Da
     seen_ids: set[str] = set()
 
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise DataFormatError(f"empty CSV file: {path}")

@@ -6,10 +6,10 @@ convolutions are valid (no padding), pooling uses stride 2 and drops an
 odd trailing row/column, and max-pool ties resolve to the first element
 in window order so gradients are deterministic. The parameters are one
 list of arrays, ``[K1, b1, K2, b2, W3, b3, W4, b4]`` (``_SHAPES`` gives
-each one's container name and shape), and the backward pass returns the
-gradients in the same order. Training is the dense core's loop
-(``nn.fit_adam``: loss, Adam, seeded shuffling) and the gradient check
-its checker (``nn.check_gradients``), both on that list as it is.
+each one's container name and shape); the backward pass writes its
+gradients, in that order, into Adam's views. Training is the dense
+core's loop (``nn.fit_adam``: loss, Adam, seeded shuffling) and the
+gradient check its checker (``nn.check_gradients``), both on that list.
 
 The convolution stages keep their arrays as (channels, height, width,
 batch), and each (n, 32, 32, 3) batch is copied once into that layout.
@@ -110,10 +110,12 @@ def _conv(X, K, b, new, tag=""):
     return out.reshape(OC, OH, OW, n), cols
 
 
-def _kernel_grads(dout, cols, K):
-    """Kernel and bias gradients of a convolution from its patch matrix."""
-    d2 = dout.reshape(len(K), -1)
-    return (d2 @ cols.T).reshape(K.shape), d2.sum(axis=1)
+def _kernel_grads(dout, cols, dK, db):
+    """Kernel and bias gradients of a convolution from its patch matrix,
+    written into the contiguous ``dK`` and ``db``."""
+    d2 = dout.reshape(len(dK), -1)
+    np.matmul(d2, cols.T, out=dK.reshape(len(dK), -1))
+    d2.sum(axis=1, out=db)
 
 
 def _input_grad(dout, K, in_shape, new, tag=""):
@@ -197,26 +199,30 @@ def cnn_forward(
 
 
 def cnn_backward(
-    params: list[np.ndarray], cache: dict, dlogits: np.ndarray, new: Workspace | None = None
+    params: list[np.ndarray], cache: dict, dlogits: np.ndarray, new: Workspace | None = None,
+    out: list[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """Gradients for the cached pass, in the order of ``params``; ``new``
-    as in :func:`cnn_forward`. The gradients are new arrays, not the
-    workspace's."""
-    K1, _, K2, _, W3, _, W4, _ = params
+    as in :func:`cnn_forward`. As in ``nn.backward``, each is written into
+    its contiguous array of ``out`` (Adam's gradient views), which is
+    returned; without ``out``, into new arrays, with the same bits."""
+    _, _, K2, _, W3, _, W4, _ = params
     new = new if new is not None else Workspace()
-    dW4 = dlogits.T @ cache["a3"]
-    db4 = dlogits.sum(axis=0)
+    grads = [np.empty(p.shape, p.dtype) for p in params] if out is None else out
+    dK1, db1, dK2, db2, dW3, db3, dW4, db4 = grads
+    np.matmul(dlogits.T, cache["a3"], out=dW4)
+    dlogits.sum(axis=0, out=db4)
     da3 = dlogits @ W4
     dz3 = da3 * (cache["z3"] > 0.0)
-    dW3 = dz3.T @ cache["flat"]
-    db3 = dz3.sum(axis=0)
+    np.matmul(dz3.T, cache["flat"], out=dW3)
+    dz3.sum(axis=0, out=db3)
     da2 = (W3.T @ dz3.T).reshape(cache["a2"].shape)
     dz2 = _pool_relu_backward(da2, cache["masks2"], cache["z2"].shape, new, "2")
-    dK2, db2 = _kernel_grads(dz2, cache["cols2"], K2)
+    _kernel_grads(dz2, cache["cols2"], dK2, db2)
     da1 = _input_grad(dz2, K2, cache["a1"].shape, new, "2")
     dz1 = _pool_relu_backward(da1, cache["masks1"], cache["z1"].shape, new, "1")
-    dK1, db1 = _kernel_grads(dz1, cache["cols1"], K1)
-    return [dK1, db1, dK2, db2, dW3, db3, dW4, db4]
+    _kernel_grads(dz1, cache["cols1"], dK1, db1)
+    return grads
 
 
 def cnn_grad_check(
@@ -264,7 +270,8 @@ class HsvCnnClassifier(SavedModel, AdamEstimator):
         def loss_and_grad(params, batch, grads):
             logits, cache = cnn_forward(params, T[batch], workspace)
             loss, dlogits = softmax_xent(logits, y[batch])
-            return loss, cnn_backward(params, cache, dlogits, workspace)
+            cnn_backward(params, cache, dlogits, workspace, out=grads)
+            return loss
 
         self.params_, self.history_ = fit_adam(init_cnn_params(self.seed),
                                                loss_and_grad, n, TrainConfig.of(self))

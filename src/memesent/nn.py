@@ -10,14 +10,14 @@ gradient checker and the fitted models take the list as it is.
 
 Adam keeps the parameters, both moments and the gradients each in one
 contiguous buffer; the training loop hands the gradient views to the
-loss, and :func:`backward` writes into them. :func:`adam_step` updates
-``state.params`` in place, ten passes a block, on the scaled moments
-m/(1-beta1) and v/(1-beta2): the rule of Kingma & Ba (2015, arXiv
-1412.6980) with the moments' factors and bias corrections folded into
-the step size and epsilon, in exact arithmetic the textbook rule,
-epsilon included. The scaled v is 1000*v, so in float32 it overflows at
-gradients near 6e17, not 2e19. Only the learning rate is a parameter:
-beta1, beta2 and epsilon are the paper's defaults.
+loss, and :func:`backward` writes into them. :func:`adam_step` reads
+those views only and updates ``state.params`` in place, ten passes a
+block, on the scaled moments m/(1-beta1) and v/(1-beta2): the rule of
+Kingma & Ba (2015, arXiv 1412.6980) with the moments' factors and bias
+corrections folded into the step size and epsilon, in exact arithmetic
+the textbook rule, epsilon included. The scaled v is 1000*v, so in
+float32 it overflows at gradients near 6e17, not 2e19. Only the learning
+rate is a parameter: beta1, beta2 and epsilon are the paper's defaults.
 
 The dense net is float32 and the CNN float64: forward, backward and
 Adam follow the parameters' dtype, softmax and cross-entropy upcast the
@@ -27,7 +27,8 @@ deterministic given the seeds: weight initialization draws from the
 substream of the training seed.
 
 Two pieces serve every model, not only the dense net: :func:`fit_adam`
-is the training loop (the CNN passes it its own loss and gradients), and
+is the training loop (the CNN passes it its own loss, whose backward
+pass writes into the same views), and
 :func:`check_gradients` compares analytic gradients against central
 finite differences on a seeded sample of coordinates (:func:`grad_check`
 and the CNN's ``cnn_grad_check`` are thin adapters over it).
@@ -327,11 +328,10 @@ def init_adam(params: list[np.ndarray], lr: float = TrainConfig.lr) -> AdamState
 
 
 def adam_step(state: AdamState, grads: list[np.ndarray]) -> None:
-    """One Adam update of ``state.params``, in place.
-
-    ``grads``, in the order of the parameter list, are read, never
-    written: an array that is not already the state's own gradient view
-    is copied into it. The update runs over the packed buffers in blocks
+    """One Adam update of ``state.params``, in place, from the gradients
+    written into ``state.grads``; ``grads`` must be that list itself
+    (:class:`ValueError` otherwise). Nothing is copied in: the update
+    runs over the packed buffers, ``state.g`` included, in blocks
     of ``_ADAM_BLOCK`` elements with no allocation, ten passes a block,
     on the scaled moments m~ = m/(1-b1) and v~ = v/(1-b2):
 
@@ -343,13 +343,8 @@ def adam_step(state: AdamState, grads: list[np.ndarray]) -> None:
     rounding differs. v~ is 1000*v, so a float32 v~ overflows at a
     gradient near 6e17 where the textbook v would at 2e19.
     """
-    if len(grads) != len(state.grads):
-        raise ValueError("grads do not match optimizer state")
-    for own, g in zip(state.grads, grads):
-        if np.shape(g) != own.shape:
-            raise ValueError("grads do not match optimizer state")
-        if g is not own:
-            own[...] = g
+    if grads is not state.grads:
+        raise ValueError("grads are not the optimizer state's own gradient views")
     state.t += 1
     b1, b2 = _ADAM_BETA1, _ADAM_BETA2
     s = math.sqrt((1.0 - b2**state.t) / (1.0 - b2))
@@ -478,18 +473,15 @@ def fit_adam(
 ) -> tuple[list[np.ndarray], list[float]]:
     """Seeded mini-batch Adam over a flat parameter list.
 
-    ``loss_and_grad(flat, batch, grads)`` returns the mean loss over the
-    rows whose indices are in ``batch`` and its gradient, as a list in
-    the order of ``flat``. Batches are sequential slices of a fresh
-    seeded permutation of ``range(n)`` per epoch; the last batch may be
-    short. ``loss_and_grad`` gets views of the optimizer's packed
-    parameter buffer, which every step updates in place, and ``grads``,
-    views of its gradient buffer: a gradient written into them and
-    returned is not copied again. A callback may ignore ``grads`` and
-    return arrays of its own, which are copied in (the CNN's does);
-    it must take the third argument. Returns the final
-    parameters (those views) and the mean per-example loss of each
-    epoch. Raises :class:`TrainingError` if the loss becomes non-finite.
+    ``loss_and_grad(flat, batch, grads)`` writes the gradient of the
+    mean loss over the rows whose indices are in ``batch`` into
+    ``grads``, views of the optimizer's gradient buffer in the order of
+    ``flat``, and returns that loss; ``flat`` is views of its parameter
+    buffer, which every step updates in place. Batches are sequential
+    slices of a fresh seeded permutation of ``range(n)`` per epoch; the
+    last batch may be short. Returns the final parameters (those views)
+    and the mean per-example loss of each epoch. Raises
+    :class:`TrainingError` if the loss becomes non-finite.
     """
     state = init_adam(flat, lr=cfg.lr)
     shuffle_rng = substream(cfg.seed, "shuffle")
@@ -499,13 +491,13 @@ def fit_adam(
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            loss, grads = loss_and_grad(state.params, batch, state.grads)
-            if not np.isfinite(loss):
+            loss = loss_and_grad(state.params, batch, state.grads)
+            if not math.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch + 1}, "
                     f"batch {start // cfg.batch_size + 1}"
                 )
-            adam_step(state, grads)
+            adam_step(state, state.grads)
             total += loss * len(batch)
         history.append(total / n)
     return state.params, history
@@ -529,6 +521,7 @@ def train(
     def loss_and_grad(params, batch, grads):
         logits, cache = forward(params, X[batch], spec.activation)
         loss, dlogits = softmax_xent(logits, y[batch])
-        return loss, backward(params, cache, dlogits, spec.activation, out=grads)
+        backward(params, cache, dlogits, spec.activation, out=grads)
+        return loss
 
     return fit_adam(init_params(spec), loss_and_grad, n, cfg)

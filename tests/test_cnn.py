@@ -22,7 +22,9 @@ from memesent.models.cnn import (
     cnn_forward,
     init_cnn_params,
 )
-from memesent.nn import TrainConfig, softmax_xent
+import memesent.models.cnn as cnn_mod
+import memesent.nn as nn
+from memesent.nn import TrainConfig, init_adam, softmax_xent
 
 
 def cnn_train(T, y, cfg=TrainConfig()):
@@ -118,7 +120,8 @@ class TestIm2colKernels:
         assert batch_first(out).shape == ref.shape
         assert np.abs(batch_first(out) - ref).max() < 1e-12
         dout = rng.standard_normal(ref.shape)
-        dK, db = _kernel_grads(batch_last(dout), cols, K)
+        dK, db = np.full_like(K, np.nan), np.full(OC, np.nan)
+        _kernel_grads(batch_last(dout), cols, dK, db)
         dX = batch_first(_input_grad(batch_last(dout), K, batch_last(X).shape, fresh))
         rdX, rdK, rdb = einsum_conv_backward(dout, X, K)
         assert np.abs(dX - rdX).max() < 1e-12
@@ -212,8 +215,6 @@ class TestGradients:
         assert err < 1e-4
 
     def test_corrupted_backward_detected(self, monkeypatch):
-        import memesent.models.cnn as cnn_mod
-
         original = cnn_mod.cnn_backward
 
         def broken(params, cache, dlogits, new=None):
@@ -239,10 +240,10 @@ class TestGradients:
 
 class TestWorkspace:
     @staticmethod
-    def step(params, T, y, new):
+    def step(params, T, y, new, out=None):
         logits, cache = cnn_forward(params, T, new)
         _, dlogits = softmax_xent(logits, y)
-        return logits, cnn_backward(params, cache, dlogits, new)
+        return logits, cnn_backward(params, cache, dlogits, new, out=out)
 
     def test_same_bits_as_fresh_arrays(self):
         params = init_cnn_params(seed=2)
@@ -253,9 +254,14 @@ class TestWorkspace:
             T, y = small_batch(n=n, seed=seed)
             logits, grads = self.step(params, T, y, workspace)
             ref_logits, ref_grads = self.step(params, T, y, fresh)
+            # written into Adam's views, the allocating call's bits
+            state = init_adam(params)
+            _, into = self.step(params, T, y, workspace, out=state.grads)
+            assert into is state.grads
             assert np.array_equal(logits, ref_logits)
-            for g, ref in zip(grads, ref_grads):
-                assert np.array_equal(g, ref)
+            for g, g_into, ref in zip(grads, into, ref_grads, strict=True):
+                assert g.dtype == g_into.dtype == ref.dtype
+                assert np.array_equal(g, ref) and np.array_equal(g_into, ref)
 
     def test_reused_step_allocates_little(self):
         T, y = small_batch(n=16)
@@ -299,6 +305,32 @@ class TestTraining:
         b = cnn_train(T, y, cfg)
         for pa, pb in zip(a.params_, b.params_):
             assert np.array_equal(pa, pb)
+
+    def test_backward_writes_into_adams_own_views(self, monkeypatch):
+        states, outs, steps = [], [], []
+        real_init, real_backward, real_step = nn.init_adam, cnn_mod.cnn_backward, nn.adam_step
+
+        def init(params, lr):
+            states.append(real_init(params, lr))
+            return states[-1]
+
+        def backward(params, cache, dlogits, new=None, out=None):
+            outs.append(out)
+            return real_backward(params, cache, dlogits, new, out)
+
+        def step(state, grads):
+            steps.append(grads is state.grads)
+            real_step(state, grads)
+
+        monkeypatch.setattr(nn, "init_adam", init)
+        monkeypatch.setattr(cnn_mod, "cnn_backward", backward)
+        monkeypatch.setattr(nn, "adam_step", step)
+        T, y = hue_band_tensors(n=10, seed=5)
+        model = cnn_train(T, y, TrainConfig(epochs=2, batch_size=4))
+        (state,) = states
+        assert len(outs) == len(steps) == 6  # 3 batches, the last short, 2 epochs
+        assert all(out is state.grads for out in outs) and all(steps)
+        assert all(p is q for p, q in zip(model.params_, state.params, strict=True))
 
     def test_loss_history_decreases(self):
         T, y = hue_band_tensors(n=30, seed=2)

@@ -92,6 +92,11 @@ class TestLoad:
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.ini")
 
+    def test_byte_order_mark(self, tmp_path):
+        cfg = RunConfig(model="ffnn_bow", seed=11)
+        path = tmp_path / "bom.ini"
+        path.write_bytes(b"\xef\xbb\xbf" + render_config(cfg).encode("utf-8"))
+        assert load_config(path) == cfg
 
     def test_non_utf8(self, tmp_path):
         path = tmp_path / "cfg.ini"

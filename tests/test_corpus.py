@@ -57,6 +57,13 @@ def test_load_three_rows(tiny_csv):
     assert ds.rejected_rows == ()
 
 
+def test_load_byte_order_mark(tmp_path, tiny_csv):
+    # as Excel and Notepad save UTF-8
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + tiny_csv.read_bytes())
+    assert load_dataset(bom).records == load_dataset(tiny_csv).records
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(DataFormatError, match="not found"):
         load_dataset(tmp_path / "nope.csv")
