@@ -10,13 +10,11 @@ gradient checker and the fitted models take the list as it is.
 
 Adam keeps the parameters, both moments and the gradients each in one
 contiguous buffer; the training loop hands the gradient views to the
-loss, and :func:`backward` writes into them. :func:`adam_step` reads
-those views only and updates ``state.params`` in place, ten passes a
-block, on the scaled moments m/(1-beta1) and v/(1-beta2): the rule of
-Kingma & Ba (2015, arXiv 1412.6980) with the moments' factors and bias
-corrections folded into the step size and epsilon, in exact arithmetic
-the textbook rule, epsilon included. The scaled v is 1000*v, so in
-float32 it overflows at gradients near 6e17, not 2e19. Only the learning
+loss, and :func:`backward` writes into them. :func:`adam_step` updates
+``state.params`` in place by the rule of Kingma & Ba (2015, arXiv
+1412.6980), its factors folded into the step size and epsilon, and every
+50 steps zeroes the moments too small to move a weight before they turn
+subnormal (slow), with the unflushed rule's bytes. Only the learning
 rate is a parameter: beta1, beta2 and epsilon are the paper's defaults.
 
 The dense net is float32 and the CNN float64: forward, backward and
@@ -179,7 +177,8 @@ def forward(
     cache = []
     last = len(params) // 2 - 1
     for i, (W, b) in enumerate(zip(params[0::2], params[1::2])):
-        z = a @ W.T + b
+        z = a @ W.T
+        z += b
         cache.append((a, z))
         if i < last and activation == "relu":
             a = np.maximum(z, 0.0)
@@ -216,8 +215,8 @@ def softmax_xent(
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy loss and its gradient w.r.t. the logits.
 
-    ``labels`` are class indices. The gradient is (softmax - onehot)
-    divided by the batch size, matching the mean reduction.
+    ``labels`` are class indices. The gradient, (softmax - onehot)/b for
+    the mean reduction, reuses the loss's one shifted exponential.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -228,9 +227,10 @@ def softmax_xent(
         raise ValueError(f"labels outside [0, {k})")
     m = logits.max(axis=1)
     with np.errstate(over="ignore"):  # finite logits wider than float64: loss inf
-        lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
-        loss = float(np.mean(lse - logits[np.arange(b), labels]))
-    dlogits = softmax(logits)
+        dlogits = np.exp(logits - m[:, None])
+        total = dlogits.sum(axis=1)
+        loss = float(np.mean(m + np.log(total) - logits[np.arange(b), labels]))
+    dlogits /= total[:, None]
     dlogits[np.arange(b), labels] -= 1.0
     dlogits /= b
     return loss, dlogits
@@ -257,19 +257,16 @@ def backward(
         grads[2 * i] = np.matmul(dz.T, a_in, out=grads[2 * i])
         grads[2 * i + 1] = dz.sum(axis=0, out=grads[2 * i + 1])
         if i > 0:
-            da = dz @ params[2 * i]
+            dz = dz @ params[2 * i]
             if activation == "relu":
-                _, z_prev = cache[i - 1]
-                dz = da * (z_prev > 0.0)
-            else:
-                dz = da
+                dz *= cache[i - 1][1] > 0.0
     return grads
 
 
 # Elements per pass of the in-place Adam update: two block-sized scratch
 # rows stay in cache, and a 125k-parameter net takes 4 passes.
 _ADAM_BLOCK = 32768
-_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-8
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON, _ADAM_FLUSH_EVERY = 0.9, 0.999, 1e-8, 50
 
 
 def _views(buf: np.ndarray, shapes) -> list[np.ndarray]:
@@ -335,13 +332,20 @@ def adam_step(state: AdamState, grads: list[np.ndarray]) -> None:
     of ``_ADAM_BLOCK`` elements with no allocation, ten passes a block,
     on the scaled moments m~ = m/(1-b1) and v~ = v/(1-b2):
 
-        m~ = b1*m~ + g;  v~ = b2*v~ + g*g;  p -= (a_t*m~) / (sqrt(v~) + e_t)
+        m~ = b1*m~ + g;  v~ = b2*v~ + g**2;  p -= (a_t*m~) / (sqrt(v~) + e_t)
 
     with s = sqrt((1-b2**t)/(1-b2)), a_t = lr*(1-b1)*s/(1-b1**t) and e_t =
     epsilon*s, Python floats, so that a float32 pass stays float32. In
     exact arithmetic this is the textbook rule, epsilon included;
     rounding differs. v~ is 1000*v, so a float32 v~ overflows at a
     gradient near 6e17 where the textbook v would at 2e19.
+
+    Every k = 50 steps three more passes, with a block-sized mask, zero each
+    m~ below tiny/(b1**k*0.48*lr), tiny the dtype's least normal: as a_t >=
+    0.48*lr for every t, a kept a_t*m~, and at lr <= 2 m~ too, stays normal
+    until the next flush (subnormal passes run several times slower). A
+    zeroed m~ would move its weight by under a_t*|m~|/e_t < 5e-29 in float32,
+    ten times that in all: no weight beyond 1e-20 of zero, so bytes hold.
     """
     if grads is not state.grads:
         raise ValueError("grads are not the optimizer state's own gradient views")
@@ -350,6 +354,8 @@ def adam_step(state: AdamState, grads: list[np.ndarray]) -> None:
     s = math.sqrt((1.0 - b2**state.t) / (1.0 - b2))
     alpha = state.lr * (1.0 - b1) * s / (1.0 - b1**state.t)
     eps = _ADAM_EPSILON * s
+    flush = state.t % _ADAM_FLUSH_EVERY == 0
+    floor = float(np.finfo(state.m.dtype).tiny) / (b1**_ADAM_FLUSH_EVERY * 0.48 * state.lr)
     n = state.p.size
     for lo in range(0, n, _ADAM_BLOCK):
         hi = min(lo + _ADAM_BLOCK, n)
@@ -358,13 +364,15 @@ def adam_step(state: AdamState, grads: list[np.ndarray]) -> None:
         m *= b1
         m += g
         v *= b2
-        np.multiply(g, g, out=step)
+        np.square(g, out=step)
         v += step
         np.sqrt(v, out=denom)
         denom += eps
         np.multiply(m, alpha, out=step)
         step /= denom
         p -= step
+        if flush:
+            np.putmask(m, np.abs(m, out=step) < floor, 0.0)
 
 
 def check_gradients(

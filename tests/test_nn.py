@@ -217,6 +217,41 @@ def test_xent_gradient_is_softmax_minus_onehot():
             assert abs(numeric - dlogits[i, j]) / denom < 1e-6
 
 
+def two_exponential_xent(logits, labels):
+    """Cross-entropy with the loss and the gradient from two exponentials,
+    the gradient through :func:`softmax`: the oracle of softmax_xent's bits."""
+    logits = np.asarray(logits, dtype=np.float64)
+    b = logits.shape[0]
+    m = logits.max(axis=1)
+    with np.errstate(over="ignore"):
+        lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
+        loss = float(np.mean(lse - logits[np.arange(b), labels]))
+    dlogits = softmax(logits)
+    dlogits[np.arange(b), labels] -= 1.0
+    dlogits /= b
+    return loss, dlogits
+
+
+def test_xent_has_the_two_exponential_bits():
+    rng = np.random.default_rng(4)
+    batches = [(b, k, scale) for b in (1, 2, 50) for k in (2, 3) for scale in (1.0, 30.0, 1e4)]
+    # finite logits near float64's largest: differences overflow and the loss
+    # is inf; at 1e300 they do not
+    batches += [(1, 3, 1.7e308), (50, 3, 1.7e308), (50, 3, 1e300)]
+    infinite = 0
+    for b, k, scale in batches:
+        for _ in range(20):
+            logits = rng.uniform(-1.0, 1.0, (b, k)) * scale
+            labels = rng.integers(0, k, b)
+            loss, dlogits = softmax_xent(logits, labels)
+            want_loss, want_dlogits = two_exponential_xent(logits, labels)
+            assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+            assert dlogits.tobytes() == want_dlogits.tobytes()
+            assert np.array_equal((softmax(logits) - np.eye(k)[labels]) / b, dlogits)
+            infinite += loss == np.inf
+    assert infinite >= 20
+
+
 def test_xent_label_validation():
     with pytest.raises(ValueError, match="outside"):
         softmax_xent(np.zeros((1, 3)), np.array([5]))
@@ -423,6 +458,42 @@ def test_adam_rejects_a_foreign_gradient_list():
         with pytest.raises(ValueError, match="own gradient views"):
             adam_step(state, foreign)
     assert state.t == 0 and not state.m.any() and (state.p[:6] == 1.0).all()
+
+
+def fit_counting_subnormal_moments(monkeypatch, flush_every=None):
+    """A 1,000-step fit of a net with dead ReLU units, with the flush
+    every ``flush_every`` steps (None: the module's period); its
+    parameters, the count of nonzero m~ entries below the dtype's least
+    normal after every 50th step, and the count of dead units."""
+    if flush_every is not None:
+        monkeypatch.setattr(nn, "_ADAM_FLUSH_EVERY", flush_every)
+    counts, step = [], nn.adam_step
+
+    def counting_step(state, grads):
+        step(state, grads)
+        if state.t % 50 == 0:
+            m = np.abs(state.m)
+            counts.append(int(((m > 0) & (m < np.finfo(m.dtype).tiny)).sum()))
+
+    monkeypatch.setattr(nn, "adam_step", counting_step)
+    rng = np.random.default_rng(0)
+    X, y = rng.standard_normal((200, 10)), rng.integers(0, 3, 200)
+    spec = small_spec(input_dim=10, hidden=(16, 16, 16))
+    params, _ = train(spec, X, y, TrainConfig(batch_size=20, epochs=100, lr=0.05))
+    _, cache = forward(params, X)
+    dead = sum(int((z <= 0.0).all(axis=0).sum()) for _, z in cache[:-1])
+    monkeypatch.undo()
+    return params, counts, dead
+
+
+def test_adam_flush_keeps_the_bytes_and_the_moments_normal(monkeypatch):
+    flushed, flushed_counts, dead = fit_counting_subnormal_moments(monkeypatch)
+    kept, kept_counts, _ = fit_counting_subnormal_moments(monkeypatch, 1001)
+    assert dead > 0 and len(kept_counts) == len(flushed_counts) == 20
+    assert kept_counts[-1] > 100  # without the flush, dead units' moments turn subnormal
+    assert flushed_counts == [0] * 20
+    for got, want in zip(flushed, kept, strict=True):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_adam_shape_mismatch():
