@@ -42,13 +42,16 @@ def build_bow_vocab(token_lists: list[list[str]], max_size: int = 5000) -> BowVo
     return BowVocab(words=tuple(w for w, _ in ranked[:max_size]))
 
 
-def bow_vectorize(tokens: list[str], vocab: BowVocab) -> np.ndarray:
-    """Binary presence vector: component i is 1 iff vocab[i] occurs."""
-    vec = np.zeros(len(vocab), dtype=np.float64)
+def bow_vectorize(tokens: list[str], vocab: BowVocab, out: np.ndarray | None = None) -> np.ndarray:
+    """Binary float32 presence vector: component i is 1 iff vocab[i] occurs.
+
+    Written into ``out``, a zeroed float32 row of ``len(vocab)``, when
+    given (one row of a matrix filled in place); returns the row.
+    """
+    vec = np.zeros(len(vocab), dtype=np.float32) if out is None else out
     index = vocab.index
     for t in tokens:
         j = index.get(t)
         if j is not None:
             vec[j] = 1.0
     return vec
-

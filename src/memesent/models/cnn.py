@@ -26,7 +26,8 @@ pass routes through two winner masks and one pooled-size on-mask.
 Prediction runs the forward pass in blocks of ``_PREDICT_BLOCK`` rows,
 so its memory does not grow with the number of rows. A fit, a
 prediction and a gradient check each allocate through one
-:class:`Workspace`, whose arrays every step or block reuses.
+:class:`Workspace`, whose arrays every step or block reuses; the
+backward pass writes into forward arrays that are dead by then.
 """
 
 from __future__ import annotations
@@ -63,6 +64,10 @@ _SHAPES = {
     "K1": (8, 3, 3, 3), "b1": (8,), "K2": (16, 8, 3, 3), "b2": (16,),
     "W3": (64, 16 * 6 * 6), "b3": (64,), "W4": (_CLASSES, 64), "b4": (_CLASSES,),
 }
+# The forward buffer of the same size that each backward intermediate
+# overwrites, dead by then (pool2 once dW3 is taken, cols2 once dK2 is).
+_BACKWARD_BUFFERS = {"dpool2": "pool2", "drows2": "rows2", "dZ2": "z2", "dcols2": "cols2",
+                     "dX2": "pool1", "dpool1": "pool1", "drows1": "rows1", "dZ1": "z1"}
 
 
 def init_cnn_params(seed: int) -> list[np.ndarray]:
@@ -80,10 +85,10 @@ class Workspace(dict):
     ``workspace(name, shape, dtype)`` returns the first ``prod(shape)``
     elements of the flat array of that name (made when missing or too
     small), reshaped, so every step of a fit (the short last batch too)
-    works in the same memory. Fresh arrays of these sizes (3.1 MB for
-    conv1's patch matrix at batch 16, about 11 MB in all) let the C heap
-    shrink back at the end of each step and fault its pages in again on
-    the next one.
+    works in the same memory: the 15 arrays of a forward pass, which the
+    backward pass reuses, 7.05 MiB at batch 16. Fresh arrays of these
+    sizes would let the C heap shrink back at the end of each step and
+    fault its pages in again on the next one.
     """
 
     def __call__(self, name, shape, dtype=np.float64):
@@ -205,9 +210,14 @@ def cnn_backward(
     """Gradients for the cached pass, in the order of ``params``; ``new``
     as in :func:`cnn_forward`. As in ``nn.backward``, each is written into
     its contiguous array of ``out`` (Adam's gradient views), which is
-    returned; without ``out``, into new arrays, with the same bits."""
+    returned; without ``out``, into new arrays, with the same bits. Its
+    intermediates overwrite the cache's arrays (``_BACKWARD_BUFFERS``)."""
     _, _, K2, _, W3, _, W4, _ = params
-    new = new if new is not None else Workspace()
+    forward_new = new if new is not None else Workspace()
+
+    def new(name, shape, dtype=np.float64):
+        return forward_new(_BACKWARD_BUFFERS[name], shape, dtype)
+
     grads = [np.empty(p.shape, p.dtype) for p in params] if out is None else out
     dK1, db1, dK2, db2, dW3, db3, dW4, db4 = grads
     np.matmul(dlogits.T, cache["a3"], out=dW4)

@@ -6,17 +6,21 @@ keyword-only fields, which ``_net_params`` maps to and from a
 :class:`NetSpec` under the same names, and inherits the five training
 parameters from :class:`~memesent.base.AdamEstimator`. Its subclasses
 differ only in ``_features``, which checks their input and turns it into
-the net's rows, and in the extra header fields they save:
+the net's rows, in ``_rows``, which checks it for ``predict_proba``,
+and in the extra header fields they save:
 ``Word2vecFfnnClassifier`` takes the ``(n, dim)`` matrix of pooled
 caption embeddings (:func:`~memesent.embeddings.embed_corpus`), checks
 that it is 2-D and finite and casts it to float32; ``BowFfnnClassifier``
 takes token lists, the output of the fixed pipeline
-``memesent.textprep.preprocess``, and builds bag-of-words presence
-vectors. The header records the pipeline as ``prep``, and a file whose
-``prep`` differs fails to load. Both use scaled initialization by default: the
-literal standard-normal init saturates the 6-hidden-layer stack and does
-not train at desk scale. The nets are float32, and so are their saved
-arrays; a float64 file is cast down at load.
+``memesent.textprep.preprocess``, and fills a float32 presence matrix
+in place, one :func:`~memesent.models.bow.bow_vectorize` row at a time.
+``predict_proba`` works in blocks of rows, so its memory does not grow
+with the number of rows. The header records the pipeline as ``prep``,
+and a file whose ``prep`` differs fails to load. Both use scaled
+initialization by default: the literal standard-normal init saturates
+the 6-hidden-layer stack and does not train at desk scale. The nets are
+float32, and so are their saved arrays; a float64 file is cast down at
+load.
 """
 
 from __future__ import annotations
@@ -54,6 +58,11 @@ __all__ = [
     "BowFfnnClassifier",
 ]
 
+# predict_proba's blocks hold _PREDICT_BLOCK to 2 * _PREDICT_BLOCK - 1 rows
+# (or all, if fewer), never a short tail: OpenBLAS 0.3.31 takes its
+# small-matrix kernel, which rounds otherwise, for up to 1,200 outputs.
+_PREDICT_BLOCK = 1024
+
 
 def _net_params(source) -> dict:
     """The parameters that a :class:`NetSpec` and a caption net share,
@@ -67,7 +76,9 @@ class _CaptionMlp(SavedModel, AdamEstimator):
     """Caption rows -> ``_features`` -> dense softmax classifier.
 
     A subclass implements ``_features(X, fitting)``, which checks its
-    input and may learn state when ``fitting``, and saves its extra header
+    input and may learn state when ``fitting``, and ``_rows(X)``, which
+    checks the input of ``predict_proba`` and returns it as rows that
+    ``_features`` takes in slices. It saves its extra header
     fields through ``_header()`` and ``_from_header(header, spec, path)``;
     the latter returns the unfitted model to restore into.
     """
@@ -87,8 +98,16 @@ class _CaptionMlp(SavedModel, AdamEstimator):
 
     def predict_proba(self, X) -> np.ndarray:
         check_fitted(self, "params_")
-        X = self._features(X, fitting=False)
-        return softmax(finite_logits(lambda: forward(self.params_, X, self.spec_.activation)[0]))
+        rows = self._rows(X)
+        n = len(rows)
+        blocks = max(n // _PREDICT_BLOCK, 1)
+        probs = []
+        for i in range(blocks):
+            block = rows[i * n // blocks : (i + 1) * n // blocks]
+            # the block's features live only as long as its forward pass
+            probs.append(softmax(finite_logits(lambda: forward(
+                self.params_, self._features(block, fitting=False), self.spec_.activation)[0])))
+        return probs[0] if blocks == 1 else np.concatenate(probs)
 
     def _payload(self) -> tuple[dict, dict[str, np.ndarray]]:
         check_fitted(self, "params_")
@@ -141,6 +160,9 @@ class Word2vecFfnnClassifier(_CaptionMlp):
         return as_float_matrix(X, None if fitting else self.spec_.input_dim,
                                dtype=np.float32)
 
+    def _rows(self, X) -> np.ndarray:
+        return self._features(X, fitting=False)
+
     def _header(self) -> dict:
         # the dimension alone: a path would make the bytes depend on its spelling
         return {"table": {"dim": self.spec_.input_dim}}
@@ -167,9 +189,14 @@ class BowFfnnClassifier(_CaptionMlp):
             self.vocab_ = build_bow_vocab(tokens, self.vocab_size)
             if not len(self.vocab_):
                 raise DataFormatError("no caption has a token left after preprocessing")
-        if not tokens:
-            return np.zeros((0, len(self.vocab_)))
-        return np.stack([bow_vectorize(row, self.vocab_) for row in tokens])
+        X = np.zeros((len(tokens), len(self.vocab_)), dtype=np.float32)
+        for row, out in zip(tokens, X):
+            bow_vectorize(row, self.vocab_, out=out)
+        return X
+
+    def _rows(self, tokens: list[list[str]]) -> list[list[str]]:
+        check_token_lists(tokens)
+        return tokens
 
     def _header(self) -> dict:
         return {"vocab": list(self.vocab_.words)}

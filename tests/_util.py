@@ -131,6 +131,34 @@ fuzz_settings = settings(max_examples=200, deadline=None,
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def pinned_hashes() -> tuple[dict[str, str], list[str]]:
+    """The ``# name value`` environment lines and the hash lines of
+    ``tools/artifact_hashes.txt``."""
+    env, lines = {}, []
+    for line in (TOOLS / "artifact_hashes.txt").read_text(encoding="utf-8").splitlines():
+        if line.startswith("# "):
+            name, _, value = line[2:].partition(" ")
+            env[name] = value
+        else:
+            lines.append(line)
+    return env, lines
+
+
+def pinned_environment_differences() -> list[str]:
+    """How this environment differs from the one whose bytes
+    :func:`pinned_hashes` pins, one line each: another CPU's BLAS kernels
+    may round otherwise."""
+    if str(TOOLS) not in sys.path:
+        sys.path.insert(0, str(TOOLS))
+    import artifact_hashes
+
+    env, _ = pinned_hashes()
+    return [f"{name} is {value!r} here, {env.get(name)!r} in the file"
+            for name, value in artifact_hashes.environment().items()
+            if value != env.get(name)]
 
 
 def python_env(env=None) -> dict:

@@ -5,40 +5,24 @@ on the seeded inputs of
 ``tools/artifact_hashes.txt`` holds."""
 
 import sys
-from pathlib import Path
 
 import pytest
 
+from _util import TOOLS, pinned_environment_differences, pinned_hashes
 from memesent.cli import main
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
 sys.path.insert(0, str(TOOLS))
 import artifact_hashes  # noqa: E402
-
-
-def _pinned(path):
-    """The ``# name value`` environment lines and the hash lines of a file
-    the tool printed."""
-    env, lines = {}, []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if line.startswith("# "):
-            name, _, value = line[2:].partition(" ")
-            env[name] = value
-        else:
-            lines.append(line)
-    return env, lines
 
 
 @pytest.fixture(scope="module")
 def pinned(tmp_path_factory):
     """The file's hash lines and the directory holding the tool's inputs;
     skips when this environment is not the file's."""
-    env, lines = _pinned(TOOLS / "artifact_hashes.txt")
-    here = artifact_hashes.environment()
-    differs = [f"{name} is {value!r} here, {env.get(name)!r} in the file"
-               for name, value in here.items() if value != env.get(name)]
-    if differs:  # another CPU's BLAS kernels may round otherwise
+    differs = pinned_environment_differences()
+    if differs:
         pytest.skip("hashes pinned in another environment: " + "; ".join(differs))
+    _, lines = pinned_hashes()
     out_dir = tmp_path_factory.mktemp("artifacts")
     artifact_hashes.write_inputs(out_dir / "inputs")
     return lines, out_dir

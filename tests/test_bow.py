@@ -1,5 +1,7 @@
 """Bag-of-words vocabulary building and presence vectors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +82,21 @@ class TestVectorizer:
         X = model._features([preprocess("новый fish zebra")], fitting=False)
         assert model.vocab_.words == before
         assert X.tolist() == [[0.0, 0.0]]
+
+    def test_matrix_filled_in_place_as_float32(self):
+        words = [f"w{i}" for i in range(1000)]
+        rows = [[words[(7 * i + 13 * j) % 1000] for j in range(10)] for i in range(2000)]
+        model = BowFfnnClassifier(vocab_size=1000)
+        tracemalloc.start()
+        try:
+            X = model._features(rows, fitting=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert X.dtype == np.float32 and X.shape == (2000, 1000)
+        assert X.sum() == sum(len(set(row)) for row in rows)
+        # float64 rows then stacked held about four times the matrix
+        assert peak <= 1.25 * X.nbytes
 
     def test_transform_before_fit_raises(self):
         with pytest.raises(NotFittedError):

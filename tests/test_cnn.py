@@ -263,6 +263,25 @@ class TestWorkspace:
                 assert g.dtype == g_into.dtype == ref.dtype
                 assert np.array_equal(g, ref) and np.array_equal(g_into, ref)
 
+    def test_fit_step_holds_only_the_forward_buffers(self, monkeypatch):
+        workspaces = []
+
+        class Recorded(Workspace):
+            def __init__(self):
+                super().__init__()
+                workspaces.append(self)
+
+        monkeypatch.setattr(cnn_mod, "Workspace", Recorded)
+        T, y = hue_band_tensors(n=16, seed=0)
+        HsvCnnClassifier(batch_size=16, epochs=1).fit(T, y)  # one step
+        (fitted,) = workspaces
+        forward_only = Workspace()
+        cnn_forward(init_cnn_params(seed=0), T, forward_only)
+        assert sorted(fitted) == sorted(forward_only) and len(fitted) == 15
+        # 7.05 MiB; with buffers of its own, the backward pass adds 8 arrays, 3.8 MiB
+        assert sum(a.nbytes for a in fitted.values()) == 7_393_280
+        assert sum(a.nbytes for a in forward_only.values()) == 7_393_280
+
     def test_reused_step_allocates_little(self):
         T, y = small_batch(n=16)
         params = init_cnn_params(seed=0)

@@ -1,17 +1,25 @@
 """Embedding- and bag-of-words-fed dense classifiers, end to end."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import memesent.nn as nn
-from _util import synthetic_corpus, write_word2vec_binary
+from _util import pinned_environment_differences, synthetic_corpus, write_word2vec_binary
 from memesent import cli
 from memesent.config import RunConfig
 from memesent.corpus import Dataset, MemeRecord, save_dataset, stratified_split
 from memesent.embeddings import EmbeddingTable, embed_corpus
 from memesent.errors import DataFormatError, NotFittedError, NumericError
 from memesent.eval import macro_f1
-from memesent.models.ffnn import BowFfnnClassifier, Word2vecFfnnClassifier
+from memesent.models.bow import BowVocab
+from memesent.models.ffnn import (
+    _PREDICT_BLOCK,
+    BowFfnnClassifier,
+    Word2vecFfnnClassifier,
+    _net_params,
+)
 from memesent.persist import load_container, save_container
 from memesent.textprep import preprocess
 
@@ -218,6 +226,51 @@ class TestBowFfnn:
         model = BowFfnnClassifier(hidden=(4,), epochs=1)
         with pytest.raises(DataFormatError, match="no caption has a token left"):
             model.fit(tokens(["the", "a is", "the a"]), [0, 1, 2])
+
+
+def initialized(kind, n, width=300, seed=0):
+    """A ``kind`` model with the default net at its seeded initial
+    weights, and ``n`` random rows of input for it, ``width`` wide."""
+    model = kind()
+    model.spec_ = nn.NetSpec(input_dim=width, **_net_params(model))
+    model.params_ = nn.init_params(model.spec_)
+    rng = np.random.default_rng(seed)
+    if kind is Word2vecFfnnClassifier:
+        return model, rng.standard_normal((n, width)).astype(np.float32)
+    model.vocab_ = BowVocab(words=tuple(f"w{i}" for i in range(width)))
+    return model, [[f"w{j}" for j in rng.integers(0, width + 50, size=8)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("kind", [Word2vecFfnnClassifier, BowFfnnClassifier])
+class TestBlockedPrediction:
+    """predict_proba builds features and runs the net one block of
+    ``_PREDICT_BLOCK`` rows at a time."""
+
+    def test_same_bits_as_one_pass(self, kind):
+        differs = pinned_environment_differences()
+        if differs:  # the block size is checked against this environment's BLAS
+            pytest.skip("bytes pinned in another environment: " + "; ".join(differs))
+        model, rows = initialized(kind, n=3 * _PREDICT_BLOCK + 7)
+        X = model._features(rows, fitting=False)
+        whole = nn.softmax(nn.forward(model.params_, X, model.spec_.activation)[0])
+        assert np.array_equal(model.predict_proba(rows), whole)
+
+    def test_memory_bounded_by_block(self, kind):
+        peaks = []
+        for n in (_PREDICT_BLOCK, 4 * _PREDICT_BLOCK):
+            model, rows = initialized(kind, n=n)
+            tracemalloc.start()
+            try:
+                model.predict_proba(rows)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # one pass over all rows would hold four times the block's memory
+        assert peaks[1] <= 1.5 * peaks[0]
+
+    def test_zero_rows(self, kind):
+        model, rows = initialized(kind, n=0)
+        assert model.predict_proba(rows).shape == (0, 3)
 
 
 class TestMlpClassifier:
