@@ -21,7 +21,6 @@ model's architecture gives it.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -112,15 +111,8 @@ class SavedModel:
         """The model held by an already-read container; a missing or
         mistyped field or array raises :class:`DataFormatError` naming
         ``path``."""
-        with cls._reading(path):
-            return cls._from_payload(header, arrays, path)
-
-    @classmethod
-    @contextmanager
-    def _reading(cls, path):
-        """Raise the errors of a malformed payload as :class:`DataFormatError`."""
         try:
-            yield
+            return cls._from_payload(header, arrays, path)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise DataFormatError(
                 f"{path}: malformed {cls.KIND} model ({type(exc).__name__}: {exc})"

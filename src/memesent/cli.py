@@ -553,9 +553,7 @@ def main(argv=None) -> int:
             return cmd_eval(cfg, args.predictions)
         if args.command == "stability":
             return cmd_stability(cfg, workers)
-        if args.command == "compare":
-            return cmd_compare(cfg, args.reports)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_compare(cfg, args.reports)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

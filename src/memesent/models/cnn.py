@@ -7,9 +7,10 @@ odd trailing row/column, and max-pool ties resolve to the first element
 in window order so gradients are deterministic. The parameters are one
 list of arrays, ``[K1, b1, K2, b2, W3, b3, W4, b4]`` (``_SHAPES`` gives
 each one's container name and shape); the backward pass writes its
-gradients, in that order, into Adam's views. Training is the dense
-core's loop (``nn.fit_adam``: loss, Adam, seeded shuffling) and the
-gradient check its checker (``nn.check_gradients``), both on that list.
+gradients, in that order, into Adam's views. ``cnn_forward`` and
+``cnn_backward``, bound to one :class:`Workspace`, are the net that the
+dense core's loop (``nn.fit_adam``: softmax cross-entropy, Adam, seeded
+shuffling) trains and its checker (``nn.check_gradients``) checks.
 
 The convolution stages keep their arrays as (channels, height, width,
 batch), and each (n, 32, 32, 3) batch is copied once into that layout.
@@ -24,10 +25,13 @@ each keeping the lower index on a tie: the first maximum in window
 order. ReLU follows the pool, with which it commutes, so the backward
 pass routes through two winner masks and one pooled-size on-mask.
 Prediction runs the forward pass in blocks of ``_PREDICT_BLOCK`` rows,
-so its memory does not grow with the number of rows. A fit, a
-prediction and a gradient check each allocate through one
-:class:`Workspace`, whose arrays every step or block reuses; the
-backward pass writes into forward arrays that are dead by then.
+so its memory does not grow with the number of rows; a last block of 18
+rows or fewer takes OpenBLAS's small-matrix kernel, which rounds
+otherwise, for the 64-wide dense layer, so its rows get other bits than
+the same rows elsewhere in a file. A fit, a prediction and a gradient
+check each allocate through one :class:`Workspace`, whose arrays every
+step or block reuses; the backward pass writes into forward arrays that
+are dead by then.
 """
 
 from __future__ import annotations
@@ -41,11 +45,10 @@ from ..base import (
     AdamEstimator,
     SavedModel,
     as_label_array,
-    check_consistent_length,
     check_fitted,
     checked_arrays,
 )
-from ..nn import TrainConfig, check_gradients, finite_logits, fit_adam, softmax, softmax_xent
+from ..nn import TrainConfig, check_gradients, finite_logits, fit_adam, softmax
 from ..nn import adam_step  # noqa: F401 - perfbench's span test reads it here
 from ..rng import substream
 from .image import IMAGE_SIZE
@@ -235,6 +238,12 @@ def cnn_backward(
     return grads
 
 
+def _passes(new: Workspace):
+    """The net's ``(forward, backward)`` (see ``nn.fit_adam``), both working in ``new``."""
+    return (lambda params, T: cnn_forward(params, T, new),
+            lambda params, cache, d, out=None: cnn_backward(params, cache, d, new, out=out))
+
+
 def cnn_grad_check(
     params: list[np.ndarray],
     T: np.ndarray,
@@ -247,21 +256,13 @@ def cnn_grad_check(
     """``nn.check_gradients`` for the CNN at ``params`` on the batch
     (T, y); the pattern is every pooling winner and every ReLU's on/off
     state."""
-    T = _check_tensors(T)
-    y = as_label_array(y)
-    workspace = Workspace()
-    logits, cache = cnn_forward(params, T, workspace)
-    _, dlogits = softmax_xent(logits, y)
-    grads = cnn_backward(params, cache, dlogits, workspace)
 
-    def loss_and_pattern():
-        logits, cache = cnn_forward(params, T, workspace)
-        loss, _ = softmax_xent(logits, y)
+    def pattern(cache):
         masks = (*cache["masks1"], *cache["masks2"], cache["z3"] > 0.0)
-        return loss, tuple(m.tobytes() for m in masks)
+        return tuple(m.tobytes() for m in masks)
 
-    return check_gradients(params, grads, loss_and_pattern,
-                           eps, max_per_tensor, seed, min_grad)
+    return check_gradients(params, _passes(Workspace()), _check_tensors(T), as_label_array(y),
+                           pattern, eps, max_per_tensor, seed, min_grad)
 
 
 @dataclass(eq=False)
@@ -271,20 +272,9 @@ class HsvCnnClassifier(SavedModel, AdamEstimator):
     KIND = "cnn-hsv"
 
     def fit(self, T, y) -> "HsvCnnClassifier":
-        T = _check_tensors(T)
-        y = as_label_array(y)
-        n = check_consistent_length(T, y)
-
-        workspace = Workspace()
-
-        def loss_and_grad(params, batch, grads):
-            logits, cache = cnn_forward(params, T[batch], workspace)
-            loss, dlogits = softmax_xent(logits, y[batch])
-            cnn_backward(params, cache, dlogits, workspace, out=grads)
-            return loss
-
-        self.params_, self.history_ = fit_adam(init_cnn_params(self.seed),
-                                               loss_and_grad, n, TrainConfig.of(self))
+        T, y = _check_tensors(T), as_label_array(y)
+        self.params_, self.history_ = fit_adam(init_cnn_params(self.seed), _passes(Workspace()),
+                                               T, y, TrainConfig.of(self))
         return self
 
     def predict_proba(self, T) -> np.ndarray:

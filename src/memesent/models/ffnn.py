@@ -6,21 +6,24 @@ keyword-only fields, which ``_net_params`` maps to and from a
 :class:`NetSpec` under the same names, and inherits the five training
 parameters from :class:`~memesent.base.AdamEstimator`. Its subclasses
 differ only in ``_features``, which checks their input and turns it into
-the net's rows, in ``_rows``, which checks it for ``predict_proba``,
-and in the extra header fields they save:
+the net's rows, and in the extra header fields they save:
 ``Word2vecFfnnClassifier`` takes the ``(n, dim)`` matrix of pooled
 caption embeddings (:func:`~memesent.embeddings.embed_corpus`), checks
 that it is 2-D and finite and casts it to float32; ``BowFfnnClassifier``
 takes token lists, the output of the fixed pipeline
 ``memesent.textprep.preprocess``, and fills a float32 presence matrix
 in place, one :func:`~memesent.models.bow.bow_vectorize` row at a time.
-``predict_proba`` works in blocks of rows, so its memory does not grow
-with the number of rows. The header records the pipeline as ``prep``,
-and a file whose ``prep`` differs fails to load. Both use scaled
-initialization by default: the literal standard-normal init saturates
-the 6-hidden-layer stack and does not train at desk scale. The nets are
-float32, and so are their saved arrays; a float64 file is cast down at
-load.
+``predict_proba`` slices its input into blocks of rows and builds each
+block's features, so its memory does not grow with the number of rows.
+A prediction of 75 rows or fewer with the default net (400 or fewer with
+a last hidden layer 32 or more wide) gets other bits than the same rows
+in a larger batch: OpenBLAS's small-matrix kernel, which rounds
+otherwise, takes such a layer. The header records the pipeline as
+``prep``, and a file whose ``prep`` differs fails to load. Both use
+scaled initialization by default: the literal standard-normal init
+saturates the 6-hidden-layer stack and does not train at desk scale.
+The nets are float32, and so are their saved arrays; a float64 file is
+cast down at load.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from ..base import (
     SavedModel,
     as_float_matrix,
     as_label_array,
-    check_consistent_length,
     check_fitted,
     check_token_lists,
     checked_arrays,
@@ -76,9 +78,8 @@ class _CaptionMlp(SavedModel, AdamEstimator):
     """Caption rows -> ``_features`` -> dense softmax classifier.
 
     A subclass implements ``_features(X, fitting)``, which checks its
-    input and may learn state when ``fitting``, and ``_rows(X)``, which
-    checks the input of ``predict_proba`` and returns it as rows that
-    ``_features`` takes in slices. It saves its extra header
+    input, or a slice of the input of ``predict_proba``, and may learn
+    state when ``fitting``. It saves its extra header
     fields through ``_header()`` and ``_from_header(header, spec, path)``;
     the latter returns the unfitted model to restore into.
     """
@@ -91,19 +92,17 @@ class _CaptionMlp(SavedModel, AdamEstimator):
     def fit(self, X, y):
         y = as_label_array(y)
         X = self._features(X, fitting=True)
-        check_consistent_length(X, y)
         self.spec_ = NetSpec(input_dim=X.shape[1], **_net_params(self))
         self.params_, self.history_ = train(self.spec_, X, y, TrainConfig.of(self))
         return self
 
     def predict_proba(self, X) -> np.ndarray:
         check_fitted(self, "params_")
-        rows = self._rows(X)
-        n = len(rows)
+        n = len(X)
         blocks = max(n // _PREDICT_BLOCK, 1)
         probs = []
         for i in range(blocks):
-            block = rows[i * n // blocks : (i + 1) * n // blocks]
+            block = X[i * n // blocks : (i + 1) * n // blocks]
             # the block's features live only as long as its forward pass
             probs.append(softmax(finite_logits(lambda: forward(
                 self.params_, self._features(block, fitting=False), self.spec_.activation)[0])))
@@ -160,9 +159,6 @@ class Word2vecFfnnClassifier(_CaptionMlp):
         return as_float_matrix(X, None if fitting else self.spec_.input_dim,
                                dtype=np.float32)
 
-    def _rows(self, X) -> np.ndarray:
-        return self._features(X, fitting=False)
-
     def _header(self) -> dict:
         # the dimension alone: a path would make the bytes depend on its spelling
         return {"table": {"dim": self.spec_.input_dim}}
@@ -193,10 +189,6 @@ class BowFfnnClassifier(_CaptionMlp):
         for row, out in zip(tokens, X):
             bow_vectorize(row, self.vocab_, out=out)
         return X
-
-    def _rows(self, tokens: list[list[str]]) -> list[list[str]]:
-        check_token_lists(tokens)
-        return tokens
 
     def _header(self) -> dict:
         return {"vocab": list(self.vocab_.words)}

@@ -10,7 +10,7 @@ gradient checker and the fitted models take the list as it is.
 
 Adam keeps the parameters, both moments and the gradients each in one
 contiguous buffer; the training loop hands the gradient views to the
-loss, and :func:`backward` writes into them. :func:`adam_step` updates
+net's backward pass, which writes into them. :func:`adam_step` updates
 ``state.params`` in place by the rule of Kingma & Ba (2015, arXiv
 1412.6980), its factors folded into the step size and epsilon, and every
 50 steps zeroes the moments too small to move a weight before they turn
@@ -24,12 +24,13 @@ deterministic given the seeds: weight initialization draws from the
 "init" substream of the net seed, epoch shuffling from the "shuffle"
 substream of the training seed.
 
-Two pieces serve every model, not only the dense net: :func:`fit_adam`
-is the training loop (the CNN passes it its own loss, whose backward
-pass writes into the same views), and
+Every model trains on the mean softmax cross-entropy, so a net is its
+``(forward, backward)`` pair, and two pieces serve every model, not only
+the dense net: :func:`fit_adam` is the training loop and
 :func:`check_gradients` compares analytic gradients against central
-finite differences on a seeded sample of coordinates (:func:`grad_check`
-and the CNN's ``cnn_grad_check`` are thin adapters over it).
+finite differences on a seeded sample of coordinates. Each computes the
+loss itself; :func:`grad_check` and the CNN's ``cnn_grad_check`` give
+the checker only their float64 parameters and their pattern.
 """
 
 from __future__ import annotations
@@ -377,22 +378,26 @@ def adam_step(state: AdamState, grads: list[np.ndarray]) -> None:
 
 def check_gradients(
     flat: list[np.ndarray],
-    grads: list[np.ndarray],
-    loss_and_pattern,
+    passes,
+    X: np.ndarray,
+    y: np.ndarray,
+    pattern,
     eps: float = 1e-5,
     max_per_tensor: int = 150,
     seed: int = 0,
     min_grad: float = 1e-5,
     order: int = 2,
 ) -> float:
-    """Max relative error between the analytic gradients ``grads`` and
+    """Max relative error between the analytic gradients of the mean
+    softmax cross-entropy of the net ``passes`` (as for :func:`fit_adam`;
+    ``backward`` runs once, without ``out``) on the batch (X, y) and
     central differences over a seeded coordinate sample of ``flat``.
 
-    Sampled coordinates are perturbed in place (and restored) before
-    each ``loss_and_pattern()`` call, which returns the loss and a
-    comparable pattern of the forward pass's piecewise-linear choices,
-    such as which ReLUs are on. Relative error per coordinate is
-    |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    Sampled coordinates are perturbed in place (and restored) before each
+    forward pass; ``pattern(cache)`` of that pass returns a comparable
+    record of its piecewise-linear choices, such as which ReLUs are on.
+    Relative error per coordinate is |analytic - numeric| /
+    max(1e-8, |analytic| + |numeric|).
 
     ``order`` selects the stencil: 2 is the classic two-point central
     difference with O(eps^2) truncation; 4 is the five-point stencil
@@ -409,6 +414,14 @@ def check_gradients(
     """
     if order not in (2, 4):
         raise ValueError("order must be 2 or 4")
+    fwd, bwd = passes
+    logits, cache = fwd(flat, X)
+    grads = bwd(flat, cache, softmax_xent(logits, y)[1])
+
+    def probe():  # the loss and pattern at the current parameters
+        logits, cache = fwd(flat, X)
+        return softmax_xent(logits, y)[0], pattern(cache)
+
     rng = substream(seed, "gradcheck")
     steps = (eps,) if order == 2 else (eps, 2.0 * eps)
     worst = 0.0
@@ -424,9 +437,9 @@ def check_gradients(
             diffs, patterns = [], []
             for h in steps:
                 arr.flat[c] = orig + h
-                f_plus, pat_plus = loss_and_pattern()
+                f_plus, pat_plus = probe()
                 arr.flat[c] = orig - h
-                f_minus, pat_minus = loss_and_pattern()
+                f_minus, pat_minus = probe()
                 diffs.append(f_plus - f_minus)
                 patterns.extend((pat_plus, pat_minus))
             arr.flat[c] = orig
@@ -447,6 +460,12 @@ def check_gradients(
     return worst
 
 
+def _dense(activation: str):
+    """The ``(forward, backward)`` of a dense net of ``activation``."""
+    return (lambda params, X: forward(params, X, activation),
+            lambda params, cache, d, out=None: backward(params, cache, d, activation, out=out))
+
+
 def grad_check(
     spec: NetSpec,
     X: np.ndarray,
@@ -460,37 +479,37 @@ def grad_check(
     """:func:`check_gradients` for a float64 copy of a freshly
     initialized net of ``spec`` on the batch (X, y); the pattern is the
     on/off state of every hidden ReLU."""
-    params = [a.astype(np.float64) for a in init_params(spec)]
-    logits, cache = forward(params, X, spec.activation)
-    _, dlogits = softmax_xent(logits, y)
-    grads = backward(params, cache, dlogits, spec.activation)
 
-    def loss_and_pattern():
-        logits, cache = forward(params, X, spec.activation)
-        loss, _ = softmax_xent(logits, y)
-        if spec.activation != "relu":
-            return loss, ()
-        return loss, tuple((z > 0.0).tobytes() for _, z in cache[:-1])
+    def pattern(cache):
+        relu = spec.activation == "relu"
+        return tuple((z > 0.0).tobytes() for _, z in cache[:-1]) if relu else ()
 
-    return check_gradients(params, grads, loss_and_pattern,
+    return check_gradients([a.astype(np.float64) for a in init_params(spec)],
+                           _dense(spec.activation), X, y, pattern,
                            eps, max_per_tensor, seed, min_grad, order)
 
 
 def fit_adam(
-    flat: list[np.ndarray], loss_and_grad, n: int, cfg: TrainConfig
+    flat: list[np.ndarray], passes, X: np.ndarray, y: np.ndarray, cfg: TrainConfig
 ) -> tuple[list[np.ndarray], list[float]]:
-    """Seeded mini-batch Adam over a flat parameter list.
+    """Seeded mini-batch Adam on the mean softmax cross-entropy of the
+    net ``passes``, its ``(forward, backward)``, over the rows of (X, y).
 
-    ``loss_and_grad(flat, batch, grads)`` writes the gradient of the
-    mean loss over the rows whose indices are in ``batch`` into
-    ``grads``, views of the optimizer's gradient buffer in the order of
-    ``flat``, and returns that loss; ``flat`` is views of its parameter
-    buffer, which every step updates in place. Batches are sequential
-    slices of a fresh seeded permutation of ``range(n)`` per epoch; the
-    last batch may be short. Returns the final parameters (those views)
-    and the mean per-example loss of each epoch. Raises
-    :class:`TrainingError` if the loss becomes non-finite.
+    A step is ``forward(params, X[batch])`` (logits and a cache),
+    :func:`softmax_xent`, ``backward(params, cache, dlogits, out=grads)``
+    into ``grads``, the optimizer's gradient views in the order of
+    ``flat``, then :func:`adam_step` on ``params``, the views of its
+    parameter buffer. Batches are sequential slices of a fresh seeded
+    permutation of the rows per epoch; the last may be short. Returns the
+    final parameters (those views) and the mean per-example loss of each
+    epoch. Raises :class:`ValueError` unless X and y are nonempty and
+    aligned, :class:`TrainingError` if the loss becomes non-finite.
     """
+    X, y = np.asarray(X), np.asarray(y, dtype=np.int64)
+    n = len(X)
+    if n < 1 or y.shape != (n,):
+        raise ValueError("X and y must be nonempty and aligned")
+    fwd, bwd = passes
     state = init_adam(flat, lr=cfg.lr)
     shuffle_rng = substream(cfg.seed, "shuffle")
     history: list[float] = []
@@ -499,12 +518,15 @@ def fit_adam(
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            loss = loss_and_grad(state.params, batch, state.grads)
+            logits, cache = fwd(state.params, X[batch])
+            loss, dlogits = softmax_xent(logits, y[batch])
             if not math.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch + 1}, "
                     f"batch {start // cfg.batch_size + 1}"
                 )
+            bwd(state.params, cache, dlogits, out=state.grads)
+            del logits, cache, dlogits  # freed before the next forward pass allocates its own
             adam_step(state, state.grads)
             total += loss * len(batch)
         history.append(total / n)
@@ -520,16 +542,4 @@ def train(
     """Seeded mini-batch training of a net of ``spec`` with
     :func:`fit_adam`; returns final params and the mean per-example
     loss of each epoch; :func:`forward` casts each batch of ``X``."""
-    X = np.asarray(X)
-    y = np.asarray(y, dtype=np.int64)
-    n = X.shape[0]
-    if n < 1 or y.shape != (n,):
-        raise ValueError("X and y must be nonempty and aligned")
-
-    def loss_and_grad(params, batch, grads):
-        logits, cache = forward(params, X[batch], spec.activation)
-        loss, dlogits = softmax_xent(logits, y[batch])
-        backward(params, cache, dlogits, spec.activation, out=grads)
-        return loss
-
-    return fit_adam(init_params(spec), loss_and_grad, n, cfg)
+    return fit_adam(init_params(spec), _dense(spec.activation), X, y, cfg)

@@ -217,8 +217,8 @@ class TestGradients:
     def test_corrupted_backward_detected(self, monkeypatch):
         original = cnn_mod.cnn_backward
 
-        def broken(params, cache, dlogits, new=None):
-            grads = original(params, cache, dlogits, new)
+        def broken(params, cache, dlogits, new=None, out=None):
+            grads = original(params, cache, dlogits, new, out=out)
             grads[2][:] = 0.0  # K2
             return grads
 

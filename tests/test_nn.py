@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 import memesent.nn as nn
 from memesent.errors import DataFormatError, TrainingError
+from memesent.models.cnn import HsvCnnClassifier
+from memesent.models.ffnn import BowFfnnClassifier
 from memesent.nn import (
     DEFAULT_HIDDEN,
     NetSpec,
@@ -531,8 +533,8 @@ def test_grad_check_catches_corruption(monkeypatch):
     spec = NetSpec(input_dim=300, hidden=(8,) * 6, output_dim=3, seed=0,
                    init_mode="scaled")
     real = nn.backward
-    def corrupted(params, cache, dlogits, activation="relu"):
-        grads = real(params, cache, dlogits, activation)
+    def corrupted(params, cache, dlogits, activation="relu", out=None):
+        grads = real(params, cache, dlogits, activation, out=out)
         grads[4] = np.zeros_like(grads[4])  # W2
         return grads
     monkeypatch.setattr(nn, "backward", corrupted)
@@ -544,14 +546,20 @@ def test_grad_check_runs_on_float64_copies(monkeypatch):
     spec = NetSpec(input_dim=300, hidden=(8,) * 6, output_dim=3, seed=0,
                    init_mode="scaled")
     assert all(a.dtype == np.float32 for a in init_params(spec))
-    seen = []
-    real = nn.check_gradients
-    def recording(flat, grads, *args):
-        seen.extend(a.dtype for a in flat + grads)
-        return real(flat, grads, *args)
+    seen = []  # the dtypes of the checked parameters, then of their gradients
+    real_check, real_backward = nn.check_gradients, nn.backward
+    def recording(flat, *args):
+        seen.extend(a.dtype for a in flat)
+        return real_check(flat, *args)
+    def backward(*args, **kwargs):
+        grads = real_backward(*args, **kwargs)
+        seen.extend(g.dtype for g in grads)
+        return grads
     monkeypatch.setattr(nn, "check_gradients", recording)
+    monkeypatch.setattr(nn, "backward", backward)
     assert nn.grad_check(spec, X, y, eps=1e-5) < 1e-4
-    assert seen and set(seen) == {np.dtype(np.float64)}
+    assert len(seen) == 2 * len(init_params(spec))
+    assert set(seen) == {np.dtype(np.float64)}
 
 
 def test_grad_check_rejects_bad_order():
@@ -618,6 +626,19 @@ def test_train_nonfinite_loss_reports_position():
 def test_train_empty_rejected():
     with pytest.raises(ValueError, match="nonempty"):
         train(small_spec(), np.zeros((0, 5)), np.zeros(0, dtype=int), TrainConfig())
+
+
+@pytest.mark.parametrize("fit", [
+    pytest.param(lambda y: train(small_spec(), np.zeros((5, 5)), y, TrainConfig()), id="train"),
+    pytest.param(lambda y: BowFfnnClassifier(hidden=(4,), epochs=1).fit(
+        [["alpha", "bravo"]] * 5, y), id="ffnn_bow"),
+    pytest.param(lambda y: HsvCnnClassifier(epochs=1).fit(np.zeros((5, 32, 32, 3)), y),
+                 id="cnn_hsv"),
+])
+def test_fits_share_fit_adams_alignment_check(fit):
+    # 5 rows, 4 labels: the one check, in fit_adam, for every net it trains
+    with pytest.raises(ValueError, match="nonempty and aligned"):
+        fit(np.array([0, 1, 2, 0]))
 
 
 # ---------------------------------------------------------------- persistence
