@@ -119,23 +119,35 @@ class SavedModel:
             ) from exc
 
 
+def _finite(arr: np.ndarray, neg_inf: bool) -> bool:
+    """No NaN or +inf in ``arr``, and no -inf unless ``neg_inf``."""
+    if neg_inf:
+        return not (np.isnan(arr) | (arr == np.inf)).any()
+    return bool(np.isfinite(arr).all())
+
+
 def checked_arrays(arrays: dict, shapes: dict, path, neg_inf=(),
                    dtype=np.float64) -> list[np.ndarray]:
     """The arrays named by ``shapes``, in its order and cast to ``dtype``,
     read from a model container. Raise :class:`DataFormatError` naming
     ``path`` if one is missing, has another shape than ``shapes`` gives,
-    or holds NaN or +-inf after the cast (a value beyond float32 becomes
-    inf there); the arrays named in ``neg_inf`` may hold -inf."""
+    or holds NaN or +-inf; the arrays named in ``neg_inf`` may hold -inf.
+    Values are checked at the container's dtype, so a NaN never reaches
+    the cast (a signalling one would warn there), and again after it (a
+    value beyond float32 becomes inf there)."""
     out = []
     for name, shape in shapes.items():
         if name not in arrays:
             raise DataFormatError(f"{path}: missing parameter array {name!r}")
-        with np.errstate(over="ignore"):
-            arr = np.asarray(arrays[name], dtype=dtype)
+        arr = np.asarray(arrays[name])
         if arr.shape != shape:
             raise DataFormatError(f"{path}: array {name!r} has shape {arr.shape}, not {shape}")
-        bad = np.isnan(arr) | (arr == np.inf) if name in neg_inf else ~np.isfinite(arr)
-        if bad.any():
+        ok = _finite(arr, name in neg_inf)
+        if ok and arr.dtype != dtype:
+            with np.errstate(over="ignore"):
+                arr = arr.astype(dtype)
+            ok = _finite(arr, name in neg_inf)
+        if not ok:
             raise DataFormatError(f"{path}: array {name!r} holds non-finite values")
         out.append(arr)
     return out

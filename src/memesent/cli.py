@@ -118,7 +118,7 @@ def _inputs(cls, cfg: RunConfig, ds: Dataset, base_dir: Path,
     both for fusion; for ``Word2vecFfnnClassifier``, the captions
     mean-pooled into one float32 matrix. Each distinct record is
     preprocessed and read once: an upsampled copy shares its first token
-    list and tensor. Tokens are interned.
+    list and tensor. :func:`preprocess` interns the tokens.
 
     Pooling loads the table (with ``filter_embeddings``, only the
     captions' words), logs and returns its coverage of the rows' tokens
@@ -127,8 +127,7 @@ def _inputs(cls, cfg: RunConfig, ds: Dataset, base_dir: Path,
     ``source``, the model file's name if there is one."""
     inputs, coverage = [], None
     if cls is not HsvCnnClassifier:
-        tokens = {rec: [sys.intern(t) for t in preprocess(rec.caption)]
-                  for rec in dict.fromkeys(ds.records)}
+        tokens = {rec: preprocess(rec.caption) for rec in dict.fromkeys(ds.records)}
         rows = [tokens[rec] for rec in ds.records]
         if cls is Word2vecFfnnClassifier:
             if not cfg.embeddings:

@@ -29,6 +29,8 @@ from __future__ import annotations
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
 
@@ -48,6 +50,8 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 18  # bytes the binary reader asks for at a time
+_POOL_CAPTIONS = 2048  # captions embed_corpus pools at a time
+_POOL_VALUES = 1 << 15  # float32 values' worth of a pooling chunk (128 KiB)
 
 
 def _index(words, source: str) -> dict[str, int]:
@@ -289,11 +293,35 @@ def corpus_coverage(captions: list[list[str]], table: EmbeddingTable) -> Coverag
 
 def embed_corpus(captions: list[list[str]], table: EmbeddingTable) -> np.ndarray:
     """Stack per-caption mean-pooled embeddings into an (n, dim) float32
-    matrix; each row is the float64 mean of its tokens' rows, cast."""
-    index, matrix = table.index, table.matrix
-    out = np.zeros((len(captions), table.dim), dtype=np.float32)
-    for i, tokens in enumerate(captions):
-        ids = [index[t] for t in tokens if t in index]
-        if ids:
-            out[i] = matrix[ids].mean(axis=0, dtype=np.float64)
+    matrix; each row is the float64 mean of its tokens' rows, cast.
+
+    Captions are pooled ``_POOL_CAPTIONS`` at a time, grouped by their
+    in-vocabulary token count ``k``. A chunk of ``g`` captions of one
+    group gathers one ``(g, k, dim)`` block and takes its float64 mean
+    over ``k``, which adds each caption's rows in token order: every row
+    has the bits of pooling its caption alone. A chunk's block and its
+    float64 means hold at most ``_POOL_VALUES`` float32 values' worth
+    (or one caption), so the memory beyond the output is bounded by the
+    window, not by the corpus.
+    """
+    index, matrix, dim = table.index, table.matrix, table.dim
+    known = index.__contains__
+    out = np.zeros((len(captions), dim), dtype=np.float32)
+    for lo in range(0, len(captions), _POOL_CAPTIONS):
+        window, pooled = captions[lo : lo + _POOL_CAPTIONS], out[lo : lo + _POOL_CAPTIONS]
+        counts = np.fromiter(map(sum, map(partial(map, known), window)), np.intp, len(window))
+        # the window's in-vocabulary rows, caption after caption
+        ids = np.fromiter(map(index.__getitem__, filter(known, chain.from_iterable(window))),
+                          np.intp, int(counts.sum()))
+        first = np.cumsum(counts) - counts
+        order = np.argsort(counts, kind="stable")
+        start = 0
+        for k, size in enumerate(np.bincount(counts).tolist()):
+            if k and size:  # captions with no in-vocabulary token stay zero
+                span, step = np.arange(k), max(1, _POOL_VALUES // ((k + 2) * dim))
+                for s in range(start, start + size, step):
+                    rows = order[s : min(s + step, start + size)]
+                    pooled[rows] = matrix[ids[first[rows, None] + span]].mean(
+                        axis=1, dtype=np.float64)
+            start += size
     return out

@@ -137,10 +137,11 @@ def read_hsv_tensor(path: str | Path) -> np.ndarray:
         raise DataFormatError(
             f"{path}: expected {expected} data bytes, found {len(raw)}"
         )
-    tensor = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(h, w, 3)
-    if not np.all(np.isfinite(tensor)):
+    data = np.frombuffer(raw, dtype="<f4")
+    # checked before the cast: widening a signalling NaN would warn
+    if not np.isfinite(data).all():
         raise DataFormatError(f"{path}: tensor contains NaN or infinite values")
-    return tensor
+    return data.astype(np.float64).reshape(h, w, 3)
 
 
 def load_hsv_input(path: str | Path) -> np.ndarray:

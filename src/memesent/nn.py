@@ -165,8 +165,11 @@ def forward(
 
     Hidden layers apply affine then the activation; the output layer is
     affine only (logits). The batch is cast to the dtype of the
-    parameters. Returns (logits, cache) where the cache holds each
-    layer's input and pre-activation for :func:`backward`.
+    parameters. Returns (logits, cache) where the cache holds, for
+    :func:`backward`, each layer's input and its activated output (the
+    logits for the last layer); ReLU runs in place, so a hidden layer's
+    output is the next layer's input, and its positive entries are
+    those of the pre-activation.
     """
     X = np.asarray(X, dtype=params[0].dtype)
     if X.ndim != 2 or X.shape[1] != params[0].shape[1]:
@@ -180,11 +183,10 @@ def forward(
     for i, (W, b) in enumerate(zip(params[0::2], params[1::2])):
         z = a @ W.T
         z += b
-        cache.append((a, z))
         if i < last and activation == "relu":
-            a = np.maximum(z, 0.0)
-        else:
-            a = z
+            np.maximum(z, 0.0, out=z)
+        cache.append((a, z))
+        a = z
     return a, cache
 
 
@@ -217,7 +219,9 @@ def softmax_xent(
     """Mean cross-entropy loss and its gradient w.r.t. the logits.
 
     ``labels`` are class indices. The gradient, (softmax - onehot)/b for
-    the mean reduction, reuses the loss's one shifted exponential.
+    the mean reduction, is the loss's one shifted exponential, normalized
+    in its buffer; the loss is the per-row sum divided by b, the bits of
+    ``np.mean``.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -227,12 +231,14 @@ def softmax_xent(
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValueError(f"labels outside [0, {k})")
     m = logits.max(axis=1)
+    rows = np.arange(b)
     with np.errstate(over="ignore"):  # finite logits wider than float64: loss inf
-        dlogits = np.exp(logits - m[:, None])
+        dlogits = logits - m[:, None]
+        np.exp(dlogits, out=dlogits)
         total = dlogits.sum(axis=1)
-        loss = float(np.mean(m + np.log(total) - logits[np.arange(b), labels]))
+        loss = float((m + np.log(total) - logits[rows, labels]).sum() / b)
     dlogits /= total[:, None]
-    dlogits[np.arange(b), labels] -= 1.0
+    dlogits[rows, labels] -= 1.0
     dlogits /= b
     return loss, dlogits
 
@@ -254,13 +260,13 @@ def backward(
     grads = [None] * len(params) if out is None else out
     dz = np.asarray(dlogits, dtype=params[0].dtype)
     for i in range(len(cache) - 1, -1, -1):
-        a_in, z = cache[i]
+        a_in = cache[i][0]
         grads[2 * i] = np.matmul(dz.T, a_in, out=grads[2 * i])
         grads[2 * i + 1] = dz.sum(axis=0, out=grads[2 * i + 1])
         if i > 0:
             dz = dz @ params[2 * i]
-            if activation == "relu":
-                dz *= cache[i - 1][1] > 0.0
+            if activation == "relu":  # a_in is a ReLU output: positive where its input was
+                dz *= a_in > 0.0
     return grads
 
 
@@ -482,7 +488,7 @@ def grad_check(
 
     def pattern(cache):
         relu = spec.activation == "relu"
-        return tuple((z > 0.0).tobytes() for _, z in cache[:-1]) if relu else ()
+        return tuple((a > 0.0).tobytes() for _, a in cache[:-1]) if relu else ()
 
     return check_gradients([a.astype(np.float64) for a in init_params(spec)],
                            _dense(spec.activation), X, y, pattern,

@@ -438,6 +438,87 @@ def test_vectorizer_matches_function(toy_table, tmp_path):
     assert X.dtype == np.float32 and X[0].any() and not X[1].any()
 
 
+def pooled_one_by_one(captions, table):
+    """Pooling as it was written before captions were grouped: each
+    caption's rows gathered and averaged on their own."""
+    index, matrix = table.index, table.matrix
+    out = np.zeros((len(captions), table.dim), dtype=np.float32)
+    for i, tokens in enumerate(captions):
+        ids = [index[t] for t in tokens if t in index]
+        if ids:
+            out[i] = matrix[ids].mean(axis=0, dtype=np.float64)
+    return out
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_grouped_pooling_has_the_bits_of_pooling_one_by_one(data):
+    window = data.draw(st.sampled_from([1, 3, embeddings._POOL_CAPTIONS]))
+    chunk = data.draw(st.sampled_from([1, 40, embeddings._POOL_VALUES]))
+    dim = data.draw(st.sampled_from([1, 2, 5, 300]))
+    n_words = data.draw(st.integers(1, 12))
+    words = tuple(f"w{i}" for i in range(n_words))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    if data.draw(st.booleans()):
+        matrix = rng.standard_normal((n_words, dim)) * 10
+    else:
+        # large entries cancel and small ones are lost beside them, so
+        # another summation order shows in the float32 bits
+        matrix = rng.choice([1e17, -1e17, 1.0, 0.5, -3.0], (n_words, dim))
+    table = EmbeddingTable(words, matrix.astype(dtype))
+    # repeated tokens, out-of-vocabulary ones, empty and all-OOV captions
+    vocab = list(words) + ["oov", "zzz"]
+    captions = data.draw(st.lists(st.lists(st.sampled_from(vocab), max_size=12), max_size=40))
+    if data.draw(st.booleans()):
+        captions.append(rng.choice(vocab, size=200).tolist())
+    # small windows and chunks make groups span several chunks and windows,
+    # down to one caption a chunk
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embeddings, "_POOL_CAPTIONS", window)
+        patch.setattr(embeddings, "_POOL_VALUES", chunk)
+        got = embed_corpus(captions, table)
+    assert same_bits(got, pooled_one_by_one(captions, table))
+
+
+def memotion_like(n_captions: int, n_words: int, dim: int, seed: int):
+    """Captions of 5 to 24 tokens over a table of ``n_words`` words, about
+    one token in ten out of vocabulary."""
+    rng = np.random.default_rng(seed)
+    words = tuple(f"w{i}" for i in range(n_words))
+    table = EmbeddingTable(words, rng.standard_normal((n_words, dim)).astype(np.float32))
+    vocab = np.array(words + tuple(f"oov{i}" for i in range(n_words // 10)))
+    captions = [vocab[rng.integers(0, len(vocab), rng.integers(5, 25))].tolist()
+                for _ in range(n_captions)]
+    return captions, table
+
+
+def test_pooling_at_its_real_sizes_has_the_same_bits():
+    # several windows of 2,048 captions, every group over several chunks
+    captions, table = memotion_like(5_000, 2_000, 300, seed=3)
+    captions += [[], ["oov0"], ["w1"] * 200]
+    assert same_bits(embed_corpus(captions, table), pooled_one_by_one(captions, table))
+
+
+@pytest.mark.parametrize("n_captions", [5_000, 20_000])
+def test_pooling_memory_is_the_output_and_a_bounded_rest(n_captions):
+    # what pooling holds beyond its output does not grow with the corpus
+    captions, table = memotion_like(n_captions, 2_000, 300, seed=4)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = embed_corpus(captions, table)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + (1 << 20), (peak - out.nbytes) / (1 << 20)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_mean_bound_and_permutation_invariance(data):

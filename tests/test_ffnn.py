@@ -1,12 +1,21 @@
 """Embedding- and bag-of-words-fed dense classifiers, end to end."""
 
+import functools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import memesent.nn as nn
-from _util import pinned_environment_differences, synthetic_corpus, write_word2vec_binary
+from _util import (
+    fuzz_settings,
+    pinned_environment_differences,
+    synthetic_corpus,
+    write_word2vec_binary,
+)
 from memesent import cli
 from memesent.config import RunConfig
 from memesent.corpus import Dataset, MemeRecord, save_dataset, stratified_split
@@ -40,6 +49,28 @@ def fit_synthetic(seed=0, n=300):
         pooled(train.captions(), table), [int(l) for l in train.labels()]
     )
     return model, table, train, val
+
+
+@functools.cache
+def float64_payload():
+    """A fitted Word2Vec net's header and arrays, widened to float64 as
+    model files were saved before the nets trained in float32."""
+    header, arrays = fit_synthetic(n=60)[0]._payload()
+    return header, {name: a.astype(np.float64) for name, a in arrays.items()}
+
+
+def float64_model_file(path, name_index: int, position: int, value: bytes):
+    """:func:`float64_payload` saved to ``path`` with one entry of one
+    array replaced by the float64 of the 8 bytes ``value``."""
+    header, arrays = float64_payload()
+    arrays = {name: a.copy() for name, a in arrays.items()}
+    flat = arrays[sorted(arrays)[name_index % len(arrays)]].reshape(-1).view("<u8")
+    flat[position % flat.size] = np.frombuffer(value, "<u8")[0]
+    save_container(path, header, arrays)
+    return path
+
+
+SIGNALLING_NAN_F8 = bytes.fromhex("010000000000f07f")
 
 
 class TestWord2vecFfnn:
@@ -185,6 +216,27 @@ class TestFloat32:
         probs = back.predict_proba(pooled(val.captions(), table))
         assert np.isfinite(probs).all() and np.abs(probs.sum(axis=1) - 1).max() < 1e-9
         assert np.array_equal(probs.argmax(axis=1), model.predict(pooled(val.captions(), table)))
+
+    def test_signalling_nan_in_a_float64_model_file_fails_typed_and_silent(self, tmp_path):
+        # casting a signalling NaN down to float32 raises the CPU's invalid
+        # flag, which NumPy reports as a RuntimeWarning
+        path = float64_model_file(tmp_path / "m.bin", 0, 0, SIGNALLING_NAN_F8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match="holds non-finite values"):
+                Word2vecFfnnClassifier.load(path)
+
+    @fuzz_settings
+    @example(name_index=0, position=0, value=SIGNALLING_NAN_F8)
+    @given(name_index=st.integers(0, 63), position=st.integers(0, 2**20),
+           value=st.binary(min_size=8, max_size=8))
+    def test_fuzzed_float64_model_file_loads_or_fails_typed(self, tmp_path, name_index,
+                                                            position, value):
+        path = float64_model_file(tmp_path / "m.bin", name_index, position, value)
+        try:
+            Word2vecFfnnClassifier.load(path)
+        except DataFormatError:
+            pass
 
     def test_overflowing_logits_raise_typed(self):
         model, table, _, val = fit_synthetic(n=60)

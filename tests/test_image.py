@@ -1,10 +1,11 @@
 """RGB->HSV conversion, bilinear resize, and HSV tensor files."""
 
 import colorsys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memesent.errors import DataFormatError
@@ -19,6 +20,9 @@ from memesent.models.image import (
 )
 
 from _util import fuzz_settings, mutated, write_hsv_tensor
+
+# a 1x1 tensor whose saturation is a float32 signalling NaN
+SIGNALLING_NAN_HSV = b"1 1 3\n" + bytes.fromhex("0000003f" "8c2eba7f" "0000803e")
 
 
 @pytest.fixture
@@ -129,7 +133,18 @@ class TestTensorFile:
             read_hsv_tensor(path)
 
 
+    def test_signalling_nan_fails_typed_and_silent(self, tmp_path):
+        # widening a signalling NaN to float64 raises the CPU's invalid flag,
+        # which NumPy reports as a RuntimeWarning
+        path = tmp_path / "t.hsv"
+        path.write_bytes(SIGNALLING_NAN_HSV)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match="NaN or infinite"):
+                read_hsv_tensor(path)
+
     @fuzz_settings
+    @example(data=SIGNALLING_NAN_HSV)
     @given(data=mutated(b"2 2 3\n" + np.linspace(0, 1, 12, dtype="<f4").tobytes()))
     def test_fuzzed_file_fails_typed(self, tmp_path, data):
         path = tmp_path / "fuzz.hsv"

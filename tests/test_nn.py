@@ -254,6 +254,40 @@ def test_xent_has_the_two_exponential_bits():
     assert infinite >= 20
 
 
+def mean_xent(logits, labels):
+    """softmax_xent as written before its one buffer: the loss through
+    ``np.mean``, an ``arange`` for each use."""
+    logits = np.asarray(logits, dtype=np.float64)
+    b = logits.shape[0]
+    m = logits.max(axis=1)
+    with np.errstate(over="ignore"):
+        dlogits = np.exp(logits - m[:, None])
+        total = dlogits.sum(axis=1)
+        loss = float(np.mean(m + np.log(total) - logits[np.arange(b), labels]))
+    dlogits /= total[:, None]
+    dlogits[np.arange(b), labels] -= 1.0
+    dlogits /= b
+    return loss, dlogits
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_xent_has_the_bits_of_the_mean_form(data):
+    b, k = data.draw(st.integers(1, 40)), data.draw(st.integers(2, 6))
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    # finite logits up to the dtype's largest: their differences can
+    # overflow float64, and the loss is then inf
+    limit = float(np.finfo(dtype).max)
+    scale = data.draw(st.sampled_from([1.0, 30.0, 1e4, 1e300, limit]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    logits = (rng.uniform(-1.0, 1.0, (b, k)) * min(scale, limit)).astype(dtype)
+    labels = rng.integers(0, k, b)
+    loss, dlogits = softmax_xent(logits, labels)
+    want_loss, want_dlogits = mean_xent(logits, labels)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert dlogits.dtype == np.float64 and dlogits.tobytes() == want_dlogits.tobytes()
+
+
 def test_xent_label_validation():
     with pytest.raises(ValueError, match="outside"):
         softmax_xent(np.zeros((1, 3)), np.array([5]))
@@ -305,6 +339,44 @@ def test_backward_into_out_is_the_allocating_call(dtype):
     assert got is out
     for a, b in zip(got, fresh):
         assert a.dtype == b.dtype == dtype and np.array_equal(a, b)
+
+
+def pre_activation_passes(params, X, dlogits):
+    """forward and backward as written before ReLU ran in place: the cache
+    held each layer's input and its pre-activation, and the mask read it."""
+    a, cache = np.asarray(X, dtype=params[0].dtype), []
+    last = len(params) // 2 - 1
+    for i, (W, b) in enumerate(zip(params[0::2], params[1::2])):
+        z = a @ W.T
+        z += b
+        cache.append((a, z))
+        a = np.maximum(z, 0.0) if i < last else z
+    dz, grads = np.asarray(dlogits, dtype=params[0].dtype), [None] * len(params)
+    for i in range(len(cache) - 1, -1, -1):
+        grads[2 * i] = dz.T @ cache[i][0]
+        grads[2 * i + 1] = dz.sum(axis=0)
+        if i > 0:
+            dz = (dz @ params[2 * i]) * (cache[i - 1][1] > 0.0)
+    return a, grads
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 20),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_in_place_relu_has_the_bits_of_the_pre_activation_cache(seed, b, dtype):
+    rng = np.random.default_rng(seed)
+    params = [a.astype(dtype) for a in init_params(small_spec(seed=seed % 1000))]
+    # biases too, so that pre-activations of either sign reach every unit
+    params[1::2] = [rng.standard_normal(p.shape).astype(dtype) for p in params[1::2]]
+    X = rng.standard_normal((b, 5))
+    logits, cache = forward(params, X)
+    _, dlogits = softmax_xent(logits, rng.integers(0, 3, b))
+    want_logits, want_grads = pre_activation_passes(params, X, dlogits)
+    assert logits.tobytes() == want_logits.tobytes()
+    for got, want in zip(backward(params, cache, dlogits), want_grads):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # a hidden layer's cached output is the next layer's input
+    assert all(cache[i][1] is cache[i + 1][0] for i in range(len(cache) - 1))
 
 
 def test_backward_cache_mismatch():
