@@ -7,32 +7,27 @@ learned state uses a trailing underscore, and ``get_params`` /
 requiring scikit-learn itself. Each estimator is a dataclass
 (``eq=False``: equality stays identity) whose fields are its parameters,
 so each parameter and its default is declared once; the config's
-``[model]`` defaults are read from these fields.
+``[model]`` defaults are read from these fields; an Adam-trained model
+inherits its five training ones from :class:`~memesent.nn.TrainConfig`.
 
-``AdamEstimator`` declares the five training parameters of every model
-that ``nn.fit_adam`` trains, keyword-only, with
-:class:`~memesent.nn.TrainConfig`'s defaults. ``SavedModel`` is the one
-persistence protocol of the model classes: a ``KIND`` tag,
-``save``/``load`` through the checksummed container, and one place that
-turns a malformed payload into :class:`DataFormatError`;
-``checked_arrays`` checks each loaded array against the shape the
-model's architecture gives it.
+:class:`Estimator` is also the one persistence protocol of the model
+classes: a ``KIND`` tag, ``save``/``load`` through the checksummed
+container, and one place that turns a malformed payload into
+:class:`DataFormatError`; ``checked_arrays`` checks each loaded array
+against the shape the model's architecture gives it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
 from .errors import DataFormatError, NotFittedError
-from .nn import TrainConfig
 from .persist import load_container, save_container
 
 __all__ = [
     "Estimator",
-    "AdamEstimator",
-    "SavedModel",
     "checked_arrays",
     "check_fitted",
     "check_consistent_length",
@@ -44,9 +39,15 @@ __all__ = [
 
 
 class Estimator:
-    """Minimal scikit-learn-compatible parameter handling, and ``predict``
-    as the argmax of the subclass's ``predict_proba``. A subclass is a
-    dataclass whose fields are its parameters."""
+    """Minimal scikit-learn-compatible parameter handling, ``predict``
+    as the argmax of the subclass's ``predict_proba``, and save and load
+    through the model container (:mod:`memesent.persist`). A subclass is
+    a dataclass whose fields are its parameters. It sets ``KIND``, the
+    container's ``kind`` field, and implements ``_payload() -> (header,
+    arrays)``, whose header carries that kind, and the classmethod
+    ``_from_payload(header, arrays, path)``."""
+
+    KIND = ""
 
     @classmethod
     def _param_names(cls):
@@ -70,29 +71,6 @@ class Estimator:
     def predict(self, *inputs) -> np.ndarray:
         # argmax takes the first maximum, so ties go to the lower index
         return np.argmax(self.predict_proba(*inputs), axis=1)
-
-
-@dataclass(eq=False, kw_only=True)
-class AdamEstimator(Estimator):
-    """An estimator trained by ``nn.fit_adam``: its training parameters,
-    read back by ``TrainConfig.of``."""
-
-    batch_size: int = TrainConfig.batch_size
-    epochs: int = TrainConfig.epochs
-    lr: float = TrainConfig.lr
-    shuffle: bool = TrainConfig.shuffle
-    seed: int = TrainConfig.seed
-
-
-class SavedModel:
-    """Save and load through the model container (:mod:`memesent.persist`).
-
-    A subclass sets ``KIND``, the container's ``kind`` field, and
-    implements ``_payload() -> (header, arrays)``, whose header carries
-    that kind, and the classmethod ``_from_payload(header, arrays, path)``.
-    """
-
-    KIND = ""
 
     def save(self, path) -> None:
         save_container(path, *self._payload())

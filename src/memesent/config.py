@@ -9,7 +9,7 @@ those fields. Every command persists the fully resolved config next to
 its outputs so any artifact can be regenerated from the directory
 alone; the resolved text is also hashed into report metadata. The
 ``[model]`` and ``[train]`` defaults are read from the estimator
-classes' fields and from ``TrainConfig``.
+classes' fields, the latter declared once in ``TrainConfig``.
 """
 
 from __future__ import annotations

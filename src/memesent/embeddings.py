@@ -234,6 +234,8 @@ def load_word2vec_text(
             if not line:
                 continue
             parts = line.split(" ")
+            if len(parts) == dim + 2 and not parts[-1]:
+                parts.pop()  # word2vec.c and fastText end each line with a space
             if len(parts) != dim + 1:
                 raise DataFormatError(
                     f"{path}:{lineno}: expected token plus {dim} components, "

@@ -10,7 +10,8 @@ each one's container name and shape); the backward pass writes its
 gradients, in that order, into Adam's views. ``cnn_forward`` and
 ``cnn_backward``, bound to one :class:`Workspace`, are the net that the
 dense core's loop (``nn.fit_adam``: softmax cross-entropy, Adam, seeded
-shuffling) trains and its checker (``nn.check_gradients``) checks.
+shuffling) trains, with the model, a ``nn.TrainConfig``, as its config,
+and that its checker (``nn.check_gradients``) checks.
 
 The convolution stages keep their arrays as (channels, height, width,
 batch), and each (n, 32, 32, 3) batch is copied once into that layout.
@@ -42,8 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..base import (
-    AdamEstimator,
-    SavedModel,
+    Estimator,
     as_label_array,
     check_fitted,
     checked_arrays,
@@ -266,7 +266,7 @@ def cnn_grad_check(
 
 
 @dataclass(eq=False)
-class HsvCnnClassifier(SavedModel, AdamEstimator):
+class HsvCnnClassifier(Estimator, TrainConfig):
     """Softmax CNN on (n, 32, 32, 3) HSV tensors."""
 
     KIND = "cnn-hsv"
@@ -274,7 +274,7 @@ class HsvCnnClassifier(SavedModel, AdamEstimator):
     def fit(self, T, y) -> "HsvCnnClassifier":
         T, y = _check_tensors(T), as_label_array(y)
         self.params_, self.history_ = fit_adam(init_cnn_params(self.seed), _passes(Workspace()),
-                                               T, y, TrainConfig.of(self))
+                                               T, y, self)
         return self
 
     def predict_proba(self, T) -> np.ndarray:

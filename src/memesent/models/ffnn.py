@@ -4,7 +4,7 @@
 row per caption. It declares the four architecture parameters as
 keyword-only fields, which ``_net_params`` maps to and from a
 :class:`NetSpec` under the same names, and inherits the five training
-parameters from :class:`~memesent.base.AdamEstimator`. Its subclasses
+parameters from :class:`~memesent.nn.TrainConfig`. Its subclasses
 differ only in ``_features``, which checks their input and turns it into
 the net's rows, and in the extra header fields they save:
 ``Word2vecFfnnClassifier`` takes the ``(n, dim)`` matrix of pooled
@@ -33,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..base import (
-    AdamEstimator,
-    SavedModel,
+    Estimator,
     as_float_matrix,
     as_label_array,
     check_fitted,
@@ -74,7 +73,7 @@ def _net_params(source) -> dict:
 
 
 @dataclass(eq=False, kw_only=True)
-class _CaptionMlp(SavedModel, AdamEstimator):
+class _CaptionMlp(Estimator, TrainConfig):
     """Caption rows -> ``_features`` -> dense softmax classifier.
 
     A subclass implements ``_features(X, fitting)``, which checks its
@@ -93,7 +92,7 @@ class _CaptionMlp(SavedModel, AdamEstimator):
         y = as_label_array(y)
         X = self._features(X, fitting=True)
         self.spec_ = NetSpec(input_dim=X.shape[1], **_net_params(self))
-        self.params_, self.history_ = train(self.spec_, X, y, TrainConfig.of(self))
+        self.params_, self.history_ = train(self.spec_, X, y, self)
         return self
 
     def predict_proba(self, X) -> np.ndarray:

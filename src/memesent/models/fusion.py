@@ -20,13 +20,12 @@ not finite raise :class:`~memesent.errors.NumericError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..base import (
     Estimator,
-    SavedModel,
     as_label_array,
     check_fitted,
     check_prob_rows,
@@ -152,7 +151,7 @@ def fusion_train(
 
 
 @dataclass(eq=False)
-class BimodalFusionClassifier(SavedModel, Estimator):
+class BimodalFusionClassifier(Estimator):
     """Text branch + image branch + stacker, as one estimator.
 
     ``fit`` takes parallel token lists (one per caption, the output of
@@ -178,10 +177,6 @@ class BimodalFusionClassifier(SavedModel, Estimator):
     stacker_epochs: int = 200
     stacker_lr: float = 0.1
     seed: int = 0
-
-    @staticmethod
-    def _clone(est):
-        return type(est)(**est.get_params())
 
     def fit(self, tokens: list, tensors, y, workers: int = 1) -> "BimodalFusionClassifier":
         tensors = _check_tensors(tensors)
@@ -211,13 +206,13 @@ class BimodalFusionClassifier(SavedModel, Estimator):
             """Round 0: both branches fit on all rows. Round k: fold k's
             probability rows from branches fit on the other folds."""
             if k == 0:
-                return self._clone(text).fit(tokens, y), self._clone(image).fit(tensors, y)
+                return replace(text).fit(tokens, y), replace(image).fit(tensors, y)
             chunk = chunks[k - 1]
             held = np.zeros(n, dtype=bool)
             held[chunk] = True
             rest = np.flatnonzero(~held)
-            fold_text = self._clone(text).fit([tokens[i] for i in rest], y[rest])
-            fold_image = self._clone(image).fit(tensors[rest], y[rest])
+            fold_text = replace(text).fit([tokens[i] for i in rest], y[rest])
+            fold_image = replace(image).fit(tensors[rest], y[rest])
             return (fold_text.predict_proba([tokens[i] for i in chunk]),
                     fold_image.predict_proba(tensors[chunk]))
 

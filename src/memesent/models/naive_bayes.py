@@ -18,7 +18,6 @@ import numpy as np
 
 from ..base import (
     Estimator,
-    SavedModel,
     as_label_array,
     check_consistent_length,
     check_fitted,
@@ -34,7 +33,7 @@ N_CLASSES = 3
 
 
 @dataclass(eq=False)
-class MultinomialNaiveBayes(SavedModel, Estimator):
+class MultinomialNaiveBayes(Estimator):
     """Token-count Naive Bayes with Laplace smoothing.
 
     Fitted attributes: ``vocabulary_`` (sorted token tuple),

@@ -30,13 +30,15 @@ the dense net: :func:`fit_adam` is the training loop and
 :func:`check_gradients` compares analytic gradients against central
 finite differences on a seeded sample of coordinates. Each computes the
 loss itself; :func:`grad_check` and the CNN's ``cnn_grad_check`` give
-the checker only their float64 parameters and their pattern.
+the checker only their float64 parameters and their pattern. The five
+training settings are declared once, as :class:`TrainConfig`: every
+model that :func:`fit_adam` trains inherits them and is its own config.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -117,22 +119,13 @@ class NetSpec:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, kw_only=True)
 class TrainConfig:
     batch_size: int = 50
     epochs: int = 10
     lr: float = 1e-3
-    seed: int = 0
     shuffle: bool = True
-
-    def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be >= 1")
-
-    @classmethod
-    def of(cls, estimator) -> "TrainConfig":
-        """The config held by an estimator's attributes of the same names."""
-        return cls(**{f.name: getattr(estimator, f.name) for f in fields(cls)})
+    seed: int = 0
 
 
 def param_shapes(spec: NetSpec) -> dict[str, tuple[int, ...]]:
@@ -508,9 +501,13 @@ def fit_adam(
     parameter buffer. Batches are sequential slices of a fresh seeded
     permutation of the rows per epoch; the last may be short. Returns the
     final parameters (those views) and the mean per-example loss of each
-    epoch. Raises :class:`ValueError` unless X and y are nonempty and
-    aligned, :class:`TrainingError` if the loss becomes non-finite.
+    epoch. ``cfg`` is a :class:`TrainConfig` or a model inheriting it.
+    Raises :class:`ValueError` unless batch_size and epochs are >= 1 and
+    X and y are nonempty and aligned, :class:`TrainingError` if the loss
+    becomes non-finite.
     """
+    if cfg.batch_size < 1 or cfg.epochs < 1:
+        raise ValueError("batch_size and epochs must be >= 1")
     X, y = np.asarray(X), np.asarray(y, dtype=np.int64)
     n = len(X)
     if n < 1 or y.shape != (n,):

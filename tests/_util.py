@@ -85,13 +85,15 @@ def write_word2vec_binary(table: EmbeddingTable, path: str | Path) -> None:
             fh.write(word.encode("utf-8") + b" " + row.tobytes() + b"\n")
 
 
-def write_word2vec_text(table: EmbeddingTable, path: str | Path) -> None:
-    """Write the text layout, each component as a float32 in 9 digits."""
+def write_word2vec_text(table: EmbeddingTable, path: str | Path, end: str = "\n") -> None:
+    """Write the text layout, each component as a float32 in 9 digits and
+    each vector line ended by ``end`` (``" \\n"`` is word2vec.c's and
+    fastText's layout)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{len(table)} {table.dim}\n")
         for word, vec in zip(table.words, table.matrix):
             comps = " ".join(f"{np.float32(v):.9g}" for v in vec)
-            fh.write(f"{word} {comps}\n")
+            fh.write(f"{word} {comps}{end}")
 
 
 def write_hsv_tensor(tensor: np.ndarray, path: str | Path) -> None:

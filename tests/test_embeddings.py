@@ -202,6 +202,35 @@ def test_binary_non_finite_vector_names_the_file(tmp_path):
         load_word2vec_binary(path)
 
 
+def test_text_line_may_end_with_one_space(tmp_path):
+    # word2vec.c and fastText end each vector line with a space
+    plain, spaced = tmp_path / "plain.txt", tmp_path / "spaced.txt"
+    plain.write_bytes(b"2 3\nhello 0.1 0.2 0.3\nworld 1.0 2.0 3.0\n")
+    spaced.write_bytes(b"2 3\nhello 0.1 0.2 0.3 \nworld 1.0 2.0 3.0 \r\n")
+    a, b = load_word2vec_text(plain), load_word2vec_text(spaced)
+    assert a.words == b.words == ("hello", "world")
+    assert a.matrix.tobytes() == b.matrix.tobytes()
+
+
+def test_text_written_with_trailing_spaces_is_the_plain_table(tmp_path, toy_table):
+    plain, spaced = tmp_path / "plain.txt", tmp_path / "spaced.txt"
+    write_word2vec_text(toy_table, plain)
+    write_word2vec_text(toy_table, spaced, end=" \n")
+    assert spaced.read_bytes() != plain.read_bytes()
+    a, b = load_word2vec_text(plain), load_word2vec_text(spaced)
+    assert a.words == b.words == toy_table.words
+    assert a.matrix.tobytes() == b.matrix.tobytes()
+
+
+@pytest.mark.parametrize("line", [b"a 0.1 0.2  ", b"a 0.1 0.2 \t", b"a 0.1 0.2 0.3 ", b"a  0.1 0.2"],
+                         ids=["two_trailing", "space_tab", "extra_component", "two_after_token"])
+def test_text_rejects_any_other_extra_separator(tmp_path, line):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"1 2\n" + line + b"\n")
+    with pytest.raises(DataFormatError, match=r"bad\.txt:2: expected token plus 2 components"):
+        load_word2vec_text(path)
+
+
 def test_text_non_utf8_token(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"2 3\nok 1 2 3\n\xff\xfeab 1 2 3\n")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import memesent.nn as nn
 from memesent.errors import DataFormatError, TrainingError
 from memesent.models.cnn import HsvCnnClassifier
-from memesent.models.ffnn import BowFfnnClassifier
+from memesent.models.ffnn import BowFfnnClassifier, Word2vecFfnnClassifier
 from memesent.nn import (
     DEFAULT_HIDDEN,
     NetSpec,
@@ -65,11 +65,38 @@ def test_netspec_dict_roundtrip():
     assert NetSpec.from_dict(spec.to_dict()) == spec
 
 
-def test_trainconfig_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(batch_size=0)
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=0)
+ADAM_TRAINED = (Word2vecFfnnClassifier, BowFfnnClassifier, HsvCnnClassifier)
+
+
+def _fit_small(cls, est):
+    """``est``, of class ``cls``, fit on 6 rows of its input type."""
+    y = np.array([0, 1, 2, 0, 1, 2])
+    if cls is HsvCnnClassifier:
+        return est.fit(np.zeros((6, 32, 32, 3)), y)
+    if cls is BowFfnnClassifier:
+        return est.set_params(hidden=(4,)).fit([["alpha", "bravo"]] * 6, y)
+    return est.set_params(hidden=(4,)).fit(np.eye(6, 5), y)
+
+
+@pytest.mark.parametrize("bad", [{"batch_size": 0}, {"epochs": 0}, {"batch_size": 0, "epochs": 0}],
+                         ids=["batch_size", "epochs", "both"])
+def test_training_settings_are_checked_where_they_are_used(bad):
+    # a config holds any value; fit_adam, which every Adam fit goes through, checks it
+    msg = r"^batch_size and epochs must be >= 1$"
+    cfg = TrainConfig(**bad)
+    X, y = toy_problem(n=6)
+    spec = small_spec()
+    with pytest.raises(ValueError, match=msg):
+        nn.fit_adam(init_params(spec), nn._dense(spec.activation), X, y, cfg)
+    with pytest.raises(ValueError, match=msg):
+        train(spec, X, y, cfg)
+    for cls in ADAM_TRAINED:
+        assert issubclass(cls, TrainConfig), cls.__name__
+        with pytest.raises(ValueError, match=msg):
+            _fit_small(cls, cls(**bad))
+        fitted = _fit_small(cls, cls(epochs=1, batch_size=3))
+        with pytest.raises(ValueError, match=msg):
+            _fit_small(cls, fitted.set_params(**bad))
 
 
 # ---------------------------------------------------------------- init

@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "memesent"
 # Defined for readers outside the package, so nothing inside it refers to them.
 ALLOWED = {
     "base.Estimator.predict",  # the README's library API
-    "base.SavedModel.load",  # the README's library API
+    "base.Estimator.load",  # the README's library API
     "embeddings.EmbeddingTable.vectors",  # read by perfbench/layers.py
     "nn.grad_check",  # the dense net's gradient check, kept as a tool
     "models.cnn.cnn_grad_check",  # the CNN's gradient check, kept as a tool

@@ -21,9 +21,9 @@ from _util import (
     write_word2vec_binary,
 )
 from memesent import cli
-from memesent.base import Estimator, SavedModel
+from memesent.base import Estimator
 from memesent.config import _SECTIONS, MODEL_KINDS, MODELS, RunConfig
-from memesent.corpus import Dataset, MemeRecord
+from memesent.corpus import Dataset, MemeRecord, save_dataset
 from memesent.errors import DataFormatError, NumericError
 from memesent.models.bow import build_bow_vocab
 from memesent.models.ffnn import BowFfnnClassifier, Word2vecFfnnClassifier
@@ -237,7 +237,7 @@ def test_functional_front_ends_have_their_classes_defaults():
 
 def test_saved_models_are_registered():
     # every concrete (KIND-tagged) saved model is in the registry
-    saved = [cls for cls in _estimator_classes() if issubclass(cls, SavedModel) and cls.KIND]
+    saved = [cls for cls in _estimator_classes() if cls.KIND]
     assert set(saved) == set(MODELS.values())
 
 
@@ -263,6 +263,20 @@ def test_readme_imports_resolve():
     missing = [f"{node.module}.{alias.name}" for node in imports for alias in node.names
                if not hasattr(importlib.import_module(node.module), alias.name)]
     assert missing == []
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = re.search(r"^```python\n(.*?)^```", section, re.M | re.S).group(1)
+    ds, table = synthetic_corpus(n=90)
+    save_dataset(ds, tmp_path / "train.csv")
+    write_word2vec_binary(table, tmp_path / "vectors.bin")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 1
+    assert 0.9 <= float(printed[0]) <= 1.0  # the synthetic classes are separable
 
 
 def _memesent_modules():

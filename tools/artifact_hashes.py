@@ -91,12 +91,13 @@ def write_inputs(inputs: Path) -> None:
 
 def write_variants(inputs: Path) -> None:
     """The text-format copy of the Word2Vec file, each component a float32
-    in 9 significant digits, and the INIs of :data:`W2V_VARIANTS`."""
+    in 9 significant digits and each vector line ending in a space, as
+    word2vec.c writes it, and the INIs of :data:`W2V_VARIANTS`."""
     table = load_word2vec_binary(inputs / "w2v.bin")
     with open(inputs / "w2v.txt", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{len(table)} {table.dim}\n")
         for word, vec in zip(table.words, table.matrix):
-            fh.write(f"{word} {' '.join(f'{v:.9g}' for v in vec)}\n")
+            fh.write(f"{word} {' '.join(f'{v:.9g}' for v in vec)} \n")
     for name, ini in W2V_VARIANTS.items():
         (inputs / f"{name}.ini").write_text(ini, encoding="utf-8")
 
