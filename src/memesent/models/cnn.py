@@ -10,8 +10,8 @@ each one's container name and shape); the backward pass writes its
 gradients, in that order, into Adam's views. ``cnn_forward`` and
 ``cnn_backward``, bound to one :class:`Workspace`, are the net that the
 dense core's loop (``nn.fit_adam``: softmax cross-entropy, Adam, seeded
-shuffling) trains, with the model, a ``nn.TrainConfig``, as its config,
-and that its checker (``nn.check_gradients``) checks.
+shuffling; the model, a ``nn.TrainConfig``, is its config) trains and
+its checker (``nn.check_gradients``) checks.
 
 The convolution stages keep their arrays as (channels, height, width,
 batch), and each (n, 32, 32, 3) batch is copied once into that layout.
