@@ -77,18 +77,17 @@ class Estimator:
 
     @classmethod
     def load(cls, path):
-        header, arrays = load_container(path)
+        return cls.from_container(*load_container(path), path)
+
+    @classmethod
+    def from_container(cls, header: dict, arrays: dict, path):
+        """The model held by an already-read container; another kind, or a
+        missing or mistyped field or array, raises :class:`DataFormatError`
+        naming ``path``."""
         if header.get("kind") != cls.KIND:
             raise DataFormatError(
                 f"{path}: not a {cls.KIND} model file (kind {header.get('kind')!r})"
             )
-        return cls.from_container(header, arrays, path)
-
-    @classmethod
-    def from_container(cls, header: dict, arrays: dict, path):
-        """The model held by an already-read container; a missing or
-        mistyped field or array raises :class:`DataFormatError` naming
-        ``path``."""
         try:
             return cls._from_payload(header, arrays, path)
         except (KeyError, TypeError, ValueError, AttributeError) as exc:

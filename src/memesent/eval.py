@@ -66,10 +66,6 @@ class ConfusionMatrix:
         np.add.at(counts, (golds, preds), 1)
         return cls(counts=counts)
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
     def to_lists(self) -> list[list[int]]:
         return self.counts.tolist()
 

@@ -25,11 +25,12 @@ Max-pool is two pairwise maxima, over column pairs and then row pairs,
 each keeping the lower index on a tie: the first maximum in window
 order. ReLU follows the pool, with which it commutes, so the backward
 pass routes through two winner masks and one pooled-size on-mask.
-Prediction runs the forward pass in blocks of ``_PREDICT_BLOCK`` rows,
-so its memory does not grow with the number of rows; a last block of 18
-rows or fewer takes OpenBLAS's small-matrix kernel, which rounds
-otherwise, for the 64-wide dense layer, so its rows get other bits than
-the same rows elsewhere in a file. A fit, a prediction and a gradient
+Prediction runs the forward pass in blocks of ``_PREDICT_BLOCK`` rows
+(``nn.predict_blocks``), so its memory does not grow with the number of
+rows. The dense layers' bits depend on a block's row count: a last block
+of 27 rows or fewer gets other logits than the same rows in a full block,
+and below 64 rows only 28 and the multiples of 4 keep them all (OpenBLAS
+0.3.31). A fit, a prediction and a gradient
 check each allocate through one :class:`Workspace`, whose arrays every
 step or block reuses; the backward pass writes into forward arrays that
 are dead by then.
@@ -48,7 +49,7 @@ from ..base import (
     check_fitted,
     checked_arrays,
 )
-from ..nn import TrainConfig, check_gradients, finite_logits, fit_adam, softmax
+from ..nn import TrainConfig, check_gradients, fit_adam, predict_blocks
 from ..nn import adam_step  # noqa: F401 - perfbench's span test reads it here
 from ..rng import substream
 from .image import IMAGE_SIZE
@@ -279,14 +280,10 @@ class HsvCnnClassifier(Estimator, TrainConfig):
 
     def predict_proba(self, T) -> np.ndarray:
         check_fitted(self, "params_")
-        T = _check_tensors(T)
-        workspace = Workspace()
-        probs = np.empty((len(T), _CLASSES))
-        for start in range(0, len(T), _PREDICT_BLOCK):
-            block = T[start : start + _PREDICT_BLOCK]
-            logits = finite_logits(lambda: cnn_forward(self.params_, block, workspace)[0])
-            probs[start : start + _PREDICT_BLOCK] = softmax(logits)
-        return probs
+        T, workspace = _check_tensors(T), Workspace()
+        edges = [*range(0, len(T), _PREDICT_BLOCK), len(T)]
+        return predict_blocks(
+            lambda start, stop: cnn_forward(self.params_, T[start:stop], workspace)[0], edges)
 
     def _payload(self) -> tuple[dict, dict[str, np.ndarray]]:
         check_fitted(self, "params_")

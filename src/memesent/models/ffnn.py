@@ -14,7 +14,7 @@ takes token lists, the output of the fixed pipeline
 ``memesent.textprep.preprocess``, and fills a float32 presence matrix
 in place, one :func:`~memesent.models.bow.bow_vectorize` row at a time.
 ``predict_proba`` slices its input into blocks of rows and builds each
-block's features, so its memory does not grow with the number of rows.
+block's features (``nn.predict_blocks``), so its memory does not grow.
 A prediction of 75 rows or fewer with the default net (400 or fewer with
 a last hidden layer 32 or more wide) gets other bits than the same rows
 in a larger batch: OpenBLAS's small-matrix kernel, which rounds
@@ -45,10 +45,9 @@ from ..nn import (
     DEFAULT_HIDDEN,
     NetSpec,
     TrainConfig,
-    finite_logits,
     forward,
     param_shapes,
-    softmax,
+    predict_blocks,
     train,
 )
 from ..textprep import prep_header
@@ -99,13 +98,10 @@ class _CaptionMlp(Estimator, TrainConfig):
         check_fitted(self, "params_")
         n = len(X)
         blocks = max(n // _PREDICT_BLOCK, 1)
-        probs = []
-        for i in range(blocks):
-            block = X[i * n // blocks : (i + 1) * n // blocks]
-            # the block's features live only as long as its forward pass
-            probs.append(softmax(finite_logits(lambda: forward(
-                self.params_, self._features(block, fitting=False), self.spec_.activation)[0])))
-        return probs[0] if blocks == 1 else np.concatenate(probs)
+        # a block's features live only as long as its forward pass
+        return predict_blocks(lambda start, stop: forward(
+            self.params_, self._features(X[start:stop], fitting=False), self.spec_.activation)[0],
+            [i * n // blocks for i in range(blocks + 1)])
 
     def _payload(self) -> tuple[dict, dict[str, np.ndarray]]:
         check_fitted(self, "params_")
@@ -123,6 +119,8 @@ class _CaptionMlp(Estimator, TrainConfig):
             raise DataFormatError(f"{path}: saved with another preprocessing "
                                   "than the fixed pipeline")
         spec = NetSpec.from_dict(header["spec"])
+        if spec.output_dim != 3:
+            raise DataFormatError(f"{path}: a net of {spec.output_dim} outputs, not 3")
         model = cls._from_header(header, spec, path)
         model.set_params(**_net_params(spec))
         model.spec_ = spec

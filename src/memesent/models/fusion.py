@@ -31,7 +31,6 @@ from ..base import (
     check_prob_rows,
     checked_arrays,
 )
-from ..errors import DataFormatError
 from ..eval import parallel_map
 from ..nn import finite_logits, softmax
 from ..rng import substream
@@ -271,16 +270,12 @@ class BimodalFusionClassifier(Estimator):
                        for name, default in cls().get_params().items()
                        if default is not None})
         for branch, branch_cls in (("text", BowFfnnClassifier), ("image", HsvCnnClassifier)):
-            if header[branch].get("kind") != branch_cls.KIND:
-                raise DataFormatError(
-                    f"{path}: unsupported {branch} branch {header[branch].get('kind')!r}"
-                )
             prefix = branch + "."
             branch_arrays = {
                 k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)
             }
             setattr(model, branch + "_",
-                    branch_cls._from_payload(header[branch], branch_arrays, path))
+                    branch_cls.from_container(header[branch], branch_arrays, path))
         model.stacker_ = FusionStacker(*checked_arrays(
             arrays, {"stacker_W": (3, _FEATURES), "stacker_b": (3,)}, path))
         return model

@@ -57,6 +57,7 @@ __all__ = [
     "forward",
     "softmax",
     "finite_logits",
+    "predict_blocks",
     "softmax_xent",
     "backward",
     "init_adam",
@@ -204,6 +205,17 @@ def finite_logits(logits_of: Callable[[], np.ndarray],
     if not np.isfinite(logits).all():
         raise NumericError(f"{what} are not finite")
     return logits
+
+
+def predict_blocks(logits_of: Callable[[int, int], np.ndarray], edges) -> np.ndarray:
+    """Class probabilities of rows ``edges[0]:edges[-1]``, a block at a
+    time: for each block ``edges[i]:edges[i + 1]``, the :func:`softmax` of
+    ``logits_of(start, stop)`` through :func:`finite_logits`, stacked in
+    order ((0, 3) for no block). Each block's arrays go before the next
+    block's are made, so memory does not grow with the number of rows."""
+    probs = [softmax(finite_logits(lambda: logits_of(start, stop)))
+             for start, stop in zip(edges[:-1], edges[1:])]
+    return np.concatenate(probs) if probs else np.empty((0, 3))
 
 
 def softmax_xent(

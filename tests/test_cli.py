@@ -583,6 +583,15 @@ def _fusion_model(stacker_W):
     return _container(_FUSION_HEADER, arrays)
 
 
+def _bow_of_five_outputs(bias):
+    """A BoW net's container with a last layer of 5 rows, the two extra
+    biases at ``bias``."""
+    spec = NetSpec(input_dim=2, hidden=(3,), output_dim=5)
+    arrays = dict(zip(param_shapes(spec), init_params(spec)))
+    arrays["b1"] = np.array([0.0, 0.0, 0.0, bias, bias], dtype=np.float32)
+    return _container({**_BOW_HEADER, "spec": spec.to_dict()}, arrays)
+
+
 MALFORMED_MODELS = {
     "header_is_a_list": _container(["naive-bayes"], {}),
     "truncated_dims": _truncated_dims,
@@ -593,6 +602,9 @@ MALFORMED_MODELS = {
     ),
     "w2v_missing_prep": _container({"kind": "ffnn-w2v", "spec": {}}, {}),
     "kind_is_a_list": _container({"kind": ["x"]}, {}),
+    "kind_no_class_has": _container({"kind": "svm"}, {"w": np.zeros(3)}),
+    "bow_five_outputs_low": _bow_of_five_outputs(-50.0),  # five probabilities a row
+    "bow_five_outputs_high": _bow_of_five_outputs(50.0),  # an argmax of 3 or 4
     "bow_other_prep": _container({**_BOW_HEADER, "prep": {**_PREP, "lemmatize": False}},
                                  _bow_arrays()),
     "missing_text": _container(
@@ -623,6 +635,7 @@ def test_malformed_model_file_exit_2(workspace, capsys, name):
     err = capsys.readouterr().err
     assert rc == 2, err
     assert err.startswith("error: ") and f"{name}.bin" in err
+    assert not (workspace["dir"] / "p" / "predictions.csv").exists()
 
 
 @pytest.mark.parametrize("cls, write", [

@@ -110,6 +110,50 @@ def saved_models(captioned_images):
     return saved
 
 
+@pytest.mark.parametrize("kind, other", list(zip(MODEL_KINDS, MODEL_KINDS[1:] + MODEL_KINDS[:1])))
+def test_load_of_another_kinds_file_names_it(kind, other, saved_models, tmp_path):
+    path = tmp_path / f"{other}.bin"
+    save_container(path, *saved_models[other])
+    message = f"{path}: not a {MODELS[kind].KIND} model file (kind {MODELS[other].KIND!r})"
+    with pytest.raises(DataFormatError, match=re.escape(message)):
+        _load(kind, path)
+
+
+@pytest.mark.parametrize("branch, other", [("text", "cnn-hsv"), ("image", "ffnn-bow")])
+def test_fusion_branch_of_another_kind_names_the_file(branch, other, saved_models, tmp_path):
+    header, arrays = saved_models["fusion"]
+    expected = header[branch]["kind"]
+    path = tmp_path / "fusion.bin"
+    save_container(path, {**header, branch: {**header[branch], "kind": other}}, arrays)
+    message = f"{path}: not a {expected} model file (kind {other!r})"
+    with pytest.raises(DataFormatError, match=re.escape(message)):
+        _load("fusion", path)
+
+
+def _five_outputs(header, arrays):
+    """A caption net's container with its last layer widened from 3 rows to 5."""
+    last = len(header["spec"]["hidden"])
+    W, b = arrays[f"W{last}"], arrays[f"b{last}"]
+    arrays = {**arrays, f"W{last}": np.vstack([W, W[:2]]), f"b{last}": np.concatenate([b, b[:2]])}
+    return {**header, "spec": {**header["spec"], "output_dim": 5}}, arrays
+
+
+@pytest.mark.parametrize("kind", ["ffnn_w2v", "ffnn_bow", "fusion"])
+def test_caption_net_of_five_outputs_fails_to_load(kind, saved_models, tmp_path):
+    header, arrays = saved_models[kind]
+    if kind == "fusion":  # the text branch, under its prefix
+        text = {k[len("text."):]: v for k, v in arrays.items() if k.startswith("text.")}
+        text_header, text = _five_outputs(header["text"], text)
+        header = {**header, "text": text_header}
+        arrays = {**arrays, **{f"text.{k}": v for k, v in text.items()}}
+    else:
+        header, arrays = _five_outputs(header, arrays)
+    path = tmp_path / "wide.bin"
+    save_container(path, header, arrays)
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: a net of 5 outputs, not 3")):
+        _load(kind, path)
+
+
 @st.composite
 def _perturbed(draw, arrays):
     """``arrays`` with one array reshaped (by one along an axis, or to an
