@@ -23,7 +23,7 @@ import os
 import signal
 import sys
 import threading
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -67,10 +67,11 @@ logger = logging.getLogger(__name__)
 # ---------------------------------------------------------------- helpers
 
 
-def _load_dataset(cfg: RunConfig) -> tuple[Dataset, Path]:
+def _load_dataset(cfg: RunConfig, labeled: bool = True) -> tuple[Dataset, Path]:
     """The configured dataset: an explicit schema mapping from the config,
     else canonical names with the optional columns that the header has.
-    A dataset without records is an input error for every command."""
+    A dataset without records is an input error for every command, and
+    one with an unlabeled record when ``labeled``; both name the file."""
     if not cfg.dataset:
         raise ConfigError("no dataset path configured (set [data] dataset or --dataset)")
     path = Path(cfg.dataset)
@@ -78,6 +79,11 @@ def _load_dataset(cfg: RunConfig) -> tuple[Dataset, Path]:
     ds = load_dataset(path, schema)
     if len(ds) == 0:
         raise DataFormatError(f"{path}: no usable records")
+    if labeled:
+        try:
+            ds.labels()
+        except DataFormatError as exc:
+            raise DataFormatError(f"{path}: {exc}") from None
     return ds, path
 
 
@@ -208,7 +214,7 @@ def _report_text(rep: EvalReport) -> str:
     width = max(len(n) for n in names)
     lines = ["confusion (rows gold, cols predicted):",
              "  " + " " * width + "  " + "  ".join(f"{n:>8}" for n in names)]
-    lines += [f"  {name:<{width}}  " + "  ".join(f"{c:>8}" for c in rep.confusion.counts[i])
+    lines += [f"  {name:<{width}}  " + "  ".join(f"{c:>8}" for c in rep.confusion[i])
               for i, name in enumerate(names)]
     lines += ["", f"  {'class':<{width}}  precision  recall  f1"]
     lines += [f"  {name:<{width}}  {rep.precision[i]:>9.4f}  {rep.recall[i]:>6.4f}"
@@ -217,24 +223,41 @@ def _report_text(rep: EvalReport) -> str:
     return "\n".join(lines)
 
 
+def _comparison_text(rows: list[tuple[str, str, float]]) -> str:
+    table = [("modality", "model", "macro-F1")]
+    table += [(modality, model, f"{score:.4f}") for modality, model, score in rows]
+    widths = [max(len(row[i]) for row in table) for i in range(3)]
+    return "\n".join("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+                     for row in table)
+
+
 # ---------------------------------------------------------------- commands
 
 
 def cmd_prepare(cfg: RunConfig) -> int:
-    ds, _ = _load_dataset(cfg)
-    stats = class_stats(ds)
+    ds, path = _load_dataset(cfg)
+    counts = class_stats(ds)
     hist = _length_histogram(ds)
     report = {
-        "class_stats": stats.to_dict(),
+        "class_stats": {
+            "total": len(ds),
+            "counts": {s.canonical_name: n for s, n in counts.items()},
+            "percentages": {s.canonical_name: n / len(ds) for s, n in counts.items()},
+        },
         "caption_length_histogram": hist,
         "rejected_rows": len(ds.rejected_rows),
     }
-    _write(cfg, {"dataset.csv": lambda path: save_dataset(ds, path),
+    # a relative image path resolves against its dataset file's directory, so the
+    # copy's are rewritten against the directory it is written into
+    rebased = Dataset(tuple(
+        replace(rec, image_path=os.path.relpath(path.parent / rec.image_path, cfg.out))
+        if rec.image_path and not os.path.isabs(rec.image_path) else rec
+        for rec in ds.records))
+    _write(cfg, {"dataset.csv": lambda out: save_dataset(rebased, out),
                  "prepare_report.json": _json(report)})
-    print(f"records: {stats.total}")
-    for s in Sentiment:
-        print(f"  {s.canonical_name:<8} {stats.counts[s]:>6}"
-              f"  ({100.0 * stats.percentages[s]:.1f}%)")
+    print(f"records: {len(ds)}")
+    for s, n in counts.items():
+        print(f"  {s.canonical_name:<8} {n:>6}  ({100.0 * (n / len(ds)):.1f}%)")
     if ds.rejected_rows:
         print(f"rejected rows: {len(ds.rejected_rows)}")
     print("caption length (tokens):")
@@ -270,7 +293,7 @@ def cmd_train(cfg: RunConfig, workers: int = 1) -> int:
 
 
 def cmd_predict(cfg: RunConfig, model_path: str) -> int:
-    ds, path = _load_dataset(cfg)
+    ds, path = _load_dataset(cfg, labeled=False)
     header, arrays = load_container(model_path)
     kind = header.get("kind")
     cls = next((cls for cls in MODELS.values() if cls.KIND == kind), None)
@@ -295,6 +318,7 @@ def cmd_predict(cfg: RunConfig, model_path: str) -> int:
 
 
 def cmd_eval(cfg: RunConfig, predictions_path: str) -> int:
+    ds, _ = _load_dataset(cfg)
     path = Path(predictions_path)
     predictions = load_dataset(path, CsvSchema(caption=None))
     if predictions.rejected_rows:
@@ -302,7 +326,6 @@ def cmd_eval(cfg: RunConfig, predictions_path: str) -> int:
     if len(predictions) == 0:
         raise DataFormatError(f"{path}: no predictions")
     preds_by_id = {rec.id: rec.label for rec in predictions.records}
-    ds, _ = _load_dataset(cfg)
     gold_ids = [rec.id for rec in ds.records]
     missing = sorted(set(gold_ids) - set(preds_by_id))
     extra = sorted(set(preds_by_id) - set(gold_ids))
@@ -369,7 +392,7 @@ def _print_seed(seed: int, score: float, seconds: float) -> None:
 def cmd_stability(cfg: RunConfig, workers: int = 1) -> int:
     ds, path = _load_dataset(cfg)
     # the split sizes depend only on the class counts, so this holds for every seed
-    if all(_train_count(cfg.split, n) == n for n in class_stats(ds).counts.values()):
+    if all(_train_count(cfg.split, n) == n for n in class_stats(ds).values()):
         raise DataFormatError(f"{path}: split = {cfg.split} leaves no validation records")
     # built once, here: the forked seeds share them (not the embedding table)
     # and select their rows by id, since upsampled copies keep their record's id
@@ -432,9 +455,11 @@ def cmd_compare(cfg: RunConfig, entries: list[str]) -> int:
         (name, modality, _score_from_report(path))
         for name, modality, path in map(_parse_compare_entry, entries)
     ]
-    table = compare_report(triples)
-    text = table.to_text()
-    _write(cfg, {"comparison.json": _json(table.to_dict()), "comparison.txt": text + "\n"})
+    rows = compare_report(triples)
+    text = _comparison_text(rows)
+    data = {"rows": [{"modality": modality, "model": model, "macro_f1": score}
+                     for modality, model, score in rows]}
+    _write(cfg, {"comparison.json": _json(data), "comparison.txt": text + "\n"})
     print(text)
     return 0
 

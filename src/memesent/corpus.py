@@ -23,7 +23,6 @@ __all__ = [
     "Sentiment",
     "MemeRecord",
     "Dataset",
-    "ClassStats",
     "CsvSchema",
     "normalize_label",
     "load_dataset",
@@ -116,24 +115,6 @@ class Dataset:
                 f"{len(missing)} records are unlabeled (first: {missing[0]!r})"
             )
         return [r.label for r in self.records]
-
-
-@dataclass(frozen=True)
-class ClassStats:
-    """Per-class counts and fractions; fractions sum to 1."""
-
-    counts: dict[Sentiment, int]
-    percentages: dict[Sentiment, float]
-    total: int
-
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "counts": {s.canonical_name: self.counts[s] for s in Sentiment},
-            "percentages": {
-                s.canonical_name: self.percentages[s] for s in Sentiment
-            },
-        }
 
 
 @dataclass(frozen=True)
@@ -249,16 +230,14 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
              "" if rec.label is None else rec.label.canonical_name) for rec in ds.records])
 
 
-def class_stats(ds: Dataset) -> ClassStats:
-    """Count records per class; all records must be labeled."""
+def class_stats(ds: Dataset) -> dict[Sentiment, int]:
+    """Records per class, in class order; all records must be labeled."""
     if len(ds) == 0:
         raise DataFormatError("cannot compute class stats of an empty dataset")
     counts = {s: 0 for s in Sentiment}
     for label in ds.labels():
         counts[label] += 1
-    total = len(ds)
-    percentages = {s: counts[s] / total for s in Sentiment}
-    return ClassStats(counts=counts, percentages=percentages, total=total)
+    return counts
 
 
 def _per_class_indices(ds: Dataset) -> dict[Sentiment, list[int]]:

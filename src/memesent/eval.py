@@ -24,10 +24,8 @@ from .corpus import Dataset, stratified_split
 from .errors import INPUT_ERRORS, TrainingError
 
 __all__ = [
-    "ConfusionMatrix",
     "EvalReport",
     "StabilityReport",
-    "ComparisonTable",
     "macro_f1",
     "parallel_map",
     "stability_study",
@@ -38,55 +36,8 @@ _N_CLASSES = 3
 
 
 @dataclass(frozen=True)
-class ConfusionMatrix:
-    counts: np.ndarray  # (3, 3) int64; [gold, predicted]
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts)
-        if counts.shape != (_N_CLASSES, _N_CLASSES):
-            raise ValueError(f"expected (3, 3) counts, got {counts.shape}")
-        if not np.issubdtype(counts.dtype, np.integer):
-            raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
-        if (counts < 0).any():
-            raise ValueError("counts must be nonnegative")
-        object.__setattr__(self, "counts", counts.astype(np.int64))
-
-    @classmethod
-    def from_pairs(cls, preds, golds) -> "ConfusionMatrix":
-        preds = as_label_array(preds)
-        golds = as_label_array(golds)
-        if len(preds) != len(golds):
-            raise ValueError(
-                f"predictions and golds disagree on length: "
-                f"{len(preds)} vs {len(golds)}"
-            )
-        if len(preds) == 0:
-            raise ValueError("cannot score zero examples")
-        counts = np.zeros((_N_CLASSES, _N_CLASSES), dtype=np.int64)
-        np.add.at(counts, (golds, preds), 1)
-        return cls(counts=counts)
-
-    def to_lists(self) -> list[list[int]]:
-        return self.counts.tolist()
-
-
-def _prf_from_confusion(cm: ConfusionMatrix):
-    """Per-class precision/recall/F1 with the 0/0 -> 0 convention."""
-    counts = cm.counts
-    tp = np.diag(counts).astype(np.float64)
-    predicted = counts.sum(axis=0).astype(np.float64)
-    gold = counts.sum(axis=1).astype(np.float64)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        precision = np.where(predicted > 0, tp / predicted, 0.0)
-        recall = np.where(gold > 0, tp / gold, 0.0)
-        pr = precision + recall
-        f1 = np.where(pr > 0, 2.0 * precision * recall / np.where(pr > 0, pr, 1.0), 0.0)
-    return precision, recall, f1
-
-
-@dataclass(frozen=True)
 class EvalReport:
-    confusion: ConfusionMatrix
+    confusion: np.ndarray  # (3, 3) int64; [gold, predicted]
     precision: tuple[float, float, float]
     recall: tuple[float, float, float]
     f1: tuple[float, float, float]
@@ -95,7 +46,7 @@ class EvalReport:
 
     def to_dict(self) -> dict:
         return {
-            "confusion": self.confusion.to_lists(),
+            "confusion": self.confusion.tolist(),
             "precision": list(self.precision),
             "recall": list(self.recall),
             "f1": list(self.f1),
@@ -111,15 +62,33 @@ def macro_f1(preds, golds, seed: int | None = None,
     ``seed`` and ``config_hash`` are carried into the report metadata
     untouched so downstream artifacts can be traced to their run.
     """
-    cm = ConfusionMatrix.from_pairs(preds, golds)
-    precision, recall, f1 = _prf_from_confusion(cm)
+    preds = as_label_array(preds)
+    golds = as_label_array(golds)
+    if len(preds) != len(golds):
+        raise ValueError(
+            f"predictions and golds disagree on length: "
+            f"{len(preds)} vs {len(golds)}"
+        )
+    if len(preds) == 0:
+        raise ValueError("cannot score zero examples")
+    counts = np.zeros((_N_CLASSES, _N_CLASSES), dtype=np.int64)
+    np.add.at(counts, (golds, preds), 1)
+    # per-class precision/recall/F1 with the 0/0 -> 0 convention
+    tp = np.diag(counts).astype(np.float64)
+    predicted = counts.sum(axis=0).astype(np.float64)
+    gold = counts.sum(axis=1).astype(np.float64)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        precision = np.where(predicted > 0, tp / predicted, 0.0)
+        recall = np.where(gold > 0, tp / gold, 0.0)
+        pr = precision + recall
+        f1 = np.where(pr > 0, 2.0 * precision * recall / np.where(pr > 0, pr, 1.0), 0.0)
     meta = {}
     if seed is not None:
         meta["seed"] = int(seed)
     if config_hash is not None:
         meta["config_hash"] = config_hash
     return EvalReport(
-        confusion=cm,
+        confusion=counts,
         precision=tuple(precision.tolist()),
         recall=tuple(recall.tolist()),
         f1=tuple(f1.tolist()),
@@ -304,45 +273,11 @@ def stability_study(
     return StabilityReport.from_scores([score for score, _ in results], seeds)
 
 
-@dataclass(frozen=True)
-class ComparisonTable:
-    """Rows of (modality, model, macro-F1), best score first."""
-
-    rows: tuple[tuple[str, str, float], ...]  # (modality, model, score)
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [
-                {"modality": modality, "model": model, "macro_f1": score}
-                for modality, model, score in self.rows
-            ]
-        }
-
-    def to_text(self) -> str:
-        header = ("modality", "model", "macro-F1")
-        body = [(m, name, f"{score:.4f}") for m, name, score in self.rows]
-        widths = [
-            max(len(row[i]) for row in [header, *body]) for i in range(3)
-        ]
-        lines = [
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-            for row in [header, *body]
-        ]
-        return "\n".join(lines)
-
-
-def compare_report(entries) -> ComparisonTable:
-    """Build the comparison table from (model, modality, report) triples.
-
-    ``report`` may be an :class:`EvalReport` or a bare macro-F1 float.
-    Rows sort by score descending, then model name for determinism.
-    """
-    entries = list(entries)
-    if not entries:
+def compare_report(entries) -> list[tuple[str, str, float]]:
+    """Rank (model, modality, macro-F1) triples into (modality, model,
+    macro-F1) rows: score descending, then model name for determinism."""
+    rows = [(str(modality), str(model), float(score)) for model, modality, score in entries]
+    if not rows:
         raise ValueError("nothing to compare")
-    rows = []
-    for model, modality, report in entries:
-        score = getattr(report, "macro_f1", report)
-        rows.append((str(modality), str(model), float(score)))
     rows.sort(key=lambda r: (-r[2], r[1]))
-    return ComparisonTable(rows=tuple(rows))
+    return rows

@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,20 @@ class TestPrepare:
         assert run("prepare", "--config", cfg, "--dataset", workspace["data"],
                    "--out", workspace["dir"] / "x") == 2
         assert capsys.readouterr().err == f"error: schema key {key!r} must name a column\n"
+
+    def test_image_paths_resolve_from_the_prepared_file(self, fusion_workspace):
+        data = fusion_workspace / "data.csv"
+        ds = load_dataset(data, None)
+        absolute = str(fusion_workspace / "hsv" / "f0.hsv")
+        records = (replace(ds.records[0], image_path=absolute),) + ds.records[1:]
+        save_dataset(Dataset(records), data)
+        out = fusion_workspace / "runs" / "prep"
+        assert run("prepare", "--dataset", data, "--out", out) == 0
+        prepared = load_dataset(out / "dataset.csv", None)
+        assert [rec.image_path for rec in prepared.records[:2]] == [absolute,
+                                                                    "../../hsv/f1.hsv"]
+        assert run("train", "--model", "cnn_hsv", "--config", fusion_workspace / "fusion.ini",
+                   "--dataset", out / "dataset.csv", "--out", fusion_workspace / "m") == 0
 
 
 class TestTrain:
@@ -428,6 +443,20 @@ class TestPredictEvaluate:
         ) == 0
         with open(out / "predictions.csv", newline="") as fh:
             assert len(list(csv.DictReader(fh))) == 2
+
+    @pytest.mark.parametrize("command", ["prepare", "train", "evaluate", "stability"])
+    def test_unlabeled_dataset_exit_2_naming_it(self, workspace, capsys, command):
+        unlabeled = workspace["dir"] / "unlabeled.csv"
+        unlabeled.write_text("id,caption\na,alpha bravo\nb,golf hotel\n")
+        predictions = workspace["dir"] / "predictions.csv"
+        predictions.write_text("id,label\na,positive\nb,neutral\n")
+        argv = {"prepare": [], "train": ["--model", "nb"], "stability": ["--model", "nb"],
+                "evaluate": [predictions]}[command]
+        out = workspace["dir"] / "o"
+        assert run(command, *argv, "--dataset", unlabeled, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {unlabeled}: 2 records are unlabeled (first: 'a')\n")
+        assert not (out / "config.ini").exists()
 
     def test_predict_requires_model_flag(self, workspace):
         assert run(

@@ -1,7 +1,10 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memesent import cli
 from memesent.corpus import (
     CsvSchema,
     Dataset,
@@ -190,19 +193,31 @@ def test_save_load_roundtrip(tmp_path, tiny_csv):
 
 
 # ---------------------------------------------------------------- stats
-def test_class_stats_task_distribution():
-    stats = class_stats(make_dataset(TASK_COUNTS))
-    assert stats.total == 6992
-    assert stats.counts[Sentiment.POSITIVE] == 4160
-    assert abs(stats.percentages[Sentiment.POSITIVE] - 0.595) < 5e-4
-    assert abs(stats.percentages[Sentiment.NEUTRAL] - 0.315) < 5e-4
-    assert abs(stats.percentages[Sentiment.NEGATIVE] - 0.090) < 5e-4
-    assert abs(sum(stats.percentages.values()) - 1.0) < 1e-9
+def prepared_stats(ds, tmp_path) -> dict:
+    """The ``class_stats`` section of ``prepare``'s report on ``ds``."""
+    save_dataset(ds, tmp_path / "in.csv")
+    assert cli.main(["prepare", "--dataset", str(tmp_path / "in.csv"),
+                     "--out", str(tmp_path / "prep")]) == 0
+    return json.loads((tmp_path / "prep" / "prepare_report.json").read_text())["class_stats"]
 
 
-def test_class_stats_single_record():
-    stats = class_stats(make_dataset({Sentiment.POSITIVE: 1}))
-    assert stats.percentages[Sentiment.POSITIVE] == 1.0
+def test_class_stats_task_distribution(tmp_path):
+    ds = make_dataset(TASK_COUNTS)
+    counts = class_stats(ds)
+    assert list(counts) == list(Sentiment)
+    assert sum(counts.values()) == 6992
+    assert counts[Sentiment.POSITIVE] == 4160
+    stats = prepared_stats(ds, tmp_path)
+    assert stats["total"] == 6992
+    assert abs(stats["percentages"]["positive"] - 0.595) < 5e-4
+    assert abs(stats["percentages"]["neutral"] - 0.315) < 5e-4
+    assert abs(stats["percentages"]["negative"] - 0.090) < 5e-4
+    assert abs(sum(stats["percentages"].values()) - 1.0) < 1e-9
+
+
+def test_class_stats_single_record(tmp_path):
+    stats = prepared_stats(make_dataset({Sentiment.POSITIVE: 1}), tmp_path)
+    assert stats["percentages"]["positive"] == 1.0
 
 
 def test_class_stats_empty():
@@ -210,9 +225,12 @@ def test_class_stats_empty():
         class_stats(Dataset(()))
 
 
-def test_class_stats_to_dict():
-    d = class_stats(make_dataset({Sentiment.NEGATIVE: 2})).to_dict()
-    assert d["counts"] == {"negative": 2, "neutral": 0, "positive": 0}
+def test_class_stats_to_dict(tmp_path):
+    ds = make_dataset({Sentiment.NEGATIVE: 2})
+    assert class_stats(ds) == {Sentiment.NEGATIVE: 2, Sentiment.NEUTRAL: 0,
+                               Sentiment.POSITIVE: 0}
+    stats = prepared_stats(ds, tmp_path)
+    assert stats["counts"] == {"negative": 2, "neutral": 0, "positive": 0}
 
 
 # ---------------------------------------------------------------- split
@@ -221,7 +239,7 @@ def test_split_task_sizes():
     assert (len(train), len(val)) == (5594, 1398)
     # Per-class proportions survive: 0.8*4160=3328, 0.8*2201=1760.8->1761,
     # 0.8*631=504.8->505.
-    tc = class_stats(train).counts
+    tc = class_stats(train)
     assert tc[Sentiment.POSITIVE] == 3328
     assert tc[Sentiment.NEUTRAL] == 1761
     assert tc[Sentiment.NEGATIVE] == 505
@@ -274,7 +292,7 @@ def test_split_conserves_records(counts, fraction, seed):
     assert {r.id for r in train} & {r.id for r in val} == set()
     # per-class counts off by at most the rounding record
     for s in Sentiment:
-        n = class_stats(ds).counts[s] if len(ds) else 0
+        n = class_stats(ds)[s] if len(ds) else 0
         if n == 0:
             continue
         got = sum(1 for r in train if r.label is s)
@@ -285,7 +303,7 @@ def test_split_conserves_records(counts, fraction, seed):
 def test_upsample_balances():
     ds = make_dataset({Sentiment.POSITIVE: 10, Sentiment.NEGATIVE: 3})
     up = upsample(ds, seed=0)
-    counts = class_stats(up).counts
+    counts = class_stats(up)
     assert counts[Sentiment.POSITIVE] == counts[Sentiment.NEGATIVE] == 10
     assert counts[Sentiment.NEUTRAL] == 0  # absent classes stay absent
 
@@ -293,7 +311,7 @@ def test_upsample_balances():
 def test_upsample_task_counts():
     up = upsample(make_dataset(TASK_COUNTS), seed=0)
     assert len(up) == 12480
-    counts = class_stats(up).counts
+    counts = class_stats(up)
     assert counts[Sentiment.POSITIVE] == 4160
     assert counts[Sentiment.NEUTRAL] == 4160
     assert counts[Sentiment.NEGATIVE] == 4160

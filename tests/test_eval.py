@@ -1,5 +1,6 @@
 """Scoring against brute-force oracles, baselines, stability studies."""
 
+import json
 import os
 import time
 from fractions import Fraction
@@ -14,7 +15,6 @@ from memesent import cli
 from memesent.corpus import Sentiment
 from memesent.errors import TrainingError
 from memesent.eval import (
-    ConfusionMatrix,
     compare_report,
     macro_f1,
     parallel_map,
@@ -77,12 +77,10 @@ class TestMacroF1:
         assert cli._json(rep.to_dict()) == cli._json(again.to_dict())
 
     def test_report_json_reparses(self):
-        import json
-
         rep = macro_f1([0, 1, 2], [0, 2, 2])
         data = json.loads(cli._json(rep.to_dict()))
         assert data["macro_f1"] == rep.macro_f1
-        assert data["confusion"] == rep.confusion.to_lists()
+        assert data["confusion"] == rep.confusion.tolist()
 
     @given(
         st.lists(st.integers(0, 2), min_size=1, max_size=60),
@@ -113,21 +111,13 @@ class TestMacroF1:
 
 class TestConfusionMatrix:
     def test_total_equals_scored_examples(self):
-        cm = ConfusionMatrix.from_pairs([0, 1, 2, 1], [2, 1, 2, 0])
-        assert cm.counts.sum() == 4
-        assert cm.counts[2, 0] == 1  # gold positive predicted negative
+        counts = macro_f1([0, 1, 2, 1], [2, 1, 2, 0]).confusion
+        assert counts.sum() == 4
+        assert counts[2, 0] == 1  # gold positive predicted negative
 
     def test_rows_are_gold(self):
-        cm = ConfusionMatrix.from_pairs([1], [0])
-        assert cm.counts[0, 1] == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ConfusionMatrix(counts=np.zeros((2, 3), dtype=np.int64))
-        with pytest.raises(ValueError):
-            ConfusionMatrix(counts=np.zeros((3, 3)))  # float dtype
-        with pytest.raises(ValueError):
-            ConfusionMatrix(counts=np.full((3, 3), -1, dtype=np.int64))
+        counts = macro_f1([1], [0]).confusion
+        assert counts[0, 1] == 1
 
 
 class TestStability:
@@ -309,34 +299,35 @@ class TestCompare:
         ("baseline", "-", 0.22),
     ]
 
+    def compare(self, tmp_path):
+        """``memesent compare`` of one report per entry; its out directory."""
+        args = []
+        for i, (model, modality, score) in enumerate(self.ENTRIES):
+            report = tmp_path / f"r{i}.json"
+            report.write_text(json.dumps({"macro_f1": score}))
+            args.append(f"{model}={modality}={report}")
+        assert cli.main(["compare", *args, "--out", str(tmp_path / "cmp")]) == 0
+        return tmp_path / "cmp"
+
     def test_sorted_by_score(self):
-        table = compare_report(self.ENTRIES)
-        assert [model for _, model, _ in table.rows] == [
+        rows = compare_report(self.ENTRIES)
+        assert [model for _, model, _ in rows] == [
             "FFNN(W2V)", "BERT", "NB", "MMBT", "FFNN+CNN", "baseline",
         ]
 
-    def test_accepts_eval_reports(self):
-        rep = macro_f1([0, 1, 2], [0, 1, 2])
-        table = compare_report([("perfect", "text", rep), ("half", "text", 0.5)])
-        assert table.rows[0][1] == "perfect"
-        assert table.rows[0][2] == 1.0
-
     def test_single_entry(self):
-        table = compare_report([("only", "text", 0.4)])
-        assert len(table.rows) == 1
+        rows = compare_report([("only", "text", 0.4)])
+        assert len(rows) == 1
 
-    def test_json_round_trip(self):
-        import json
-
-        table = compare_report(self.ENTRIES)
-        data = json.loads(cli._json(table.to_dict()))
+    def test_json_round_trip(self, tmp_path):
+        data = json.loads((self.compare(tmp_path) / "comparison.json").read_text())
         assert [r["model"] for r in data["rows"]] == [
-            model for _, model, _ in table.rows
+            model for _, model, _ in compare_report(self.ENTRIES)
         ]
         assert data["rows"][0]["macro_f1"] == 0.35
 
-    def test_text_is_aligned(self):
-        text = compare_report(self.ENTRIES).to_text()
+    def test_text_is_aligned(self, tmp_path):
+        text = (self.compare(tmp_path) / "comparison.txt").read_text()
         lines = text.splitlines()
         assert lines[0].startswith("modality")
         assert "0.3500" in lines[1]
