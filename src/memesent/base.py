@@ -45,9 +45,15 @@ class Estimator:
     a dataclass whose fields are its parameters. It sets ``KIND``, the
     container's ``kind`` field, and implements ``_payload() -> (header,
     arrays)``, whose header carries that kind, and the classmethod
-    ``_from_payload(header, arrays, path)``."""
+    ``_from_payload(header, arrays, path)``. It names the sources of its
+    ``fit`` and ``predict_proba`` inputs, in order, in ``INPUTS`` (see
+    :func:`memesent.cli._inputs`), its sub-models' classes by parameter in
+    ``BRANCHES``, and in ``FIT_WORKERS`` whether ``fit`` takes ``workers``."""
 
     KIND = ""
+    INPUTS = ()
+    BRANCHES = {}
+    FIT_WORKERS = False
 
     @classmethod
     def _param_names(cls):

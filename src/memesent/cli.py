@@ -42,9 +42,6 @@ from .corpus import (
 from .embeddings import CoverageStats, corpus_coverage, embed_corpus, load_embeddings
 from .errors import INPUT_ERRORS, ConfigError, DataFormatError, NumericError
 from .eval import EvalReport, compare_report, macro_f1, stability_study
-from .models.cnn import HsvCnnClassifier
-from .models.ffnn import BowFfnnClassifier, Word2vecFfnnClassifier
-from .models.fusion import BimodalFusionClassifier
 from .models.image import IMAGE_SIZE, load_hsv_input
 from .persist import load_container
 from .textprep import preprocess
@@ -87,86 +84,80 @@ def _load_dataset(cfg: RunConfig, labeled: bool = True) -> tuple[Dataset, Path]:
     return ds, path
 
 
-def _tensors_for(ds: Dataset, base_dir: Path) -> np.ndarray:
-    """Stack per-record HSV tensors; relative image paths resolve
-    against the dataset file's directory. A record that appears again
-    (an upsampled copy) copies its first row instead of reading again."""
-    missing = [rec.id for rec in ds.records if not rec.image_path]
-    if missing:
-        raise DataFormatError(
-            f"{len(missing)} records have no image path (first: {missing[0]!r}); "
-            "map the image column in the schema"
-        )
-    stack = np.empty((len(ds), IMAGE_SIZE, IMAGE_SIZE, 3))
-    first = {}
-    for i, rec in enumerate(ds.records):
-        j = first.setdefault(rec, i)
-        # an absolute path stays
-        stack[i] = stack[j] if j < i else load_hsv_input(base_dir / rec.image_path)
-    return stack
-
-
 def _estimator(cls, cfg: RunConfig, seed: int):
     """An unfitted ``cls`` whose constructor parameters come from the
     config field of the same name (``seed`` from the argument), else from
-    their defaults; a fusion model's two branches are built the same way."""
+    their defaults; its ``BRANCHES`` are built the same way."""
     values = dict(vars(cfg), seed=seed)
-    if cls is BimodalFusionClassifier:
-        values.update(text=_estimator(BowFfnnClassifier, cfg, seed),
-                      image=_estimator(HsvCnnClassifier, cfg, seed))
+    values.update({name: _estimator(branch, cfg, seed) for name, branch in cls.BRANCHES.items()})
     return cls(**{name: values[name] for name in cls._param_names() if name in values})
 
 
-def _inputs(cls, cfg: RunConfig, ds: Dataset, base_dir: Path,
-            source: str = "") -> tuple[list, CoverageStats | None]:
-    """The positional inputs of ``cls``'s fit and predict_proba, one row per
-    record of ``ds``: the preprocessed captions, the HSV tensor stack, or
-    both for fusion; for ``Word2vecFfnnClassifier``, the captions
-    mean-pooled into one float32 matrix. Each distinct record is
-    preprocessed and read once: an upsampled copy shares its first token
-    list and tensor. :func:`preprocess` interns the tokens.
+def _inputs(cls, cfg: RunConfig, ds: Dataset, base_dir: Path, source: str = "",
+            dim: int | None = None) -> tuple[list, CoverageStats | None]:
+    """The inputs that ``cls.INPUTS`` names, one row per record of ``ds``:
+    ``tokens``, the preprocessed captions; ``pooled``, those mean-pooled
+    into one float32 matrix; ``tensors``, the HSV tensor stack read from
+    the image paths, a relative one against ``base_dir``. Each distinct
+    record is preprocessed and read once: an upsampled copy shares its
+    first token list and tensor.
 
     Pooling loads the table (with ``filter_embeddings``, only the
     captions' words), logs and returns its coverage of the rows' tokens
     (else the coverage is ``None``), and frees the table on return. A
-    missing embeddings path is a :class:`ConfigError` that begins with
-    ``source``, the model file's name if there is one."""
-    inputs, coverage = [], None
-    if cls is not HsvCnnClassifier:
+    missing embeddings path, or a table whose dimension is not ``dim``
+    (if given), is an error that begins with ``source``, the model file's
+    name if there is one."""
+    built, coverage = {}, None
+    if {"tokens", "pooled"} & set(cls.INPUTS):
         tokens = {rec: preprocess(rec.caption) for rec in dict.fromkeys(ds.records)}
-        rows = [tokens[rec] for rec in ds.records]
-        if cls is Word2vecFfnnClassifier:
-            if not cfg.embeddings:
-                raise ConfigError(
-                    f"{source}model {cls.KIND!r} requires an embeddings path "
-                    "(set [model] embeddings or --embeddings)"
-                )
-            vocab = ({t for row in tokens.values() for t in row}
-                     if cfg.filter_embeddings else None)
-            table = load_embeddings(cfg.embeddings, cfg.embeddings_format, vocab_filter=vocab)
-            coverage = corpus_coverage(rows, table)
-            logger.log(
-                logging.WARNING if coverage.n_all_oov else logging.INFO,
-                "embedded %d captions: %.1f%% token coverage; %d have no "
-                "in-vocabulary tokens and embed as zero vectors",
-                coverage.n_captions,
-                100.0 * coverage.token_coverage,
-                coverage.n_all_oov,
+        built["tokens"] = [tokens[rec] for rec in ds.records]
+    if "pooled" in cls.INPUTS:
+        if not cfg.embeddings:
+            raise ConfigError(
+                f"{source}model {cls.KIND!r} requires an embeddings path "
+                "(set [model] embeddings or --embeddings)"
             )
-            rows = embed_corpus(rows, table)
-        inputs.append(rows)
-    if cls in (HsvCnnClassifier, BimodalFusionClassifier):
-        inputs.append(_tensors_for(ds, base_dir))
-    return inputs, coverage
+        vocab = ({t for row in tokens.values() for t in row}
+                 if cfg.filter_embeddings else None)
+        table = load_embeddings(cfg.embeddings, cfg.embeddings_format, vocab_filter=vocab)
+        if dim is not None and table.dim != dim:
+            raise DataFormatError(f"{source}model expects {dim}-dimensional embeddings, "
+                                  f"table has dim {table.dim}")
+        coverage = corpus_coverage(built["tokens"], table)
+        logger.log(
+            logging.WARNING if coverage.n_all_oov else logging.INFO,
+            "embedded %d captions: %.1f%% token coverage; %d have no "
+            "in-vocabulary tokens and embed as zero vectors",
+            coverage.n_captions,
+            100.0 * coverage.token_coverage,
+            coverage.n_all_oov,
+        )
+        built["pooled"] = embed_corpus(built["tokens"], table)
+    if "tensors" in cls.INPUTS:
+        missing = [rec.id for rec in ds.records if not rec.image_path]
+        if missing:
+            raise DataFormatError(
+                f"{len(missing)} records have no image path (first: {missing[0]!r}); "
+                "map the image column in the schema"
+            )
+        stack = np.empty((len(ds), IMAGE_SIZE, IMAGE_SIZE, 3))
+        first = {}
+        for i, rec in enumerate(ds.records):
+            j = first.setdefault(rec, i)
+            # an absolute path stays
+            stack[i] = stack[j] if j < i else load_hsv_input(base_dir / rec.image_path)
+        built["tensors"] = stack
+    return [built[name] for name in cls.INPUTS], coverage
 
 
 def _fit_model(cfg: RunConfig, inputs: list, labels: list[Sentiment], seed: int,
                workers: int = 1):
     """Train the configured model kind on :func:`_inputs` and their labels;
-    returns the model. A fusion fit runs its rounds in up to ``workers``
-    processes."""
+    returns the model. A fit that takes ``workers`` (``FIT_WORKERS``) runs
+    in up to that many processes."""
     cls = MODELS[cfg.model]
-    extra = {"workers": workers} if cls is BimodalFusionClassifier else {}
+    extra = {"workers": workers} if cls.FIT_WORKERS else {}
     return _estimator(cls, cfg, seed).fit(*inputs, labels, **extra)
 
 
@@ -301,10 +292,8 @@ def cmd_predict(cfg: RunConfig, model_path: str) -> int:
         raise DataFormatError(f"{model_path}: unknown model kind {kind!r}")
     # the file is checked before any table or image is read
     model = cls.from_container(header, arrays, model_path)
-    inputs, _ = _inputs(cls, cfg, ds, path.parent, f"{model_path}: ")
-    if cls is Word2vecFfnnClassifier and inputs[0].shape[1] != model.spec_.input_dim:
-        raise DataFormatError(f"{model_path}: model expects {model.spec_.input_dim}-dimensional "
-                              f"embeddings, table has dim {inputs[0].shape[1]}")
+    dim = model.spec_.input_dim if "pooled" in cls.INPUTS else None
+    inputs, _ = _inputs(cls, cfg, ds, path.parent, f"{model_path}: ", dim)
     try:
         probs = model.predict_proba(*inputs)
     except NumericError as exc:

@@ -271,6 +271,7 @@ class HsvCnnClassifier(Estimator, TrainConfig):
     """Softmax CNN on (n, 32, 32, 3) HSV tensors."""
 
     KIND = "cnn-hsv"
+    INPUTS = ("tensors",)
 
     def fit(self, T, y) -> "HsvCnnClassifier":
         T, y = _check_tensors(T), as_label_array(y)

@@ -132,14 +132,13 @@ class _CaptionMlp(Estimator, TrainConfig):
 class Word2vecFfnnClassifier(_CaptionMlp):
     """Mean-pooled caption embeddings -> dense softmax classifier.
 
-    ``fit`` and ``predict_proba`` take an ``(n, dim)`` matrix, one
-    :func:`~memesent.embeddings.embed_corpus` row per caption. The
-    embedding table is not serialized with the model; ``save`` records
-    its dimension, the net's input width, so that a caller can check a
-    table against a saved model before it pools.
+    The embedding table is not serialized with the model; ``save``
+    records its dimension, the net's input width, so that a caller can
+    check a table against a saved model before it pools.
     """
 
     KIND = "ffnn-w2v"
+    INPUTS = ("pooled",)
     # bound in this class body too, where perfbench's trace looks for them
     fit = _CaptionMlp.fit
     predict_proba = _CaptionMlp.predict_proba
@@ -170,6 +169,7 @@ class BowFfnnClassifier(_CaptionMlp):
     """Token lists -> bag-of-words presence -> dense softmax classifier."""
 
     KIND = "ffnn-bow"
+    INPUTS = ("tokens",)
     # bound in this class body too, where perfbench's trace looks for them
     fit = _CaptionMlp.fit
     predict_proba = _CaptionMlp.predict_proba

@@ -153,9 +153,8 @@ def fusion_train(
 class BimodalFusionClassifier(Estimator):
     """Text branch + image branch + stacker, as one estimator.
 
-    ``fit`` takes parallel token lists (one per caption, the output of
-    ``memesent.textprep.preprocess``), HSV tensors, and labels. With
-    ``in_sample=False`` (default) the stacker trains on out-of-fold
+    ``fit`` takes one token list and one HSV tensor per row, and labels.
+    With ``in_sample=False`` (default) the stacker trains on out-of-fold
     branch predictions: rows are split into ``folds`` seeded folds and
     each row's features come from branches trained without it. The
     final branch models are always refit on all rows. That full-data
@@ -167,6 +166,9 @@ class BimodalFusionClassifier(Estimator):
     """
 
     KIND = "fusion-bimodal"
+    INPUTS = ("tokens", "tensors")
+    BRANCHES = {"text": BowFfnnClassifier, "image": HsvCnnClassifier}
+    FIT_WORKERS = True
 
     text: BowFfnnClassifier | None = None
     image: HsvCnnClassifier | None = None
@@ -194,8 +196,8 @@ class BimodalFusionClassifier(Estimator):
                 f"need at least {self.folds} rows for {self.folds}-fold "
                 f"out-of-fold features, got {len(y)}"
             )
-        text = self.text if self.text is not None else BowFfnnClassifier(seed=self.seed)
-        image = self.image if self.image is not None else HsvCnnClassifier(seed=self.seed)
+        text, image = (branch(seed=self.seed) if getattr(self, name) is None
+                       else getattr(self, name) for name, branch in self.BRANCHES.items())
         n = len(y)
         chunks = [] if self.in_sample else np.array_split(
             substream(self.seed, "oof").permutation(n), self.folds
@@ -255,11 +257,11 @@ class BimodalFusionClassifier(Estimator):
 
     def _payload(self) -> tuple[dict, dict[str, np.ndarray]]:
         check_fitted(self, "stacker_")
-        header = {k: v for k, v in self.get_params().items() if k not in ("text", "image")}
+        header = {k: v for k, v in self.get_params().items() if k not in self.BRANCHES}
         header["kind"] = self.KIND
         arrays = {"stacker_W": self.stacker_.weights, "stacker_b": self.stacker_.biases}
-        for branch, fitted in (("text", self.text_), ("image", self.image_)):
-            header[branch], branch_arrays = fitted._payload()
+        for branch in self.BRANCHES:
+            header[branch], branch_arrays = getattr(self, branch + "_")._payload()
             arrays.update({f"{branch}.{k}": v for k, v in branch_arrays.items()})
         return header, arrays
 
@@ -269,7 +271,7 @@ class BimodalFusionClassifier(Estimator):
         model = cls(**{name: type(default)(header[name])
                        for name, default in cls().get_params().items()
                        if default is not None})
-        for branch, branch_cls in (("text", BowFfnnClassifier), ("image", HsvCnnClassifier)):
+        for branch, branch_cls in cls.BRANCHES.items():
             prefix = branch + "."
             branch_arrays = {
                 k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)

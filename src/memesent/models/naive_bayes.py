@@ -41,6 +41,7 @@ class MultinomialNaiveBayes(Estimator):
     """
 
     KIND = "naive-bayes"
+    INPUTS = ("tokens",)
 
     alpha: float = 1.0
 

@@ -1,6 +1,8 @@
 """RGB->HSV conversion, bilinear resize, and HSV tensor files."""
 
 import colorsys
+import sys
+import types
 import warnings
 
 import numpy as np
@@ -192,3 +194,78 @@ class TestImagePipeline:
         path.write_bytes(b"this is not a png")
         with pytest.raises(DataFormatError):
             load_image_rgb(path)
+
+
+class _StubRaster:
+    """What ``load_image_rgb`` uses of a decoded PIL image."""
+
+    def __init__(self, rgb):
+        self.rgb = rgb
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def convert(self, mode):
+        assert mode == "RGB"
+        return self.rgb
+
+
+def _stub_pillow(monkeypatch, open_):
+    """Install a ``PIL`` module whose ``Image.open`` is ``open_``."""
+    pil = types.ModuleType("PIL")
+    pil.Image = types.SimpleNamespace(open=open_)
+    monkeypatch.setitem(sys.modules, "PIL", pil)
+
+
+def _solid(color, shape=(40, 48)):
+    return np.broadcast_to(np.array(color, dtype=np.uint8), (*shape, 3)).copy()
+
+
+class TestRasterPathWithoutPillow:
+    """The raster branch of the image reader, through a stub ``PIL``."""
+
+    @pytest.fixture
+    def png(self, tmp_path):
+        path = tmp_path / "img.png"
+        path.write_bytes(b"not read by the stub")
+        return path
+
+    def test_pillow_absent_names_it(self, monkeypatch, png):
+        monkeypatch.setitem(sys.modules, "PIL", None)
+        with pytest.raises(DataFormatError, match="image decoding requires Pillow"):
+            load_image_rgb(png)
+
+    def test_missing_file(self, monkeypatch, tmp_path):
+        _stub_pillow(monkeypatch, lambda path: pytest.fail("opened a missing file"))
+        with pytest.raises(DataFormatError, match="image file not found"):
+            load_image_rgb(tmp_path / "absent.png")
+
+    def test_open_that_raises_cannot_decode(self, monkeypatch, png):
+        def fail(path):
+            raise OSError("truncated stream")
+
+        _stub_pillow(monkeypatch, fail)
+        with pytest.raises(DataFormatError, match=r"img.png: cannot decode image: truncated"):
+            load_image_rgb(png)
+
+    def test_zero_dimension(self, monkeypatch, png):
+        _stub_pillow(monkeypatch, lambda path: _StubRaster(np.zeros((0, 5, 3), np.uint8)))
+        with pytest.raises(DataFormatError, match=r"img.png: image has a zero dimension"):
+            load_image_rgb(png)
+
+    def test_load_hsv_input_decodes_a_png(self, monkeypatch, png):
+        _stub_pillow(monkeypatch, lambda path: _StubRaster(_solid((0, 0, 255))))
+        tensor = load_hsv_input(png)
+        assert tensor.shape == (IMAGE_SIZE, IMAGE_SIZE, 3)
+        assert np.allclose(tensor, [2 / 3, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("color, hue", [((255, 0, 0), 0.0), ((0, 255, 0), 1 / 3),
+                                        ((0, 0, 255), 2 / 3)], ids=["red", "green", "blue"])
+def test_hsv_from_image_of_pure_colors(color, hue):
+    tensor = hsv_from_image(_solid(color))
+    assert tensor.shape == (IMAGE_SIZE, IMAGE_SIZE, 3)
+    assert np.allclose(tensor, [hue, 1.0, 1.0])

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from _util import synthetic_corpus
+from memesent.cli import main
+from memesent.corpus import save_dataset
 from memesent.errors import DataFormatError
 from memesent.persist import CONTAINER_VERSION, MAGIC, load_container, save_container
 
@@ -164,3 +167,29 @@ def test_fuzzed_body_fails_typed(tmp_path, edits, cut, tail):
         MultinomialNaiveBayes.from_container(header, arrays, path)
     except DataFormatError:
         pass
+
+
+def _past_the_end() -> bytes:
+    """A container of one (2**32, 2**32) float64 array 'a' with 8 data
+    bytes: its byte count is beyond what ``np.frombuffer`` can take."""
+    header = b'{"kind":"naive-bayes"}'
+    return (MAGIC + struct.pack("<IQ", CONTAINER_VERSION, len(header)) + header
+            + struct.pack("<IH", 1, 1) + b"a" + struct.pack("<BB2Q", 0, 2, 2**32, 2**32)
+            + bytes(8))
+
+
+@pytest.mark.parametrize("body, message", [
+    (lambda: _BODY[:4] + struct.pack("<I", 2) + _BODY[8:], "unsupported container version 2"),
+    (lambda: _BODY + b"abc", "3 trailing bytes in container"),
+    (_past_the_end, "array 'a' runs past the end of the file"),
+], ids=["version_2", "trailing_bytes", "past_the_end"])
+def test_container_check_behind_the_checksum_exits_2(tmp_path, capsys, body, message):
+    """Each check that only a body with a rewritten checksum reaches fails
+    ``memesent predict`` as an input error that names the file."""
+    save_dataset(synthetic_corpus(n=6)[0], tmp_path / "data.csv")
+    path = tmp_path / "model.bin"
+    path.write_bytes(_with_checksum(body()))
+    rc = main(["predict", "--model", str(path), "--dataset", str(tmp_path / "data.csv"),
+               "--out", str(tmp_path / "p")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {path}: {message}"

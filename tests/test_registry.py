@@ -201,6 +201,46 @@ def test_perturbed_arrays_fail_typed_or_predict_probabilities(
     assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
 
 
+# the sources that cli._inputs builds
+_SOURCES = {"tokens", "pooled", "tensors"}
+
+
+def test_cli_names_no_model_class():
+    # what a model takes is its own declaration, read through MODELS
+    assert [name for name, obj in vars(cli).items()
+            if inspect.isclass(obj) and issubclass(obj, Estimator)] == []
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_declared_inputs_are_sources_that_the_cli_builds(kind):
+    cls = MODELS[kind]
+    assert cls.INPUTS and set(cls.INPUTS) <= _SOURCES
+    # one declared input for each positional input of predict_proba, and of fit
+    assert len(cls.INPUTS) == len(inspect.signature(cls.predict_proba).parameters) - 1
+    fit = inspect.signature(cls.fit).parameters
+    assert len(cls.INPUTS) == len(fit) - 2 - cls.FIT_WORKERS
+    assert cls.FIT_WORKERS == ("workers" in fit)
+    for name, branch in cls.BRANCHES.items():
+        assert name in cls._param_names() and branch in MODELS.values()
+
+
+@pytest.mark.parametrize("kind, reader", [
+    ("nb", "load_hsv_input"), ("ffnn_w2v", "load_hsv_input"), ("ffnn_bow", "load_hsv_input"),
+    ("cnn_hsv", "preprocess"),
+])
+def test_inputs_builds_only_the_declared_sources(kind, reader, captioned_images, monkeypatch):
+    # a text model reads no image, and the image model preprocesses no caption
+    ds, base, emb = captioned_images
+
+    def refuse(*args):
+        raise AssertionError(f"{kind} called {reader}")
+
+    monkeypatch.setattr(cli, reader, refuse)
+    inputs, _ = cli._inputs(MODELS[kind], RunConfig(embeddings=emb), ds, base)
+    assert len(inputs) == len(MODELS[kind].INPUTS)
+    assert all(len(rows) == len(ds) for rows in inputs)
+
+
 def test_config_fields_reach_the_estimators():
     cfg = RunConfig(model="fusion", hidden=(5, 4), lr=0.01, vocab_size=7, folds=3,
                     in_sample=True, epochs=1, batch_size=9, shuffle=False)
